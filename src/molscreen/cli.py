@@ -219,9 +219,7 @@ def cmd_featurize(args) -> int:
     blocks = _parse_blocks(args.blocks)
     external_k = None
     if args.external_fingerprints is not None:
-        from .features import load_external_fingerprints
-
-        external_k = load_external_fingerprints(args.external_fingerprints)
+        external_k = load_latents(args.external_fingerprints)
     keyset, latents = _load_feature_inputs(args, blocks, need_keyset=external_k is None)
 
     graphs, bad = [], []

@@ -14,7 +14,6 @@ from .matrix import (
     MissingLatent,
     UnparseableSMILES,
     assemble,
-    load_external_fingerprints,
     load_latents,
 )
 from .patterns import (
@@ -58,7 +57,6 @@ __all__ = [
     "default_keyset",
     "descriptors",
     "fingerprint",
-    "load_external_fingerprints",
     "load_keyset",
     "load_latents",
     "match_pattern",

@@ -131,13 +131,6 @@ def load_latents(path: str | Path) -> LatentTable:
     return LatentTable(dimension=dim, vectors=vectors, column_names=names)
 
 
-def load_external_fingerprints(path: str | Path) -> LatentTable:
-    """External precomputed fingerprints (CSV ``smiles,bit0..bitN``),
-    usable as a K-block substitute through the same matrix path."""
-    table = load_latents(path)
-    return table
-
-
 def assemble(
     molecules: list[MolecularGraph],
     blocks,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,39 @@ class PatternKey:
                 raise PatternError(
                     f"key {self.label!r} has unknown bond order {bond.order!r}"
                 )
+
+    @cached_property
+    def _plan(self) -> tuple[tuple[int, PatternAtom, tuple], ...]:
+        """Per search depth: the pattern atom placed there, its spec, and its
+        bonds (neighbour, order) back to atoms placed earlier.
+
+        Atoms are visited breadth-first from atom 0, so every atom after the
+        first has a placed neighbour; the first back bond is that anchor,
+        whose image's neighbours are the candidates.
+        """
+        n_pat = len(self.atoms)
+        pat_adj: list[list[tuple[int, str | None]]] = [[] for _ in range(n_pat)]
+        for bond in self.bonds:
+            pat_adj[bond.a].append((bond.b, bond.order))
+            pat_adj[bond.b].append((bond.a, bond.order))
+        order: list[int] = [0]
+        seen = {0}
+        cursor = 0
+        while cursor < len(order):
+            for nbr, _ in pat_adj[order[cursor]]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    order.append(nbr)
+            cursor += 1
+        depth_of = {p: depth for depth, p in enumerate(order)}
+        return tuple(
+            (
+                p,
+                self.atoms[p],
+                tuple((nbr, want) for nbr, want in pat_adj[p] if depth_of[nbr] < depth),
+            )
+            for depth, p in enumerate(order)
+        )
 
 
 @dataclass(frozen=True)
@@ -152,80 +186,69 @@ def match_pattern(graph: MolecularGraph, pattern: PatternKey) -> int:
     Exact backtracking search; patterns are capped at
     :data:`MAX_PATTERN_ATOMS` atoms.
     """
+    return _count_images(graph, _bond_orders(graph), pattern)
+
+
+def _bond_orders(graph: MolecularGraph) -> list[dict[int, str]]:
+    """Per atom, the order of the bond to each neighbour."""
+    return [{w: bond.order for w, bond in nbrs} for nbrs in graph.adjacency]
+
+
+def _count_images(
+    graph: MolecularGraph,
+    bond_orders: list[dict[int, str]],
+    pattern: PatternKey,
+    limit: int | None = None,
+) -> int:
+    """Distinct images of ``pattern`` in ``graph``, counted up to ``limit``:
+    the search returns as soon as it has seen ``limit`` of them."""
     n_pat = len(pattern.atoms)
     if n_pat > MAX_PATTERN_ATOMS:
         raise PatternTooLarge(
             f"pattern {pattern.label!r} has {n_pat} atoms (limit {MAX_PATTERN_ATOMS})"
         )
-
-    # Visit order: BFS from pattern atom 0 so each atom after the first has
-    # at least one already-placed neighbour to anchor on.
-    pat_adj: list[list[tuple[int, str | None]]] = [[] for _ in range(n_pat)]
-    for bond in pattern.bonds:
-        pat_adj[bond.a].append((bond.b, bond.order))
-        pat_adj[bond.b].append((bond.a, bond.order))
-    order: list[int] = [0]
-    seen = {0}
-    cursor = 0
-    while cursor < len(order):
-        for nbr, _ in pat_adj[order[cursor]]:
-            if nbr not in seen:
-                seen.add(nbr)
-                order.append(nbr)
-        cursor += 1
-
+    plan = pattern._plan
     atoms = graph.atoms
     images: set[tuple[frozenset[int], frozenset[frozenset[int]]]] = set()
-    mapping: dict[int, int] = {}
+    image = [0] * n_pat  # molecule atom of each placed pattern atom
     used: set[int] = set()
 
-    def atom_ok(p: int, g: int) -> bool:
-        spec = pattern.atoms[p]
-        if spec.element is not None and atoms[g].element != spec.element:
-            return False
-        if spec.aromatic is not None and atoms[g].aromatic != spec.aromatic:
-            return False
-        return True
-
-    def edges_ok(p: int, g: int) -> bool:
-        for nbr, want in pat_adj[p]:
-            if nbr not in mapping:
-                continue
-            target = mapping[nbr]
-            for w, bond in graph.adjacency[g]:
-                if w == target:
-                    if want is not None and bond.order != want:
-                        return False
-                    break
-            else:
-                return False
-        return True
-
-    def record() -> None:
-        atom_image = frozenset(mapping.values())
-        edge_image = frozenset(
-            frozenset((mapping[b.a], mapping[b.b])) for b in pattern.bonds
-        )
-        images.add((atom_image, edge_image))
-
-    def extend(depth: int) -> None:
+    def extend(depth: int) -> bool:
+        """Place pattern atoms from ``depth`` on; True once ``limit`` images
+        are found."""
         if depth == n_pat:
-            record()
-            return
-        p = order[depth]
+            edge_image = frozenset(
+                frozenset((image[b.a], image[b.b])) for b in pattern.bonds
+            )
+            images.add((frozenset(image), edge_image))
+            return limit is not None and len(images) >= limit
+        p, spec, bonds_back = plan[depth]
+        element, aromatic = spec.element, spec.aromatic
         if depth == 0:
             candidates = range(len(atoms))
         else:
-            anchor = next(nbr for nbr, _ in pat_adj[p] if nbr in mapping)
-            candidates = [w for w, _ in graph.adjacency[mapping[anchor]]]
+            candidates = bond_orders[image[bonds_back[0][0]]]
         for g in candidates:
-            if g in used or not atom_ok(p, g) or not edges_ok(p, g):
+            if g in used:
                 continue
-            mapping[p] = g
-            used.add(g)
-            extend(depth + 1)
-            del mapping[p]
-            used.discard(g)
+            atom = atoms[g]
+            if (element is not None and atom.element != element) or (
+                aromatic is not None and atom.aromatic != aromatic
+            ):
+                continue
+            orders = bond_orders[g]
+            for nbr, want in bonds_back:
+                got = orders.get(image[nbr])
+                if got is None or (want is not None and got != want):
+                    break
+            else:
+                image[p] = g
+                used.add(g)
+                done = extend(depth + 1)
+                used.discard(g)
+                if done:
+                    return True
+        return False
 
     extend(0)
     return len(images)
@@ -235,7 +258,8 @@ def fingerprint(graph: MolecularGraph, keyset: KeySet) -> np.ndarray:
     """Bit vector over the key set: bit i is set when the occurrence count
     of key i reaches its ``min_count``."""
     bits = np.zeros(len(keyset.keys), dtype=np.uint8)
+    bond_orders = _bond_orders(graph)
     for pos, key in enumerate(keyset.keys):
-        if match_pattern(graph, key) >= key.min_count:
+        if _count_images(graph, bond_orders, key, key.min_count) >= key.min_count:
             bits[pos] = 1
     return bits

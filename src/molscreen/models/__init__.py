@@ -6,8 +6,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .boosting import GBModel, fit_gb
 from .forest import RFModel, fit_rf
 from .svr import SVRModel, default_gamma, fit_svr
@@ -94,11 +92,6 @@ def fit_model(X, y, config: TrainConfig):
     )
 
 
-def predict(model, X) -> np.ndarray:
-    """Pure prediction dispatch; raises WidthMismatch on shape errors."""
-    return model.predict(X)
-
-
 def model_to_dict(model) -> dict:
     data = model.to_dict()
     data["format_version"] = FORMAT_VERSION
@@ -153,6 +146,5 @@ __all__ = [
     "load_model",
     "model_from_dict",
     "model_to_dict",
-    "predict",
     "save_model",
 ]

@@ -1,8 +1,12 @@
 import random
+import time
 
 import networkx as nx
+import pytest
 
 from molscreen.molgraph import canonical_smiles, parse_smiles
+from molscreen.molgraph.canon import _atom_token, _Search, initial_invariants
+from molscreen.molgraph.model import AROMATIC, DOUBLE, SINGLE, TRIPLE
 
 from conftest import permute_graph, random_molecule
 
@@ -106,3 +110,236 @@ def test_symmetric_molecules():
             order = list(range(len(graph.atoms)))
             rng.shuffle(order)
             assert canonical_smiles(permute_graph(graph, order)) == base
+
+
+# --- exhaustive reference -------------------------------------------------
+#
+# The search without automorphism pruning: every leaf of the
+# individualisation tree is expanded and emitted, and the smallest string
+# wins. Its cost grows with the symmetry group, so it serves only as an
+# oracle for the pruned search in the package.
+
+_BOND_RANK = {SINGLE: 0, AROMATIC: 1, DOUBLE: 2, TRIPLE: 3}
+_BOND_TOKEN = {SINGLE: "", AROMATIC: "", DOUBLE: "=", TRIPLE: "#"}
+
+
+def exhaustive_strings(graph) -> set[str]:
+    return {_emit(graph, ranks) for ranks in _discrete_rankings(graph)}
+
+
+def _dense_ranks(keys: list) -> list[int]:
+    order = sorted(set(keys))
+    mapping = {k: r for r, k in enumerate(order)}
+    return [mapping[k] for k in keys]
+
+
+def _refine(graph, ranks: list[int]) -> list[int]:
+    while True:
+        keys = []
+        for idx in range(len(graph.atoms)):
+            nbr_sig = sorted(
+                (_BOND_RANK[bond.order], ranks[j])
+                for j, bond in graph.adjacency[idx]
+            )
+            keys.append((ranks[idx], tuple(nbr_sig)))
+        new_ranks = _dense_ranks(keys)
+        if new_ranks == ranks:
+            return ranks
+        ranks = new_ranks
+
+
+def _discrete_rankings(graph):
+    """Yield every fully discrete ranking reachable by tie individualisation."""
+    n = len(graph.atoms)
+
+    def rec(ranks: list[int]):
+        ranks = _refine(graph, ranks)
+        cells: dict[int, list[int]] = {}
+        for idx, r in enumerate(ranks):
+            cells.setdefault(r, []).append(idx)
+        tied = [r for r, members in cells.items() if len(members) > 1]
+        if not tied:
+            yield ranks
+            return
+        target = min(tied)
+        for chosen in cells[target]:
+            keys = [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
+            yield from rec(_dense_ranks(keys))
+
+    yield from rec(_dense_ranks(initial_invariants(graph)))
+
+
+def _emit(graph, ranks: list[int]) -> str:
+    pieces = [_emit_component(graph, ranks, comp) for comp in graph.components()]
+    pieces.sort()
+    return ".".join(pieces)
+
+
+def _emit_component(graph, ranks: list[int], comp: list[int]) -> str:
+    root = min(comp, key=lambda i: ranks[i])
+    visited = {root}
+    tree_children: dict[int, list[int]] = {i: [] for i in comp}
+    closures: dict[int, list[int]] = {i: [] for i in comp}
+    closure_edges: set[frozenset[int]] = set()
+
+    def explore(u: int, parent: int) -> None:
+        for v, _bond in sorted(graph.adjacency[u], key=lambda t: ranks[t[0]]):
+            if v not in visited:
+                visited.add(v)
+                tree_children[u].append(v)
+                explore(v, u)
+            elif v != parent and frozenset((u, v)) not in closure_edges:
+                closure_edges.add(frozenset((u, v)))
+                closures[u].append(v)
+                closures[v].append(u)
+
+    explore(root, -1)
+    for u in comp:
+        closures[u].sort(key=lambda v: ranks[v])
+
+    digit_of: dict[frozenset[int], int] = {}
+    next_digit = [1]
+    out: list[str] = []
+
+    def ring_tokens(u: int) -> str:
+        toks = []
+        for v in closures[u]:
+            edge = frozenset((u, v))
+            bond = _bond_between(graph, u, v)
+            if edge not in digit_of:
+                digit_of[edge] = next_digit[0]
+                next_digit[0] += 1
+                toks.append(_bond_token(graph, bond) + _digit(digit_of[edge]))
+            else:
+                toks.append(_digit(digit_of[edge]))
+        return "".join(toks)
+
+    def walk(u: int) -> None:
+        out.append(_atom_token(graph, u))
+        out.append(ring_tokens(u))
+        children = tree_children[u]
+        for child in children[:-1]:
+            out.append("(")
+            out.append(_bond_token(graph, _bond_between(graph, u, child)))
+            walk(child)
+            out.append(")")
+        if children:
+            child = children[-1]
+            out.append(_bond_token(graph, _bond_between(graph, u, child)))
+            walk(child)
+
+    walk(root)
+    return "".join(out)
+
+
+def _digit(number: int) -> str:
+    return str(number) if number <= 9 else f"%{number:02d}"
+
+
+def _bond_between(graph, u: int, v: int):
+    for w, bond in graph.adjacency[u]:
+        if w == v:
+            return bond
+    raise KeyError((u, v))
+
+
+def _bond_token(graph, bond) -> str:
+    if bond.order == SINGLE:
+        both_aromatic = graph.atoms[bond.a].aromatic and graph.atoms[bond.b].aromatic
+        return "-" if both_aromatic else ""
+    return _BOND_TOKEN[bond.order]
+
+
+# Symmetric molecules whose automorphism groups make the exhaustive search
+# expensive: one symmetry layer per branching level multiplies its leaves.
+SYMMETRIC_TIMED = [
+    "CC(C)(C)C",  # neopentane
+    "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C",
+    "CC(C)(C)c1cc(C(C)(C)C)cc(C(C)(C)C)c1",  # 1,3,5-tri-tert-butylbenzene
+    "CC(C)C(C(C)C)(C(C)C)C(C)C",  # tetra-isopropyl methane
+    # pentaerythritol tetra(neopentyl ether): 31,104 exhaustive leaves
+    "C(COCC(C)(C)C)(COCC(C)(C)C)(COCC(C)(C)C)COCC(C)(C)C",
+]
+
+# Cores carrying tert-butyl, neopentyl or isopropyl groups, cages, and
+# salts and repeated components.
+SYMMETRIC = SYMMETRIC_TIMED + [
+    "CC(C)(C)c1ccc(C(C)(C)C)cc1",
+    "CC(C)(C)Cc1ccc(CC(C)(C)C)cc1",
+    "CC(C)c1ccc(C(C)C)cc1",
+    "CC(C)(C)Cc1cc(CC(C)(C)C)cc(CC(C)(C)C)c1",
+    "CC(C)c1cc(C(C)C)cc(C(C)C)c1",
+    "CC(C)(C)C1CCC(C(C)(C)C)CC1",
+    "CC(C)(C)CC1CCC(CC(C)(C)C)CC1",
+    "CC(C)C1CCC(C(C)C)CC1",
+    "CC(C)(C)C(C(C)(C)C)C(C)(C)C",
+    "CC(C)(C)CC(CC(C)(C)C)CC(C)(C)C",
+    "CC(C)C(C(C)C)C(C)C",
+    "CC(C)(C)N(C(C)(C)C)C(C)(C)C",
+    "CC(C)(C)CN(CC(C)(C)C)CC(C)(C)C",
+    "CC(C)N(C(C)C)C(C)C",
+    "CC(C)(C)OC(C)(C)C",
+    "CC(C)(C)COCC(C)(C)C",
+    "CC(C)OC(C)C",
+    "CC(C)(C)CCC(C)(C)C",
+    "CC(C)(C)CCCCC(C)(C)C",
+    "CC(C)CCC(C)C",
+    "C12C3C4C1C5C2C3C45",  # cubane
+    "C1CC2CCC1CC2",  # bicyclo[2.2.2]octane
+    "C1CCC2(CC1)CCCCC2",  # spiro[5.5]undecane
+    "c1ccc2cc3ccccc3cc2c1",
+    "[NH4+].[NH4+].[O-]S(=O)(=O)[O-]",
+    "CC.CC.CC",
+    # Two copies of a cage whose refinement leaves ties that are not orbits:
+    # the exhaustive search emits several distinct strings, so a subtree
+    # pruned without a true automorphism behind it loses some of them.
+    "C12C3C1C4C5C2C4C35.C12C3C1C4C5C2C4C35",
+    "C12(C34C1(CC3)CC4)CC2.C12(C34C1(CC3)CC4)CC2",
+]
+
+
+def assert_matches_exhaustive(graph) -> None:
+    # Sound pruning skips only subtrees that repeat explored ones, so the
+    # leaves it explores emit every string the exhaustive search emits, not
+    # just the smallest.
+    everything = exhaustive_strings(graph)
+    search = _Search(graph)
+    assert search.run() == canonical_smiles(graph) == min(everything)
+    assert set(search.leaves) == everything
+
+
+def test_matches_exhaustive_search_on_bundled_dataset(dataset24):
+    for record in dataset24.records:
+        assert_matches_exhaustive(record.graph)
+
+
+def test_matches_exhaustive_search_on_aromatic_samples():
+    for smiles in AROMATIC_SAMPLES:
+        assert_matches_exhaustive(parse_smiles(smiles))
+
+
+def test_matches_exhaustive_search_on_random_molecules():
+    rng = random.Random(2015)
+    for _ in range(200):
+        assert_matches_exhaustive(random_molecule(rng, max_atoms=12))
+
+
+@pytest.mark.parametrize("smiles", SYMMETRIC)
+def test_matches_exhaustive_search_on_symmetric_molecules(smiles):
+    graph = parse_smiles(smiles)
+    assert_matches_exhaustive(graph)
+    base = canonical_smiles(graph)
+    assert isomorphic(graph, parse_smiles(base))
+    rng = random.Random(len(smiles))
+    for _ in range(10):
+        order = list(range(len(graph.atoms)))
+        rng.shuffle(order)
+        assert canonical_smiles(permute_graph(graph, order)) == base
+
+
+@pytest.mark.parametrize("smiles", SYMMETRIC_TIMED)
+def test_symmetric_molecules_canonicalize_within_a_second(smiles):
+    graph = parse_smiles(smiles)
+    start = time.perf_counter()
+    canonical_smiles(graph)
+    assert time.perf_counter() - start < 1.0

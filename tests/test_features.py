@@ -100,6 +100,16 @@ class TestFingerprint:
             if match_pattern(base, k) >= 1:
                 assert match_pattern(grown, k) >= 1, k.label
 
+    def test_bits_agree_with_full_counts(self, dataset24):
+        # fingerprint stops counting at min_count; the bits must be those of
+        # the full image count
+        ks = default_keyset()
+        rng = random.Random(64)
+        graphs = dataset24.graphs() + [random_molecule(rng, 12) for _ in range(40)]
+        for graph in graphs:
+            expected = [int(match_pattern(graph, k) >= k.min_count) for k in ks.keys]
+            assert fingerprint(graph, ks).tolist() == expected
+
 
 class TestDescriptors:
     def test_acetamide(self):
@@ -217,9 +227,7 @@ class TestAssemble:
     def test_external_fingerprints_as_k_block(self, tmp_path):
         path = tmp_path / "fp.csv"
         path.write_text("smiles,bit0,bit1\nCCO,1,0\nCCN,0,1\n")
-        from molscreen.features import load_external_fingerprints
-
-        table = load_external_fingerprints(path)
+        table = load_latents(path)
         mols = [parse_smiles("CCO"), parse_smiles("CCN")]
         matrix = assemble(mols, {"K"}, external_k=table)
         assert matrix.names == ("bit0", "bit1")
