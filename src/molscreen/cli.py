@@ -10,7 +10,7 @@ reproduces the artifact byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -30,7 +30,7 @@ from .models import (
     fit_model,
     model_to_dict,
 )
-from .molgraph import MolGraphError, parse_smiles
+from .molgraph import MolGraphError
 from .scaffold import ScaffoldError, classify, group_dataset, load_registry
 from .screening import FunnelConfig, ScreeningError, run_funnel
 
@@ -223,19 +223,13 @@ def cmd_featurize(args) -> int:
     keyset, latents = _load_feature_inputs(args, blocks, need_keyset=external_k is None)
 
     graphs, bad = [], []
-    with Path(args.dataset).open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(dataio._skip_comments(handle))
-        if reader.fieldnames is None or "smiles" not in reader.fieldnames:
-            raise dataio.DataError(f"dataset {args.dataset} needs a 'smiles' column")
-        for row_no, row in enumerate(reader, start=2):
-            smiles = (row.get("smiles") or "").strip()
-            try:
-                graphs.append(parse_smiles(smiles))
-            except MolGraphError as exc:
-                bad.append((row_no, smiles, str(exc)))
-    for row_no, smiles, reason in bad:
-        level = "warning" if args.skip_bad else "error"
-        print(f"{level}: row {row_no} ({smiles!r}): {reason}", file=sys.stderr)
+    with dataio.read_molecules(args.dataset) as (_, rows):
+        for row_no, row, graph in rows:
+            if isinstance(graph, str):
+                bad.append((row_no, row["smiles"], graph))
+            else:
+                graphs.append(graph)
+    _print_bad_rows(bad, "warning" if args.skip_bad else "error")
     if bad and not args.skip_bad:
         return VALIDATION_EXIT
 
@@ -244,6 +238,11 @@ def cmd_featurize(args) -> int:
     echo = _echo(args, {"command": "featurize", "rows": len(matrix.ids)})
     dataio.atomic_write_text(args.out, dataio.matrix_csv_text(matrix, echo))
     return 0
+
+
+def _print_bad_rows(bad, level: str) -> None:
+    for row_no, smiles, reason in bad:
+        print(f"{level}: row {row_no} ({smiles!r}): {reason}", file=sys.stderr)
 
 
 def _train_config(args) -> TrainConfig:
@@ -339,19 +338,14 @@ def cmd_screen(args) -> int:
     if args.top_fraction is not None:
         if not (0.0 < args.top_fraction <= 1.0):
             raise UsageError("--top-fraction must be in (0, 1]")
-        raw = dict(config.raw)
-        raw["top_fraction"] = args.top_fraction
-        config = FunnelConfig(**{
-            **{f: getattr(config, f) for f in (
-                "pool", "registry", "model", "pipeline", "blocks",
-                "thresholds", "properties", "cas", "keyset", "latents",
-                "vocabulary_elements", "require_latent",
-            )},
-            "top_fraction": args.top_fraction,
-            "raw": raw,
-        })
+        config = dataclasses.replace(
+            config,
+            top_fraction=args.top_fraction,
+            raw={**config.raw, "top_fraction": args.top_fraction},
+        )
 
     report = run_funnel(config)
+    _print_bad_rows(report.failed_rows, "warning")
     echo = _echo(args, {"command": "screen"})
     payload = report.to_dict()
     payload["run_config"] = echo

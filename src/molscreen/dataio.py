@@ -3,8 +3,11 @@
 All file formats are plain CSV/JSON, UTF-8, LF line endings, '.' decimals,
 headers mandatory. Output artifacts embed the resolved run configuration:
 JSON artifacts as a ``config`` key, CSV artifacts as a single leading
-``#`` comment line (our readers skip it; the header follows). Writes are
-atomic (temp file + rename).
+``#`` comment line above the header. Writes are atomic (temp file + rename).
+
+Every molecule CSV the package reads goes through :func:`read_molecules`,
+which skips leading ``#`` lines, so a CSV artifact reads back as input. Its
+callers only decide what an unparseable row does: raise, drop, or warn.
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import dropwhile
 from pathlib import Path
 
 import numpy as np
 
-from .molgraph import MolGraphError, MolecularGraph, canonical_smiles, parse_smiles
+from .molgraph import MolGraphError, MolecularGraph, parse_smiles
 
 FORMAT_VERSION = 1
 
@@ -59,6 +64,46 @@ class Dataset:
         return np.array([r.pce for r in self.records], dtype=np.float64)
 
 
+@contextmanager
+def read_molecules(
+    path: str | Path,
+    columns: tuple[str, ...] = ("smiles",),
+    error: type[Exception] = DataError,
+    smiles: str = "smiles",
+    parsed: dict[str, MolecularGraph | str] | None = None,
+):
+    """Open a molecule CSV, skip its leading ``#`` lines, check ``columns``.
+
+    A missing column raises ``error`` naming the file. Yields ``(header,
+    rows)``; each row is ``(row_no, row, graph)`` with the header as row 1,
+    the ``smiles`` cell stripped and ``graph`` the molecule or the parser's
+    message. ``parsed`` maps spellings read earlier in the run to their
+    result and takes the new ones, so a shared spelling is parsed once.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(dropwhile(lambda line: line.startswith("#"), handle))
+        header = reader.fieldnames or []
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise error(f"{path} misses column(s) {', '.join(missing)}")
+        yield header, _parsed_rows(reader, smiles, {} if parsed is None else parsed)
+
+
+def _parsed_rows(reader, smiles: str, parsed: dict):
+    for row_no, row in enumerate(reader, start=2):
+        text = row[smiles] = (row.get(smiles) or "").strip()
+        graph = parsed.get(text)
+        if graph is None:
+            try:
+                graph = parse_smiles(text)
+            except MolGraphError as exc:
+                # The message, not the exception: its traceback would keep
+                # the parser's frames alive for as long as ``parsed`` lives.
+                graph = str(exc)
+            parsed[text] = graph
+        yield row_no, row, graph
+
+
 def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
     """Load a molecule dataset (CSV ``smiles,pce[,doi]``).
 
@@ -68,35 +113,26 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
     path = Path(path)
     records: list[DatasetRecord] = []
     seen: dict[str, int] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(_skip_comments(handle))
-        if reader.fieldnames is None or "smiles" not in reader.fieldnames:
-            raise DataError(f"dataset {path} needs a 'smiles' column")
-        if require_pce and "pce" not in reader.fieldnames:
-            raise DataError(f"dataset {path} needs a 'pce' column")
-        for row_no, row in enumerate(reader, start=2):
-            smiles = (row.get("smiles") or "").strip()
-            try:
-                graph = parse_smiles(smiles)
-                canon = canonical_smiles(graph)
-            except MolGraphError as exc:
-                raise DataError(f"row {row_no}: {smiles!r}: {exc}") from exc
+    columns = ("smiles", "pce") if require_pce else ("smiles",)
+    with read_molecules(path, columns) as (_, rows):
+        for row_no, row, graph in rows:
+            smiles = row["smiles"]
+            if isinstance(graph, str):
+                raise DataError(f"row {row_no}: {smiles!r}: {graph}")
+            canon = graph.canonical
             if canon in seen:
                 raise DuplicateMolecule(
                     f"row {row_no}: duplicate of row {seen[canon]} ({smiles!r})"
                 )
             seen[canon] = row_no
             pce = 0.0
-            if "pce" in (reader.fieldnames or []):
-                text = (row.get("pce") or "").strip()
-                if text:
-                    pce = float(text)
-                    if not (0.0 < pce < 100.0):
-                        raise InvalidPce(
-                            f"row {row_no}: pce {pce} outside (0, 100)"
-                        )
-                elif require_pce:
-                    raise InvalidPce(f"row {row_no}: missing pce value")
+            text = (row.get("pce") or "").strip()
+            if text:
+                pce = float(text)
+                if not (0.0 < pce < 100.0):
+                    raise InvalidPce(f"row {row_no}: pce {pce} outside (0, 100)")
+            elif require_pce:
+                raise InvalidPce(f"row {row_no}: missing pce value")
             doi = (row.get("doi") or "").strip() or None
             records.append(
                 DatasetRecord(
@@ -104,13 +140,6 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
                 )
             )
     return Dataset(name=path.stem, records=tuple(records))
-
-
-def _skip_comments(handle):
-    for line in handle:
-        if line.startswith("#"):
-            continue
-        yield line
 
 
 def dump_json(payload: dict) -> str:

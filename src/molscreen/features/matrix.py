@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..molgraph import MolecularGraph, MolGraphError, canonical_smiles, parse_smiles
+from ..dataio import read_molecules
+from ..molgraph import MolecularGraph
 from .descriptors import DESCRIPTOR_NAMES, descriptors
 from .patterns import KeySet, fingerprint
 
@@ -102,33 +102,26 @@ def load_latents(path: str | Path) -> LatentTable:
     The dimension is whatever the header declares; keys are canonicalized
     on load. An empty file yields an empty table.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+    vectors: dict[str, np.ndarray] = {}
+    with read_molecules(path, ()) as (header, rows):
+        if not header:
             return LatentTable(dimension=0, vectors={}, column_names=())
-        if not header or header[0] != "smiles":
+        if header[0] != "smiles":
             raise FeatureError(f"latent file {path} must start with a 'smiles' column")
-        dim = len(header) - 1
         names = tuple(header[1:])
-        vectors: dict[str, np.ndarray] = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) - 1 != dim:
+        for row_no, row, graph in rows:
+            # Cells beyond the header land under None, missing ones read None.
+            values = [row[n] for n in names if row[n] is not None] + row.get(None, [])
+            if len(values) != len(names):
                 raise DimensionMismatch(
-                    f"row {row_no}: expected {dim} values, got {len(row) - 1}"
+                    f"row {row_no}: expected {len(names)} values, got {len(values)}"
                 )
-            try:
-                canon = canonical_smiles(parse_smiles(row[0]))
-            except MolGraphError as exc:
-                raise UnparseableSMILES(f"row {row_no}: {row[0]!r}: {exc}") from exc
-            if canon in vectors:
-                raise DuplicateKey(f"row {row_no}: duplicate molecule {row[0]!r}")
-            vectors[canon] = np.array([float(v) for v in row[1:]], dtype=np.float64)
-    return LatentTable(dimension=dim, vectors=vectors, column_names=names)
+            if isinstance(graph, str):
+                raise UnparseableSMILES(f"row {row_no}: {row['smiles']!r}: {graph}")
+            if graph.canonical in vectors:
+                raise DuplicateKey(f"row {row_no}: duplicate molecule {row['smiles']!r}")
+            vectors[graph.canonical] = np.array([float(v) for v in values], dtype=np.float64)
+    return LatentTable(dimension=len(names), vectors=vectors, column_names=names)
 
 
 def assemble(
@@ -156,7 +149,7 @@ def assemble(
     if "Z" in blocks and latents is None:
         raise FeatureError("Z block requested without a latent table")
 
-    ids = [canonical_smiles(g) for g in molecules]
+    ids = [g.canonical for g in molecules]
     if len(set(ids)) != len(ids):
         raise FeatureError("duplicate molecules in feature assembly")
 

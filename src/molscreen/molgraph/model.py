@@ -153,6 +153,14 @@ class MolecularGraph:
             nbrs[bond.b].append((bond.a, bond))
         return tuple(tuple(sorted(n, key=lambda t: t[0])) for n in nbrs)
 
+    @cached_property
+    def canonical(self) -> str:
+        """Canonical SMILES, computed on first use and kept."""
+        # Imported at call time: canon imports this module.
+        from .canon import canonical_smiles
+
+        return canonical_smiles(self)
+
     def neighbors(self, idx: int) -> tuple[tuple[int, Bond], ...]:
         return self.adjacency[idx]
 

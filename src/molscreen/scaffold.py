@@ -9,19 +9,11 @@ stage: molecules whose scaffold is not registered are flagged as novel.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .molgraph import (
-    DOUBLE,
-    TRIPLE,
-    AtomSpec,
-    MolGraphError,
-    MolecularGraph,
-    canonical_smiles,
-    parse_smiles,
-)
+from .dataio import read_molecules
+from .molgraph import DOUBLE, TRIPLE, AtomSpec, MolecularGraph
 
 
 class ScaffoldError(ValueError):
@@ -122,8 +114,7 @@ def extract_scaffold(graph: MolecularGraph) -> Scaffold:
         for b in graph.bonds
         if b.a in kept and b.b in kept
     ]
-    sub = MolecularGraph.from_spec(specs, bonds)
-    return Scaffold(canonical_smiles(sub))
+    return Scaffold(MolecularGraph.from_spec(specs, bonds).canonical)
 
 
 def classify(graph: MolecularGraph, registry: ScaffoldRegistry) -> GateResult:
@@ -158,18 +149,12 @@ def load_registry(path: str | Path) -> ScaffoldRegistry:
     empty string is a legal scaffold (the acyclic group). Group ids must be
     contiguous from 1.
     """
-    path = Path(path)
     entries: dict[str, int] = {}
     group_names: dict[int, str] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"scaffold_smiles", "group_id", "group_name"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ScaffoldError(
-                f"registry {path} must have columns scaffold_smiles,group_id,group_name"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            raw = (row["scaffold_smiles"] or "").strip()
+    columns = ("scaffold_smiles", "group_id", "group_name")
+    with read_molecules(path, columns, ScaffoldError, smiles="scaffold_smiles") as (_, rows):
+        for row_no, row, graph in rows:
+            raw = row["scaffold_smiles"]
             try:
                 group_id = int(row["group_id"])
             except (TypeError, ValueError):
@@ -178,12 +163,10 @@ def load_registry(path: str | Path) -> ScaffoldRegistry:
 
             if raw == "":
                 canon = ""
+            elif isinstance(graph, str):
+                raise UnparseableScaffold(f"row {row_no}: {raw!r}: {graph}")
             else:
-                try:
-                    graph = parse_smiles(raw)
-                    canon = canonical_smiles(graph)
-                except MolGraphError as exc:
-                    raise UnparseableScaffold(f"row {row_no}: {raw!r}: {exc}") from exc
+                canon = graph.canonical
                 fixed = extract_scaffold(graph).canonical
                 if fixed != canon:
                     raise NonFixedPointScaffold(

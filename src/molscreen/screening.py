@@ -4,13 +4,14 @@ Tier order: vocabulary filter, scaffold gate, top-fraction ranking by
 predicted efficiency, property thresholds, availability of a CAS code.
 Survivor sets are nested, every dropped record carries exactly one
 (tier, cause) reason, and the whole run is deterministic: records are
-keyed and ordered by canonical SMILES, so permuting the input file changes
-nothing in the report.
+keyed and ordered by canonical SMILES, so permuting the rows of the pool
+file changes nothing in the report. The claim covers the pool only: when
+two rows of the property table share a canonical molecule the last row
+wins, so that table's row order can change the report.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import selection
+from .dataio import read_molecules
 from .features import (
     DESCRIPTOR_NAMES,
     KeySet,
@@ -30,7 +32,7 @@ from .features import (
     load_latents,
 )
 from .models import load_model
-from .molgraph import MolGraphError, MolecularGraph, canonical_smiles, parse_smiles
+from .molgraph import MolecularGraph
 from .scaffold import ScaffoldRegistry, classify, load_registry
 
 
@@ -54,7 +56,6 @@ class PoolRecord:
 @dataclass(frozen=True)
 class CandidatePool:
     records: tuple[PoolRecord, ...]  # sorted by canonical SMILES, unique
-    provenance: str
     parse_failures: tuple[tuple[int, str, str], ...]  # (row, smiles, reason)
     merged_duplicates: int
 
@@ -144,11 +145,15 @@ class TierOutcome:
 @dataclass(frozen=True)
 class ScreeningReport:
     pool_size: int
-    parse_failures: int
+    failed_rows: tuple[tuple[int, str, str], ...]  # (row, smiles, reason)
     merged_duplicates: int
     tiers: tuple[TierOutcome, ...]
     final: tuple[PoolRecord, ...]
     config_echo: dict
+
+    @property
+    def parse_failures(self) -> int:
+        return len(self.failed_rows)
 
     def to_dict(self) -> dict:
         return {
@@ -215,35 +220,28 @@ def top_count(n: int, fraction: float) -> int:
     return math.ceil(n * fraction)
 
 
-def load_pool(path: str | Path) -> CandidatePool:
+def load_pool(path: str | Path, parsed: dict | None = None) -> CandidatePool:
     """Read a candidate pool CSV (``smiles[,cas]``).
 
     Unparseable rows are set aside with their reason; duplicate canonical
     structures are merged, keeping the lexicographically smallest spelling
-    and CAS code so the pool is independent of row order.
+    and CAS code so the pool is independent of row order. ``parsed`` is as
+    in ``dataio.read_molecules``.
     """
-    path = Path(path)
     by_canonical: dict[str, PoolRecord] = {}
     failures: list[tuple[int, str, str]] = []
     merged = 0
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "smiles" not in reader.fieldnames:
-            raise ScreeningError(f"pool {path} needs a 'smiles' column")
-        has_cas = "cas" in (reader.fieldnames or [])
-        for row_no, row in enumerate(reader, start=2):
-            smiles = (row.get("smiles") or "").strip()
-            cas = (row.get("cas") or "").strip() if has_cas else ""
-            try:
-                graph = parse_smiles(smiles)
-                canon = canonical_smiles(graph)
-            except MolGraphError as exc:
-                failures.append((row_no, smiles, str(exc)))
+    with read_molecules(path, ("smiles",), ScreeningError, parsed=parsed) as (_, rows):
+        for row_no, row, graph in rows:
+            smiles = row["smiles"]
+            cas = (row.get("cas") or "").strip()
+            if isinstance(graph, str):
+                failures.append((row_no, smiles, graph))
                 continue
-            existing = by_canonical.get(canon)
+            existing = by_canonical.get(graph.canonical)
             if existing is None:
-                by_canonical[canon] = PoolRecord(
-                    smiles=smiles, canonical=canon, graph=graph, cas=cas or None
+                by_canonical[graph.canonical] = PoolRecord(
+                    smiles=smiles, canonical=graph.canonical, graph=graph, cas=cas or None
                 )
             else:
                 merged += 1
@@ -255,58 +253,44 @@ def load_pool(path: str | Path) -> CandidatePool:
     records = tuple(by_canonical[c] for c in sorted(by_canonical))
     return CandidatePool(
         records=records,
-        provenance=str(path),
         parse_failures=tuple(failures),
         merged_duplicates=merged,
     )
 
 
-def load_property_table(path: str | Path) -> dict[str, dict]:
+def load_property_table(path: str | Path, parsed: dict | None = None) -> dict[str, dict]:
     """Property table CSV ``smiles,donor_number,dipole_moment[,hba]``;
-    blank cells mean the value is missing."""
-    path = Path(path)
+    blank cells mean the value is missing. When several rows hold the same
+    canonical molecule, the last one wins."""
     table: dict[str, dict] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        needed = {"smiles", "donor_number", "dipole_moment"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ScreeningError(
-                f"property table {path} needs columns smiles,donor_number,dipole_moment"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            smiles = (row.get("smiles") or "").strip()
-            try:
-                canon = canonical_smiles(parse_smiles(smiles))
-            except MolGraphError as exc:
-                raise ScreeningError(f"property row {row_no}: {smiles!r}: {exc}")
+    columns = ("smiles", "donor_number", "dipole_moment")
+    with read_molecules(path, columns, ScreeningError, parsed=parsed) as (_, rows):
+        for row_no, row, graph in rows:
+            if isinstance(graph, str):
+                raise ScreeningError(f"property row {row_no}: {row['smiles']!r}: {graph}")
             entry = {}
             for key in ("donor_number", "dipole_moment"):
                 text = (row.get(key) or "").strip()
                 entry[key] = float(text) if text else None
             hba_text = (row.get("hba") or "").strip()
             entry["hba"] = int(hba_text) if hba_text else None
-            table[canon] = entry
+            table[graph.canonical] = entry
     return table
 
 
-def load_cas_table(path: str | Path) -> dict[str, str]:
-    path = Path(path)
+def load_cas_table(path: str | Path, parsed: dict | None = None) -> dict[str, str]:
+    """CAS table CSV ``smiles,cas``; rows with a blank code are skipped, and
+    a molecule listed with several codes keeps the smallest."""
     table: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"smiles", "cas"}.issubset(reader.fieldnames):
-            raise ScreeningError(f"CAS table {path} needs columns smiles,cas")
-        for row_no, row in enumerate(reader, start=2):
-            smiles = (row.get("smiles") or "").strip()
+    with read_molecules(path, ("smiles", "cas"), ScreeningError, parsed=parsed) as (_, rows):
+        for row_no, row, graph in rows:
             cas = (row.get("cas") or "").strip()
             if not cas:
                 continue
-            try:
-                canon = canonical_smiles(parse_smiles(smiles))
-            except MolGraphError as exc:
-                raise ScreeningError(f"CAS row {row_no}: {smiles!r}: {exc}")
-            if canon not in table or cas < table[canon]:
-                table[canon] = cas
+            if isinstance(graph, str):
+                raise ScreeningError(f"CAS row {row_no}: {row['smiles']!r}: {graph}")
+            if graph.canonical not in table or cas < table[graph.canonical]:
+                table[graph.canonical] = cas
     return table
 
 
@@ -434,7 +418,8 @@ def run_funnel(config: FunnelConfig) -> ScreeningReport:
     All configured inputs are loaded (and validated) before tier 1 runs;
     any load failure aborts the whole run.
     """
-    pool = load_pool(config.pool)
+    parsed: dict = {}  # shared by the pool and its two tables, then dropped
+    pool = load_pool(config.pool, parsed)
     registry = load_registry(config.registry)
     model = load_model(config.model)
     pipeline = selection.SelectionPipeline.load(config.pipeline)
@@ -445,9 +430,10 @@ def run_funnel(config: FunnelConfig) -> ScreeningReport:
     if "Z" in config.blocks and latents is None:
         raise ScreeningError("Z block configured without a latent table")
     prop_table = (
-        load_property_table(config.properties) if config.properties else {}
+        load_property_table(config.properties, parsed) if config.properties else {}
     )
-    cas_table = load_cas_table(config.cas) if config.cas else {}
+    cas_table = load_cas_table(config.cas, parsed) if config.cas else {}
+    del parsed
 
     records = list(pool.records)
     tiers: list[TierOutcome] = []
@@ -492,7 +478,7 @@ def run_funnel(config: FunnelConfig) -> ScreeningReport:
     )
     return ScreeningReport(
         pool_size=len(pool.records),
-        parse_failures=len(pool.parse_failures),
+        failed_rows=pool.parse_failures,
         merged_duplicates=pool.merged_duplicates,
         tiers=tuple(tiers),
         final=final,

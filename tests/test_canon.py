@@ -56,6 +56,18 @@ def test_same_molecule_same_string():
     assert canonical_smiles(parse_smiles("OCC")) == canonical_smiles(parse_smiles("CCO"))
 
 
+def test_canonical_cached_on_graph(monkeypatch):
+    from molscreen.molgraph import canon
+
+    calls = []
+    original = canon.canonical_smiles
+    monkeypatch.setattr(canon, "canonical_smiles", lambda g: calls.append(g) or original(g))
+    graph = parse_smiles("OC(=O)c1ccccc1")
+    assert graph.canonical == original(graph)
+    assert graph.canonical is graph.canonical
+    assert calls == [graph]
+
+
 def test_single_atom():
     assert canonical_smiles(parse_smiles("C")) == "C"
 

@@ -53,6 +53,20 @@ class TestFeaturize:
         _, body = read_matrix(out)
         assert len(body) == 9
 
+    def test_matrix_reads_back_as_input(self, tmp_path):
+        keys = tmp_path / "k.csv"
+        assert run("featurize", "--dataset", DATASET, "--blocks", "K",
+                   "--out", str(keys)) == 0
+        again = tmp_path / "k2.csv"
+        assert run("featurize", "--dataset", DATASET, "--blocks", "K",
+                   "--external-fingerprints", str(keys), "--out", str(again)) == 0
+        _, first = read_matrix(keys)
+        _, second = read_matrix(again)
+        assert second == first
+        assert run("train", "--dataset", DATASET, "--model", "svr", "--blocks", "D,Z",
+                   "--latents", str(keys), "--out", str(tmp_path / "m.json"),
+                   "--pipeline-out", str(tmp_path / "p.json")) == 0
+
     def test_bad_blocks_usage_error(self, tmp_path):
         assert run("featurize", "--dataset", DATASET, "--blocks", "Q",
                    "--out", str(tmp_path / "x.csv")) == 2
@@ -207,6 +221,16 @@ class TestScreen:
         payload = json.loads((screen_dir / "report.json").read_text())
         assert payload["config"]["top_fraction"] == 0.5
         assert payload["run_config"]["top_fraction"] == 0.5
+
+    def test_pool_parse_failures_logged(self, screen_dir, capsys):
+        pool = screen_dir / "pool.csv"
+        pool.write_text(pool.read_text() + "C1CC\n")
+        assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
+                   "--out-json", str(screen_dir / "report.json"),
+                   "--out-text", str(screen_dir / "report.txt")) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: row 12 ('C1CC'): unclosed ring-bond digit (offset 1)\n"
+        assert json.loads((screen_dir / "report.json").read_text())["parse_failures"] == 1
 
     def test_missing_model_aborts(self, screen_dir):
         config = json.loads((screen_dir / "funnel.json").read_text())

@@ -12,7 +12,10 @@ from molscreen.screening import (
     FunnelConfig,
     PoolRecord,
     PropertyThresholds,
+    ScreeningError,
+    load_cas_table,
     load_pool,
+    load_property_table,
     run_funnel,
     tier_cas,
     tier_properties,
@@ -169,6 +172,62 @@ class TestTierCas:
         assert survivors[0].cas == "64-17-5"
 
 
+class TestTables:
+    def test_property_table_values(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "smiles,donor_number,dipole_moment,hba\n"
+            "CCO,20,1.5,2\n"
+            "CCN,,0.5,\n"
+        )
+        table = load_property_table(path)
+        assert table == {
+            record("CCO").canonical: {"donor_number": 20.0, "dipole_moment": 1.5, "hba": 2},
+            record("CCN").canonical: {"donor_number": None, "dipole_moment": 0.5, "hba": None},
+        }
+
+    def test_property_table_missing_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("smiles,donor_number\nCCO,20\n")
+        with pytest.raises(ScreeningError, match="p.csv misses column.*dipole_moment"):
+            load_property_table(path)
+
+    def test_property_table_unparseable_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("smiles,donor_number,dipole_moment\nCCO,20,1.5\nC1CC,20,1.5\n")
+        with pytest.raises(ScreeningError, match="property row 3: 'C1CC'"):
+            load_property_table(path)
+
+    def test_property_table_last_row_wins(self, tmp_path):
+        # Two spellings of one molecule: the later row's values are kept, so
+        # this table's row order matters (the pool's does not).
+        path = tmp_path / "p.csv"
+        path.write_text("smiles,donor_number,dipole_moment\nOCC,10,1.0\nCCO,30,3.0\n")
+        assert load_property_table(path)[record("CCO").canonical]["donor_number"] == 30.0
+        path.write_text("smiles,donor_number,dipole_moment\nCCO,30,3.0\nOCC,10,1.0\n")
+        assert load_property_table(path)[record("CCO").canonical]["donor_number"] == 10.0
+
+    def test_cas_table_keeps_smallest_code(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("smiles,cas\nOCC,75-00-0\nCCO,64-17-5\nCCN,\n")
+        assert load_cas_table(path) == {record("CCO").canonical: "64-17-5"}
+        path.write_text("smiles,cas\nCCO,64-17-5\nOCC,75-00-0\n")
+        assert load_cas_table(path) == {record("CCO").canonical: "64-17-5"}
+
+    def test_cas_table_missing_column(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("smiles,code\nCCO,64-17-5\n")
+        with pytest.raises(ScreeningError, match="c.csv misses column.*cas"):
+            load_cas_table(path)
+
+    def test_cas_table_unparseable_row(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("smiles,cas\nC1CC,\nCCO,64-17-5\nC(C,1-1-1\n")
+        # a row without a code is skipped before its SMILES matters
+        with pytest.raises(ScreeningError, match="CAS row 4: 'C\\(C'"):
+            load_cas_table(path)
+
+
 def build_pool_csv(path, rows):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -255,6 +314,26 @@ class TestFunnel:
         report = run_funnel(FunnelConfig.load(funnel_dir / "funnel.json"))
         preds = [r.predicted_pce for r in report.final]
         assert preds == sorted(preds, reverse=True)
+
+    def test_each_spelling_parsed_once(self, funnel_dir, monkeypatch):
+        from molscreen import dataio
+
+        calls = []
+        parse = dataio.parse_smiles
+        monkeypatch.setattr(dataio, "parse_smiles", lambda s: calls.append(s) or parse(s))
+        config = FunnelConfig.load(funnel_dir / "funnel.json")
+        run_funnel(config)
+
+        def spellings(path, column="smiles"):
+            with path.open() as fh:
+                return {row[column].strip() for row in csv.DictReader(fh)}
+
+        tables = (spellings(config.pool) | spellings(config.properties)
+                  | spellings(config.cas))
+        registry = spellings(config.registry, "scaffold_smiles")
+        # the registry is read apart from the pool and its tables
+        assert len(calls) == len(tables) + len(registry)
+        assert set(calls) == tables | registry
 
     def test_missing_model_aborts_before_tiers(self, funnel_dir):
         config = json.loads((funnel_dir / "funnel.json").read_text())
