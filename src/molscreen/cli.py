@@ -327,7 +327,8 @@ def cmd_evaluate(args) -> int:
     if args.splitter == "logo":
         lines = [text, "per-group breakdown:"]
         for gid, (m, s) in zip(sorted(groups), report.pairs):
-            lines.append(f"  group {gid}: MAE {m:.4f}  Spearman {s:.4f}")
+            rho = "n/a" if s is None else f"{s:.4f}"
+            lines.append(f"  group {gid}: MAE {m:.4f}  Spearman {rho}")
         text = "\n".join(lines) + "\n"
     dataio.atomic_write_text(args.out_text, text)
     return 0

@@ -5,6 +5,11 @@ group of three or fewer, two from larger groups), plain random, and
 leave-one-group-out. The harness repeats split/fit/score cycles with
 per-repeat seeds derived from a master seed via a splitmix-style hash, so
 reports are bit-identical whether repeats run serially or in parallel.
+
+A repeat whose Spearman correlation is undefined (a one-molecule test set,
+or constant predictions or targets) is degenerate: it is recorded with
+Spearman ``None`` and its MAE, the Spearman mean and std are taken over the
+other repeats, and the report counts the degenerate ones.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ class SingleGroup(EvaluationError):
 
 
 class EmptyInput(EvaluationError):
+    pass
+
+
+class TooFewPoints(EvaluationError):
     pass
 
 
@@ -153,7 +162,7 @@ def spearman(pred, truth) -> float:
     if p.shape != t.shape or p.ndim != 1:
         raise LengthMismatch(f"shape mismatch: {p.shape} vs {t.shape}")
     if p.size < 2:
-        raise EvaluationError("spearman needs at least 2 points")
+        raise TooFewPoints("spearman needs at least 2 points")
     return selection.pearson(_average_ranks(p), _average_ranks(t))
 
 
@@ -162,7 +171,8 @@ class EvalReport:
     method: str
     repeats: int
     master_seed: int
-    pairs: tuple[tuple[float, float], ...]  # (mae, spearman) per repeat
+    # (mae, spearman) per repeat; spearman is None for a degenerate repeat
+    pairs: tuple[tuple[float, float | None], ...]
     config: dict = field(default_factory=dict)
 
     @property
@@ -174,17 +184,27 @@ class EvalReport:
         return _sample_std_or_none([m for m, _ in self.pairs])
 
     @property
-    def spearman_mean(self) -> float:
-        return float(np.mean([s for _, s in self.pairs]))
+    def defined_spearman(self) -> list[float]:
+        return [s for _, s in self.pairs if s is not None]
+
+    @property
+    def degenerate_repeats(self) -> int:
+        return len(self.pairs) - len(self.defined_spearman)
+
+    @property
+    def spearman_mean(self) -> float | None:
+        values = self.defined_spearman
+        return float(np.mean(values)) if values else None
 
     @property
     def spearman_std(self) -> float | None:
-        return _sample_std_or_none([s for _, s in self.pairs])
+        return _sample_std_or_none(self.defined_spearman)
 
     def to_dict(self) -> dict:
         return {
             "method": self.method,
             "repeats": self.repeats,
+            "degenerate_repeats": self.degenerate_repeats,
             "master_seed": self.master_seed,
             "mae": {"mean": self.mae_mean, "std": self.mae_std},
             "spearman": {"mean": self.spearman_mean, "std": self.spearman_std},
@@ -209,9 +229,11 @@ def run_single(
     variance_threshold: float = selection.DEFAULT_VARIANCE_THRESHOLD,
     pcc_threshold: float = selection.DEFAULT_PCC_THRESHOLD,
     scope=selection.DEFAULT_SCOPE,
-) -> tuple[float, float]:
+) -> tuple[float, float | None]:
     """Fit the selection pipeline and model on the training rows, score the
-    test rows; returns (mae, spearman)."""
+    test rows; returns (mae, spearman), with spearman None where it is
+    undefined: fewer than two test rows, or constant predictions or
+    targets."""
     train_matrix = features.rows(split.train)
     pipeline = selection.fit(
         train_matrix,
@@ -225,7 +247,11 @@ def run_single(
     y_test = targets[list(split.test)]
     model = fit_model(X_train, y_train, model_config)
     pred = model.predict(X_test)
-    return mae(pred, y_test), spearman(pred, y_test)
+    try:
+        rho = spearman(pred, y_test)
+    except (TooFewPoints, ConstantVector):
+        rho = None
+    return mae(pred, y_test), rho
 
 
 def repeated_eval(
@@ -271,7 +297,7 @@ def repeated_eval(
                     )
                 )
 
-    def score(index_split: tuple[int, DatasetSplit]) -> tuple[float, float]:
+    def score(index_split: tuple[int, DatasetSplit]) -> tuple[float, float | None]:
         i, split = index_split
         repeat_seed = derive_seed(master_seed, i)
         config = model_config.with_seed(derive_seed(repeat_seed, 1))
@@ -310,13 +336,24 @@ def repeated_eval(
 
 
 def render_report_text(reports: list[EvalReport]) -> str:
-    """Plain-text table: one row per method, cells as ``mean ± std``."""
+    """Plain-text table: one row per method, cells as ``mean ± std``; a
+    method with degenerate repeats gets a line counting them."""
     header = f"{'Method':<10} {'MAE':>20} {'Spearman':>20}"
     lines = [header, "-" * len(header)]
+    notes = []
     for report in reports:
-        mae_std = report.mae_std
-        sp_std = report.spearman_std
-        mae_cell = f"{report.mae_mean:.4f} ± {mae_std:.4f}" if mae_std is not None else f"{report.mae_mean:.4f}"
-        sp_cell = f"{report.spearman_mean:.4f} ± {sp_std:.4f}" if sp_std is not None else f"{report.spearman_mean:.4f}"
+        mae_cell = _cell(report.mae_mean, report.mae_std)
+        sp_cell = _cell(report.spearman_mean, report.spearman_std)
         lines.append(f"{report.method:<10} {mae_cell:>20} {sp_cell:>20}")
-    return "\n".join(lines) + "\n"
+        if report.degenerate_repeats:
+            notes.append(
+                f"{report.method}: {report.degenerate_repeats} of {report.repeats} "
+                "repeats degenerate (Spearman undefined, MAE kept)"
+            )
+    return "\n".join(lines + notes) + "\n"
+
+
+def _cell(mean: float | None, std: float | None) -> str:
+    if mean is None:
+        return "n/a"
+    return f"{mean:.4f} ± {std:.4f}" if std is not None else f"{mean:.4f}"

@@ -136,7 +136,9 @@ def assemble(
     Column order is K block, then D, then Z. Requesting Z requires every
     molecule to be present in the latent table (:class:`MissingLatent`
     otherwise); requesting K uses the external fingerprint table when one
-    is supplied, else computes fingerprints from ``keyset``.
+    is supplied, else computes fingerprints from ``keyset``. A column name
+    read from a table that already carries the block's tag (a matrix this
+    function wrote) loses that tag, so the matrix reads back unchanged.
     """
     blocks = set(blocks)
     unknown = blocks - set(BLOCK_ORDER)
@@ -159,7 +161,7 @@ def assemble(
     if "K" in blocks:
         if external_k is not None:
             block = _lookup_block(ids, external_k, "external fingerprint")
-            names = external_k.column_names
+            names = _untagged(external_k.column_names, "K")
         else:
             block = np.stack([fingerprint(g, keyset).astype(np.float64) for g in molecules])
             names = tuple(keyset.column_names)
@@ -171,7 +173,7 @@ def assemble(
         parts.append(block)
     if "Z" in blocks:
         block = _lookup_block(ids, latents, "latent")
-        columns.extend(("Z", n) for n in latents.column_names)
+        columns.extend(("Z", n) for n in _untagged(latents.column_names, "Z"))
         parts.append(block)
 
     values = np.concatenate(parts, axis=1) if parts else np.zeros((len(ids), 0))
@@ -181,6 +183,10 @@ def assemble(
         names=tuple(n for _, n in columns),
         values=values,
     )
+
+
+def _untagged(names: tuple[str, ...], block: str) -> tuple[str, ...]:
+    return tuple(n.removeprefix(f"{block}:") for n in names)
 
 
 def _lookup_block(ids: list[str], table: LatentTable, what: str) -> np.ndarray:

@@ -3,7 +3,10 @@
 A molecule is an immutable attributed graph: atoms carry element, aromatic
 flag, formal charge and a resolved hydrogen count; bonds carry an order.
 Ring perception runs at construction time, so every published graph already
-knows its smallest-set-of-smallest-rings and per-atom ring membership.
+knows its smallest-set-of-smallest-rings and per-atom ring membership. A
+scaffold framework keeps every ring atom and ring bond of its parent and
+numbers its atoms in the parent's order, so it is built with the parent's
+rings, renumbered, instead of perceiving them again.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import rings as _rings
+from .rings import RingInfo
 
 SINGLE = "single"
 DOUBLE = "double"
@@ -132,13 +136,6 @@ class Bond:
 
 
 @dataclass(frozen=True)
-class RingInfo:
-    rings: tuple[tuple[int, ...], ...]
-    ring_membership: tuple[bool, ...]
-    ring_edges: frozenset[frozenset[int]]
-
-
-@dataclass(frozen=True)
 class MolecularGraph:
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
@@ -191,12 +188,17 @@ class MolecularGraph:
         atom_specs: list[AtomSpec],
         bonds: list[tuple[int, int, str]],
         source: str = "",
+        *,
+        rings: RingInfo | None = None,
     ) -> "MolecularGraph":
         """Assemble and validate a graph from raw atom and bond data.
 
         Performs ring perception, aromaticity validation, hydrogen
         resolution and valence checking. Raises subclasses of
-        :class:`SmilesParseError` on invalid structures.
+        :class:`SmilesParseError` on invalid structures. ``rings``, when
+        given, must be the SSSR of exactly this graph (a scaffold framework
+        passes its parent's rings, renumbered); only ring perception is
+        skipped, every other check still runs.
         """
         if not atom_specs:
             raise EmptyInput("molecule has no atoms")
@@ -224,7 +226,9 @@ class MolecularGraph:
                     f"element {spec.element!r} cannot be aromatic", spec.offset
                 )
 
-        ring_data = _rings.find_sssr(n, [(a, b) for a, b, _ in bonds])
+        ring_data = rings
+        if ring_data is None:
+            ring_data = _rings.find_sssr(n, [(a, b) for a, b, _ in bonds])
         membership = ring_data.ring_membership
 
         # Implicit bonds between two aromatic atoms are read as aromatic;
@@ -295,11 +299,7 @@ class MolecularGraph:
         return cls(
             atoms=tuple(atoms),
             bonds=tuple(fixed_bonds),
-            rings=RingInfo(
-                rings=ring_data.rings,
-                ring_membership=ring_data.ring_membership,
-                ring_edges=ring_data.ring_edges,
-            ),
+            rings=ring_data,
             source=source,
         )
 
@@ -327,14 +327,7 @@ def _bare_hydrogens(element: str, aromatic: bool, order_sum: int, offset: int) -
 
 def perceive_rings(graph: MolecularGraph) -> RingInfo:
     """Recompute the SSSR of a graph (pure, deterministic)."""
-    data = _rings.find_sssr(
-        len(graph.atoms), [(b.a, b.b) for b in graph.bonds]
-    )
-    return RingInfo(
-        rings=data.rings,
-        ring_membership=data.ring_membership,
-        ring_edges=data.ring_edges,
-    )
+    return _rings.find_sssr(len(graph.atoms), [(b.a, b.b) for b in graph.bonds])
 
 
 def implicit_hydrogens(graph: MolecularGraph, atom_index: int) -> int:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dataio import read_molecules
-from .molgraph import DOUBLE, TRIPLE, AtomSpec, MolecularGraph
+from .molgraph import DOUBLE, TRIPLE, AtomSpec, MolecularGraph, RingInfo
+from .molgraph.rings import two_core
 
 
 class ScaffoldError(ValueError):
@@ -68,27 +69,20 @@ class ScaffoldRegistry:
 def extract_scaffold(graph: MolecularGraph) -> Scaffold:
     """Prune side chains down to the ring-and-linker framework.
 
-    Terminal atoms are removed iteratively unless they sit in a ring or on a
-    path between rings; atoms double/triple-bonded directly to a retained
-    atom are kept (exocyclic carbonyls and the like).
+    The framework is the 2-core of the molecule (atoms with at most one
+    neighbour are stripped until none is left, so what remains is the rings
+    and the paths between them) plus the atoms double/triple-bonded directly
+    to a retained atom (exocyclic carbonyls and the like). It is built with
+    the parent's rings, renumbered, so no ring perception runs here.
     """
-    membership = graph.rings.ring_membership
-    if not any(membership):
+    if not any(graph.rings.ring_membership):
         return Scaffold("")
+    return Scaffold(_framework(graph).canonical)
 
-    kept = set(range(len(graph.atoms)))
-    degree = {i: len(graph.adjacency[i]) for i in kept}
-    changed = True
-    while changed:
-        changed = False
-        for idx in sorted(kept):
-            if membership[idx] or degree[idx] > 1:
-                continue
-            kept.discard(idx)
-            changed = True
-            for j, _ in graph.adjacency[idx]:
-                if j in kept:
-                    degree[j] -= 1
+
+def _framework(graph: MolecularGraph) -> MolecularGraph:
+    in_core = two_core([[j for j, _ in nbrs] for nbrs in graph.adjacency])
+    kept = {i for i, alive in enumerate(in_core) if alive}
 
     # Re-attach atoms multiply bonded straight onto the framework.
     for bond in graph.bonds:
@@ -98,6 +92,9 @@ def extract_scaffold(graph: MolecularGraph) -> Scaffold:
         if a_in != b_in:
             kept.add(bond.a if b_in else bond.b)
 
+    # The framework holds every ring atom and ring bond, and ``remap`` keeps
+    # the parent's atom order, so its SSSR is the parent's renumbered: the
+    # ring tuples stay normalized and sorted.
     order = sorted(kept)
     remap = {old: new for new, old in enumerate(order)}
     specs = [
@@ -114,7 +111,15 @@ def extract_scaffold(graph: MolecularGraph) -> Scaffold:
         for b in graph.bonds
         if b.a in kept and b.b in kept
     ]
-    return Scaffold(MolecularGraph.from_spec(specs, bonds).canonical)
+    parent = graph.rings
+    rings = RingInfo(
+        rings=tuple(tuple(remap[i] for i in ring) for ring in parent.rings),
+        ring_membership=tuple(parent.ring_membership[i] for i in order),
+        ring_edges=frozenset(
+            frozenset(remap[i] for i in edge) for edge in parent.ring_edges
+        ),
+    )
+    return MolecularGraph.from_spec(specs, bonds, rings=rings)
 
 
 def classify(graph: MolecularGraph, registry: ScaffoldRegistry) -> GateResult:

@@ -67,6 +67,29 @@ class TestFeaturize:
                    "--latents", str(keys), "--out", str(tmp_path / "m.json"),
                    "--pipeline-out", str(tmp_path / "p.json")) == 0
 
+    def test_block_tags_round_trip(self, tmp_path):
+        keys = tmp_path / "k.csv"
+        assert run("featurize", "--dataset", DATASET, "--blocks", "K",
+                   "--out", str(keys)) == 0
+        again = tmp_path / "k2.csv"
+        assert run("featurize", "--dataset", DATASET, "--blocks", "K",
+                   "--external-fingerprints", str(keys), "--out", str(again)) == 0
+        assert read_matrix(again) == read_matrix(keys)
+        assert read_matrix(keys)[0][1].startswith("K:") and "K:K:" not in again.read_text()
+
+        _, body = read_matrix(keys)
+        plain = tmp_path / "z.csv"
+        plain.write_text("smiles,z1,z2\n" + "".join(
+            f"{row[0]},{i % 5},{i * 0.5}\n" for i, row in enumerate(body)))
+        latent = tmp_path / "zm.csv"
+        assert run("featurize", "--dataset", DATASET, "--blocks", "Z",
+                   "--latents", str(plain), "--out", str(latent)) == 0
+        latent_again = tmp_path / "zm2.csv"
+        assert run("featurize", "--dataset", DATASET, "--blocks", "Z",
+                   "--latents", str(latent), "--out", str(latent_again)) == 0
+        assert read_matrix(latent)[0] == ["smiles", "Z:z1", "Z:z2"]
+        assert read_matrix(latent_again) == read_matrix(latent)
+
     def test_bad_blocks_usage_error(self, tmp_path):
         assert run("featurize", "--dataset", DATASET, "--blocks", "Q",
                    "--out", str(tmp_path / "x.csv")) == 2
@@ -152,6 +175,20 @@ class TestEvaluate:
         text = (tmp_path / "r.txt").read_text()
         breakdown_rows = [l for l in text.splitlines() if l.startswith("  group ")]
         assert len(breakdown_rows) == 9
+
+    def test_degenerate_repeats_recorded(self, tmp_path):
+        # ceil(24 * 0.01) = 1 test molecule per repeat: Spearman is undefined
+        assert run("evaluate", "--dataset", DATASET, "--registry", REGISTRY,
+                   "--model", "svr", "--splitter", "random", "--repeats", "3",
+                   "--test-fraction", "0.01",
+                   "--out-json", str(tmp_path / "e.json"),
+                   "--out-text", str(tmp_path / "e.txt")) == 0
+        payload = json.loads((tmp_path / "e.json").read_text())
+        assert payload["degenerate_repeats"] == 3
+        assert payload["spearman"] == {"mean": None, "std": None}
+        assert [r["spearman"] for r in payload["per_repeat"]] == [None] * 3
+        assert all(r["mae"] >= 0 for r in payload["per_repeat"])
+        assert "3 of 3 repeats degenerate" in (tmp_path / "e.txt").read_text()
 
     def test_zero_repeats_usage_error(self, tmp_path):
         assert run("evaluate", "--dataset", DATASET, "--registry", REGISTRY,

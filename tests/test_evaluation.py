@@ -7,6 +7,7 @@ import pytest
 from molscreen import selection
 from molscreen.evaluation import (
     ConstantVector,
+    DatasetSplit,
     DegenerateSplit,
     EmptyGroup,
     EvaluationError,
@@ -14,6 +15,7 @@ from molscreen.evaluation import (
     SplitterSpec,
     logo_splits,
     mae,
+    render_report_text,
     msc_split,
     random_split,
     repeated_eval,
@@ -212,6 +214,62 @@ class TestRepeatedEval:
         with pytest.raises(EvaluationError):
             repeated_eval(features, y, SplitterSpec("msc"),
                           TrainConfig(kind="gb", seed=0), repeats=2, master_seed=0)
+
+
+class TestDegenerateRepeats:
+    def linear_problem(self):
+        levels = np.arange(16, dtype=np.float64)
+        X = np.concatenate([levels, levels, levels])[:, None]
+        return matrix_from(X), X[:, 0] / 10.0
+
+    def test_one_molecule_test_set(self):
+        features, y = self.linear_problem()
+        report = repeated_eval(features, y, SplitterSpec("random", 0.01),
+                               TrainConfig(kind="gb", seed=0), repeats=4)
+        assert all(len(random_split(48, 0.01, s).test) == 1 for s in range(4))
+        assert [s for _, s in report.pairs] == [None] * 4
+        assert report.degenerate_repeats == 4
+        assert report.spearman_mean is None and report.spearman_std is None
+        assert report.mae_std is not None
+        payload = report.to_dict()
+        assert payload["degenerate_repeats"] == 4
+        assert payload["spearman"] == {"mean": None, "std": None}
+        assert payload["mae"]["mean"] == report.mae_mean > 0
+        text = render_report_text([report])
+        assert "n/a" in text
+        assert "4 of 4 repeats degenerate" in text
+
+    def test_constant_predictions(self):
+        features, y = self.linear_problem()
+        y = y.copy()
+        y[:32] = 1.0  # every training row has the same target
+        split = DatasetSplit(train=tuple(range(32)), test=tuple(range(32, 48)),
+                             method="random", seed=0)
+        m, rho = run_single(features, y, split, TrainConfig(kind="gb", seed=0))
+        assert rho is None
+        assert m == pytest.approx(float(np.mean(np.abs(1.0 - y[32:]))))
+
+    def test_mean_and_std_over_defined_repeats(self):
+        features, y = self.linear_problem()
+        # group 1 holds a single molecule, so its held-out repeat is degenerate
+        groups = {1: [0], 2: list(range(1, 20)), 3: list(range(20, 48))}
+        report = repeated_eval(features, y, SplitterSpec("logo"),
+                               TrainConfig(kind="gb", seed=0), groups=groups)
+        defined = [s for _, s in report.pairs[1:]]
+        assert report.pairs[0][1] is None
+        assert None not in defined
+        assert report.degenerate_repeats == 1
+        assert report.spearman_mean == pytest.approx(float(np.mean(defined)))
+        assert report.spearman_std == pytest.approx(selection.sample_std(defined))
+        assert report.mae_mean == pytest.approx(float(np.mean([m for m, _ in report.pairs])))
+
+    def test_no_degenerate_repeat_leaves_text_unchanged(self):
+        features, y = self.linear_problem()
+        report = repeated_eval(features, y, SplitterSpec("random", 0.25),
+                               TrainConfig(kind="gb", seed=0), repeats=3)
+        assert report.degenerate_repeats == 0
+        assert report.to_dict()["degenerate_repeats"] == 0
+        assert len(render_report_text([report]).splitlines()) == 3
 
 
 class TestSplitterArithmeticSpeed:

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from molscreen.molgraph import AtomSpec, MolecularGraph, canonical_smiles, parse_smiles
+from molscreen.molgraph import (
+    DOUBLE,
+    TRIPLE,
+    AtomSpec,
+    MolecularGraph,
+    MolGraphError,
+    canonical_smiles,
+    parse_smiles,
+    perceive_rings,
+)
 from molscreen.scaffold import (
     DuplicateScaffold,
     NonFixedPointScaffold,
@@ -12,10 +21,11 @@ from molscreen.scaffold import (
     classify,
     extract_scaffold,
     group_dataset,
+    _framework,
     load_registry,
 )
 
-from conftest import random_molecule
+from conftest import random_molecule, synthetic_pool_rows
 
 
 def canon(smiles: str) -> str:
@@ -217,3 +227,90 @@ class TestGroupDataset:
         assert sum(sizes.values()) == 24
         all_indices = sorted(i for v in groups.values() for i in v)
         assert all_indices == list(range(24))
+
+
+# --- framework built from the parent's rings -------------------------------
+
+
+def rebuilt_framework(graph) -> MolecularGraph:
+    """The framework as built before it took its parent's rings: terminal
+    atoms pruned by rescanning, then a fresh graph with its own ring
+    perception."""
+    membership = graph.rings.ring_membership
+    kept = set(range(len(graph.atoms)))
+    degree = {i: len(graph.adjacency[i]) for i in kept}
+    changed = True
+    while changed:
+        changed = False
+        for idx in sorted(kept):
+            if membership[idx] or degree[idx] > 1:
+                continue
+            kept.discard(idx)
+            changed = True
+            for j, _ in graph.adjacency[idx]:
+                if j in kept:
+                    degree[j] -= 1
+
+    for bond in graph.bonds:
+        if bond.order not in (DOUBLE, TRIPLE):
+            continue
+        a_in, b_in = bond.a in kept, bond.b in kept
+        if a_in != b_in:
+            kept.add(bond.a if b_in else bond.b)
+
+    order = sorted(kept)
+    remap = {old: new for new, old in enumerate(order)}
+    specs = [
+        AtomSpec(
+            element=graph.atoms[i].element,
+            aromatic=graph.atoms[i].aromatic,
+            formal_charge=graph.atoms[i].formal_charge,
+            explicit_h=graph.atoms[i].explicit_h,
+        )
+        for i in order
+    ]
+    bonds = [
+        (remap[b.a], remap[b.b], b.order)
+        for b in graph.bonds
+        if b.a in kept and b.b in kept
+    ]
+    return MolecularGraph.from_spec(specs, bonds)
+
+
+def pool_graphs(limit: int | None = None) -> list[MolecularGraph]:
+    graphs = []
+    for smiles in synthetic_pool_rows(limit):
+        try:
+            graphs.append(parse_smiles(smiles))
+        except MolGraphError:
+            pass  # the planted unparseable row
+    return graphs
+
+
+class TestFramework:
+    def test_equals_rebuild_with_own_ring_perception(self, registry9):
+        rng = random.Random(1996)
+        graphs = pool_graphs()
+        graphs += [random_molecule(rng, max_atoms=14) for _ in range(400)]
+        graphs += [parse_smiles(s) for s in registry9.entries if s]
+        graphs = [g for g in graphs if any(g.rings.ring_membership)]
+        assert len(graphs) > 12000
+        for graph in graphs:
+            framework = _framework(graph)
+            rebuilt = rebuilt_framework(graph)
+            assert framework.atoms == rebuilt.atoms
+            assert framework.bonds == rebuilt.bonds
+            assert framework.rings == rebuilt.rings
+            assert perceive_rings(framework) == framework.rings
+
+    def test_no_ring_perception(self, dataset24, registry9, monkeypatch):
+        from molscreen.molgraph import rings
+
+        graphs = pool_graphs(300) + dataset24.graphs()
+        calls = []
+        find_sssr = rings.find_sssr
+        monkeypatch.setattr(rings, "find_sssr", lambda *a: calls.append(a) or find_sssr(*a))
+        for graph in graphs:
+            extract_scaffold(graph)
+            classify(graph, registry9)
+        assert calls == []

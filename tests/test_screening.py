@@ -335,6 +335,27 @@ class TestFunnel:
         assert len(calls) == len(tables) + len(registry)
         assert set(calls) == tables | registry
 
+    def test_rings_perceived_once_per_parsed_spelling(self, funnel_dir, monkeypatch):
+        from molscreen.molgraph import rings
+
+        calls = []
+        find_sssr = rings.find_sssr
+        monkeypatch.setattr(rings, "find_sssr", lambda *a: calls.append(a) or find_sssr(*a))
+        config = FunnelConfig.load(funnel_dir / "funnel.json")
+        report = run_funnel(config)
+
+        def spellings(path, column="smiles"):
+            with path.open() as fh:
+                return {row[column].strip() for row in csv.DictReader(fh)}
+
+        tables = (spellings(config.pool) | spellings(config.properties)
+                  | spellings(config.cas))
+        registry = spellings(config.registry, "scaffold_smiles") - {""}
+        # the planted unparseable row fails before ring perception; neither
+        # the scaffold tier nor the registry's fixed-point check perceives
+        assert report.parse_failures == 1
+        assert len(calls) == len(tables) - 1 + len(registry)
+
     def test_missing_model_aborts_before_tiers(self, funnel_dir):
         config = json.loads((funnel_dir / "funnel.json").read_text())
         config["model"] = "missing.json"
