@@ -9,7 +9,8 @@ reports are bit-identical whether repeats run serially or in parallel.
 A repeat whose Spearman correlation is undefined (a one-molecule test set,
 or constant predictions or targets) is degenerate: it is recorded with
 Spearman ``None`` and its MAE, the Spearman mean and std are taken over the
-other repeats, and the report counts the degenerate ones.
+other repeats, and the report counts the degenerate ones. The report also
+counts the fits that stopped before convergence (SVR at its update cap).
 """
 
 from __future__ import annotations
@@ -166,13 +167,23 @@ def spearman(pred, truth) -> float:
     return selection.pearson(_average_ranks(p), _average_ranks(t))
 
 
+class RepeatScore(tuple):
+    """A repeat's ``(mae, spearman)`` pair; ``converged`` is the fitted
+    model's flag (gb and rf always converge)."""
+
+    def __new__(cls, mae: float, spearman: float | None, converged: bool):
+        score = super().__new__(cls, (mae, spearman))
+        score.converged = converged
+        return score
+
+
 @dataclass(frozen=True)
 class EvalReport:
     method: str
     repeats: int
     master_seed: int
-    # (mae, spearman) per repeat; spearman is None for a degenerate repeat
-    pairs: tuple[tuple[float, float | None], ...]
+    # one per repeat; spearman is None for a degenerate repeat
+    pairs: tuple[RepeatScore, ...]
     config: dict = field(default_factory=dict)
 
     @property
@@ -192,6 +203,10 @@ class EvalReport:
         return len(self.pairs) - len(self.defined_spearman)
 
     @property
+    def unconverged_fits(self) -> int:
+        return sum(not score.converged for score in self.pairs)
+
+    @property
     def spearman_mean(self) -> float | None:
         values = self.defined_spearman
         return float(np.mean(values)) if values else None
@@ -205,6 +220,7 @@ class EvalReport:
             "method": self.method,
             "repeats": self.repeats,
             "degenerate_repeats": self.degenerate_repeats,
+            "unconverged_fits": self.unconverged_fits,
             "master_seed": self.master_seed,
             "mae": {"mean": self.mae_mean, "std": self.mae_std},
             "spearman": {"mean": self.spearman_mean, "std": self.spearman_std},
@@ -229,11 +245,11 @@ def run_single(
     variance_threshold: float = selection.DEFAULT_VARIANCE_THRESHOLD,
     pcc_threshold: float = selection.DEFAULT_PCC_THRESHOLD,
     scope=selection.DEFAULT_SCOPE,
-) -> tuple[float, float | None]:
+) -> RepeatScore:
     """Fit the selection pipeline and model on the training rows, score the
     test rows; returns (mae, spearman), with spearman None where it is
     undefined: fewer than two test rows, or constant predictions or
-    targets."""
+    targets, and the model's ``converged`` flag as an attribute."""
     train_matrix = features.rows(split.train)
     pipeline = selection.fit(
         train_matrix,
@@ -251,7 +267,7 @@ def run_single(
         rho = spearman(pred, y_test)
     except (TooFewPoints, ConstantVector):
         rho = None
-    return mae(pred, y_test), rho
+    return RepeatScore(mae(pred, y_test), rho, getattr(model, "converged", True))
 
 
 def repeated_eval(
@@ -297,7 +313,7 @@ def repeated_eval(
                     )
                 )
 
-    def score(index_split: tuple[int, DatasetSplit]) -> tuple[float, float | None]:
+    def score(index_split: tuple[int, DatasetSplit]) -> RepeatScore:
         i, split = index_split
         repeat_seed = derive_seed(master_seed, i)
         config = model_config.with_seed(derive_seed(repeat_seed, 1))
@@ -337,7 +353,8 @@ def repeated_eval(
 
 def render_report_text(reports: list[EvalReport]) -> str:
     """Plain-text table: one row per method, cells as ``mean ± std``; a
-    method with degenerate repeats gets a line counting them."""
+    method with degenerate repeats or unconverged fits gets a line counting
+    each."""
     header = f"{'Method':<10} {'MAE':>20} {'Spearman':>20}"
     lines = [header, "-" * len(header)]
     notes = []
@@ -349,6 +366,11 @@ def render_report_text(reports: list[EvalReport]) -> str:
             notes.append(
                 f"{report.method}: {report.degenerate_repeats} of {report.repeats} "
                 "repeats degenerate (Spearman undefined, MAE kept)"
+            )
+        if report.unconverged_fits:
+            notes.append(
+                f"{report.method}: {report.unconverged_fits} of {report.repeats} "
+                "fits did not converge"
             )
     return "\n".join(lines + notes) + "\n"
 

@@ -12,10 +12,17 @@ sum-preserving direction, handling the kinks of the l1 term piecewise.
 Training stops when the largest violation drops below the tolerance or the
 pair-update cap is reached; in the latter case the model is returned with
 ``converged`` set to False.
+
+A point's interval is its residual y_k - u_k (u = K b) plus two offsets
+that depend on b_k alone, so a pair update costs a handful of contiguous
+O(n) passes: the residual, both interval ends and their arg-extremes, and
+u += d (K_i - K_j), read from rows of the symmetric Gram matrix. Only the
+two updated points are reclassified.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,54 +130,64 @@ def fit_svr(
         raise NonFiniteTarget("target contains non-finite values")
     if kernel not in _KERNELS:
         raise ModelError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}")
+    _check_hyperparameters(C, epsilon, gamma, tol, max_updates)
 
     n = X.shape[0]
     gamma_val = default_gamma(X) if gamma is None else float(gamma)
+    # Exactly symmetric (A @ A.T takes the symmetric product), so row k of
+    # K is column k and the updates below read contiguous rows.
     K = _KERNELS[kernel](X, X, gamma_val)
 
     beta = np.zeros(n, dtype=np.float64)
     u = np.zeros(n, dtype=np.float64)  # K @ beta, maintained incrementally
+    # Point k's feasible-bias interval is [r_k + lo_off_k, r_k + hi_off_k]
+    # with r = y - u; the offsets depend on beta_k alone.
+    eps = float(epsilon)
+    start = _offsets(0.0, C, eps)
+    lo_off = np.full(n, start[0], dtype=np.float64)
+    hi_off = np.full(n, start[1], dtype=np.float64)
+    r, lo, hi, step = (np.empty(n) for _ in range(4))
+
+    def intervals() -> None:
+        np.subtract(y, u, out=r)
+        np.add(r, lo_off, out=lo)
+        np.add(r, hi_off, out=hi)
+
     converged = False
     updates = 0
-
-    def intervals() -> tuple[np.ndarray, np.ndarray]:
-        v = y - u
-        lo = np.empty(n)
-        hi = np.empty(n)
-        at_zero = np.abs(beta) <= _AT_BOUND
-        at_upper = beta >= C - _AT_BOUND
-        at_lower = beta <= -C + _AT_BOUND
-        pos = (~at_zero) & (~at_upper) & (beta > 0)
-        neg = (~at_zero) & (~at_lower) & (beta < 0)
-        lo[at_zero], hi[at_zero] = v[at_zero] - epsilon, v[at_zero] + epsilon
-        lo[pos] = hi[pos] = v[pos] - epsilon
-        lo[neg] = hi[neg] = v[neg] + epsilon
-        lo[at_upper], hi[at_upper] = -np.inf, v[at_upper] - epsilon
-        lo[at_lower], hi[at_lower] = v[at_lower] + epsilon, np.inf
-        return lo, hi
-
     while updates < max_updates:
-        lo, hi = intervals()
-        i = int(np.argmax(lo))
-        j = int(np.argmin(hi))
+        intervals()
+        i = int(lo.argmax())
+        j = int(hi.argmin())
         if i == j or lo[i] - hi[j] < tol:
             converged = True
             break
-        delta = _optimize_pair(K, y, u, beta, i, j, C, epsilon)
+        delta = _optimize_pair(
+            K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j),
+            (u.item(i) - y.item(i)) - (u.item(j) - y.item(j)),
+            beta.item(i),
+            beta.item(j),
+            C,
+            eps,
+        )
         if abs(delta) < 1e-14:
             break  # numerically stuck; report as non-converged
         beta[i] += delta
         beta[j] -= delta
-        u += delta * (K[:, i] - K[:, j])
+        lo_off[i], hi_off[i] = _offsets(beta.item(i), C, eps)
+        lo_off[j], hi_off[j] = _offsets(beta.item(j), C, eps)
+        np.subtract(K[i], K[j], out=step)
+        step *= delta
+        u += step
         updates += 1
 
-    lo, hi = intervals()
+    intervals()
     max_lo = float(np.max(lo))
     min_hi = float(np.min(hi))
     if np.isfinite(max_lo) and np.isfinite(min_hi):
         bias = (max_lo + min_hi) / 2.0
     else:
-        bias = float(np.mean(y - u))
+        bias = float(np.mean(r))
 
     support = np.abs(beta) > _SUPPORT_EPS
     config = {
@@ -197,23 +214,51 @@ def fit_svr(
     )
 
 
-def _optimize_pair(K, y, u, beta, i, j, C, epsilon) -> float:
-    """Exact minimizer of the dual restricted to beta_i += d, beta_j -= d."""
-    a = K[i, i] + K[j, j] - 2.0 * K[i, j]
-    g = (u[i] - y[i]) - (u[j] - y[j])
-    bi, bj = beta[i], beta[j]
+def _check_hyperparameters(C, epsilon, gamma, tol, max_updates) -> None:
+    if not (math.isfinite(C) and C > 0):
+        raise ModelError(f"C must be finite and > 0, got {C!r}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ModelError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
+        raise ModelError(f"gamma must be finite and > 0, got {gamma!r}")
+    if not tol > 0:
+        raise ModelError(f"tol must be > 0, got {tol!r}")
+    if max_updates < 0:
+        raise ModelError(f"max_updates must be >= 0, got {max_updates!r}")
 
+
+def _offsets(b: float, C: float, epsilon: float) -> tuple[float, float]:
+    """Offsets from the residual r = y_k - u_k to the ends of the
+    feasible-bias interval of a point with dual coefficient ``b``.
+
+    At the lower bound the interval is [r + eps, inf), at the upper bound
+    (-inf, r - eps], inside the box the point r -/+ eps by the sign of b,
+    at zero [r - eps, r + eps]. The bound tests come first: for C below
+    about 1e-12 a coefficient can be at zero and at both bounds at once.
+    """
+    if b <= -C + _AT_BOUND:
+        return epsilon, math.inf
+    if b >= C - _AT_BOUND:
+        return -math.inf, -epsilon
+    if abs(b) <= _AT_BOUND:
+        return -epsilon, epsilon
+    if b > 0:
+        return -epsilon, -epsilon
+    return epsilon, epsilon
+
+
+def _optimize_pair(a: float, g: float, bi: float, bj: float, C: float, epsilon: float) -> float:
+    """Exact minimizer of the dual restricted to beta_i += d, beta_j -= d,
+    where a = K_ii + K_jj - 2 K_ij and g = (u_i - y_i) - (u_j - y_j).
+
+    The objective is a parabola plus kinks at d = -bi and d = bj. The
+    candidates, in ascending order, are the breakpoints (box ends and inner
+    kinks), each once, and the stationary point of each piece between them.
+    """
     lo_box = max(-C - bi, bj - C)
     hi_box = min(C - bi, bj + C)
     if hi_box <= lo_box:
         return 0.0
-
-    def value(d: float) -> float:
-        return (
-            0.5 * a * d * d
-            + g * d
-            + epsilon * (abs(bi + d) - abs(bi) + abs(bj - d) - abs(bj))
-        )
 
     points = {lo_box, hi_box}
     for kink in (-bi, bj):
@@ -221,18 +266,21 @@ def _optimize_pair(K, y, u, beta, i, j, C, epsilon) -> float:
             points.add(kink)
     breaks = sorted(points)
 
-    best_d, best_val = 0.0, 0.0
+    candidates = [breaks[0]]
     for left, right in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (left + right)
-        s1 = 1.0 if bi + mid > 0 else -1.0
-        s2 = 1.0 if bj - mid > 0 else -1.0
-        candidates = [left, right]
+        candidates.append(right)
         if a > 0:
+            mid = 0.5 * (left + right)
+            s1 = 1.0 if bi + mid > 0 else -1.0
+            s2 = 1.0 if bj - mid > 0 else -1.0
             stationary = -(g + epsilon * (s1 - s2)) / a
             if left < stationary < right:
                 candidates.append(stationary)
-        for d in candidates:
-            val = value(d)
-            if val < best_val - 1e-15:
-                best_val, best_d = val, d
+
+    abs_bi, abs_bj = abs(bi), abs(bj)
+    best_d, best_val = 0.0, 0.0
+    for d in candidates:
+        val = 0.5 * a * d * d + g * d + epsilon * (abs(bi + d) - abs_bi + abs(bj - d) - abs_bj)
+        if val < best_val - 1e-15:
+            best_val, best_d = val, d
     return best_d

@@ -420,6 +420,10 @@ def run_funnel(config: FunnelConfig) -> ScreeningReport:
     """
     parsed: dict = {}  # shared by the pool and its two tables, then dropped
     pool = load_pool(config.pool, parsed)
+    for record in pool.records:
+        # A canonical string is a fixed point of parse-and-canonicalize, so
+        # table rows keyed by canonical strings reuse the pool's graphs.
+        parsed.setdefault(record.canonical, record.graph)
     registry = load_registry(config.registry)
     model = load_model(config.model)
     pipeline = selection.SelectionPipeline.load(config.pipeline)

@@ -4,11 +4,11 @@ import time
 import networkx as nx
 import pytest
 
-from molscreen.molgraph import canonical_smiles, parse_smiles
+from molscreen.molgraph import MolGraphError, canonical_smiles, parse_smiles
 from molscreen.molgraph.canon import _atom_token, _Search, initial_invariants
 from molscreen.molgraph.model import AROMATIC, DOUBLE, SINGLE, TRIPLE
 
-from conftest import permute_graph, random_molecule
+from conftest import permute_graph, random_molecule, synthetic_pool_rows
 
 AROMATIC_SAMPLES = [
     "c1ccccc1",
@@ -88,6 +88,17 @@ def test_idempotence_on_bundled_dataset(dataset24):
     for record in dataset24.records:
         canon = canonical_smiles(record.graph)
         assert canonical_smiles(parse_smiles(canon)) == canon, record.smiles
+
+
+def test_idempotence_on_synthetic_pool():
+    # screening.run_funnel relies on it: rows keyed by a pool molecule's
+    # canonical string reuse that molecule's graph without parsing
+    for smiles in synthetic_pool_rows():
+        try:
+            canon = parse_smiles(smiles).canonical
+        except MolGraphError:
+            continue
+        assert parse_smiles(canon).canonical == canon, smiles
 
 
 def test_permutation_invariance_500_cases(dataset24):

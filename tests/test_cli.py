@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import molscreen
 from molscreen.cli import main
 
 from conftest import DATA_DIR
@@ -121,6 +125,15 @@ class TestTrain:
         model = json.loads(out.read_text())
         assert model["C"] == 500.0 and model["epsilon"] == 0.75
 
+    @pytest.mark.parametrize("flags", [["--gamma", "-2"], ["--gamma", "nan"],
+                                       ["--svr-c", "0"], ["--svr-epsilon", "-0.5"]])
+    def test_malformed_svr_hyperparameter_exits_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "model.json"
+        assert run("train", "--dataset", DATASET, "--model", "svr", *flags,
+                   "--out", str(out), "--pipeline-out", str(tmp_path / "p.json")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_model_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             run("train", "--dataset", DATASET, "--model", "boost",
@@ -189,6 +202,14 @@ class TestEvaluate:
         assert [r["spearman"] for r in payload["per_repeat"]] == [None] * 3
         assert all(r["mae"] >= 0 for r in payload["per_repeat"])
         assert "3 of 3 repeats degenerate" in (tmp_path / "e.txt").read_text()
+
+    def test_svr_report_counts_unconverged_fits(self, tmp_path):
+        assert run("evaluate", "--dataset", DATASET, "--registry", REGISTRY,
+                   "--model", "svr", "--repeats", "3",
+                   "--out-json", str(tmp_path / "e.json"),
+                   "--out-text", str(tmp_path / "e.txt")) == 0
+        assert json.loads((tmp_path / "e.json").read_text())["unconverged_fits"] == 0
+        assert "converge" not in (tmp_path / "e.txt").read_text()
 
     def test_zero_repeats_usage_error(self, tmp_path):
         assert run("evaluate", "--dataset", DATASET, "--registry", REGISTRY,
@@ -321,3 +342,14 @@ class TestConfigFile:
         payload = json.loads((tmp_path / "r.json").read_text())
         assert payload["repeats"] == 3          # from config file
         assert payload["master_seed"] == 5      # explicit flag wins
+
+
+class TestModuleEntryPoint:
+    def test_python_m_molscreen_help(self):
+        src = str(Path(molscreen.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "molscreen", "--help"],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "usage: molscreen" in result.stdout

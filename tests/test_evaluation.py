@@ -284,3 +284,58 @@ class TestSplitterArithmeticSpeed:
             assert len(r.test) == 13
         assert len(logo_splits(groups)) == 4
         assert time.time() - start < 5.0
+
+
+class TestUnconvergedFits:
+    def problem(self):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(30, 3))
+        return matrix_from(values), values[:, 0] + rng.normal(scale=0.1, size=30)
+
+    def test_counted_in_json_and_text(self, monkeypatch):
+        import dataclasses
+
+        from molscreen import evaluation
+
+        fit = evaluation.fit_model
+        calls = []
+
+        def every_other_stalls(X, y, config):
+            model = fit(X, y, config)
+            calls.append(model)
+            return dataclasses.replace(model, converged=len(calls) % 2 == 1)
+
+        monkeypatch.setattr(evaluation, "fit_model", every_other_stalls)
+        features, y = self.problem()
+        config = TrainConfig(kind="svr", seed=0)
+        report = repeated_eval(features, y, SplitterSpec("random", 0.2), config,
+                               repeats=5, master_seed=2)
+        assert report.unconverged_fits == 2
+        assert [score.converged for score in report.pairs] == [True, False, True, False, True]
+        assert report.to_dict()["unconverged_fits"] == 2
+        text = render_report_text([report])
+        assert text.splitlines()[-1] == "random: 2 of 5 fits did not converge"
+
+        # the flag rides along without changing the scores
+        monkeypatch.setattr(evaluation, "fit_model", fit)
+        clean = repeated_eval(features, y, SplitterSpec("random", 0.2), config,
+                              repeats=5, master_seed=2)
+        assert clean.pairs == report.pairs
+        assert clean.unconverged_fits == 0
+        assert "converge" not in render_report_text([clean])
+
+    def test_run_single_reports_the_flag(self):
+        features, y = self.problem()
+        split = random_split(30, 0.2, seed=1)
+        svr = run_single(features, y, split, TrainConfig(kind="svr", seed=0))
+        assert svr.converged is True
+        gb = run_single(features, y, split, TrainConfig(kind="gb", seed=0))
+        assert gb.converged is True
+        m, rho = gb
+        assert (m, rho) == gb
+
+    def test_tree_models_report_zero(self):
+        features, y = self.problem()
+        report = repeated_eval(features, y, SplitterSpec("random", 0.2),
+                               TrainConfig(kind="gb", seed=0), repeats=2)
+        assert report.to_dict()["unconverged_fits"] == 0

@@ -315,46 +315,57 @@ class TestFunnel:
         preds = [r.predicted_pce for r in report.final]
         assert preds == sorted(preds, reverse=True)
 
+    @staticmethod
+    def spellings(path, column="smiles"):
+        with path.open() as fh:
+            return {row[column].strip() for row in csv.DictReader(fh)}
+
     def test_each_spelling_parsed_once(self, funnel_dir, monkeypatch):
         from molscreen import dataio
+
+        config = FunnelConfig.load(funnel_dir / "funnel.json")
+        pool_canonical = {r.canonical for r in load_pool(config.pool).records}
+        # one more property row: ethanol spelled neither as in the pool nor
+        # canonically, so it alone among the table rows needs parsing
+        with config.properties.open("a", newline="") as fh:
+            csv.writer(fh).writerow(["C(O)C", "20", "2.0", ""])
+        assert "C(O)C" not in self.spellings(config.pool) | pool_canonical
 
         calls = []
         parse = dataio.parse_smiles
         monkeypatch.setattr(dataio, "parse_smiles", lambda s: calls.append(s) or parse(s))
-        config = FunnelConfig.load(funnel_dir / "funnel.json")
         run_funnel(config)
 
-        def spellings(path, column="smiles"):
-            with path.open() as fh:
-                return {row[column].strip() for row in csv.DictReader(fh)}
-
-        tables = (spellings(config.pool) | spellings(config.properties)
-                  | spellings(config.cas))
-        registry = spellings(config.registry, "scaffold_smiles")
+        pool = self.spellings(config.pool)
+        tables = self.spellings(config.properties) | self.spellings(config.cas)
+        registry = self.spellings(config.registry, "scaffold_smiles")
+        # the property and CAS tables are spelled in canonical form: their
+        # rows reuse the pool's graphs instead of being parsed again
+        assert tables - pool_canonical == {"C(O)C"}
+        read = pool | (tables - pool_canonical)
         # the registry is read apart from the pool and its tables
-        assert len(calls) == len(tables) + len(registry)
-        assert set(calls) == tables | registry
+        assert len(calls) == len(read) + len(registry)
+        assert set(calls) == read | registry
 
     def test_rings_perceived_once_per_parsed_spelling(self, funnel_dir, monkeypatch):
         from molscreen.molgraph import rings
 
+        config = FunnelConfig.load(funnel_dir / "funnel.json")
+        pool_canonical = {r.canonical for r in load_pool(config.pool).records}
         calls = []
         find_sssr = rings.find_sssr
         monkeypatch.setattr(rings, "find_sssr", lambda *a: calls.append(a) or find_sssr(*a))
-        config = FunnelConfig.load(funnel_dir / "funnel.json")
         report = run_funnel(config)
 
-        def spellings(path, column="smiles"):
-            with path.open() as fh:
-                return {row[column].strip() for row in csv.DictReader(fh)}
-
-        tables = (spellings(config.pool) | spellings(config.properties)
-                  | spellings(config.cas))
-        registry = spellings(config.registry, "scaffold_smiles") - {""}
+        pool = self.spellings(config.pool)
+        tables = self.spellings(config.properties) | self.spellings(config.cas)
+        registry = self.spellings(config.registry, "scaffold_smiles") - {""}
         # the planted unparseable row fails before ring perception; neither
-        # the scaffold tier nor the registry's fixed-point check perceives
+        # the scaffold tier nor the registry's fixed-point check perceives,
+        # and the canonically spelled tables reuse the pool's graphs
         assert report.parse_failures == 1
-        assert len(calls) == len(tables) - 1 + len(registry)
+        assert tables <= pool_canonical
+        assert len(calls) == len(pool) - 1 + len(registry)
 
     def test_missing_model_aborts_before_tiers(self, funnel_dir):
         config = json.loads((funnel_dir / "funnel.json").read_text())
