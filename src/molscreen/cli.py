@@ -76,7 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help=(
+            "worker threads for evaluate's repeats; accepted and ignored by "
+            "every other command (results never depend on it)"
+        ),
+    )
     common.add_argument(
         "--config",
         type=Path,
@@ -318,17 +326,17 @@ def cmd_evaluate(args) -> int:
     payload["format_version"] = dataio.FORMAT_VERSION
     if args.splitter == "logo":
         payload["per_group"] = [
-            {"group_id": gid, "mae": m, "spearman": s}
-            for gid, (m, s) in zip(sorted(groups), report.pairs)
+            {"group_id": gid, "mae": score.mae, "spearman": score.spearman}
+            for gid, score in zip(sorted(groups), report.pairs)
         ]
     dataio.atomic_write_text(args.out_json, dataio.dump_json(payload))
 
     text = evaluation.render_report_text([report])
     if args.splitter == "logo":
         lines = [text, "per-group breakdown:"]
-        for gid, (m, s) in zip(sorted(groups), report.pairs):
-            rho = "n/a" if s is None else f"{s:.4f}"
-            lines.append(f"  group {gid}: MAE {m:.4f}  Spearman {rho}")
+        for gid, score in zip(sorted(groups), report.pairs):
+            rho = "n/a" if score.spearman is None else f"{score.spearman:.4f}"
+            lines.append(f"  group {gid}: MAE {score.mae:.4f}  Spearman {rho}")
         text = "\n".join(lines) + "\n"
     dataio.atomic_write_text(args.out_text, text)
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,14 +168,13 @@ def spearman(pred, truth) -> float:
     return selection.pearson(_average_ranks(p), _average_ranks(t))
 
 
-class RepeatScore(tuple):
-    """A repeat's ``(mae, spearman)`` pair; ``converged`` is the fitted
-    model's flag (gb and rf always converge)."""
+class RepeatScore(NamedTuple):
+    """One repeat's scores; ``spearman`` is None for a degenerate repeat and
+    ``converged`` is the fitted model's flag (gb and rf always converge)."""
 
-    def __new__(cls, mae: float, spearman: float | None, converged: bool):
-        score = super().__new__(cls, (mae, spearman))
-        score.converged = converged
-        return score
+    mae: float
+    spearman: float | None
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -182,21 +182,21 @@ class EvalReport:
     method: str
     repeats: int
     master_seed: int
-    # one per repeat; spearman is None for a degenerate repeat
+    # one per repeat
     pairs: tuple[RepeatScore, ...]
     config: dict = field(default_factory=dict)
 
     @property
     def mae_mean(self) -> float:
-        return float(np.mean([m for m, _ in self.pairs]))
+        return float(np.mean([score.mae for score in self.pairs]))
 
     @property
     def mae_std(self) -> float | None:
-        return _sample_std_or_none([m for m, _ in self.pairs])
+        return _sample_std_or_none([score.mae for score in self.pairs])
 
     @property
     def defined_spearman(self) -> list[float]:
-        return [s for _, s in self.pairs if s is not None]
+        return [score.spearman for score in self.pairs if score.spearman is not None]
 
     @property
     def degenerate_repeats(self) -> int:
@@ -225,7 +225,7 @@ class EvalReport:
             "mae": {"mean": self.mae_mean, "std": self.mae_std},
             "spearman": {"mean": self.spearman_mean, "std": self.spearman_std},
             "per_repeat": [
-                {"mae": m, "spearman": s} for m, s in self.pairs
+                {"mae": score.mae, "spearman": score.spearman} for score in self.pairs
             ],
             "config": self.config,
         }
@@ -247,9 +247,9 @@ def run_single(
     scope=selection.DEFAULT_SCOPE,
 ) -> RepeatScore:
     """Fit the selection pipeline and model on the training rows, score the
-    test rows; returns (mae, spearman), with spearman None where it is
-    undefined: fewer than two test rows, or constant predictions or
-    targets, and the model's ``converged`` flag as an attribute."""
+    test rows; returns (mae, spearman, converged), with spearman None where
+    it is undefined: fewer than two test rows, or constant predictions or
+    targets, and converged the model's flag."""
     train_matrix = features.rows(split.train)
     pipeline = selection.fit(
         train_matrix,

@@ -51,8 +51,13 @@ class FeatureMatrix:
             raise FeatureError("duplicate column names")
         if len(self.blocks) != len(self.names):
             raise FeatureError("block tags do not align with columns")
-        if not np.all(np.isfinite(self.values)):
-            raise FeatureError("matrix contains non-finite cells")
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            row, column = np.argwhere(bad)[0]
+            raise FeatureError(
+                f"matrix contains non-finite cells; first at row {self.ids[row]!r}, "
+                f"column {self.tagged_names[column]!r}"
+            )
 
     @property
     def tagged_names(self) -> list[str]:

@@ -13,6 +13,7 @@ from .tree import (
     EmptyTrainingSet,
     ModelError,
     Node,
+    NonFiniteFeature,
     NonFiniteTarget,
     RegressionTree,
     WidthMismatch,
@@ -131,6 +132,7 @@ __all__ = [
     "GBModel",
     "ModelError",
     "Node",
+    "NonFiniteFeature",
     "NonFiniteTarget",
     "RFModel",
     "RegressionTree",

@@ -14,10 +14,13 @@ import numpy as np
 
 from .tree import (
     EmptyTrainingSet,
+    ModelError,
     NonFiniteTarget,
     RegressionTree,
     WidthMismatch,
+    check_features,
     fit_tree,
+    sort_columns,
 )
 
 
@@ -33,6 +36,7 @@ class GBModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise WidthMismatch(f"expected {self.n_features} features, got {X.shape}")
+        check_features(X)
         out = np.full(X.shape[0], self.init_value, dtype=np.float64)
         for tree in self.trees:
             out += self.learning_rate * tree.predict(X)
@@ -81,18 +85,27 @@ def fit_gb(
 ) -> GBModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ModelError("X must be 2-dimensional")
     if X.shape[0] == 0:
         raise EmptyTrainingSet("no training rows")
     if not np.all(np.isfinite(y)):
         raise NonFiniteTarget("target contains non-finite values")
+    check_features(X)
 
     init = float(y.mean())
     pred = np.full(X.shape[0], init, dtype=np.float64)
+    # Every tree sees the same X; only the residual target changes.
+    order = sort_columns(X)
     trees = []
     for _ in range(n_estimators):
         residual = y - pred
         tree = fit_tree(
-            X, residual, max_depth=max_depth, min_samples_leaf=min_samples_leaf
+            X,
+            residual,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            order=order,
         )
         pred += learning_rate * tree.predict(X)
         trees.append(tree)

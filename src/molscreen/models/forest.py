@@ -19,6 +19,7 @@ from .tree import (
     NonFiniteTarget,
     RegressionTree,
     WidthMismatch,
+    check_features,
     fit_tree,
 )
 
@@ -34,6 +35,7 @@ class RFModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise WidthMismatch(f"expected {self.n_features} features, got {X.shape}")
+        check_features(X)
         total = np.zeros(X.shape[0], dtype=np.float64)
         for tree in self.trees:
             total += tree.predict(X)
@@ -75,6 +77,7 @@ def fit_rf(
         raise EmptyTrainingSet("no training rows")
     if not np.all(np.isfinite(y)):
         raise NonFiniteTarget("target contains non-finite values")
+    check_features(X)
 
     n, p = X.shape
     per_node = max_features if max_features is not None else max(1, math.ceil(p / 3))

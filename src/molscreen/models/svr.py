@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import EmptyTrainingSet, ModelError, NonFiniteTarget, WidthMismatch
+from .tree import (
+    EmptyTrainingSet,
+    ModelError,
+    NonFiniteTarget,
+    WidthMismatch,
+    check_features,
+)
 
 _AT_BOUND = 1e-12
 _SUPPORT_EPS = 1e-10
@@ -64,6 +70,7 @@ class SVRModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise WidthMismatch(f"expected {self.n_features} features, got {X.shape}")
+        check_features(X)
         if self.support_vectors.shape[0] == 0:
             return np.full(X.shape[0], self.bias, dtype=np.float64)
         K = _KERNELS[self.kernel](X, self.support_vectors, self.gamma)
@@ -128,6 +135,7 @@ def fit_svr(
         raise EmptyTrainingSet("no training rows")
     if not np.all(np.isfinite(y)):
         raise NonFiniteTarget("target contains non-finite values")
+    check_features(X)
     if kernel not in _KERNELS:
         raise ModelError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}")
     _check_hyperparameters(C, epsilon, gamma, tol, max_updates)

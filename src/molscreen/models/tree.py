@@ -3,9 +3,9 @@
 Split search is exact: every midpoint between consecutive distinct sorted
 values of every candidate feature is scored by the weighted sum of squared
 errors of the two children, with ties broken toward the smallest feature
-index and then the smallest threshold. Randomness enters only through
-optional per-node feature subsampling (used by the forest), driven by a
-seeded generator.
+index and then the smallest threshold. Each column is sorted once per fit,
+not per node. Randomness enters only through optional per-node feature
+subsampling (used by the forest), driven by a seeded generator.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ class EmptyTrainingSet(ModelError):
 
 
 class NonFiniteTarget(ModelError):
+    pass
+
+
+class NonFiniteFeature(ModelError):
     pass
 
 
@@ -111,6 +115,23 @@ class RegressionTree:
         )
 
 
+def sort_columns(X: np.ndarray) -> np.ndarray:
+    """Row order of every column of ``X``: a p x n array whose row ``f`` is
+    the stable ascending ``argsort`` of column ``f``. This is what
+    ``fit_tree``'s ``order=`` takes."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def check_features(X: np.ndarray) -> None:
+    """Raise ``NonFiniteFeature`` naming the first NaN or infinite cell."""
+    bad = ~np.isfinite(X)
+    if bad.any():
+        row, column = np.argwhere(bad)[0]
+        raise NonFiniteFeature(
+            f"features contain a non-finite value at row {row}, column {column}"
+        )
+
+
 def fit_tree(
     X,
     y,
@@ -118,12 +139,20 @@ def fit_tree(
     min_samples_leaf: int = 1,
     features_per_node: int | None = None,
     seed: int = 0,
+    *,
+    order: np.ndarray | None = None,
 ) -> RegressionTree:
     """Fit a CART regression tree.
 
     ``features_per_node`` limits the split search at every node to a seeded
     random draw of that many features (the regression-forest convention);
     ``None`` searches every feature.
+
+    Columns are sorted once per fit, never per node (SLIQ-style presorted
+    attribute lists): each node holds, for every feature, its rows in that
+    feature's ascending order, and each child receives the parent's lists
+    filtered by a stable partition. ``order`` is ``sort_columns(X)``,
+    passed in by a caller that fits many trees on the same ``X``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -135,42 +164,68 @@ def fit_tree(
         raise EmptyTrainingSet("no training rows")
     if not np.all(np.isfinite(y)):
         raise NonFiniteTarget("target contains non-finite values")
+    check_features(X)
     if max_depth < 0:
         raise ModelError("max_depth must be >= 0")
 
+    n, n_features = X.shape
+    if order is None:
+        order = sort_columns(X)
+    elif order.shape != (n_features, n):
+        raise ModelError(f"order must have shape {(n_features, n)}, got {order.shape}")
     rng = SplitMix64(seed)
-    n_features = X.shape[1]
+    # Column f of X is values[f * n : (f + 1) * n].
+    values = np.ascontiguousarray(X.T).ravel()
+    starts = np.arange(n_features, dtype=np.intp) * n
+    in_left = np.zeros(n, dtype=bool)
 
-    def build(idx: np.ndarray, depth: int) -> Node:
+    def build(idx: np.ndarray, rows: np.ndarray | None, depth: int) -> Node:
+        # idx: the node's rows, increasing; rows: p x idx.size, row f holds
+        # them in ascending order of feature f (None at max_depth).
         target = y[idx]
         if (
             depth >= max_depth
             or idx.size < 2 * min_samples_leaf
             or idx.size < 2
-            or np.all(target == target[0])
+            or (target == target[0]).all()
         ):
-            return Node(value=float(target.mean()))
+            return Node(value=_mean(target))
         if features_per_node is not None and features_per_node < n_features:
             feats = sorted(rng.sample(list(range(n_features)), features_per_node))
+            found = _best_split(
+                values, starts[feats], rows[feats], idx, y, target, min_samples_leaf
+            )
         else:
-            feats = list(range(n_features))
-        found = _best_split(X[np.ix_(idx, feats)], target, min_samples_leaf)
+            feats = range(n_features)
+            found = _best_split(values, starts, rows, idx, y, target, min_samples_leaf)
         if found is None:
-            return Node(value=float(target.mean()))
-        local_feature, threshold = found
-        feature = feats[local_feature]
-        go_left = X[idx, feature] <= threshold
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        if left_idx.size == 0 or right_idx.size == 0:
-            return Node(value=float(target.mean()))
+            return Node(value=_mean(target))
+        local_feature, threshold, go_left = found
+        left_idx = idx[go_left]
+        n_left = left_idx.size
+        if n_left == 0 or n_left == idx.size:
+            return Node(value=_mean(target))
+        if depth + 1 >= max_depth:  # both children are leaves
+            left_rows = right_rows = None
+        else:
+            # Boolean indexing keeps C order, so each feature's list stays
+            # sorted.
+            in_left[left_idx] = True
+            sel = in_left[rows]
+            in_left[left_idx] = False
+            left_rows = rows[sel].reshape(n_features, n_left)
+            right_rows = rows[~sel].reshape(n_features, -1)
         return Node(
-            feature=feature,
+            feature=feats[local_feature],
             threshold=threshold,
-            left=build(left_idx, depth + 1),
-            right=build(right_idx, depth + 1),
+            left=build(left_idx, left_rows, depth + 1),
+            right=build(idx[~go_left], right_rows, depth + 1),
         )
 
-    root = build(np.arange(X.shape[0]), 0)
+    root = build(np.arange(n), order, 0)
+    # build refers to itself; dropping the name breaks that cycle, so its
+    # arrays are freed now rather than at the next garbage collection.
+    del build
     return RegressionTree(
         root=root,
         max_depth=max_depth,
@@ -179,56 +234,67 @@ def fit_tree(
     )
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
-    """Best (feature, threshold) by weighted children SSE, or None.
+def _mean(a: np.ndarray) -> float:
+    """``float(a.mean())`` bit for bit (the same pairwise sum, one IEEE
+    division) without ``ndarray.mean``'s Python-level wrapper."""
+    return float(a.sum()) / a.size
 
-    Vectorized over all features at once: each column is sorted, prefix
-    sums give left/right SSE for every cut position, invalid cuts (equal
-    adjacent values, leaf-size violations) are masked out and the argmin is
-    taken in feature-major order so ties resolve to the smallest feature
-    index then the smallest threshold.
+
+def _best_split(values, starts, rows, idx, y, target, min_samples_leaf: int):
+    """Best (local feature, threshold, left mask over ``idx``) by weighted
+    children SSE, or None.
+
+    ``rows`` holds, per candidate feature, the node's rows in ascending
+    order of that feature, whose values start at ``starts`` in ``values``;
+    ``target`` is ``y[idx]``. Prefix sums give left/right SSE for every
+    cut position of every candidate at once; invalid cuts (equal adjacent
+    values, leaf-size violations) are masked out and ties resolve to the
+    smallest feature index then the smallest threshold.
     """
-    n, p = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
+    m = idx.size
+    xs = values[rows + starts[:, None]]
+    ys = y[rows]
 
-    s1 = np.cumsum(ys, axis=0)
-    s2 = np.cumsum(ys * ys, axis=0)
-    total1 = s1[-1, :]
-    total2 = s2[-1, :]
+    s1 = ys.cumsum(axis=1)
+    s2 = (ys * ys).cumsum(axis=1)
+    total1 = s1[:, -1:]
+    total2 = s2[:, -1:]
 
-    k = np.arange(1, n, dtype=np.float64)[:, None]  # left sizes 1..n-1
-    left_sse = s2[:-1, :] - (s1[:-1, :] ** 2) / k
-    right_sse = (total2 - s2[:-1, :]) - ((total1 - s1[:-1, :]) ** 2) / (n - k)
+    k = np.arange(1, m, dtype=np.float64)  # left sizes 1..m-1
+    left_sse = s2[:, :-1] - (s1[:, :-1] ** 2) / k
+    right_sse = (total2 - s2[:, :-1]) - ((total1 - s1[:, :-1]) ** 2) / (m - k)
     cost = left_sse + right_sse
 
-    valid = xs[:-1, :] < xs[1:, :]
+    valid = xs[:, :-1] < xs[:, 1:]
     if min_samples_leaf > 1:
-        sizes_ok = (k >= min_samples_leaf) & ((n - k) >= min_samples_leaf)
-        valid &= sizes_ok
+        valid &= (k >= min_samples_leaf) & ((m - k) >= min_samples_leaf)
     cost = np.where(valid, cost, np.inf)
 
-    lowest = float(np.min(cost))
+    lowest = float(cost.min())
     if not math.isfinite(lowest):
         return None
 
     # Different features can induce the *same* partition (e.g. both split
     # off one extreme row); their prefix-sum costs then differ only by
-    # rounding. Re-evaluate every near-minimal cut with the direct formula,
-    # which is bitwise identical for identical partitions, so the
-    # smallest-feature-then-smallest-threshold tie-break is exact.
+    # rounding. Re-evaluate every near-minimal cut with the direct formula
+    # over the node's rows in index order, which is bitwise identical for
+    # identical partitions, so the smallest-feature-then-smallest-threshold
+    # tie-break is exact. Each distinct partition is scored once.
     tolerance = 1e-9 * (1.0 + abs(lowest))
-    features, positions = np.nonzero(cost.T <= lowest + tolerance)
+    scored: dict[bytes, float] = {}
     best = None
-    for feature, position in zip(features, positions):
-        threshold = float((xs[position, feature] + xs[position + 1, feature]) / 2.0)
-        left = y[X[:, feature] <= threshold]
-        right = y[X[:, feature] > threshold]
-        sse = float(((left - left.mean()) ** 2).sum()) + float(
-            ((right - right.mean()) ** 2).sum()
-        )
-        key = (sse, int(feature), threshold)
-        if best is None or key < best:
-            best = key
-    return best[1], best[2]
+    for feature, position in zip(*np.nonzero(cost <= lowest + tolerance)):
+        threshold = float((xs[feature, position] + xs[feature, position + 1]) / 2.0)
+        go_left = values[starts[feature] + idx] <= threshold
+        key = go_left.tobytes()
+        sse = scored.get(key)
+        if sse is None:
+            left = target[go_left]
+            right = target[~go_left]
+            sse = float(((left - _mean(left)) ** 2).sum()) + float(
+                ((right - _mean(right)) ** 2).sum()
+            )
+            scored[key] = sse
+        if best is None or (sse, feature, threshold) < best[:3]:
+            best = (sse, int(feature), threshold, go_left)
+    return best[1:]

@@ -344,6 +344,17 @@ class TestConfigFile:
         assert payload["master_seed"] == 5      # explicit flag wins
 
 
+class TestThreadsHelp:
+    @pytest.mark.parametrize("command", ["evaluate", "screen"])
+    def test_help_says_only_evaluate_reads_it(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            run(command, "--help")
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "worker threads for evaluate's repeats" in text
+        assert "ignored by every other command" in text
+
+
 class TestModuleEntryPoint:
     def test_python_m_molscreen_help(self):
         src = str(Path(molscreen.__file__).resolve().parents[1])

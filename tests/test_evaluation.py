@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from molscreen.evaluation import (
     DegenerateSplit,
     EmptyGroup,
     EvaluationError,
+    RepeatScore,
     SingleGroup,
     SplitterSpec,
     logo_splits,
@@ -227,7 +229,7 @@ class TestDegenerateRepeats:
         report = repeated_eval(features, y, SplitterSpec("random", 0.01),
                                TrainConfig(kind="gb", seed=0), repeats=4)
         assert all(len(random_split(48, 0.01, s).test) == 1 for s in range(4))
-        assert [s for _, s in report.pairs] == [None] * 4
+        assert [score.spearman for score in report.pairs] == [None] * 4
         assert report.degenerate_repeats == 4
         assert report.spearman_mean is None and report.spearman_std is None
         assert report.mae_std is not None
@@ -245,7 +247,7 @@ class TestDegenerateRepeats:
         y[:32] = 1.0  # every training row has the same target
         split = DatasetSplit(train=tuple(range(32)), test=tuple(range(32, 48)),
                              method="random", seed=0)
-        m, rho = run_single(features, y, split, TrainConfig(kind="gb", seed=0))
+        m, rho, _ = run_single(features, y, split, TrainConfig(kind="gb", seed=0))
         assert rho is None
         assert m == pytest.approx(float(np.mean(np.abs(1.0 - y[32:]))))
 
@@ -255,13 +257,15 @@ class TestDegenerateRepeats:
         groups = {1: [0], 2: list(range(1, 20)), 3: list(range(20, 48))}
         report = repeated_eval(features, y, SplitterSpec("logo"),
                                TrainConfig(kind="gb", seed=0), groups=groups)
-        defined = [s for _, s in report.pairs[1:]]
-        assert report.pairs[0][1] is None
+        defined = [score.spearman for score in report.pairs[1:]]
+        assert report.pairs[0].spearman is None
         assert None not in defined
         assert report.degenerate_repeats == 1
         assert report.spearman_mean == pytest.approx(float(np.mean(defined)))
         assert report.spearman_std == pytest.approx(selection.sample_std(defined))
-        assert report.mae_mean == pytest.approx(float(np.mean([m for m, _ in report.pairs])))
+        assert report.mae_mean == pytest.approx(
+            float(np.mean([score.mae for score in report.pairs]))
+        )
 
     def test_no_degenerate_repeat_leaves_text_unchanged(self):
         features, y = self.linear_problem()
@@ -320,7 +324,7 @@ class TestUnconvergedFits:
         monkeypatch.setattr(evaluation, "fit_model", fit)
         clean = repeated_eval(features, y, SplitterSpec("random", 0.2), config,
                               repeats=5, master_seed=2)
-        assert clean.pairs == report.pairs
+        assert [s[:2] for s in clean.pairs] == [s[:2] for s in report.pairs]
         assert clean.unconverged_fits == 0
         assert "converge" not in render_report_text([clean])
 
@@ -331,11 +335,21 @@ class TestUnconvergedFits:
         assert svr.converged is True
         gb = run_single(features, y, split, TrainConfig(kind="gb", seed=0))
         assert gb.converged is True
-        m, rho = gb
-        assert (m, rho) == gb
+        m, rho, converged = gb
+        assert (m, rho, converged) == gb == (gb.mae, gb.spearman, gb.converged)
 
     def test_tree_models_report_zero(self):
         features, y = self.problem()
         report = repeated_eval(features, y, SplitterSpec("random", 0.2),
                                TrainConfig(kind="gb", seed=0), repeats=2)
         assert report.to_dict()["unconverged_fits"] == 0
+
+    def test_scores_and_reports_survive_pickle(self):
+        features, y = self.problem()
+        report = repeated_eval(features, y, SplitterSpec("random", 0.2),
+                               TrainConfig(kind="svr", seed=0), repeats=3)
+        for score in report.pairs:
+            clone = pickle.loads(pickle.dumps(score))
+            assert type(clone) is RepeatScore
+            assert clone == score and clone.converged is score.converged
+        assert pickle.loads(pickle.dumps(report)).to_dict() == report.to_dict()

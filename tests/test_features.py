@@ -8,6 +8,7 @@ from molscreen.features import (
     DimensionMismatch,
     DuplicateKey,
     FeatureError,
+    FeatureMatrix,
     MissingLatent,
     PatternTooLarge,
     UnparseableSMILES,
@@ -232,3 +233,11 @@ class TestAssemble:
         matrix = assemble(mols, {"K"}, external_k=table)
         assert matrix.names == ("bit0", "bit1")
         assert matrix.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_non_finite_cell_names_first_row_and_column(self):
+        values = np.zeros((3, 2))
+        values[2, 0] = np.inf
+        values[1, 1] = np.nan
+        with pytest.raises(FeatureError, match="first at row 'b', column 'D:y'"):
+            FeatureMatrix(ids=("a", "b", "c"), blocks=("K", "D"), names=("x", "y"),
+                          values=values)

@@ -1,0 +1,272 @@
+"""The presorted tree learner against the per-node-sorting learner it
+replaced, and feature validation in every model."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from molscreen.models import (
+    ModelError,
+    NonFiniteFeature,
+    TrainConfig,
+    boosting,
+    fit_gb,
+    fit_model,
+    fit_rf,
+    fit_tree,
+    forest,
+)
+from molscreen.models.tree import (
+    EmptyTrainingSet,
+    Node,
+    NonFiniteTarget,
+    RegressionTree,
+    sort_columns,
+)
+from molscreen.rng import SplitMix64
+
+
+def oracle_fit_tree(X, y, max_depth, min_samples_leaf=1, features_per_node=None,
+                    seed=0, order=None):
+    """``fit_tree`` as it stood before presorting: every node copies its
+    rows out of ``X`` and sorts every candidate column. ``order`` is
+    accepted and ignored, so the model wrappers can call it unchanged."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ModelError("X must be 2-dimensional")
+    if X.shape[0] != y.shape[0]:
+        raise ModelError("X and y row counts differ")
+    if X.shape[0] == 0:
+        raise EmptyTrainingSet("no training rows")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteTarget("target contains non-finite values")
+    if max_depth < 0:
+        raise ModelError("max_depth must be >= 0")
+
+    rng = SplitMix64(seed)
+    n_features = X.shape[1]
+
+    def build(idx, depth):
+        target = y[idx]
+        if (
+            depth >= max_depth
+            or idx.size < 2 * min_samples_leaf
+            or idx.size < 2
+            or np.all(target == target[0])
+        ):
+            return Node(value=float(target.mean()))
+        if features_per_node is not None and features_per_node < n_features:
+            feats = sorted(rng.sample(list(range(n_features)), features_per_node))
+        else:
+            feats = list(range(n_features))
+        found = oracle_best_split(X[np.ix_(idx, feats)], target, min_samples_leaf)
+        if found is None:
+            return Node(value=float(target.mean()))
+        local_feature, threshold = found
+        feature = feats[local_feature]
+        go_left = X[idx, feature] <= threshold
+        left_idx, right_idx = idx[go_left], idx[~go_left]
+        if left_idx.size == 0 or right_idx.size == 0:
+            return Node(value=float(target.mean()))
+        return Node(
+            feature=feature,
+            threshold=threshold,
+            left=build(left_idx, depth + 1),
+            right=build(right_idx, depth + 1),
+        )
+
+    root = build(np.arange(X.shape[0]), 0)
+    return RegressionTree(root=root, max_depth=max_depth,
+                          min_samples_leaf=min_samples_leaf, n_features=n_features)
+
+
+def oracle_best_split(X, y, min_samples_leaf):
+    n, p = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+
+    s1 = np.cumsum(ys, axis=0)
+    s2 = np.cumsum(ys * ys, axis=0)
+    total1 = s1[-1, :]
+    total2 = s2[-1, :]
+
+    k = np.arange(1, n, dtype=np.float64)[:, None]
+    left_sse = s2[:-1, :] - (s1[:-1, :] ** 2) / k
+    right_sse = (total2 - s2[:-1, :]) - ((total1 - s1[:-1, :]) ** 2) / (n - k)
+    cost = left_sse + right_sse
+
+    valid = xs[:-1, :] < xs[1:, :]
+    if min_samples_leaf > 1:
+        sizes_ok = (k >= min_samples_leaf) & ((n - k) >= min_samples_leaf)
+        valid &= sizes_ok
+    cost = np.where(valid, cost, np.inf)
+
+    lowest = float(np.min(cost))
+    if not math.isfinite(lowest):
+        return None
+
+    tolerance = 1e-9 * (1.0 + abs(lowest))
+    features, positions = np.nonzero(cost.T <= lowest + tolerance)
+    best = None
+    for feature, position in zip(features, positions):
+        threshold = float((xs[position, feature] + xs[position + 1, feature]) / 2.0)
+        left = y[X[:, feature] <= threshold]
+        right = y[X[:, feature] > threshold]
+        sse = float(((left - left.mean()) ** 2).sum()) + float(
+            ((right - right.mean()) ** 2).sum()
+        )
+        key = (sse, int(feature), threshold)
+        if best is None or key < best:
+            best = key
+    return best[1], best[2]
+
+
+def bench_like(seed, n=2000, p=24):
+    """A 2,000 x 24 problem shaped like the benchmark's training matrices:
+    half the columns small integers 0..7 (many ties), the rest uniform
+    reals, a target mixing linear, threshold and interaction terms."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, p))
+    half = p // 2
+    X[:, :half] = np.floor(X[:, :half] * 8.0)
+    y = (
+        X @ np.linspace(-1.0, 1.0, p) * 0.5
+        + 2.0 * (X[:, 0] > 3)
+        + np.sin(3.0 * X[:, half])
+        + X[:, 1] * X[:, half + 1]
+        + 0.5 * (rng.uniform(size=n) - 0.5)
+    )
+    return X, y
+
+
+def small_problems():
+    rng = np.random.default_rng(2024)
+    cases = {}
+    ints = rng.integers(0, 4, size=(40, 5)).astype(float)
+    cases["integer_ties"] = (ints, rng.normal(size=40))
+    cases["integer_ties_tied_targets"] = (ints, rng.integers(0, 3, size=40).astype(float))
+    const = rng.normal(size=(30, 4))
+    const[:, 0] = 1.0
+    const[:, 2] = -3.5
+    cases["constant_columns"] = (const, rng.normal(size=30))
+    cases["all_columns_constant"] = (np.full((12, 3), 2.0), rng.normal(size=12))
+    cases["tied_targets"] = (rng.normal(size=(30, 3)), np.repeat([0.0, 1.0, 5.0], 10))
+    base = rng.normal(size=(25, 1))
+    cases["identical_partitions"] = (np.hstack([base, 2.0 * base, base + 1.0, -base]),
+                                    rng.normal(size=25))
+    dup = rng.integers(0, 3, size=(8, 3)).astype(float)
+    cases["duplicated_rows"] = (np.repeat(dup, 4, axis=0), rng.normal(size=32))
+    cases["large_target_offset"] = (ints[:30], 1e8 + rng.integers(0, 3, size=30))
+    cases["n1"] = (np.array([[0.5, 2.0]]), np.array([3.0]))
+    cases["n2"] = (np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 3.0]))
+    cases["n2_equal_rows"] = (np.ones((2, 2)), np.array([1.0, 3.0]))
+    cases["evaluate_sized"] = (rng.normal(size=(20, 10)), rng.normal(size=20))
+    for i in range(8):
+        n = int(rng.integers(3, 60))
+        p = int(rng.integers(1, 7))
+        X = rng.integers(0, int(rng.integers(2, 6)), size=(n, p)).astype(float)
+        y = rng.integers(0, 3, size=n).astype(float)
+        cases[f"random_ties_{i}"] = (X, y)
+    return cases
+
+
+SMALL = small_problems()
+LARGE = {"bench_like_a": bench_like(1), "bench_like_b": bench_like(2)}
+
+
+def dumps(model) -> str:
+    return json.dumps(model.to_dict())
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Fit with the wrappers' own code but the old tree learner inside."""
+
+    def fit(function, X, y, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(boosting, "fit_tree", oracle_fit_tree)
+            patch.setattr(forest, "fit_tree", oracle_fit_tree)
+            return function(X, y, **kwargs)
+
+    return fit
+
+
+TREE_SETTINGS = [
+    {"max_depth": 8},
+    {"max_depth": 6, "min_samples_leaf": 3},
+    {"max_depth": 6, "features_per_node": 1, "seed": 5},
+    {"max_depth": 6, "features_per_node": 2, "min_samples_leaf": 2, "seed": 9},
+]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_tree_matches_oracle_on_small_problems(name):
+    X, y = SMALL[name]
+    for settings in TREE_SETTINGS:
+        assert dumps(fit_tree(X, y, **settings)) == dumps(oracle_fit_tree(X, y, **settings))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_gb_and_rf_match_oracle_on_small_problems(name, oracle):
+    X, y = SMALL[name]
+    for kwargs in ({}, {"min_samples_leaf": 2, "max_depth": 3}):
+        assert dumps(fit_gb(X, y, **kwargs)) == dumps(oracle(fit_gb, X, y, **kwargs))
+    for kwargs in ({"n_estimators": 9, "seed": 3},
+                   {"n_estimators": 5, "min_samples_leaf": 2, "max_features": 1},
+                   {"n_estimators": 3, "bootstrap": False}):
+        assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle(fit_rf, X, y, **kwargs))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_models_match_oracle_on_benchmark_shaped_problems(name, oracle):
+    X, y = LARGE[name]
+    assert dumps(fit_tree(X, y, max_depth=10)) == dumps(oracle_fit_tree(X, y, max_depth=10))
+    assert dumps(fit_gb(X, y)) == dumps(oracle(fit_gb, X, y))
+    kwargs = {"n_estimators": 4, "seed": 7}
+    assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle(fit_rf, X, y, **kwargs))
+
+
+def test_shared_order_is_the_trees_own_sort():
+    X, y = SMALL["integer_ties"]
+    order = sort_columns(X)
+    assert order.shape == (X.shape[1], X.shape[0])
+    for f in range(X.shape[1]):
+        assert np.array_equal(order[f], np.argsort(X[:, f], kind="stable"))
+    assert dumps(fit_tree(X, y, max_depth=5, order=order)) == dumps(fit_tree(X, y, max_depth=5))
+
+
+def test_order_of_the_wrong_shape_is_rejected():
+    X, y = SMALL["integer_ties"]
+    with pytest.raises(ModelError):
+        fit_tree(X, y, max_depth=2, order=sort_columns(X[:-1]))
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("kind", ["gb", "rf", "svr"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_fit_model_rejects(self, kind, bad):
+        X = np.random.default_rng(3).normal(size=(20, 3))
+        X[7, 2] = bad
+        with pytest.raises(ModelError, match="row 7, column 2"):
+            fit_model(X, np.arange(20.0), TrainConfig(kind=kind, seed=0))
+
+    def test_fit_tree_rejects(self):
+        X = np.zeros((4, 2))
+        X[0, 1] = np.nan
+        with pytest.raises(NonFiniteFeature):
+            fit_tree(X, np.arange(4.0), max_depth=2)
+
+    @pytest.mark.parametrize("kind", ["gb", "rf", "svr"])
+    def test_predict_rejects(self, kind):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(20, 3))
+        model = fit_model(X, X[:, 0] * 3.0, TrainConfig(kind=kind, seed=0))
+        probe = X[:5].copy()
+        probe[4, 0] = np.inf
+        with pytest.raises(NonFiniteFeature, match="row 4, column 0"):
+            model.predict(probe)
+        assert model.predict(X[:5]).shape == (5,)
