@@ -10,7 +10,9 @@ reproduces the artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -368,19 +370,22 @@ def cmd_scaffold(args) -> int:
     dataset = dataio.load_dataset(args.dataset, require_pce=False)
     registry = load_registry(args.registry)
     echo = _echo(args, {"command": "scaffold", "rows": len(dataset)})
-    lines = ["# " + json.dumps(echo, sort_keys=True)]
-    lines.append("smiles,canonical_smiles,scaffold,group_id,group_name")
+    out = io.StringIO()
+    out.write("# " + json.dumps(echo, sort_keys=True) + "\n")
+    # Group names are free text: csv quotes any name holding a comma or
+    # quote, so every data row keeps the header's five fields.
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["smiles", "canonical_smiles", "scaffold", "group_id", "group_name"])
+    memo: dict = {}
     for record in dataset.records:
-        gate = classify(record.graph, registry)
+        gate = classify(record.graph, registry, memo=memo)
         if gate.known:
             gid = str(gate.group_id)
             name = registry.group_names[gate.group_id]
         else:
             gid, name = "", "novel"
-        lines.append(
-            f"{record.smiles},{record.canonical},{gate.scaffold.canonical},{gid},{name}"
-        )
-    dataio.atomic_write_text(args.out, "\n".join(lines) + "\n")
+        writer.writerow([record.smiles, record.canonical, gate.scaffold.canonical, gid, name])
+    dataio.atomic_write_text(args.out, out.getvalue())
     return 0
 
 

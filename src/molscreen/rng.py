@@ -8,7 +8,8 @@ numpy version.
 
 from __future__ import annotations
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -49,16 +50,31 @@ class SplitMix64:
                 return v % n
 
     def sample(self, items: list, k: int) -> list:
-        """k items drawn without replacement, by partial Fisher-Yates."""
-        if k > len(items):
+        """k items drawn without replacement, by partial Fisher-Yates.
+
+        Each swap index is ``below(len(items) - i)``, with the generator
+        step and the mixing inlined: the forest draws every node's feature
+        subset here.
+        """
+        n = len(items)
+        if k > n:
             raise ValueError("sample size exceeds population")
         pool = list(items)
-        out = []
+        state = self._state
         for i in range(k):
-            j = i + self.below(len(pool) - i)
+            m = n - i
+            limit = _SPAN - _SPAN % m
+            while True:
+                state = (state + _GAMMA) & _MASK
+                z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    break
+            j = i + z % m
             pool[i], pool[j] = pool[j], pool[i]
-            out.append(pool[i])
-        return out
+        self._state = state
+        return pool[:k] if k > 0 else []
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):

@@ -66,7 +66,7 @@ class ScaffoldRegistry:
         return len(self.group_names)
 
 
-def extract_scaffold(graph: MolecularGraph) -> Scaffold:
+def extract_scaffold(graph: MolecularGraph, *, memo: dict | None = None) -> Scaffold:
     """Prune side chains down to the ring-and-linker framework.
 
     The framework is the 2-core of the molecule (atoms with at most one
@@ -74,13 +74,28 @@ def extract_scaffold(graph: MolecularGraph) -> Scaffold:
     and the paths between them) plus the atoms double/triple-bonded directly
     to a retained atom (exocyclic carbonyls and the like). It is built with
     the parent's rings, renumbered, so no ring perception runs here.
+
+    A molecule that is its own framework returns its own (cached) canonical
+    string. ``memo``, when given, maps each renumbered framework to its
+    canonical string, so a batch that passes one dict canonicalizes every
+    distinct framework once; the caller owns it and its lifetime.
     """
     if not any(graph.rings.ring_membership):
         return Scaffold("")
-    return Scaffold(_framework(graph).canonical)
+    order = _kept_atoms(graph)
+    if len(order) == len(graph.atoms):
+        return Scaffold(graph.canonical)
+    key = _framework_key(graph, order)
+    canonical = memo.get(key) if memo is not None else None
+    if canonical is None:
+        canonical = _framework(graph, order, key).canonical
+        if memo is not None:
+            memo[key] = canonical
+    return Scaffold(canonical)
 
 
-def _framework(graph: MolecularGraph) -> MolecularGraph:
+def _kept_atoms(graph: MolecularGraph) -> list[int]:
+    """Indices of the framework's atoms, ascending."""
     in_core = two_core([[j for j, _ in nbrs] for nbrs in graph.adjacency])
     kept = {i for i, alive in enumerate(in_core) if alive}
 
@@ -91,26 +106,40 @@ def _framework(graph: MolecularGraph) -> MolecularGraph:
         a_in, b_in = bond.a in kept, bond.b in kept
         if a_in != b_in:
             kept.add(bond.a if b_in else bond.b)
+    return sorted(kept)
 
-    # The framework holds every ring atom and ring bond, and ``remap`` keeps
-    # the parent's atom order, so its SSSR is the parent's renumbered: the
-    # ring tuples stay normalized and sorted.
-    order = sorted(kept)
+
+def _framework_key(graph: MolecularGraph, order: list[int]) -> tuple[tuple, tuple]:
+    """Every input ``MolecularGraph.from_spec`` reads to build the framework:
+    ``(element, aromatic, formal_charge, explicit_h)`` per kept atom in
+    ``order``, and the bonds between kept atoms renumbered to match.
+
+    Its rings are the parent's renumbered, which equal the SSSR perceived on
+    these bonds, so the key determines the framework and its canonical
+    string.
+    """
     remap = {old: new for new, old in enumerate(order)}
-    specs = [
-        AtomSpec(
-            element=graph.atoms[i].element,
-            aromatic=graph.atoms[i].aromatic,
-            formal_charge=graph.atoms[i].formal_charge,
-            explicit_h=graph.atoms[i].explicit_h,
-        )
+    atoms = graph.atoms
+    specs = tuple(
+        (atoms[i].element, atoms[i].aromatic, atoms[i].formal_charge, atoms[i].explicit_h)
         for i in order
-    ]
-    bonds = [
+    )
+    bonds = tuple(
         (remap[b.a], remap[b.b], b.order)
         for b in graph.bonds
-        if b.a in kept and b.b in kept
-    ]
+        if b.a in remap and b.b in remap
+    )
+    return specs, bonds
+
+
+def _framework(
+    graph: MolecularGraph, order: list[int], key: tuple[tuple, tuple]
+) -> MolecularGraph:
+    # The framework holds every ring atom and ring bond, and ``order`` keeps
+    # the parent's atom order, so its SSSR is the parent's renumbered: the
+    # ring tuples stay normalized and sorted.
+    specs, bonds = key
+    remap = {old: new for new, old in enumerate(order)}
     parent = graph.rings
     rings = RingInfo(
         rings=tuple(tuple(remap[i] for i in ring) for ring in parent.rings),
@@ -119,11 +148,17 @@ def _framework(graph: MolecularGraph) -> MolecularGraph:
             frozenset(remap[i] for i in edge) for edge in parent.ring_edges
         ),
     )
-    return MolecularGraph.from_spec(specs, bonds, rings=rings)
+    return MolecularGraph.from_spec(
+        [AtomSpec(*spec) for spec in specs], list(bonds), rings=rings
+    )
 
 
-def classify(graph: MolecularGraph, registry: ScaffoldRegistry) -> GateResult:
-    scaffold = extract_scaffold(graph)
+def classify(
+    graph: MolecularGraph, registry: ScaffoldRegistry, *, memo: dict | None = None
+) -> GateResult:
+    """Gate one molecule on its scaffold; ``memo`` is as in
+    :func:`extract_scaffold`."""
+    scaffold = extract_scaffold(graph, memo=memo)
     group = registry.entries.get(scaffold.canonical)
     if group is None:
         return GateResult(known=False, group_id=None, scaffold=scaffold)
@@ -139,8 +174,9 @@ def group_dataset(
     the caller must extend the registry or drop the molecule.
     """
     groups: dict[int, list[int]] = {}
+    memo: dict = {}
     for idx, graph in enumerate(molecules):
-        result = classify(graph, registry)
+        result = classify(graph, registry, memo=memo)
         if not result.known:
             raise NovelScaffoldInDataset(idx, graph.source or result.scaffold.canonical)
         groups.setdefault(result.group_id, []).append(idx)

@@ -159,6 +159,10 @@ class ScreeningReport:
         return {
             "pool_size": self.pool_size,
             "parse_failures": self.parse_failures,
+            "failed_rows": [
+                {"row": row, "smiles": smiles, "reason": reason}
+                for row, smiles, reason in self.failed_rows
+            ],
             "merged_duplicates": self.merged_duplicates,
             "tiers": [
                 {
@@ -190,6 +194,10 @@ class ScreeningReport:
             f"pool: {self.pool_size} unique records "
             f"({self.parse_failures} unparseable rows dropped at load, "
             f"{self.merged_duplicates} duplicates merged)",
+            *(
+                f"  row {row} ({smiles!r}): {reason}"
+                for row, smiles, reason in self.failed_rows
+            ),
             "",
             f"{'tier':<12} {'in':>8} {'out':>8}  drops",
             "-" * 48,
@@ -326,8 +334,9 @@ def tier_scaffold(
 ) -> tuple[list[PoolRecord], dict[str, int]]:
     survivors: list[PoolRecord] = []
     drops: dict[str, int] = {}
+    memo: dict = {}
     for record in records:
-        gate = classify(record.graph, registry)
+        gate = classify(record.graph, registry, memo=memo)
         if gate.known:
             record.group_id = gate.group_id
             survivors.append(record)

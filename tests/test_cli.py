@@ -290,6 +290,25 @@ class TestScreen:
         assert err == "warning: row 12 ('C1CC'): unclosed ring-bond digit (offset 1)\n"
         assert json.loads((screen_dir / "report.json").read_text())["parse_failures"] == 1
 
+    def test_failed_rows_listed_in_both_reports(self, screen_dir):
+        pool = screen_dir / "pool.csv"
+        pool.write_text(pool.read_text() + "C1CC\nCC(C\n")
+        assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
+                   "--out-json", str(screen_dir / "report.json"),
+                   "--out-text", str(screen_dir / "report.txt")) == 0
+        payload = json.loads((screen_dir / "report.json").read_text())
+        assert payload["parse_failures"] == 2
+        rows = payload["failed_rows"]
+        assert [(r["row"], r["smiles"]) for r in rows] == [(12, "C1CC"), (13, "CC(C")]
+        assert rows[0]["reason"] == "unclosed ring-bond digit (offset 1)"
+        assert rows[1]["reason"] == "unclosed '(' (offset 2)"
+        text = (screen_dir / "report.txt").read_text().splitlines()
+        assert text[0].startswith("pool: 10 unique records (2 unparseable rows")
+        assert text[1:3] == [
+            f"  row {r['row']} ({r['smiles']!r}): {r['reason']}" for r in rows
+        ]
+        assert text[3] == ""
+
     def test_missing_model_aborts(self, screen_dir):
         config = json.loads((screen_dir / "funnel.json").read_text())
         config["model"] = "nope.json"
@@ -328,6 +347,28 @@ class TestScaffoldCommand:
         assert run("scaffold", "--dataset", str(dataset), "--registry", REGISTRY,
                    "--out", str(out)) == 0
         assert out.read_text().splitlines()[2].endswith(",,novel")
+
+
+    def test_group_names_with_commas_and_quotes_read_back(self, tmp_path):
+        registry = tmp_path / "groups.csv"
+        with registry.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in csv.reader(Path(REGISTRY).read_text().splitlines()):
+                if row[1] == "1":
+                    row[2] = "acyclic, plain"
+                elif row[1] == "2":
+                    row[2] = 'six-membered "aromatics"'
+                writer.writerow(row)
+        out = tmp_path / "scaffolds.csv"
+        assert run("scaffold", "--dataset", DATASET, "--registry", str(registry),
+                   "--out", str(out)) == 0
+        header, rows = read_matrix(out)
+        assert header == ["smiles", "canonical_smiles", "scaffold", "group_id", "group_name"]
+        assert len(rows) == 24
+        assert all(len(row) == 5 for row in rows)
+        names = {row[3]: row[4] for row in rows}
+        assert names["1"] == "acyclic, plain"
+        assert names["2"] == 'six-membered "aromatics"'
 
 
 class TestConfigFile:

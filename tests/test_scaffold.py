@@ -21,11 +21,13 @@ from molscreen.scaffold import (
     classify,
     extract_scaffold,
     group_dataset,
-    _framework,
     load_registry,
 )
+from molscreen import scaffold as scaffold_module
+from molscreen.scaffold import _framework, _framework_key, _kept_atoms
 
-from conftest import random_molecule, synthetic_pool_rows
+from conftest import permute_graph, random_molecule, synthetic_pool_rows
+from test_canon import SYMMETRIC
 
 
 def canon(smiles: str) -> str:
@@ -277,6 +279,11 @@ def rebuilt_framework(graph) -> MolecularGraph:
     return MolecularGraph.from_spec(specs, bonds)
 
 
+def build_framework(graph) -> MolecularGraph:
+    order = _kept_atoms(graph)
+    return _framework(graph, order, _framework_key(graph, order))
+
+
 def pool_graphs(limit: int | None = None) -> list[MolecularGraph]:
     graphs = []
     for smiles in synthetic_pool_rows(limit):
@@ -296,7 +303,7 @@ class TestFramework:
         graphs = [g for g in graphs if any(g.rings.ring_membership)]
         assert len(graphs) > 12000
         for graph in graphs:
-            framework = _framework(graph)
+            framework = build_framework(graph)
             rebuilt = rebuilt_framework(graph)
             assert framework.atoms == rebuilt.atoms
             assert framework.bonds == rebuilt.bonds
@@ -314,3 +321,108 @@ class TestFramework:
             extract_scaffold(graph)
             classify(graph, registry9)
         assert calls == []
+
+
+# --- one canonicalization per distinct framework ----------------------------
+
+
+def scaffolds(graphs, memo=None) -> list[str]:
+    return [extract_scaffold(g, memo=memo).canonical for g in graphs]
+
+
+def assert_memo_agrees(graphs) -> dict:
+    """Scaffold strings through one shared memo equal those without it."""
+    memo: dict = {}
+    assert scaffolds(graphs, memo) == scaffolds(graphs)
+    return memo
+
+
+def count_builds(monkeypatch) -> list:
+    builds = []
+    build = scaffold_module._framework
+    monkeypatch.setattr(
+        scaffold_module, "_framework", lambda *a: builds.append(a) or build(*a)
+    )
+    return builds
+
+
+class TestFrameworkMemo:
+    def test_synthetic_pool(self, monkeypatch):
+        graphs = pool_graphs()
+        builds = count_builds(monkeypatch)
+        memo = assert_memo_agrees(graphs)
+        # the pool's 16 templates renumber to a handful of frameworks, and
+        # only the run without the memo builds one per molecule
+        assert len(memo) < 20
+        framed = sum(
+            1
+            for g in graphs
+            if any(g.rings.ring_membership) and len(_kept_atoms(g)) < len(g.atoms)
+        )
+        assert len(builds) == len(memo) + framed
+
+    def test_random_molecules(self):
+        rng = random.Random(2024)
+        graphs = [random_molecule(rng, max_atoms=14) for _ in range(3000)]
+        assert sum(1 for g in graphs if any(g.rings.ring_membership)) > 1000
+        assert_memo_agrees(graphs)
+
+    def test_symmetric_family_and_cages_under_permutation(self):
+        rng = random.Random(77)
+        graphs = []
+        for smiles in SYMMETRIC:
+            graph = parse_smiles(smiles)
+            for _ in range(10):
+                order = list(range(len(graph.atoms)))
+                rng.shuffle(order)
+                graphs.append(permute_graph(graph, order))
+        assert_memo_agrees(graphs)
+        # a relabelled molecule keeps its scaffold
+        for smiles, start in zip(SYMMETRIC, range(0, len(graphs), 10)):
+            expected = extract_scaffold(parse_smiles(smiles)).canonical
+            assert set(scaffolds(graphs[start:start + 10])) == {expected}
+
+    # Each pair's frameworks differ only in the named field, after a methyl
+    # side chain is pruned, so a key that drops the field hands the second
+    # molecule the first one's string.
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("CC1CCCCC1", "CC1=CCCCC1"),  # bond order
+            ("CC1CC[NH]CC1", "CC1CC[NH+]CC1"),  # formal charge
+            ("CC1CCNCC1", "CC1CC[N]CC1"),  # explicit hydrogens
+            ("CC1CCCCC1", "Cc1-c-c-c-c-c-1"),  # aromatic flag
+        ],
+    )
+    def test_key_separates_frameworks_differing_in_one_field(self, first, second):
+        graphs = [parse_smiles(first), parse_smiles(second)]
+        alone = scaffolds(graphs)
+        assert alone[0] != alone[1]
+        memo = assert_memo_agrees(graphs)
+        assert len(memo) == 2
+
+    def test_own_scaffold_reuses_its_canonical_string(self, registry9, monkeypatch):
+        graphs = [parse_smiles(s) for s in registry9.entries if s]
+        for graph in graphs:
+            assert _kept_atoms(graph) == list(range(len(graph.atoms)))
+            assert build_framework(graph).canonical == graph.canonical
+        builds = count_builds(monkeypatch)
+        assert scaffolds(graphs) == [g.canonical for g in graphs]
+        assert builds == []
+
+    def test_no_memo_keeps_no_state(self, monkeypatch):
+        graph = parse_smiles("CC1CCCCC1")
+        builds = count_builds(monkeypatch)
+        extract_scaffold(graph)
+        extract_scaffold(graph)
+        assert len(builds) == 2
+        memo: dict = {}
+        extract_scaffold(graph, memo=memo)
+        extract_scaffold(graph, memo=memo)
+        assert len(builds) == 3
+
+    def test_group_dataset_builds_each_framework_once(self, dataset24, registry9, monkeypatch):
+        graphs = dataset24.graphs() * 3
+        builds = count_builds(monkeypatch)
+        group_dataset(graphs, registry9)
+        assert 0 < len(builds) == len({key for _, _, key in builds})
