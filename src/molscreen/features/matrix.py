@@ -76,11 +76,11 @@ class FeatureMatrix:
         )
 
     def select_columns(self, names: list[str]) -> "FeatureMatrix":
-        positions = []
-        for name in names:
-            if name not in self.names:
-                raise FeatureError(f"no such column {name!r}")
-            positions.append(self.names.index(name))
+        position = {name: pos for pos, name in enumerate(self.names)}
+        try:
+            positions = [position[name] for name in names]
+        except KeyError as exc:
+            raise FeatureError(f"no such column {exc.args[0]!r}") from None
         return FeatureMatrix(
             ids=self.ids,
             blocks=tuple(self.blocks[p] for p in positions),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,6 +79,25 @@ def pearson(x, y) -> float:
     return max(-1.0, min(1.0, rho))
 
 
+def _band(threshold: float) -> float:
+    """Half-width of the near-tie band around ``threshold``.
+
+    A vectorized statistic inside the band is recomputed the exact per-column
+    way; ``models.tree._best_split`` uses the same tolerance for near-tied cuts.
+    """
+    return 1e-9 * (1.0 + abs(threshold))
+
+
+def _centred_rows(values: np.ndarray) -> np.ndarray:
+    """The columns of ``values`` as contiguous rows minus their means.
+
+    Each row's pairwise-summed mean equals ``mean()`` of the column, so each
+    row is bitwise the deviation vector of ``sample_std`` and ``pearson``.
+    """
+    rows = np.ascontiguousarray(values.T)
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
 def max_normalize(
     matrix: FeatureMatrix, scope=DEFAULT_SCOPE
 ) -> tuple[FeatureMatrix, dict[str, float]]:
@@ -91,35 +111,44 @@ def max_normalize(
     if matrix.values.shape[0] == 0:
         raise EmptyMatrix("cannot normalize an empty matrix")
     scope = frozenset(scope)
-    keep: list[int] = []
-    column_max: dict[str, float] = {}
-    values = matrix.values.copy()
-    for pos, (block, name) in enumerate(zip(matrix.blocks, matrix.names)):
-        if block not in scope:
-            keep.append(pos)
-            continue
-        peak = float(np.max(np.abs(values[:, pos])))
-        if peak == 0.0:
-            continue  # constant zero column: dropped
-        values[:, pos] = values[:, pos] / peak
-        column_max[name] = peak
-        keep.append(pos)
+    peaks = np.max(np.abs(matrix.values), axis=0)
+    in_scope = np.array([b in scope for b in matrix.blocks], dtype=bool)
+    keep = ~in_scope | (peaks != 0.0)  # constant zero in-scope columns: dropped
+    scaled = in_scope & keep
+    # Out-of-scope columns divide by 1.0, which leaves every value unchanged.
+    values = matrix.values[:, keep] / np.where(scaled, peaks, 1.0)[keep]
+    column_max = {
+        n: float(peak) for n, peak, s in zip(matrix.names, peaks, scaled) if s
+    }
     out = FeatureMatrix(
         ids=matrix.ids,
-        blocks=tuple(matrix.blocks[p] for p in keep),
-        names=tuple(matrix.names[p] for p in keep),
-        values=values[:, keep],
+        blocks=tuple(b for b, k in zip(matrix.blocks, keep) if k),
+        names=tuple(n for n, k in zip(matrix.names, keep) if k),
+        values=values,
     )
     return out, column_max
 
 
 def variance_filter(matrix: FeatureMatrix, threshold: float) -> list[str]:
-    """Columns whose sample standard deviation strictly exceeds ``threshold``."""
-    kept = []
-    for pos, name in enumerate(matrix.names):
-        if sample_std(matrix.values[:, pos]) > threshold:
-            kept.append(name)
-    return kept
+    """Columns whose sample standard deviation strictly exceeds ``threshold``.
+
+    All standard deviations come from one vectorized pass; a column within
+    the near-tie band of the threshold is decided by :func:`sample_std`, so
+    the kept columns are those of a per-column ``sample_std`` loop.
+    """
+    values = matrix.values
+    n = values.shape[0]
+    if not matrix.names:
+        return []
+    if n < 2:
+        raise TooFewSamples(f"need at least 2 samples, got {n}")
+    dev = _centred_rows(values)
+    std = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (n - 1))
+    band = _band(threshold)
+    kept = std > threshold + band
+    for pos in np.flatnonzero(np.abs(std - threshold) <= band).tolist():
+        kept[pos] = sample_std(values[:, pos]) > threshold
+    return [name for name, k in zip(matrix.names, kept) if k]
 
 
 def pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
@@ -128,7 +157,14 @@ def pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
     Columns with pairwise |Pearson| strictly above ``threshold`` are joined
     into connected components (union-find); each component keeps only its
     smallest-index column.
+
+    Every |r| comes from one Gram product of the centred, unit-norm columns.
+    A pair within the near-tie band of the threshold, or with a column whose
+    squared centred norm lies outside [1e-150, 1e150] (where squares may
+    underflow or overflow; a constant column among them), is decided by the
+    exact :func:`pearson`, which also raises its errors as it always has.
     """
+    values = matrix.values
     n = len(matrix.names)
     parent = list(range(n))
 
@@ -143,10 +179,24 @@ def pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pearson(matrix.values[:, i], matrix.values[:, j])) > threshold:
-                union(i, j)
+    if n >= 2:
+        if values.shape[0] < 2:
+            raise TooFewSamples("need at least 2 samples")
+        dev = _centred_rows(values)
+        sq = np.einsum("ij,ij->i", dev, dev)
+        fragile = ~((sq >= 1e-150) & (sq <= 1e150))
+        unit = dev / np.sqrt(np.where(fragile, 1.0, sq))[:, None]
+        # einsum, not matmul: a matmul can be the only level-3 BLAS call of a
+        # screening run (a tree model makes none), and touching BLAS's work
+        # buffer adds about 0.3 MB to the peak resident memory.
+        r = np.abs(np.einsum("ik,jk->ij", unit, unit))
+        band = _band(threshold)
+        exact = (np.abs(r - threshold) <= band) | fragile[:, None] | fragile
+        edge = (r > threshold + band) & ~exact
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(np.triu(exact, 1)))):
+            edge[i, j] = abs(pearson(values[:, i], values[:, j])) > threshold
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(np.triu(edge, 1)))):
+            union(i, j)
 
     representatives = sorted({find(i) for i in range(n)})
     return [matrix.names[i] for i in representatives]
@@ -200,8 +250,15 @@ def fit(
 
     In-scope columns run max normalization, the variance threshold and the
     correlation pruning in that order; out-of-scope columns survive
-    untouched. Survivors keep their original column order.
+    untouched. Survivors keep their original column order. Both thresholds
+    must be finite numbers (:class:`SelectionError` otherwise).
     """
+    for label, value in (
+        ("variance_threshold", variance_threshold),
+        ("pcc_threshold", pcc_threshold),
+    ):
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise SelectionError(f"{label} must be a finite number, got {value!r}")
     if matrix.values.shape[0] == 0:
         raise EmptyMatrix("cannot fit on an empty matrix")
     scope = frozenset(scope)
@@ -235,15 +292,14 @@ def fit(
 
 def apply(pipeline: SelectionPipeline, matrix: FeatureMatrix) -> FeatureMatrix:
     """Project a matrix through a fitted pipeline (pure; never refits)."""
-    missing = [n for n in pipeline.kept_columns if n not in matrix.names]
+    present = set(matrix.names)
+    missing = [n for n in pipeline.kept_columns if n not in present]
     if missing:
         raise UnknownColumn(f"matrix lacks fitted columns {missing}")
     out = matrix.select_columns(list(pipeline.kept_columns))
-    values = out.values.copy()
-    for pos, name in enumerate(out.names):
-        peak = pipeline.column_max.get(name)
-        if peak is not None:
-            values[:, pos] = values[:, pos] / peak
-    return FeatureMatrix(
-        ids=out.ids, blocks=out.blocks, names=out.names, values=values
-    )
+    # Unscaled columns divide by 1.0, which leaves every value unchanged. The
+    # result is row-major: the models' BLAS calls round differently on a
+    # column-major matrix, so the layout is part of the output.
+    peaks = np.array([pipeline.column_max.get(name, 1.0) for name in out.names])
+    values = np.divide(out.values, peaks, order="C")
+    return FeatureMatrix(ids=out.ids, blocks=out.blocks, names=out.names, values=values)

@@ -94,6 +94,18 @@ class TestFeaturize:
         assert read_matrix(latent)[0] == ["smiles", "Z:z1", "Z:z2"]
         assert read_matrix(latent_again) == read_matrix(latent)
 
+    def test_latent_name_with_comma_reads_back(self, tmp_path):
+        dataset = tmp_path / "two.csv"
+        dataset.write_text("smiles,pce\nCCO,10\nCCN,20\n")
+        latents = tmp_path / "z.csv"
+        latents.write_text('smiles,"z,1",z2\nCCO,1,2\nCCN,3,4\n')
+        out = tmp_path / "m.csv"
+        assert run("featurize", "--dataset", str(dataset), "--blocks", "Z",
+                   "--latents", str(latents), "--out", str(out)) == 0
+        header, body = read_matrix(out)
+        assert header == ["smiles", "Z:z,1", "Z:z2"]
+        assert [len(row) for row in body] == [3, 3]
+
     def test_bad_blocks_usage_error(self, tmp_path):
         assert run("featurize", "--dataset", DATASET, "--blocks", "Q",
                    "--out", str(tmp_path / "x.csv")) == 2
@@ -133,6 +145,17 @@ class TestTrain:
                    "--out", str(out), "--pipeline-out", str(tmp_path / "p.json")) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--pcc-threshold", "nan"],
+                                       ["--pcc-threshold", "inf"],
+                                       ["--variance-threshold=-inf"]])
+    def test_non_finite_threshold_exits_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "model.json"
+        pipe = tmp_path / "p.json"
+        assert run("train", "--dataset", DATASET, "--model", "gb", *flags,
+                   "--out", str(out), "--pipeline-out", str(pipe)) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists() and not pipe.exists()
 
     def test_unknown_model_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

@@ -311,3 +311,304 @@ class TestFitApply:
         path.write_text(pipeline.to_json())
         loaded = SelectionPipeline.load(path)
         assert loaded == pipeline
+
+
+# Per-column cascade as it stood before the vectorized fit: verbatim copies,
+# the oracle the vectorized code must match bit for bit.
+
+
+def _oracle_max_normalize(
+    matrix: FeatureMatrix, scope=selection.DEFAULT_SCOPE
+) -> tuple[FeatureMatrix, dict[str, float]]:
+    if matrix.values.shape[0] == 0:
+        raise EmptyMatrix("cannot normalize an empty matrix")
+    scope = frozenset(scope)
+    keep: list[int] = []
+    column_max: dict[str, float] = {}
+    values = matrix.values.copy()
+    for pos, (block, name) in enumerate(zip(matrix.blocks, matrix.names)):
+        if block not in scope:
+            keep.append(pos)
+            continue
+        peak = float(np.max(np.abs(values[:, pos])))
+        if peak == 0.0:
+            continue  # constant zero column: dropped
+        values[:, pos] = values[:, pos] / peak
+        column_max[name] = peak
+        keep.append(pos)
+    out = FeatureMatrix(
+        ids=matrix.ids,
+        blocks=tuple(matrix.blocks[p] for p in keep),
+        names=tuple(matrix.names[p] for p in keep),
+        values=values[:, keep],
+    )
+    return out, column_max
+
+
+def _oracle_variance_filter(matrix: FeatureMatrix, threshold: float) -> list[str]:
+    kept = []
+    for pos, name in enumerate(matrix.names):
+        if sample_std(matrix.values[:, pos]) > threshold:
+            kept.append(name)
+    return kept
+
+
+def _oracle_pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
+    n = len(matrix.names)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(pearson(matrix.values[:, i], matrix.values[:, j])) > threshold:
+                union(i, j)
+
+    representatives = sorted({find(i) for i in range(n)})
+    return [matrix.names[i] for i in representatives]
+
+
+def _oracle_apply(pipeline: SelectionPipeline, matrix: FeatureMatrix) -> FeatureMatrix:
+    missing = [n for n in pipeline.kept_columns if n not in matrix.names]
+    if missing:
+        raise UnknownColumn(f"matrix lacks fitted columns {missing}")
+    out = matrix.select_columns(list(pipeline.kept_columns))
+    values = out.values.copy()
+    for pos, name in enumerate(out.names):
+        peak = pipeline.column_max.get(name)
+        if peak is not None:
+            values[:, pos] = values[:, pos] / peak
+    return FeatureMatrix(
+        ids=out.ids, blocks=out.blocks, names=out.names, values=values
+    )
+
+
+def _outcome(function, *args):
+    """A call's result, or its error as (type, message)."""
+    try:
+        return function(*args)
+    except selection.SelectionError as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_fit(matrix, vt, pt, scope=selection.DEFAULT_SCOPE):
+    """``selection.fit`` running on the oracle stages."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "max_normalize", _oracle_max_normalize)
+        patch.setattr(selection, "variance_filter", _oracle_variance_filter)
+        patch.setattr(selection, "pcc_prune", _oracle_pcc_prune)
+        return _outcome(selection.fit, matrix, vt, pt, scope)
+
+
+def _same_matrix(a: FeatureMatrix, b: FeatureMatrix) -> bool:
+    return (
+        (a.ids, a.blocks, a.names) == (b.ids, b.blocks, b.names)
+        and a.values.shape == b.values.shape
+        # the memory layout steers the models' BLAS rounding
+        and a.values.flags.c_contiguous == b.values.flags.c_contiguous
+        and a.values.flags.f_contiguous == b.values.flags.f_contiguous
+        and a.values.tobytes() == b.values.tobytes()
+    )
+
+
+def _assert_matches_oracle(matrix, vts=(0.2,), pts=(0.9,), scope=selection.DEFAULT_SCOPE):
+    """Every stage, the fit and both applies equal the oracle's, errors too."""
+    got = _outcome(max_normalize, matrix, scope)
+    want = _outcome(_oracle_max_normalize, matrix, scope)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert _same_matrix(got[0], want[0]) and got[1] == want[1]
+    for vt in vts:
+        assert _outcome(variance_filter, matrix, vt) == _outcome(
+            _oracle_variance_filter, matrix, vt
+        )
+    for pt in pts:
+        assert _outcome(pcc_prune, matrix, pt) == _outcome(_oracle_pcc_prune, matrix, pt)
+    for vt in vts:
+        for pt in pts:
+            pipeline = _outcome(selection.fit, matrix, vt, pt, scope)
+            assert pipeline == _oracle_fit(matrix, vt, pt, scope)
+            if isinstance(pipeline, SelectionPipeline):
+                assert _same_matrix(
+                    selection.apply(pipeline, matrix), _oracle_apply(pipeline, matrix)
+                )
+
+
+def _random_matrix(rng, n: int, p: int) -> FeatureMatrix:
+    """Mixed-scale columns with exact, scaled and negated duplicates."""
+    values = rng.normal(size=(n, p)) * rng.uniform(0.01, 50.0, size=p)
+    values += rng.uniform(-3.0, 3.0, size=p)
+    if p >= 3:
+        values[:, 1] = values[:, 0]
+        values[:, 2] = -3.0 * values[:, 0]
+    if p >= 5:
+        values[:, 4] = rng.integers(0, 3, size=n)  # tie-heavy counts
+    if p >= 6:
+        values[:, 5] = -values[:, 3] + 1e-9 * rng.normal(size=n)
+    return dmatrix({f"c{j}": values[:, j].tolist() for j in range(p)})
+
+
+class TestVectorizedCascadeMatchesOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 61])
+    def test_random_matrices(self, n):
+        rng = np.random.default_rng(100 + n)
+        for p in (1, 2, 3, 6, 9, 14):
+            _assert_matches_oracle(
+                _random_matrix(rng, n, p),
+                vts=(0.0, 0.05, 0.2, 0.45),
+                pts=(0.0, 0.3, 0.9, 0.99, 1.0),
+            )
+
+    def test_mixed_blocks_and_scopes(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(15, 6))
+        values[:, 2] = 0.0  # all-zero: dropped in scope, kept out of it
+        values[:, 3] = 2.0 * values[:, 0]
+        matrix = FeatureMatrix(
+            ids=tuple(f"r{i}" for i in range(15)),
+            blocks=("K", "D", "D", "D", "Z", "D"),
+            names=tuple(f"c{j}" for j in range(6)),
+            values=values,
+        )
+        for scope in ({"D"}, {"K", "D"}, {"Z"}, set()):
+            _assert_matches_oracle(matrix, vts=(0.1, 0.2), pts=(0.5, 0.9), scope=scope)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_correlations_within_ulps_of_threshold(self, sign):
+        # b(t) = e1 + t e2 with e1, e2 centred, orthonormal: r = 1/sqrt(1+t^2).
+        # Steps of 1e-16 in t move r by about a third of an ulp across 0.9.
+        rng = np.random.default_rng(9)
+        t0 = math.sqrt(1.0 / 0.81 - 1.0)
+        hits = set()
+        for n in (5, 23, 64):
+            e1 = rng.normal(size=n)
+            e1 -= e1.mean()
+            e1 /= np.linalg.norm(e1)
+            e2 = rng.normal(size=n)
+            e2 -= e2.mean()
+            e2 -= (e2 @ e1) * e1
+            e2 /= np.linalg.norm(e2)
+            a = e1 + 0.5
+            for k in range(-40, 41):
+                b = sign * (e1 + (t0 + k * 1e-16) * e2)
+                ulps = round((abs(pearson(a, b)) - 0.9) / math.ulp(0.9))
+                if abs(ulps) <= 2:
+                    hits.add(ulps)
+                    matrix = dmatrix({"a": a.tolist(), "b": b.tolist()})
+                    _assert_matches_oracle(matrix, vts=(0.0,), pts=(0.9,))
+        assert {-1, 0, 1} <= hits
+
+    def test_stds_within_ulps_of_threshold(self):
+        rng = np.random.default_rng(10)
+        hits = set()
+        for n in (4, 19, 50):
+            u = rng.normal(size=n)
+            u = (u - u.mean()) / sample_std(u)
+            for offset in (0.0, 0.4, 3.0):
+                for k in range(-40, 41):
+                    column = offset + (0.2 + k * math.ulp(0.2) / 2) * u
+                    ulps = round((sample_std(column) - 0.2) / math.ulp(0.2))
+                    if abs(ulps) <= 2:
+                        hits.add(ulps)
+                        matrix = dmatrix({"a": column.tolist(), "b": (2.0 * u).tolist()})
+                        assert variance_filter(matrix, 0.2) == _oracle_variance_filter(
+                            matrix, 0.2
+                        )
+        assert {-1, 0, 1} <= hits
+
+    def test_threshold_one_with_exact_duplicates(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 9, 40):
+            x = rng.normal(size=n)
+            matrix = dmatrix({
+                "a": x.tolist(), "b": (x * 0.1).tolist(), "c": (-x * 7.3 + 2).tolist(),
+                "d": rng.normal(size=n).tolist(),
+            })
+            _assert_matches_oracle(matrix, vts=(0.0,), pts=(1.0, 1.0 + 1e-12, 2.0))
+
+    def test_threshold_zero_with_orthogonal_columns(self):
+        matrix = dmatrix({
+            "a": [1.0, -1.0, 1.0, -1.0], "b": [1.0, 1.0, -1.0, -1.0],
+            "c": [1.0, -1.0, -1.0, 1.0], "d": [1.0, 2.0, 3.0, 5.0],
+        })
+        assert pcc_prune(matrix, 0.0) == _oracle_pcc_prune(matrix, 0.0)
+        _assert_matches_oracle(matrix, vts=(0.0,), pts=(0.0, -0.5))
+
+    @pytest.mark.parametrize("columns", [
+        {"a": [1.0, 2.0, 3.0], "b": [4.0, 4.0, 4.0], "c": [1.0, 0.0, 2.0]},
+        {"a": [0.0, 0.0, 0.0], "b": [1.0, 2.0, 3.0], "c": [2.0, 1.0, 0.0]},
+        {"a": [1.0, 2.0], "b": [3.0, 3.0]},
+        {"a": [1.0], "b": [2.0]},
+        {"a": [5.0]},
+        {"a": [1.0, 1.0, 1.0]},
+    ])
+    def test_errors(self, columns):
+        # negative thresholds let constant columns reach pcc_prune
+        _assert_matches_oracle(dmatrix(columns), vts=(-1.0, 0.0, 0.2), pts=(0.9,))
+
+    def test_empty_rows(self):
+        empty = FeatureMatrix(ids=(), blocks=("D", "D"), names=("a", "b"),
+                              values=np.zeros((0, 2)))
+        for function, oracle in ((variance_filter, _oracle_variance_filter),
+                                 (pcc_prune, _oracle_pcc_prune)):
+            assert _outcome(function, empty, 0.2) == _outcome(oracle, empty, 0.2)
+
+    def test_extreme_magnitudes(self):
+        # Squares overflow in the big columns and go subnormal in the tiny
+        # ones; pearson's own rounding there decides, as it always has.
+        matrix = dmatrix({
+            "big": [1e160, -2e160, 3e160, 0.5e160],
+            "big2": [2e160, 1e160, -1e160, 0.0],
+            "tiny": [1e-160, 3e-160, -2e-160, 0.0],
+            "tiny2": [1.1e-160, 2.5e-160, -2e-160, 0.3e-160],
+            "plain": [1.0, 2.0, 0.0, 4.0],
+        })
+        with np.errstate(over="ignore"):
+            r = abs(pearson(matrix.column("tiny"), matrix.column("tiny2")))
+            for pt in (0.0, 0.5, 0.9, r, math.nextafter(r, 0.0)):
+                assert pcc_prune(matrix, pt) == _oracle_pcc_prune(matrix, pt)
+            assert variance_filter(matrix, 0.2) == _oracle_variance_filter(matrix, 0.2)
+
+    def test_all_msc_training_splits_of_the_dataset(self, dataset24, registry9):
+        from molscreen.evaluation import msc_split
+        from molscreen.features import assemble
+        from molscreen.rng import derive_seed
+        from molscreen.scaffold import group_dataset
+
+        features = assemble(dataset24.graphs(), {"D"})
+        groups = group_dataset(dataset24.graphs(), registry9)
+        for i in range(200):
+            split = msc_split(groups, derive_seed(derive_seed(0, i), 0))
+            train = features.rows(split.train)
+            pipeline = selection.fit(train)
+            assert pipeline == _oracle_fit(train, 0.2, 0.9)
+            for rows in (train, features.rows(split.test)):
+                assert _same_matrix(
+                    selection.apply(pipeline, rows), _oracle_apply(pipeline, rows)
+                )
+
+
+class TestFiniteThresholds:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.9"])
+    def test_fit_rejects(self, bad):
+        matrix = dmatrix({"a": [1.0, 2.0, 4.0], "b": [1.0, 3.0, 2.0]})
+        with pytest.raises(selection.SelectionError, match="pcc_threshold must be"):
+            selection.fit(matrix, 0.2, bad)
+        with pytest.raises(selection.SelectionError, match="variance_threshold must be"):
+            selection.fit(matrix, bad, 0.9)
+
+    def test_finite_values_outside_unit_interval_keep_their_meaning(self):
+        matrix = dmatrix({"a": [1.0, 2.0, 4.0], "b": [1.0, 3.0, 2.0]})
+        assert selection.fit(matrix, -1.0, 2.0).kept_columns == ("a", "b")
+        assert selection.fit(matrix, 0.0, -1.0).kept_columns == ("a",)
+        assert selection.fit(matrix, 5.0, 0.9).kept_columns == ()
