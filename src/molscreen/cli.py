@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__, dataio, evaluation, selection
 from .features import (
     FeatureError,
+    PatternError,
     assemble,
     default_keyset,
     load_keyset,
@@ -44,6 +45,7 @@ _VALIDATION_ERRORS = (
     MolGraphError,
     ScaffoldError,
     FeatureError,
+    PatternError,
     selection.SelectionError,
     ModelError,
     evaluation.EvaluationError,

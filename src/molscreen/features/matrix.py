@@ -168,12 +168,13 @@ def assemble(
             block = _lookup_block(ids, external_k, "external fingerprint")
             names = _untagged(external_k.column_names, "K")
         else:
-            block = np.stack([fingerprint(g, keyset).astype(np.float64) for g in molecules])
             names = tuple(keyset.column_names)
+            block = _stack([fingerprint(g, keyset).astype(np.float64) for g in molecules],
+                           len(names))
         columns.extend(("K", n) for n in names)
         parts.append(block)
     if "D" in blocks:
-        block = np.stack([descriptors(g) for g in molecules])
+        block = _stack([descriptors(g) for g in molecules], len(DESCRIPTOR_NAMES))
         columns.extend(("D", n) for n in DESCRIPTOR_NAMES)
         parts.append(block)
     if "Z" in blocks:
@@ -194,6 +195,13 @@ def _untagged(names: tuple[str, ...], block: str) -> tuple[str, ...]:
     return tuple(n.removeprefix(f"{block}:") for n in names)
 
 
+def _stack(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """Rows as a matrix; ``(0, width)`` when there are none."""
+    if rows:
+        return np.stack(rows)
+    return np.zeros((0, width))
+
+
 def _lookup_block(ids: list[str], table: LatentTable, what: str) -> np.ndarray:
     rows = []
     for canon in ids:
@@ -201,6 +209,4 @@ def _lookup_block(ids: list[str], table: LatentTable, what: str) -> np.ndarray:
         if vec is None:
             raise MissingLatent(f"no {what} vector for molecule {canon!r}")
         rows.append(vec)
-    if rows:
-        return np.stack(rows)
-    return np.zeros((0, table.dimension))
+    return _stack(rows, table.dimension)

@@ -67,7 +67,9 @@ class SVRModel:
     config: dict
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        # Row-major on entry: the kernel's matrix products round differently
+        # on other layouts of the same values.
+        X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise WidthMismatch(f"expected {self.n_features} features, got {X.shape}")
         check_features(X)
@@ -129,7 +131,8 @@ def fit_svr(
     max_updates: int = 100_000,
     seed: int = 0,
 ) -> SVRModel:
-    X = np.asarray(X, dtype=np.float64)
+    # Row-major on entry, as in predict.
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyTrainingSet("no training rows")

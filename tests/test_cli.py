@@ -111,6 +111,103 @@ class TestFeaturize:
                    "--out", str(tmp_path / "x.csv")) == 2
 
 
+GOOD_KEY = {"id": 0, "label": "C_C", "atoms": [{"element": "C"}, {"element": "C"}],
+            "bonds": [{"a": 0, "b": 1}]}
+
+
+class TestMalformedKeyset:
+    """A bad key-set file is a validation failure (exit 1) with a message
+    naming the key, never a traceback."""
+
+    def featurize(self, tmp_path, capsys, content):
+        path = tmp_path / "keys.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        code = run("featurize", "--dataset", DATASET, "--blocks", "K", "--keyset", str(path),
+                   "--out", str(tmp_path / "f.csv"))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("b", [5, -1])
+    def test_bond_index_out_of_range(self, tmp_path, capsys, b):
+        entry = dict(GOOD_KEY, bonds=[{"a": 0, "b": b}])
+        code, err = self.featurize(tmp_path, capsys, [entry])
+        assert code == 1
+        assert f"error: key 'C_C' has bond 0-{b} outside its 2 atoms" in err
+
+    def test_missing_atoms(self, tmp_path, capsys):
+        entry = {k: v for k, v in GOOD_KEY.items() if k != "atoms"}
+        code, err = self.featurize(tmp_path, capsys, [entry])
+        assert code == 1
+        assert "error: key 'C_C' is missing 'atoms'" in err
+
+    def test_object_instead_of_list(self, tmp_path, capsys):
+        code, err = self.featurize(tmp_path, capsys, GOOD_KEY)
+        assert code == 1
+        assert "must be a list of keys, not dict" in err
+
+    def test_pattern_too_large(self, tmp_path, capsys):
+        entry = {"id": 0, "label": "long", "atoms": [{"element": "C"}] * 9,
+                 "bonds": [{"a": i, "b": i + 1} for i in range(8)]}
+        code, err = self.featurize(tmp_path, capsys, [entry])
+        assert code == 1
+        assert "error: key 'long' has 9 atoms (limit 8)" in err
+
+    @pytest.mark.parametrize("min_count", [0, -1])
+    def test_min_count_below_one(self, tmp_path, capsys, min_count):
+        code, err = self.featurize(tmp_path, capsys, [dict(GOOD_KEY, min_count=min_count)])
+        assert code == 1
+        assert f"error: key 'C_C' has min_count {min_count}" in err
+
+    def test_aromatic_flag_not_a_boolean(self, tmp_path, capsys):
+        entry = dict(GOOD_KEY, atoms=[{"element": "C", "aromatic": "false"}], bonds=[])
+        code, err = self.featurize(tmp_path, capsys, [entry])
+        assert code == 1
+        assert "error: key 'C_C' has aromatic 'false'" in err
+
+    def test_unknown_element(self, tmp_path, capsys):
+        entry = dict(GOOD_KEY, atoms=[{"element": "Xx"}], bonds=[])
+        code, err = self.featurize(tmp_path, capsys, [entry])
+        assert code == 1
+        assert "error: key 'C_C' has unknown element 'Xx'" in err
+
+    def test_not_json(self, tmp_path, capsys):
+        code, err = self.featurize(tmp_path, capsys, "[{")
+        assert code == 1
+        assert "is not valid JSON" in err
+
+    def test_good_keyset(self, tmp_path, capsys):
+        code, _ = self.featurize(tmp_path, capsys, [GOOD_KEY])
+        assert code == 0
+        header, body = read_matrix(tmp_path / "f.csv")
+        assert header == ["smiles", "K:C_C"] and len(body) == 24
+
+
+class TestFeaturizeNoMolecules:
+    """With no usable molecule, featurize writes the header alone."""
+
+    WIDTHS = {"K": 64, "D": 24, "K,D": 88}
+
+    @pytest.mark.parametrize("blocks", ["K", "D", "K,D"])
+    def test_header_only_dataset(self, tmp_path, blocks):
+        dataset = tmp_path / "empty.csv"
+        dataset.write_text("smiles,pce\n")
+        out = tmp_path / "f.csv"
+        assert run("featurize", "--dataset", str(dataset), "--blocks", blocks,
+                   "--out", str(out)) == 0
+        header, body = read_matrix(out)
+        assert len(header) == 1 + self.WIDTHS[blocks] and body == []
+
+    @pytest.mark.parametrize("blocks", ["K", "D", "K,D"])
+    def test_every_row_skipped(self, tmp_path, capsys, blocks):
+        dataset = tmp_path / "bad.csv"
+        dataset.write_text("smiles,pce\nC1CC,20\nC(C,20\n")
+        out = tmp_path / "f.csv"
+        assert run("featurize", "--dataset", str(dataset), "--blocks", blocks,
+                   "--out", str(out), "--skip-bad") == 0
+        assert capsys.readouterr().err.count("warning") == 2
+        header, body = read_matrix(out)
+        assert len(header) == 1 + self.WIDTHS[blocks] and body == []
+
+
 class TestTrain:
     def test_gb_defaults_write_35_trees(self, tmp_path):
         out = tmp_path / "model.json"

@@ -216,3 +216,27 @@ class TestHyperparameterValidation:
         assert fit_svr(X, y, epsilon=0.0).converged
         assert not fit_svr(X, y, max_updates=0).converged
         fit_svr(X, y, C=1e-13, gamma=1e-9, tol=1e-12)
+
+
+class TestMemoryLayout:
+    """The same values in any memory layout give the same model and the
+    same predictions."""
+
+    @pytest.mark.parametrize("n, p", [(12, 5), (40, 24), (90, 60), (200, 90)])
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_layouts_agree(self, n, p, kernel):
+        rng = np.random.default_rng(n * 1000 + p)
+        X = rng.normal(size=(n, p))
+        y = X[:, 0] * 3.0 - X[:, 1] + rng.normal(scale=0.5, size=n)
+        X_new = rng.normal(size=(17, p))
+        layouts = [X, np.asfortranarray(X), np.ascontiguousarray(X.T).T]
+        fits = [fit_svr(M, y, C=10.0, epsilon=0.1, kernel=kernel, max_updates=3000)
+                for M in layouts]
+        assert not layouts[1].flags.c_contiguous and not layouts[2].flags.c_contiguous
+        reference = fits[0].to_dict()
+        for model in fits[1:]:
+            assert model.to_dict() == reference
+        expected = fits[0].predict(X_new)
+        for model in fits:
+            for M in (X_new, np.asfortranarray(X_new), np.ascontiguousarray(X_new.T).T):
+                assert model.predict(M).tobytes() == expected.tobytes()
