@@ -97,6 +97,8 @@ def fit_gb(
     pred = np.full(X.shape[0], init, dtype=np.float64)
     # Every tree sees the same X; only the residual target changes.
     order = sort_columns(X)
+    # Each fit writes its training rows' predictions here.
+    fitted = np.empty(X.shape[0], dtype=np.float64)
     trees = []
     for _ in range(n_estimators):
         residual = y - pred
@@ -106,8 +108,9 @@ def fit_gb(
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             order=order,
+            fitted=fitted,
         )
-        pred += learning_rate * tree.predict(X)
+        pred += learning_rate * fitted
         trees.append(tree)
 
     config = {

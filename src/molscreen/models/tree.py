@@ -141,6 +141,7 @@ def fit_tree(
     seed: int = 0,
     *,
     order: np.ndarray | None = None,
+    fitted: np.ndarray | None = None,
 ) -> RegressionTree:
     """Fit a CART regression tree.
 
@@ -153,6 +154,10 @@ def fit_tree(
     feature's ascending order, and each child receives the parent's lists
     filtered by a stable partition. ``order`` is ``sort_columns(X)``,
     passed in by a caller that fits many trees on the same ``X``.
+
+    ``fitted``, a float64 array of ``len(y)``, receives each training row's
+    leaf value: bit for bit ``tree.predict(X)``, since the fit routes rows
+    by the same ``x <= threshold`` tests, without routing them again.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -173,11 +178,19 @@ def fit_tree(
         order = sort_columns(X)
     elif order.shape != (n_features, n):
         raise ModelError(f"order must have shape {(n_features, n)}, got {order.shape}")
+    if fitted is not None and fitted.shape != (n,):
+        raise ModelError(f"fitted must have shape {(n,)}, got {fitted.shape}")
     rng = SplitMix64(seed)
     # Column f of X is values[f * n : (f + 1) * n].
     values = np.ascontiguousarray(X.T).ravel()
     starts = np.arange(n_features, dtype=np.intp) * n
     in_left = np.zeros(n, dtype=bool)
+
+    def leaf(idx: np.ndarray, target: np.ndarray) -> Node:
+        value = _mean(target)
+        if fitted is not None:
+            fitted[idx] = value
+        return Node(value=value)
 
     def build(idx: np.ndarray, rows: np.ndarray | None, depth: int) -> Node:
         # idx: the node's rows, increasing; rows: p x idx.size, row f holds
@@ -189,7 +202,7 @@ def fit_tree(
             or idx.size < 2
             or (target == target[0]).all()
         ):
-            return Node(value=_mean(target))
+            return leaf(idx, target)
         if features_per_node is not None and features_per_node < n_features:
             feats = sorted(rng.sample(list(range(n_features)), features_per_node))
             found = _best_split(
@@ -199,12 +212,12 @@ def fit_tree(
             feats = range(n_features)
             found = _best_split(values, starts, rows, idx, y, target, min_samples_leaf)
         if found is None:
-            return Node(value=_mean(target))
+            return leaf(idx, target)
         local_feature, threshold, go_left = found
         left_idx = idx[go_left]
         n_left = left_idx.size
         if n_left == 0 or n_left == idx.size:
-            return Node(value=_mean(target))
+            return leaf(idx, target)
         if depth + 1 >= max_depth:  # both children are leaves
             left_rows = right_rows = None
         else:
@@ -225,7 +238,7 @@ def fit_tree(
     root = build(np.arange(n), order, 0)
     # build refers to itself; dropping the name breaks that cycle, so its
     # arrays are freed now rather than at the next garbage collection.
-    del build
+    del build, leaf
     return RegressionTree(
         root=root,
         max_depth=max_depth,
@@ -281,9 +294,14 @@ def _best_split(values, starts, rows, idx, y, target, min_samples_leaf: int):
     # identical partitions, so the smallest-feature-then-smallest-threshold
     # tie-break is exact. Each distinct partition is scored once.
     tolerance = 1e-9 * (1.0 + abs(lowest))
+    features, positions = np.nonzero(cost <= lowest + tolerance)
+    if features.size == 1:  # no rival cut to rank against
+        feature, position = int(features[0]), positions[0]
+        threshold = float((xs[feature, position] + xs[feature, position + 1]) / 2.0)
+        return feature, threshold, values[starts[feature] + idx] <= threshold
     scored: dict[bytes, float] = {}
     best = None
-    for feature, position in zip(*np.nonzero(cost <= lowest + tolerance)):
+    for feature, position in zip(features, positions):
         threshold = float((xs[feature, position] + xs[feature, position + 1]) / 2.0)
         go_left = values[starts[feature] + idx] <= threshold
         key = go_left.tobytes()

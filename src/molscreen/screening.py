@@ -86,10 +86,16 @@ class FunnelConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "FunnelConfig":
+        """Read and check a funnel config; a malformed field raises
+        ``ScreeningError`` naming it."""
         path = Path(path)
         base = path.parent
         with path.open(encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ScreeningError(f"funnel config {path} is not valid JSON: {exc}")
+        data = _mapping(data, "funnel config")
 
         def resolve(key: str, required: bool = True) -> Path | None:
             value = data.get(key)
@@ -97,41 +103,78 @@ class FunnelConfig:
                 if required:
                     raise ScreeningError(f"funnel config misses {key!r}")
                 return None
+            if not isinstance(value, str) or not value:
+                raise ScreeningError(f"{key} must be a file path, got {value!r}")
             return (base / value).resolve() if not Path(value).is_absolute() else Path(value)
 
-        fraction = float(data.get("top_fraction", 0.01))
+        fraction = _number(data.get("top_fraction", 0.01), "top_fraction")
         if not (0.0 < fraction <= 1.0):
             raise ScreeningError("top_fraction must be in (0, 1]")
-        thresholds = data.get("thresholds", {})
+        thresholds = _mapping(data.get("thresholds", {}), "thresholds")
 
         def threshold(key: str, default: float) -> float:
             value = thresholds.get(key)
-            return default if value is None else float(value)
+            return default if value is None else _number(value, f"thresholds.{key}")
 
-        vocab = data.get("vocabulary", {})
+        ha_min = thresholds.get("ha_min")
+        if ha_min is None:
+            ha_min = 0
+        elif isinstance(ha_min, float) and ha_min.is_integer():
+            ha_min = int(ha_min)
+        if isinstance(ha_min, bool) or not isinstance(ha_min, int):
+            raise ScreeningError(f"thresholds.ha_min must be an integer, got {ha_min!r}")
+
+        vocab = _mapping(data.get("vocabulary", {}), "vocabulary")
         elements = vocab.get("elements")
+        if elements is not None:
+            elements = frozenset(_strings(elements, "vocabulary.elements"))
+        require_latent = vocab.get("require_latent", False)
+        if not isinstance(require_latent, bool):
+            raise ScreeningError(
+                f"vocabulary.require_latent must be true or false, got {require_latent!r}"
+            )
         return cls(
             pool=resolve("pool"),
             registry=resolve("registry"),
             model=resolve("model"),
             pipeline=resolve("pipeline"),
-            blocks=tuple(data.get("blocks", ["D"])),
+            blocks=tuple(_strings(data.get("blocks", ["D"]), "blocks")),
             top_fraction=fraction,
             thresholds=PropertyThresholds(
                 dn_min=threshold("dn_min", float("-inf")),
                 dm_min=threshold("dm_min", float("-inf")),
-                ha_min=int(thresholds.get("ha_min", 0) or 0),
+                ha_min=ha_min,
             ),
             properties=resolve("properties", required=False),
             cas=resolve("cas", required=False),
             keyset=resolve("keyset", required=False),
             latents=resolve("latents", required=False),
-            vocabulary_elements=(
-                frozenset(elements) if elements is not None else None
-            ),
-            require_latent=bool(vocab.get("require_latent", False)),
+            vocabulary_elements=elements,
+            require_latent=require_latent,
             raw=data,
         )
+
+
+def _mapping(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScreeningError(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    """A JSON number as a float; NaN and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScreeningError(f"{field} must be a number, got {value!r}")
+    value = float(value)
+    if math.isnan(value):
+        raise ScreeningError(f"{field} must be a number, got NaN")
+    return value
+
+
+def _strings(value, field: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ScreeningError(f"{field} must be a list of strings, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,17 @@ import networkx as nx
 import pytest
 
 from molscreen.molgraph import MolGraphError, canonical_smiles, parse_smiles
+from molscreen.molgraph import canon
 from molscreen.molgraph.canon import _atom_token, _Search, initial_invariants
-from molscreen.molgraph.model import AROMATIC, DOUBLE, SINGLE, TRIPLE
+from molscreen.molgraph.model import (
+    AROMATIC,
+    DOUBLE,
+    ORGANIC_SUBSET,
+    SINGLE,
+    TRIPLE,
+    MolecularGraph,
+    _bare_hydrogens,
+)
 
 from conftest import permute_graph, random_molecule, synthetic_pool_rows
 
@@ -57,8 +66,6 @@ def test_same_molecule_same_string():
 
 
 def test_canonical_cached_on_graph(monkeypatch):
-    from molscreen.molgraph import canon
-
     calls = []
     original = canon.canonical_smiles
     monkeypatch.setattr(canon, "canonical_smiles", lambda g: calls.append(g) or original(g))
@@ -366,3 +373,356 @@ def test_symmetric_molecules_canonicalize_within_a_second(smiles):
     start = time.perf_counter()
     canonical_smiles(graph)
     assert time.perf_counter() - start < 1.0
+
+
+# --- the search as it stood before leaf checks ----------------------------
+#
+# ``_Search`` and ``_Emitter`` from before automorphic leaves were recognised
+# ahead of emission and refinement re-signed only tied cells: every leaf
+# emitted its string, and every atom computed a signature in every round.
+# Verbatim copies, with helpers renamed; ``_dense_ranks`` and ``_digit`` are
+# the exhaustive reference's above, which have the same code. The package
+# must give the same string for every molecule.
+
+_BOND_VALUE = {SINGLE: 1, AROMATIC: 1, DOUBLE: 2, TRIPLE: 3}
+
+
+def _parent_edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def _parent_find(parent: list[int], a: int) -> int:
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+class _ParentSearch:
+    """Individualisation-refinement search with automorphism pruning."""
+
+    def __init__(self, graph: MolecularGraph):
+        self.graph = graph
+        n = self.n = len(graph.atoms)
+        # Neighbour signature terms are (bond rank, neighbour rank) pairs,
+        # packed as bond_rank * n + rank: ranks are below n, so the packed
+        # integers sort exactly as the pairs do.
+        self.nbrs = [
+            [(_BOND_RANK[bond.order] * n, j) for j, bond in graph.adjacency[i]]
+            for i in range(n)
+        ]
+        self.labels = [
+            (a.element, a.aromatic, a.formal_charge, a.hydrogens) for a in graph.atoms
+        ]
+        self.orders = {_parent_edge(b.a, b.b): b.order for b in graph.bonds}
+        self.emitter = _ParentEmitter(graph)
+        # Emitted string -> (ranking, path) of the first leaf that emitted it.
+        self.leaves: dict[str, tuple[list[int], tuple[int, ...]]] = {}
+        self.generators: list[list[int]] = []
+
+    def run(self) -> str:
+        start = self.refine(_dense_ranks(initial_invariants(self.graph)))
+        self.visit(start, ())
+        return min(self.leaves)
+
+    def refine(self, ranks: list[int]) -> list[int]:
+        n, nbrs = self.n, self.nbrs
+        while max(ranks) < n - 1:
+            keys = [
+                (ranks[i], tuple(sorted([b + ranks[j] for b, j in nbrs[i]])))
+                for i in range(n)
+            ]
+            new_ranks = _dense_ranks(keys)
+            if new_ranks == ranks:
+                break
+            ranks = new_ranks
+        return ranks
+
+    def visit(self, ranks: list[int], path: tuple[int, ...]) -> int | None:
+        """Explore the node reached by individualising ``path``.
+
+        Returns None when done, or the depth of the ancestor to resume at
+        when a found automorphism shows the rest of this subtree repeats
+        one already explored.
+        """
+        cells: dict[int, list[int]] = {}
+        for idx, r in enumerate(ranks):
+            cells.setdefault(r, []).append(idx)
+        tied = [r for r, members in cells.items() if len(members) > 1]
+        if not tied:
+            return self.leaf(ranks, path)
+        target = min(tied)
+        depth = len(path)
+        orbits = list(range(self.n))
+        absorbed = 0
+        explored: list[int] = []
+        for chosen in cells[target]:
+            absorbed = self.absorb(orbits, absorbed, path)
+            root = _parent_find(orbits, chosen)
+            if any(_parent_find(orbits, done) == root for done in explored):
+                continue
+            explored.append(chosen)
+            child = [
+                r + 1 if r > target or (r == target and i != chosen) else r
+                for i, r in enumerate(ranks)
+            ]
+            resume = self.visit(self.refine(child), path + (chosen,))
+            if resume is not None and resume < depth:
+                return resume
+        return None
+
+    def absorb(self, orbits: list[int], start: int, path: tuple[int, ...]) -> int:
+        """Merge into ``orbits`` the generators found since ``start`` that
+        fix every atom of ``path``; returns the new count of generators."""
+        for perm in self.generators[start:]:
+            if all(perm[p] == p for p in path):
+                for a, b in enumerate(perm):
+                    ra, rb = _parent_find(orbits, a), _parent_find(orbits, b)
+                    if ra != rb:
+                        orbits[max(ra, rb)] = min(ra, rb)
+        return len(self.generators)
+
+    def leaf(self, ranks: list[int], path: tuple[int, ...]) -> int | None:
+        text = self.emitter.emit(ranks)
+        earlier = self.leaves.get(text)
+        if earlier is None:
+            self.leaves[text] = (ranks, path)
+            return None
+        earlier_ranks, earlier_path = earlier
+        atom_at = [0] * self.n
+        for atom, r in enumerate(earlier_ranks):
+            atom_at[r] = atom
+        perm = [atom_at[r] for r in ranks]
+        if not self.is_automorphism(perm):
+            return None
+        self.generators.append(perm)
+        # The automorphism maps this path onto the earlier one atom by atom,
+        # so it fixes their common prefix and maps the child taken at the
+        # first divergence onto a sibling explored before it.
+        depth = 0
+        while path[depth] == earlier_path[depth]:
+            depth += 1
+        return depth
+
+    def is_automorphism(self, perm: list[int]) -> bool:
+        labels = self.labels
+        if any(labels[a] != labels[b] for a, b in enumerate(perm)):
+            return False
+        orders = self.orders
+        return all(
+            orders.get(_parent_edge(perm[bond.a], perm[bond.b])) == bond.order
+            for bond in self.graph.bonds
+        )
+
+
+class _ParentEmitter:
+    """SMILES writer for a fixed graph under any discrete ranking.
+
+    Atom and bond tokens do not depend on the ranking and are built once.
+    """
+
+    def __init__(self, graph: MolecularGraph):
+        n = len(graph.atoms)
+        self.components = graph.components()
+        self.adj = [[j for j, _ in graph.adjacency[i]] for i in range(n)]
+        self.atom_tokens = [_parent_atom_token(graph, i) for i in range(n)]
+        self.bond_tokens = {
+            _parent_edge(b.a, b.b): _parent_bond_token_between(graph, b) for b in graph.bonds
+        }
+
+    def emit(self, ranks: list[int]) -> str:
+        pieces = [self._component(ranks, comp) for comp in self.components]
+        pieces.sort()
+        return ".".join(pieces)
+
+    def _component(self, ranks: list[int], comp: list[int]) -> str:
+        adj, bond_tokens, atom_tokens = self.adj, self.bond_tokens, self.atom_tokens
+        rank_of = ranks.__getitem__
+        root = min(comp, key=rank_of)
+
+        # First pass: classify edges into spanning-tree and ring-closure edges
+        # with a depth-first walk in canonical-rank order, mirroring emission.
+        visited = {root}
+        tree_children: dict[int, list[int]] = {i: [] for i in comp}
+        closures: dict[int, list[int]] = {i: [] for i in comp}  # atom -> partners
+        closure_edges: set[tuple[int, int]] = set()
+
+        def explore(u: int, parent: int) -> None:
+            for v in sorted(adj[u], key=rank_of):
+                if v not in visited:
+                    visited.add(v)
+                    tree_children[u].append(v)
+                    explore(v, u)
+                elif v != parent and _parent_edge(u, v) not in closure_edges:
+                    closure_edges.add(_parent_edge(u, v))
+                    closures[u].append(v)
+                    closures[v].append(u)
+
+        explore(root, -1)
+        for partners in closures.values():
+            if len(partners) > 1:
+                partners.sort(key=rank_of)
+
+        digit_of: dict[tuple[int, int], int] = {}
+        out: list[str] = []
+
+        def walk(u: int) -> None:
+            out.append(atom_tokens[u])
+            for v in closures[u]:
+                edge = _parent_edge(u, v)
+                if edge not in digit_of:
+                    digit_of[edge] = len(digit_of) + 1
+                    out.append(bond_tokens[edge])
+                out.append(_digit(digit_of[edge]))
+            children = tree_children[u]
+            for child in children[:-1]:
+                out.append("(")
+                out.append(bond_tokens[_parent_edge(u, child)])
+                walk(child)
+                out.append(")")
+            if children:
+                child = children[-1]
+                out.append(bond_tokens[_parent_edge(u, child)])
+                walk(child)
+
+        walk(root)
+        return "".join(out)
+
+
+def _parent_bond_token_between(graph: MolecularGraph, bond) -> str:
+    if bond.order == SINGLE:
+        both_aromatic = (
+            graph.atoms[bond.a].aromatic and graph.atoms[bond.b].aromatic
+        )
+        return "-" if both_aromatic else ""
+    return _BOND_TOKEN[bond.order]
+
+
+def _parent_atom_token(graph: MolecularGraph, idx: int) -> str:
+    atom = graph.atoms[idx]
+    symbol = atom.element.lower() if atom.aromatic else atom.element
+
+    if atom.formal_charge == 0 and atom.element in ORGANIC_SUBSET:
+        order_sum = sum(_BOND_VALUE[bond.order] for _, bond in graph.adjacency[idx])
+        try:
+            default_h = _bare_hydrogens(atom.element, atom.aromatic, order_sum, -1)
+        except ValueError:
+            default_h = -1
+        if atom.hydrogens == default_h:
+            return symbol
+
+    parts = ["[", symbol]
+    if atom.hydrogens == 1:
+        parts.append("H")
+    elif atom.hydrogens > 1:
+        parts.append(f"H{atom.hydrogens}")
+    charge = atom.formal_charge
+    if charge == 1:
+        parts.append("+")
+    elif charge == -1:
+        parts.append("-")
+    elif charge > 1:
+        parts.append(f"+{charge}")
+    elif charge < -1:
+        parts.append(f"-{-charge}")
+    parts.append("]")
+    return "".join(parts)
+
+
+# Bracket atoms whose hydrogens differ from the default count keep their
+# brackets; those with the default count lose them.
+BRACKET_SAMPLES = [
+    "[CH2]=C",
+    "C[CH]C",
+    "[CH3]",
+    "[NH]1CC1",
+    "C[N]C",
+    "[OH]C",
+    "O=[SH2]",
+    "[CH4]",
+    "C[CH2]C",
+    "[NH4+].[Cl-]",
+    "[O-]C(=O)C.[K+]",
+]
+
+
+def assert_matches_parent(graph) -> None:
+    assert canonical_smiles(graph) == _ParentSearch(graph).run()
+
+
+@pytest.fixture(scope="module")
+def pool_graphs():
+    graphs = []
+    for smiles in synthetic_pool_rows():
+        try:
+            graphs.append(parse_smiles(smiles))
+        except MolGraphError:
+            continue
+    return graphs
+
+
+def test_matches_parent_on_synthetic_pool(pool_graphs):
+    assert len(pool_graphs) > 12_000
+    for graph in pool_graphs:
+        assert_matches_parent(graph)
+
+
+def test_matches_parent_on_random_molecules():
+    rng = random.Random(3003)
+    for _ in range(300):
+        assert_matches_parent(random_molecule(rng, max_atoms=16))
+
+
+@pytest.mark.parametrize("smiles", SYMMETRIC + AROMATIC_SAMPLES + BRACKET_SAMPLES)
+def test_matches_parent_under_permutation(smiles):
+    graph = parse_smiles(smiles)
+    assert_matches_parent(graph)
+    rng = random.Random(len(smiles) + 1)
+    for _ in range(6):
+        order = list(range(len(graph.atoms)))
+        rng.shuffle(order)
+        assert_matches_parent(permute_graph(graph, order))
+
+
+def test_matches_parent_on_bundled_dataset(dataset24):
+    for record in dataset24.records:
+        assert_matches_parent(record.graph)
+
+
+def test_bracket_atoms_off_the_default_count_keep_their_brackets():
+    assert canonical_smiles(parse_smiles("C[CH]C")) == "[CH](C)C"
+    assert canonical_smiles(parse_smiles("C[N]C")) == "C[N]C"
+    assert canonical_smiles(parse_smiles("O=[SH2]")) == "O=[SH2]"
+    assert canonical_smiles(parse_smiles("c1cc[nH]c1")) == "c1cc[nH]c1"
+    assert canonical_smiles(parse_smiles("[CH2]=C")) == "C=C"
+
+
+def emissions(monkeypatch, graph) -> tuple[int, int]:
+    """(emitted strings, distinct leaf strings) of one search."""
+    calls = []
+    emit = canon._Emitter.emit
+    with monkeypatch.context() as patch:
+        patch.setattr(canon._Emitter, "emit",
+                      lambda self, ranks: calls.append(ranks) or emit(self, ranks))
+        search = _Search(graph)
+        search.run()
+    return len(calls), len(search.leaves)
+
+
+TERT_BUTYL = [s for s in SYMMETRIC if "C(C)(C)C" in s]
+
+
+@pytest.mark.parametrize("smiles", ["c1ccccc1"] + TERT_BUTYL)
+def test_one_emission_per_distinct_leaf_string(smiles, monkeypatch):
+    graph = parse_smiles(smiles)
+    assert emissions(monkeypatch, graph) == (1, 1)
+    order = list(range(len(graph.atoms)))
+    random.Random(11).shuffle(order)
+    assert emissions(monkeypatch, permute_graph(graph, order)) == (1, 1)
+
+
+def test_one_emission_per_distinct_leaf_string_on_pool_sample(pool_graphs, monkeypatch):
+    for graph in pool_graphs[::97]:
+        emitted, distinct = emissions(monkeypatch, graph)
+        assert emitted == distinct, graph.source
+

@@ -381,3 +381,102 @@ class TestFunnel:
         (funnel_dir / "broken.json").write_text(json.dumps(config))
         with pytest.raises(FileNotFoundError):
             run_funnel(FunnelConfig.load(funnel_dir / "broken.json"))
+
+
+class TestFunnelConfigValidation:
+    """A malformed funnel config raises ScreeningError naming the field, so
+    ``molscreen screen`` exits 1 with a message instead of a traceback."""
+
+    VALID = {
+        "pool": "pool.csv",
+        "registry": "registry.csv",
+        "model": "model.json",
+        "pipeline": "pipeline.json",
+        "blocks": ["D"],
+        "vocabulary": {"elements": ["C", "Cl", "N", "O"], "require_latent": False},
+        "top_fraction": 0.25,
+        "thresholds": {"dn_min": 12.0, "dm_min": 1.0, "ha_min": 1},
+    }
+
+    @staticmethod
+    def write(tmp_path, config) -> str:
+        path = tmp_path / "funnel.json"
+        path.write_text(json.dumps(config) if not isinstance(config, str) else config)
+        return str(path)
+
+    def load(self, tmp_path, **changes):
+        return FunnelConfig.load(self.write(tmp_path, {**self.VALID, **changes}))
+
+    def test_valid_config_loads(self, tmp_path):
+        config = self.load(tmp_path)
+        assert config.top_fraction == 0.25
+        assert config.thresholds == PropertyThresholds(dn_min=12.0, dm_min=1.0, ha_min=1)
+        assert config.vocabulary_elements == frozenset({"C", "Cl", "N", "O"})
+        assert config.blocks == ("D",)
+        assert config.pool == (tmp_path / "pool.csv").resolve()
+
+    def test_defaults_and_nulls(self, tmp_path):
+        config = self.load(tmp_path, thresholds={"dn_min": None, "ha_min": None},
+                           vocabulary={"elements": None})
+        assert config.thresholds == PropertyThresholds()
+        assert config.vocabulary_elements is None
+        assert config.require_latent is False
+        bare = {k: v for k, v in self.VALID.items()
+                if k not in ("blocks", "vocabulary", "top_fraction", "thresholds")}
+        config = FunnelConfig.load(self.write(tmp_path, bare))
+        assert (config.blocks, config.top_fraction) == (("D",), 0.01)
+        assert config.thresholds == PropertyThresholds()
+
+    def test_integral_float_ha_min_is_an_integer(self, tmp_path):
+        config = self.load(tmp_path, thresholds={"ha_min": 2.0})
+        assert config.thresholds.ha_min == 2 and isinstance(config.thresholds.ha_min, int)
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"thresholds": [1, 2]}, "thresholds"),
+        ({"vocabulary": ["C"]}, "vocabulary"),
+        ({"top_fraction": "abc"}, "top_fraction"),
+        ({"top_fraction": True}, "top_fraction"),
+        ({"top_fraction": float("nan")}, "top_fraction"),
+        ({"top_fraction": 1.5}, "top_fraction"),
+        ({"thresholds": {"dn_min": "x"}}, "thresholds.dn_min"),
+        ({"thresholds": {"dn_min": float("nan")}}, "thresholds.dn_min"),
+        ({"thresholds": {"dm_min": [1.0]}}, "thresholds.dm_min"),
+        ({"thresholds": {"ha_min": 2.7}}, "thresholds.ha_min"),
+        ({"thresholds": {"ha_min": "2"}}, "thresholds.ha_min"),
+        ({"thresholds": {"ha_min": False}}, "thresholds.ha_min"),
+        ({"vocabulary": {"elements": "CClNO"}}, "vocabulary.elements"),
+        ({"vocabulary": {"elements": ["C", 7]}}, "vocabulary.elements"),
+        ({"vocabulary": {"require_latent": "false"}}, "vocabulary.require_latent"),
+        ({"blocks": "D"}, "blocks"),
+        ({"pool": 3}, "pool"),
+        ({"cas": ["cas.csv"]}, "cas"),
+    ])
+    def test_malformed_field_is_named(self, tmp_path, changes, field):
+        with pytest.raises(ScreeningError, match=field.replace(".", r"\.")):
+            self.load(tmp_path, **changes)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"funnel"'])
+    def test_malformed_document(self, tmp_path, text):
+        with pytest.raises(ScreeningError, match="funnel config"):
+            FunnelConfig.load(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("changes", [
+        {"thresholds": [1, 2]},
+        {"vocabulary": ["C"]},
+        {"top_fraction": "abc"},
+        {"thresholds": {"dn_min": "x"}},
+        {"thresholds": {"ha_min": 2.7}},
+        {"thresholds": {"dn_min": float("nan")}},
+        {"vocabulary": {"elements": "CClNO"}},
+    ])
+    def test_screen_exits_1_with_the_field(self, tmp_path, capsys, changes):
+        from molscreen.cli import main
+
+        path = self.write(tmp_path, {**self.VALID, **changes})
+        code = main(["screen", "--funnel", path, "--out-json", str(tmp_path / "r.json"),
+                     "--out-text", str(tmp_path / "r.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and next(iter(changes)) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()

@@ -29,10 +29,12 @@ from molscreen.rng import SplitMix64
 
 
 def oracle_fit_tree(X, y, max_depth, min_samples_leaf=1, features_per_node=None,
-                    seed=0, order=None):
+                    seed=0, order=None, fitted=None):
     """``fit_tree`` as it stood before presorting: every node copies its
     rows out of ``X`` and sorts every candidate column. ``order`` is
-    accepted and ignored, so the model wrappers can call it unchanged."""
+    accepted and ignored, and ``fitted`` is filled by routing ``X`` through
+    the finished tree, as ``fit_gb`` did before, so the model wrappers can
+    call it unchanged."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -79,8 +81,11 @@ def oracle_fit_tree(X, y, max_depth, min_samples_leaf=1, features_per_node=None,
         )
 
     root = build(np.arange(X.shape[0]), 0)
-    return RegressionTree(root=root, max_depth=max_depth,
+    tree = RegressionTree(root=root, max_depth=max_depth,
                           min_samples_leaf=min_samples_leaf, n_features=n_features)
+    if fitted is not None:
+        fitted[:] = tree.predict(X)
+    return tree
 
 
 def oracle_best_split(X, y, min_samples_leaf):
@@ -237,6 +242,22 @@ def test_shared_order_is_the_trees_own_sort():
     for f in range(X.shape[1]):
         assert np.array_equal(order[f], np.argsort(X[:, f], kind="stable"))
     assert dumps(fit_tree(X, y, max_depth=5, order=order)) == dumps(fit_tree(X, y, max_depth=5))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL) + sorted(LARGE))
+def test_fitted_is_the_trees_prediction_on_its_training_rows(name):
+    X, y = {**SMALL, **LARGE}[name]
+    for settings in TREE_SETTINGS + [{"max_depth": 0}, {"max_depth": 1}]:
+        fitted = np.full(len(y), np.nan)
+        tree = fit_tree(X, y, fitted=fitted, **settings)
+        assert fitted.tobytes() == tree.predict(X).tobytes()
+        assert dumps(tree) == dumps(fit_tree(X, y, **settings))
+
+
+def test_fitted_of_the_wrong_shape_is_rejected():
+    X, y = SMALL["integer_ties"]
+    with pytest.raises(ModelError, match="fitted"):
+        fit_tree(X, y, max_depth=2, fitted=np.empty(len(y) - 1))
 
 
 def test_order_of_the_wrong_shape_is_rejected():
