@@ -10,6 +10,7 @@ reproduces the artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -59,10 +60,19 @@ class UsageError(Exception):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(parser, args)
+        if args.config is not None:
+            args = _parse_with_config_file(parser, args.command, args.config, argv[1:])
+        missing = [
+            "--" + name.replace("_", "-")
+            for name in args._required
+            if getattr(args, name) is None
+        ]
+        if missing:
+            raise UsageError(f"missing required options: {', '.join(missing)}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -166,31 +176,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args) -> None:
-    """Overlay values from --config: explicit command-line flags win."""
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        with Path(config_path).open(encoding="utf-8") as handle:
-            overrides = json.load(handle)
-        defaults = vars(parser.parse_args([args.command]))
-        for key, value in overrides.items():
-            dest = key.replace("-", "_")
-            if dest.startswith("_") or not hasattr(args, dest):
-                continue
-            if getattr(args, dest) == defaults.get(dest):
-                if isinstance(value, str) and (
-                    dest in ("dataset", "registry", "keyset", "latents", "out",
-                             "pipeline_out", "out_json", "out_text", "funnel")
-                ):
-                    value = Path(value)
-                setattr(args, dest, value)
-    missing = [
-        "--" + name.replace("_", "-")
-        for name in getattr(args, "_required", ())
-        if getattr(args, name) is None
-    ]
-    if missing:
-        raise UsageError(f"missing required options: {', '.join(missing)}")
+def _parse_with_config_file(parser, command: str, path: Path, flags: list[str]):
+    """Parse ``command`` with the options of the JSON object in ``path``
+    placed before the command-line ``flags``, so every value meets its
+    option's type and choices and an explicit flag wins.
+
+    Keys that are no option of ``command`` (an artifact's ``run_config``
+    also holds ``command``, ``rows`` and the version fields) and null
+    values are skipped.
+    """
+    try:
+        with Path(path).open(encoding="utf-8") as handle:
+            values = json.load(handle)
+    except ValueError as exc:
+        raise UsageError(f"--config {path}: not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise UsageError(f"--config {path}: expected a JSON object, got {type(values).__name__}")
+    defaults = vars(parser.parse_args([command]))
+    tokens = []
+    for key, value in values.items():
+        dest = key.replace("-", "_")
+        if value is None or dest in ("command", "func", "_required") or dest not in defaults:
+            continue
+        option = "--" + dest.replace("_", "-")
+        if isinstance(defaults[dest], bool):  # an on/off flag
+            if not isinstance(value, bool):
+                raise UsageError(f"--config {path}: {key} must be true or false")
+            if value:
+                tokens.append(option)
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            tokens.append(f"{option}={value}")
+        else:
+            raise UsageError(f"--config {path}: {key} must be a string or a number")
+    # argparse reports a rejected value on stderr and exits; keep its
+    # message and name the file it came from.
+    errors = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(errors):
+            return parser.parse_args([command, *tokens, *flags])
+    except SystemExit:
+        reason = errors.getvalue().strip().splitlines()[-1].partition("error: ")[2]
+        raise UsageError(f"--config {path}: {reason}") from None
 
 
 def _parse_blocks(text: str) -> tuple[str, ...]:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .boosting import GBModel, fit_gb
 from .forest import RFModel, fit_rf
@@ -20,7 +21,19 @@ from .tree import (
     fit_tree,
 )
 
-MODEL_KINDS = ("gb", "rf", "svr")
+
+class ModelKind(NamedTuple):
+    fit: Callable
+    model: type
+    fields: tuple[str, ...]  # the TrainConfig hyperparameters ``fit`` reads
+
+
+KINDS = {
+    "gb": ModelKind(fit_gb, GBModel, ("n_estimators", "max_depth", "learning_rate")),
+    "rf": ModelKind(fit_rf, RFModel, ("n_estimators", "max_depth")),
+    "svr": ModelKind(fit_svr, SVRModel, ("C", "epsilon", "kernel", "gamma")),
+}
+MODEL_KINDS = tuple(KINDS)
 FORMAT_VERSION = 1
 
 
@@ -28,9 +41,8 @@ FORMAT_VERSION = 1
 class TrainConfig:
     """Model kind, seed and hyperparameter overrides.
 
-    Unset hyperparameters resolve to the pipeline defaults: GB trains 35
-    trees of depth 4 at learning rate 0.1, RF trains 55 bootstrap trees of
-    depth 10, SVR runs at C=500 and epsilon=0.75 with an RBF kernel.
+    A hyperparameter left None takes the default in the signature of its
+    kind's fitter; one the kind does not read is ignored.
     """
 
     kind: str
@@ -38,9 +50,6 @@ class TrainConfig:
     n_estimators: int | None = None
     max_depth: int | None = None
     learning_rate: float | None = None
-    min_samples_leaf: int | None = None
-    bootstrap: bool | None = None
-    max_features: int | None = None
     C: float | None = None
     epsilon: float | None = None
     kernel: str | None = None
@@ -55,42 +64,11 @@ class TrainConfig:
 
 
 def fit_model(X, y, config: TrainConfig):
-    if config.kind == "gb":
-        return fit_gb(
-            X,
-            y,
-            n_estimators=config.n_estimators if config.n_estimators is not None else 35,
-            max_depth=config.max_depth if config.max_depth is not None else 4,
-            learning_rate=(
-                config.learning_rate if config.learning_rate is not None else 0.1
-            ),
-            min_samples_leaf=(
-                config.min_samples_leaf if config.min_samples_leaf is not None else 1
-            ),
-            seed=config.seed,
-        )
-    if config.kind == "rf":
-        return fit_rf(
-            X,
-            y,
-            n_estimators=config.n_estimators if config.n_estimators is not None else 55,
-            max_depth=config.max_depth if config.max_depth is not None else 10,
-            min_samples_leaf=(
-                config.min_samples_leaf if config.min_samples_leaf is not None else 1
-            ),
-            bootstrap=config.bootstrap if config.bootstrap is not None else True,
-            max_features=config.max_features,
-            seed=config.seed,
-        )
-    return fit_svr(
-        X,
-        y,
-        C=config.C if config.C is not None else 500.0,
-        epsilon=config.epsilon if config.epsilon is not None else 0.75,
-        kernel=config.kernel if config.kernel is not None else "rbf",
-        gamma=config.gamma,
-        seed=config.seed,
-    )
+    """Fit ``config.kind`` with the seed and each field it reads that is set."""
+    kind = KINDS[config.kind]
+    params = {name: getattr(config, name) for name in kind.fields}
+    params = {name: value for name, value in params.items() if value is not None}
+    return kind.fit(X, y, seed=config.seed, **params)
 
 
 def model_to_dict(model) -> dict:
@@ -104,13 +82,10 @@ def model_from_dict(data: dict):
     if version != FORMAT_VERSION:
         raise ModelError(f"unsupported model format version {version!r}")
     kind = data.get("kind")
-    if kind == "gb":
-        return GBModel.from_dict(data)
-    if kind == "rf":
-        return RFModel.from_dict(data)
-    if kind == "svr":
-        return SVRModel.from_dict(data)
-    raise ModelError(f"unknown model kind {kind!r}")
+    # A tuple test, not a dict lookup: an unhashable kind is just unknown.
+    if kind not in MODEL_KINDS:
+        raise ModelError(f"unknown model kind {kind!r}")
+    return KINDS[kind].model.from_dict(data)
 
 
 def save_model(model, path: str | Path) -> None:
@@ -127,6 +102,7 @@ def load_model(path: str | Path):
 
 __all__ = [
     "FORMAT_VERSION",
+    "KINDS",
     "MODEL_KINDS",
     "EmptyTrainingSet",
     "GBModel",

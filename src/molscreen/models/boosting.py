@@ -13,12 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tree import (
-    EmptyTrainingSet,
-    ModelError,
-    NonFiniteTarget,
     RegressionTree,
-    WidthMismatch,
-    check_features,
+    check_prediction_data,
+    check_training_data,
     fit_tree,
     sort_columns,
 )
@@ -33,10 +30,7 @@ class GBModel:
     config: dict
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise WidthMismatch(f"expected {self.n_features} features, got {X.shape}")
-        check_features(X)
+        X = check_prediction_data(X, self.n_features)
         out = np.full(X.shape[0], self.init_value, dtype=np.float64)
         for tree in self.trees:
             out += self.learning_rate * tree.predict(X)
@@ -83,15 +77,7 @@ def fit_gb(
     min_samples_leaf: int = 1,
     seed: int = 0,
 ) -> GBModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ModelError("X must be 2-dimensional")
-    if X.shape[0] == 0:
-        raise EmptyTrainingSet("no training rows")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteTarget("target contains non-finite values")
-    check_features(X)
+    X, y = check_training_data(X, y)
 
     init = float(y.mean())
     pred = np.full(X.shape[0], init, dtype=np.float64)

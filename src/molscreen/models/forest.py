@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import SplitMix64, derive_seed
-from .tree import (
-    EmptyTrainingSet,
-    NonFiniteTarget,
-    RegressionTree,
-    WidthMismatch,
-    check_features,
-    fit_tree,
-)
+from .tree import RegressionTree, check_prediction_data, check_training_data, fit_tree
 
 
 @dataclass(frozen=True)
@@ -32,10 +25,7 @@ class RFModel:
     config: dict
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise WidthMismatch(f"expected {self.n_features} features, got {X.shape}")
-        check_features(X)
+        X = check_prediction_data(X, self.n_features)
         total = np.zeros(X.shape[0], dtype=np.float64)
         for tree in self.trees:
             total += tree.predict(X)
@@ -71,13 +61,7 @@ def fit_rf(
     seed: int = 0,
 ) -> RFModel:
     """``max_features`` of None means the ceil(p / 3) regression default."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise EmptyTrainingSet("no training rows")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteTarget("target contains non-finite values")
-    check_features(X)
+    X, y = check_training_data(X, y)
 
     n, p = X.shape
     per_node = max_features if max_features is not None else max(1, math.ceil(p / 3))

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import (
-    EmptyTrainingSet,
-    ModelError,
-    NonFiniteTarget,
-    WidthMismatch,
-    check_features,
-)
+from .tree import ModelError, check_prediction_data, check_training_data
 
 _AT_BOUND = 1e-12
 _SUPPORT_EPS = 1e-10
@@ -67,12 +61,7 @@ class SVRModel:
     config: dict
 
     def predict(self, X) -> np.ndarray:
-        # Row-major on entry: the kernel's matrix products round differently
-        # on other layouts of the same values.
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise WidthMismatch(f"expected {self.n_features} features, got {X.shape}")
-        check_features(X)
+        X = check_prediction_data(X, self.n_features)
         if self.support_vectors.shape[0] == 0:
             return np.full(X.shape[0], self.bias, dtype=np.float64)
         K = _KERNELS[self.kernel](X, self.support_vectors, self.gamma)
@@ -131,14 +120,10 @@ def fit_svr(
     max_updates: int = 100_000,
     seed: int = 0,
 ) -> SVRModel:
-    # Row-major on entry, as in predict.
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise EmptyTrainingSet("no training rows")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteTarget("target contains non-finite values")
-    check_features(X)
+    X, y = check_training_data(X, y)
+    # Row-major, as in predict: the kernel's matrix products round
+    # differently on other layouts of the same values.
+    X = np.ascontiguousarray(X)
     if kernel not in _KERNELS:
         raise ModelError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}")
     _check_hyperparameters(C, epsilon, gamma, tol, max_updates)

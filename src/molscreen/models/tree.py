@@ -132,6 +132,38 @@ def check_features(X: np.ndarray) -> None:
         )
 
 
+def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``y`` as float64 arrays, after the checks every fitter
+    makes, in this order: ``X`` is 2-D, ``y`` is 1-D, their row counts
+    agree, there is a row, ``y`` is finite, ``X`` is finite."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ModelError("X must be 2-dimensional")
+    if y.ndim != 1:
+        raise ModelError("y must be 1-dimensional")
+    if X.shape[0] != y.shape[0]:
+        raise ModelError("X and y row counts differ")
+    if X.shape[0] == 0:
+        raise EmptyTrainingSet("no training rows")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteTarget("target contains non-finite values")
+    check_features(X)
+    return X, y
+
+
+def check_prediction_data(X, n_features: int) -> np.ndarray:
+    """``X`` as a row-major float64 array, after checking that it has
+    ``n_features`` columns and only finite values. Row-major because the
+    SVR kernel's matrix products round differently on other layouts of
+    the same values."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise WidthMismatch(f"expected {n_features} features, got {X.shape}")
+    check_features(X)
+    return X
+
+
 def fit_tree(
     X,
     y,
@@ -159,17 +191,7 @@ def fit_tree(
     leaf value: bit for bit ``tree.predict(X)``, since the fit routes rows
     by the same ``x <= threshold`` tests, without routing them again.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ModelError("X must be 2-dimensional")
-    if X.shape[0] != y.shape[0]:
-        raise ModelError("X and y row counts differ")
-    if X.shape[0] == 0:
-        raise EmptyTrainingSet("no training rows")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteTarget("target contains non-finite values")
-    check_features(X)
+    X, y = check_training_data(X, y)
     if max_depth < 0:
         raise ModelError("max_depth must be >= 0")
 

@@ -158,9 +158,6 @@ class MolecularGraph:
 
         return canonical_smiles(self)
 
-    def neighbors(self, idx: int) -> tuple[tuple[int, Bond], ...]:
-        return self.adjacency[idx]
-
     def heavy_atom_count(self) -> int:
         return sum(1 for a in self.atoms if a.element != "H")
 

@@ -504,6 +504,73 @@ class TestConfigFile:
         assert payload["repeats"] == 3          # from config file
         assert payload["master_seed"] == 5      # explicit flag wins
 
+    def evaluate(self, tmp_path, config_text, *flags):
+        config = tmp_path / "defaults.json"
+        config.write_text(config_text)
+        return run("evaluate", "--dataset", DATASET, "--registry", REGISTRY,
+                   "--model", "svr", "--config", str(config), *flags,
+                   "--out-json", str(tmp_path / "r.json"),
+                   "--out-text", str(tmp_path / "r.txt"))
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"repeats": "x"}', "argument --repeats: invalid int value: 'x'"),
+        ('{"model": "xgb"}', "argument --model: invalid choice: 'xgb'"),
+        ('{"repeats": true}', "repeats must be a string or a number"),
+        ('{"blocks": ["D"]}', "blocks must be a string or a number"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ("{bad", "not valid JSON"),
+    ])
+    def test_bad_values_are_usage_errors_naming_the_file(self, tmp_path, capsys,
+                                                         text, reason):
+        assert self.evaluate(tmp_path, text, "--repeats", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --config {tmp_path / 'defaults.json'}: ")
+        assert reason in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_explicit_flag_equal_to_its_default_wins(self, tmp_path):
+        assert self.evaluate(tmp_path, '{"repeats": 3}', "--repeats", "200") == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["repeats"] == 200
+        assert len(payload["per_repeat"]) == 200
+
+    def test_flag_values_must_be_booleans(self, tmp_path, capsys):
+        config = tmp_path / "defaults.json"
+        out = tmp_path / "m.csv"
+        for value, code in (('"yes"', 2), ("true", 0), ("false", 0)):
+            config.write_text(f'{{"skip_bad": {value}, "blocks": "D"}}')
+            assert run("featurize", "--dataset", DATASET, "--config", str(config),
+                       "--out", str(out)) == code
+        assert "skip_bad must be true or false" in capsys.readouterr().err
+
+    def test_rerun_from_run_config_is_byte_identical(self, tmp_path):
+        assert run("evaluate", "--dataset", DATASET, "--registry", REGISTRY,
+                   "--model", "svr", "--repeats", "20", "--seed", "4",
+                   "--out-json", str(tmp_path / "r.json"),
+                   "--out-text", str(tmp_path / "r.txt")) == 0
+        report, text = (tmp_path / "r.json").read_bytes(), (tmp_path / "r.txt").read_bytes()
+        run_config = tmp_path / "run_config.json"
+        run_config.write_text(json.dumps(json.loads(report)["run_config"]))
+        (tmp_path / "r.json").unlink()
+        (tmp_path / "r.txt").unlink()
+        assert run("evaluate", "--config", str(run_config)) == 0
+        assert (tmp_path / "r.json").read_bytes() == report
+        assert (tmp_path / "r.txt").read_bytes() == text
+
+
+class TestDemo:
+    def test_demo_model_and_pipeline_are_todays_train_output(self, tmp_path):
+        demo = Path(__file__).resolve().parents[1] / "demo"
+        assert run("train", "--dataset", DATASET, "--model", "gb", "--seed", "7",
+                   "--out", str(tmp_path / "model.json"),
+                   "--pipeline-out", str(tmp_path / "pipeline.json")) == 0
+        for name in ("model.json", "pipeline.json"):
+            fresh = json.loads((tmp_path / name).read_text())
+            shipped = json.loads((demo / name).read_text())
+            fresh.pop("run_config")
+            shipped.pop("run_config")
+            assert fresh == shipped, name
+
 
 class TestThreadsHelp:
     @pytest.mark.parametrize("command", ["evaluate", "screen"])

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import itertools
 import json
 
@@ -5,7 +7,11 @@ import numpy as np
 import pytest
 
 from molscreen.models import (
+    KINDS,
+    MODEL_KINDS,
     EmptyTrainingSet,
+    ModelError,
+    NonFiniteFeature,
     NonFiniteTarget,
     TrainConfig,
     WidthMismatch,
@@ -19,6 +25,7 @@ from molscreen.models import (
     model_to_dict,
     save_model,
 )
+from molscreen.models.tree import check_training_data
 
 
 def exhaustive_stump(X, y):
@@ -246,3 +253,140 @@ class TestPredictContracts:
         model = fit_gb(X, y)
         perm = rng.permutation(12)
         assert np.array_equal(model.predict(X)[perm], model.predict(X[perm]))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_model_rejects_alike(self, kind):
+        rng = np.random.default_rng(26)
+        model = fit_model(rng.normal(size=(10, 2)), rng.normal(size=10),
+                          TrainConfig(kind=kind, seed=0, n_estimators=2))
+        for X, message in [
+            (np.zeros(2), "expected 2 features, got (2,)"),
+            (np.zeros((4, 3)), "expected 2 features, got (4, 3)"),
+        ]:
+            with pytest.raises(WidthMismatch) as caught:
+                model.predict(X)
+            assert str(caught.value) == message
+        X = np.zeros((4, 2))
+        X[2, 0] = -np.inf
+        with pytest.raises(NonFiniteFeature,
+                           match="non-finite value at row 2, column 0"):
+            model.predict(X)
+
+
+def _fit_kind(kind):
+    return lambda X, y: fit_model(X, y, TrainConfig(kind=kind, seed=0))
+
+
+FITTERS = {
+    "fit_tree": functools.partial(fit_tree, max_depth=2),
+    "fit_gb": fit_gb,
+    "fit_rf": fit_rf,
+    "fit_svr": fit_svr,
+    **{f"fit_model-{kind}": _fit_kind(kind) for kind in MODEL_KINDS},
+}
+
+
+def _bad_training_data():
+    """(X, y, exception class, message) per fault; X is 10 x 2 where it has rows."""
+    X = np.arange(20.0).reshape(10, 2)
+    y = np.arange(10.0)
+    bad_X = X.copy()
+    bad_X[3, 1] = np.nan
+    bad_y = y.copy()
+    bad_y[4] = np.inf
+    return {
+        "X-1d": (X[:, 0], y, ModelError, "X must be 2-dimensional"),
+        "y-2d": (X, y[:, None], ModelError, "y must be 1-dimensional"),
+        "y-longer": (X, np.arange(12.0), ModelError, "X and y row counts differ"),
+        "y-shorter": (X, np.arange(8.0), ModelError, "X and y row counts differ"),
+        "no-rows": (np.zeros((0, 2)), np.zeros(0), EmptyTrainingSet, "no training rows"),
+        "y-non-finite": (X, bad_y, NonFiniteTarget, "target contains non-finite values"),
+        "X-non-finite": (bad_X, y, NonFiniteFeature,
+                         "features contain a non-finite value at row 3, column 1"),
+    }
+
+
+BAD_TRAINING_DATA = _bad_training_data()
+
+
+class TestTrainingDataContract:
+    @pytest.mark.parametrize("fault", BAD_TRAINING_DATA)
+    @pytest.mark.parametrize("fitter", FITTERS)
+    def test_every_fitter_rejects_alike(self, fitter, fault):
+        X, y, error, message = BAD_TRAINING_DATA[fault]
+        with pytest.raises(ModelError) as caught:
+            FITTERS[fitter](X, y)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_checks_run_in_order(self):
+        nan_y = np.full(3, np.nan)
+        cases = [
+            (np.zeros(3), np.zeros((3, 1)), "X must be 2-dimensional"),
+            (np.zeros((2, 2)), np.zeros((3, 1)), "y must be 1-dimensional"),
+            (np.zeros((0, 2)), np.zeros(3), "X and y row counts differ"),
+            (np.full((3, 2), np.nan), nan_y, "target contains non-finite values"),
+        ]
+        for X, y, message in cases:
+            with pytest.raises(ModelError, match=message):
+                check_training_data(X, y)
+
+    def test_returns_float64_arrays(self):
+        X, y = check_training_data([[1, 2], [3, 4]], [5, 6])
+        assert X.dtype == y.dtype == np.float64
+
+
+class TestKindTable:
+    def test_model_kinds_keep_their_order(self):
+        assert MODEL_KINDS == ("gb", "rf", "svr")
+
+    def test_every_field_a_kind_reads_is_a_parameter_of_its_fitter(self):
+        config_fields = set(TrainConfig.__dataclass_fields__) - {"kind", "seed"}
+        read = set()
+        for kind in KINDS.values():
+            parameters = inspect.signature(kind.fit).parameters
+            assert set(kind.fields) <= set(parameters)
+            assert "seed" in parameters
+            read |= set(kind.fields)
+        assert read == config_fields
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_unset_fields_take_the_fitters_defaults(self, kind):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(15, 3))
+        y = rng.normal(size=15)
+        via_config = fit_model(X, y, TrainConfig(kind=kind, seed=4))
+        direct = KINDS[kind].fit(X, y, seed=4)
+        assert json.dumps(model_to_dict(via_config)) == json.dumps(model_to_dict(direct))
+
+    @pytest.mark.parametrize("kind, reads", [
+        ("gb", {"n_estimators", "max_depth", "learning_rate"}),
+        ("rf", {"n_estimators", "max_depth"}),
+        ("svr", {"C", "epsilon", "kernel", "gamma"}),
+    ])
+    def test_each_field_the_kind_reads_reaches_its_fitter(self, kind, reads):
+        overrides = {"n_estimators": 2, "max_depth": 1, "learning_rate": 0.5,
+                     "C": 7.0, "epsilon": 0.2, "kernel": "linear", "gamma": 0.3}
+        rng = np.random.default_rng(25)
+        model = fit_model(rng.normal(size=(12, 2)), rng.normal(size=12),
+                          TrainConfig(kind=kind, seed=0, **overrides))
+        assert {name: model.config[name] for name in reads} == {
+            name: overrides[name] for name in reads
+        }
+
+    def test_fields_the_kind_does_not_read_are_ignored(self):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(15, 3))
+        y = rng.normal(size=15)
+        plain = fit_model(X, y, TrainConfig(kind="gb", seed=1, n_estimators=3))
+        extra = fit_model(X, y, TrainConfig(kind="gb", seed=1, n_estimators=3,
+                                            C=5.0, kernel="linear"))
+        assert json.dumps(model_to_dict(plain)) == json.dumps(model_to_dict(extra))
+        assert plain.config["n_estimators"] == 3
+
+    @pytest.mark.parametrize("kind", ["xgb", None, ["gb"]])
+    def test_model_from_dict_rejects_unknown_kinds(self, kind):
+        with pytest.raises(ModelError) as caught:
+            model_from_dict({"format_version": 1, "kind": kind})
+        assert str(caught.value) == f"unknown model kind {kind!r}"
+
