@@ -33,17 +33,17 @@ class GBModel:
         X = check_prediction_data(X, self.n_features)
         out = np.full(X.shape[0], self.init_value, dtype=np.float64)
         for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
+            out += self.learning_rate * tree._predict(X)
         return out
 
     def staged_train_mse(self, X, y) -> list[float]:
         """Training MSE after each boosting stage (stage 0 = mean only)."""
-        X = np.asarray(X, dtype=np.float64)
+        X = check_prediction_data(X, self.n_features)
         y = np.asarray(y, dtype=np.float64)
         pred = np.full(X.shape[0], self.init_value, dtype=np.float64)
         losses = [float(np.mean((y - pred) ** 2))]
         for tree in self.trees:
-            pred += self.learning_rate * tree.predict(X)
+            pred += self.learning_rate * tree._predict(X)
             losses.append(float(np.mean((y - pred) ** 2)))
         return losses
 

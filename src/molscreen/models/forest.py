@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import SplitMix64, derive_seed
-from .tree import RegressionTree, check_prediction_data, check_training_data, fit_tree
+from .tree import RegressionTree, check_prediction_data, check_training_data, grow_trees
+
+
+_CHUNK_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class RFModel:
         X = check_prediction_data(X, self.n_features)
         total = np.zeros(X.shape[0], dtype=np.float64)
         for tree in self.trees:
-            total += tree.predict(X)
+            total += tree._predict(X)
         return total / len(self.trees)
 
     def to_dict(self) -> dict:
@@ -69,22 +72,37 @@ def fit_rf(
 
     tree_seeds = tuple(derive_seed(seed, t) for t in range(n_estimators))
     trees = []
-    for tree_seed in tree_seeds:
+    # Trees grow in lockstep in equal chunks of at most _CHUNK_VALUES
+    # feature values (or one tree): a chunk holds its trees' bootstrap
+    # columns and row lists at once, about 16 bytes a value.
+    chunks = max(1, -(-n_estimators * n * p // _CHUNK_VALUES))
+    per_chunk = max(1, -(-n_estimators // chunks))
+    for first in range(0, n_estimators, per_chunk):
+        chunk_seeds = tree_seeds[first : first + per_chunk]
         if bootstrap:
-            boot_rng = SplitMix64(derive_seed(tree_seed, 0))
-            idx = np.array([boot_rng.below(n) for _ in range(n)], dtype=np.intp)
+            rows = np.array(
+                [SplitMix64(derive_seed(tree_seed, 0)).below_many(n, n) for tree_seed in chunk_seeds]
+            )
         else:
-            idx = np.arange(n, dtype=np.intp)
-        trees.append(
-            fit_tree(
-                X[idx],
-                y[idx],
+            rows = np.broadcast_to(np.arange(n), (len(chunk_seeds), n))
+        # Tree t trains on X[rows[t]]: values[t] holds its columns as rows.
+        roots = grow_trees(
+            np.ascontiguousarray(X[rows].transpose(0, 2, 1)),
+            y[rows],
+            max_depth,
+            min_samples_leaf,
+            per_node if per_node < p else None,
+            seeds=[derive_seed(tree_seed, 1) for tree_seed in chunk_seeds],
+        )
+        trees += [
+            RegressionTree(
+                root=root,
                 max_depth=max_depth,
                 min_samples_leaf=min_samples_leaf,
-                features_per_node=per_node if per_node < p else None,
-                seed=derive_seed(tree_seed, 1),
+                n_features=p,
             )
-        )
+            for root in roots
+        ]
 
     config = {
         "kind": "rf",

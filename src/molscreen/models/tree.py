@@ -6,6 +6,10 @@ errors of the two children, with ties broken toward the smallest feature
 index and then the smallest threshold. Each column is sorted once per fit,
 not per node. Randomness enters only through optional per-node feature
 subsampling (used by the forest), driven by a seeded generator.
+
+``fit_tree`` grows one tree node by node; ``grow_trees`` grows a forest's
+trees in lockstep, searching one node of every tree per step in one set of
+array calls, and yields the same trees.
 """
 
 from __future__ import annotations
@@ -80,11 +84,11 @@ class RegressionTree:
     n_features: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise WidthMismatch(
-                f"expected {self.n_features} features, got {X.shape}"
-            )
+        return self._predict(check_prediction_data(X, self.n_features))
+
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        """``predict`` on an ``X`` already checked by
+        ``check_prediction_data``."""
         out = np.empty(X.shape[0], dtype=np.float64)
         self._fill(self.root, X, np.arange(X.shape[0]), out)
         return out
@@ -269,6 +273,332 @@ def fit_tree(
     )
 
 
+def grow_trees(
+    values: np.ndarray,
+    y: np.ndarray,
+    max_depth: int,
+    min_samples_leaf: int = 1,
+    features_per_node: int | None = None,
+    seeds=(),
+) -> list[Node]:
+    """Grow one tree per leading index, all of them in lockstep, and
+    return their roots: the forest's learner.
+
+    Tree ``t`` trains on ``values[t]`` (p x n: row ``f`` is feature ``f``
+    of its n rows) and targets ``y[t]``; every row of ``values`` is
+    sorted once, by one stable ``argsort``. A tree that draws a
+    feature subset per node (``features_per_node`` below p) draws it from
+    ``SplitMix64(seeds[t])`` at each searched node in depth-first order,
+    so each step takes the next depth-first node of every unfinished tree.
+    A tree that draws nothing has no order to keep, and each step takes
+    its whole frontier: the next level. Either way, one step searches all
+    the nodes it takes in one set of array calls and partitions the
+    chosen ones into children in another.
+
+    Every tree is bitwise the one ``fit_tree`` grows from the same data,
+    order and seed: a node's arithmetic does not depend on the nodes it is
+    batched with.
+    """
+    growth = _Growth(values, y, max_depth, min_samples_leaf)
+    n_trees, p, _ = values.shape
+    draws = features_per_node is not None and features_per_node < p
+    rngs = [SplitMix64(seed) for seed in seeds] if draws else None
+    features = list(range(p))
+    # Per tree, the nodes still to search: a stack in depth-first order.
+    pending = {t: [t] for t in np.flatnonzero(growth.root_searchable()).tolist()}
+    while pending:
+        if rngs is None:
+            ids = [i for stack in pending.values() for i in stack]
+            pending = {}
+            feats = None
+        else:
+            ids = [stack.pop() for stack in pending.values()]
+            feats = np.array(
+                [sorted(rngs[t].sample(features, features_per_node)) for t in pending],
+                dtype=np.intp,
+            )
+            pending = {t: stack for t, stack in pending.items() if stack}
+        for tree, left, search_left, search_right in growth.step(np.array(ids), feats):
+            # Right first, so that the left child is searched next.
+            if search_right:
+                pending.setdefault(tree, []).append(left + 1)
+            if search_left:
+                pending.setdefault(tree, []).append(left)
+    return growth.roots()
+
+
+# A node joins a step's group of larger nodes while padding the group's
+# nodes to its largest wastes at most _PAD_CELLS cells (rows x candidate
+# features) in all: below that, per-call overhead outweighs the padded
+# arithmetic. A group also holds at most _GROUP_CELLS cells of row lists
+# (nodes x lists x padded rows), which bounds a step's memory.
+_PAD_CELLS = 2048
+_GROUP_CELLS = 1 << 16
+
+
+class _Growth:
+    """The nodes of a batch of trees over one shared layout.
+
+    Rows are numbered across trees: row ``r`` of tree ``t`` is ``t * n +
+    r``. Tree ``t`` owns ``p + 1`` lists of its row numbers: list ``f < p``
+    holds them in ascending order of feature ``f``, list ``p`` in index
+    order. A node owns the same segment ``[start, start + size)`` of each
+    of its tree's lists, and splitting it stably partitions that segment,
+    left rows first, so every list stays in order within every node. Node
+    ``t`` is tree ``t``'s root; a split node's children get consecutive
+    ids, left first, above every id before them.
+
+    A step lays its nodes out as ``(node, list, cell)`` arrays padded to
+    its largest node. A node's padded cells repeat its last row, so they
+    hold finite values, and every padded cut joins two equal values and is
+    invalid.
+    """
+
+    def __init__(self, values, y, max_depth, min_samples_leaf):
+        n_trees, p, n = values.shape
+        self.n_trees, self.p, self.n = n_trees, p, n
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+        # Feature f of row t * n + r is values[t * (p - 1) * n + f * n + (t * n + r)].
+        self.values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+        self.y = np.ascontiguousarray(y, dtype=np.float64).ravel()
+        lists = np.empty(n_trees * (p + 1) * n + 1, dtype=np.intp)
+        shaped = lists[:-1].reshape(n_trees, p + 1, n)
+        shaped[:, p] = np.arange(n_trees * n).reshape(n_trees, n)
+        for t in range(n_trees):  # one tree at a time bounds the argsort's memory
+            np.add(np.argsort(values[t], axis=1, kind="stable"), t * n, out=shaped[t, :p])
+        self.lists = lists
+        # Partition writes of padded cells land in this last, unused slot.
+        self.spill = lists.size - 1
+        # Where tree t's lists start, and where its feature values start
+        # relative to its row numbers.
+        self.list_at = (np.arange(n_trees) * ((p + 1) * n))[:, None] + np.arange(p + 1) * n
+        self.shift_at = (np.arange(n_trees) * ((p - 1) * n))[:, None] + np.arange(p) * n
+        self.goes_left = np.zeros(n_trees * n, dtype=bool)
+        self.left_sizes = np.arange(1, n, dtype=np.float64)
+        # Every node holds a row, so a tree has at most 2n - 1 nodes.
+        capacity = n_trees * (2 * n - 1)
+        self.cells = np.arange(capacity)
+        self.cells32 = np.arange(n, dtype=np.int32)
+        self.tree = np.empty(capacity, dtype=np.intp)
+        self.start = np.zeros(capacity, dtype=np.intp)
+        self.size = np.empty(capacity, dtype=np.intp)
+        self.depth = np.zeros(capacity, dtype=np.intp)
+        self.left = np.full(capacity, -1, dtype=np.intp)
+        self.feature = np.zeros(capacity, dtype=np.intp)
+        self.threshold = np.zeros(capacity, dtype=np.float64)
+        self.tree[:n_trees] = self.cells[:n_trees]
+        self.size[:n_trees] = n
+        self.count = n_trees
+
+    def root_searchable(self) -> np.ndarray:
+        """Which roots are not leaves before any search: not at max depth,
+        big enough to split, and with a non-constant target."""
+        y = self.y.reshape(self.n_trees, self.n)
+        return (
+            (self.max_depth > 0)
+            & (self.n >= max(2, 2 * self.min_samples_leaf))
+            & (y != y[:, :1]).any(axis=1)
+        )
+
+    def step(self, ids: np.ndarray, feats: np.ndarray | None) -> list:
+        """Search the nodes ``ids`` (candidate features ``feats[i]`` for
+        node ``ids[i]``, or every feature if None) and split those with a
+        valid cut. Returns (tree, left child id, whether the left child
+        needs a search, whether the right one does) per split node."""
+        size = self.size[ids]
+        n_feats = self.p if feats is None else feats.shape[1]
+        by_size = np.argsort(-size, kind="stable")
+        sizes = size[by_size].tolist()
+        split, first, waste = [], 0, 0
+        for i, m in enumerate(sizes):
+            waste += (sizes[first] - m) * n_feats
+            if i > first and (
+                waste > _PAD_CELLS or (i + 1 - first) * sizes[first] * (self.p + 1) > _GROUP_CELLS
+            ):
+                group = by_size[first:i]
+                split += self._split(ids[group], None if feats is None else feats[group])
+                first, waste = i, 0
+        group = by_size[first:]
+        return split + self._split(ids[group], None if feats is None else feats[group])
+
+    def _split(self, ids, feats):
+        p = self.p
+        tree, start, size = self.tree[ids], self.start[ids], self.size[ids]
+        nodes = self.cells[: ids.size]
+        width = int(size.max())
+        cells = self.cells[:width]
+        last = size - 1
+        at = (np.minimum(cells, last[:, None]) + start[:, None])[:, None, :]
+        lists = self.list_at[tree]
+        every = self.lists[lists[:, :, None] + at]
+        # Feature f of row g is at g + shift[f].
+        shift = self.shift_at[tree]
+        if feats is None:
+            feats = self.cells[:p]
+            rows = every[:, :p]
+        else:
+            rows, shift = every[nodes[:, None], feats], shift[nodes[:, None], feats]
+        xs = self.values[rows + shift[:, :, None]]
+        ys = self.y[rows]
+        # cumsum adds in sequence, so each node's prefix sums are its own,
+        # bit for bit, up to its last row; its totals are read there.
+        s1 = ys.cumsum(axis=2)
+        s2 = (ys * ys).cumsum(axis=2)
+        total1, total2 = s1[nodes, :, last][:, :, None], s2[nodes, :, last][:, :, None]
+        s1, s2 = s1[:, :, :-1], s2[:, :, :-1]
+        k = self.left_sizes[: width - 1]
+        # Right sizes; a padded cut gets 1 so that it divides by no zero.
+        rest = np.maximum(size[:, None] - k, 1.0)[:, None, :]
+        cost = (s2 - (s1**2) / k) + ((total2 - s2) - ((total1 - s1) ** 2) / rest)
+        valid = xs[:, :, :-1] < xs[:, :, 1:]
+        if self.min_samples_leaf > 1:
+            valid &= (k >= self.min_samples_leaf) & (rest >= self.min_samples_leaf)
+        # Per node, cuts in (feature, position) order.
+        cost = np.where(valid, cost, np.inf).reshape(ids.size, -1)
+
+        lowest = cost.min(axis=1)
+        best = cost.argmin(axis=1)
+        near = cost <= (lowest + 1e-9 * (1.0 + np.abs(lowest)))[:, None]
+        rivals = near.sum(axis=1)
+        hit = lowest < np.inf
+        if hit.all():
+            hit = nodes
+        else:
+            hit = np.flatnonzero(hit)
+            rivals, best = rivals[hit], best[hit]
+        local, cut = np.divmod(best, width - 1)
+        above = xs[hit, local, cut + 1]
+        threshold = (xs[hit, local, cut] + above) / 2.0
+        tied = np.flatnonzero(rivals > 1)
+        if tied.size:
+            b = hit[tied]
+            local[tied], cut[tied], threshold[tied], above[tied] = self._settle(
+                b, near[b], xs, every[:, p], shift, size[b]
+            )
+
+        # The left rows are those up to the threshold: a prefix of the
+        # chosen feature's list, cut + 1 rows long unless the midpoint left
+        # [below, above) (two adjacent floats, or a sum that overflowed).
+        n_left = cut + 1
+        size = size[hit]
+        if ((threshold >= above) | (threshold < xs[hit, local, cut])).any():
+            n_left = np.minimum((xs[hit, local] <= threshold[:, None]).sum(axis=1), size)
+            split = (n_left > 0) & (n_left < size)
+            size, n_left, local, threshold = size[split], n_left[split], local[split], threshold[split]
+            hit = hit[split]
+        ids, tree, start = ids[hit], tree[hit], start[hit]
+        self.feature[ids] = feats[hit, local] if feats.ndim == 2 else feats[local]
+        self.threshold[ids] = threshold
+
+        in_left = cells < n_left[:, None]
+        in_node = (cells < size[:, None])[:, None, :]
+        sorted_rows = rows[hit, local]
+        self.goes_left[sorted_rows] = in_left
+        deep = self.depth[ids] + 1
+        search = deep < self.max_depth
+        # Children that are leaves for sure need only their index-order
+        # list, for their means.
+        moved = slice(None) if search.any() else slice(p, None)
+        every, lists = every[hit, moved], lists[hit, moved]
+        # A cell's new place in its segment: the left rows in their order,
+        # then the right rows in theirs. Padded cells come after a node's
+        # real ones, so they do not move its real cells' places. Arithmetic
+        # on the mask, in int32, is far faster than np.where on a mask this
+        # irregular.
+        moves_left = self.goes_left[every]
+        before = moves_left.cumsum(axis=2, dtype=np.int32)
+        right = self.cells32[:width] - before + n_left.astype(np.int32)[:, None, None]
+        slot = right + moves_left * (before - 1 - right)
+        self.lists[np.where(in_node, slot + (lists + start[:, None])[:, :, None], self.spill)] = every
+
+        search_left = search_right = search
+        if moved.start is None:
+            # Leaves before any search: too small, or with a constant
+            # target. Each child is a run of cells in the chosen feature's
+            # order, and the right one runs to the padded end.
+            ys = self.y[sorted_rows]
+            fits = max(2, 2 * self.min_samples_leaf)
+            differs = (ys != ys[:, :1]) & in_left
+            search_left = search & (n_left >= fits) & differs.any(axis=1)
+            differs = (ys != ys[:, -1:]) > in_left
+            search_right = search & (size - n_left >= fits) & differs.any(axis=1)
+        first = self.count
+        self.count += 2 * ids.size
+        left = self.cells[first : self.count : 2]
+        self.left[ids] = left
+        self.tree[first : self.count] = np.repeat(tree, 2)
+        self.depth[first : self.count] = np.repeat(deep, 2)
+        self.start[first : self.count : 2] = start
+        self.start[first + 1 : self.count : 2] = start + n_left
+        self.size[first : self.count : 2] = n_left
+        self.size[first + 1 : self.count : 2] = size - n_left
+        return list(zip(tree.tolist(), left.tolist(), search_left.tolist(), search_right.tolist()))
+
+    def _settle(self, nodes, near, xs, in_order, shift, size):
+        """(local feature, cut, threshold, value above the cut) for each of
+        ``nodes``, which all have several near-minimal cuts (``near``, in
+        (feature, position) order per node).
+
+        Different features can induce the *same* partition (e.g. both
+        split off one extreme row); their prefix-sum costs then differ only
+        by rounding. So each node re-scores its near cuts exactly, one node
+        at a time (``_rescore``), over its rows in index order (``in_order``).
+        """
+        which, flat = np.nonzero(near)
+        feature, cut = np.divmod(flat, xs.shape[2] - 1)
+        b = nodes[which]
+        above = xs[b, feature, cut + 1]
+        threshold = (xs[b, feature, cut] + above) / 2.0
+        rows = in_order[b]
+        # Each near cut's left rows among its node's rows in index order.
+        goes_left = self.values[shift[b, feature][:, None] + rows] <= threshold[:, None]
+        ends = (np.flatnonzero(np.diff(which)) + 1).tolist()
+        chosen = []
+        for a, z, m in zip([0] + ends, ends + [which.size], size.tolist()):
+            target = self.y[rows[a, :m]]
+            chosen.append(a + _rescore(goes_left[a:z, :m], feature[a:z], threshold[a:z], target))
+        return feature[chosen], cut[chosen], threshold[chosen], above[chosen]
+
+    def roots(self) -> list[Node]:
+        """Every tree's root, after setting each leaf to the mean of its
+        targets in index order."""
+        count = self.count
+        in_order = self.lists[:-1].reshape(self.n_trees, self.p + 1, self.n)[:, self.p].ravel()
+        targets = self.y[in_order]
+        leaves = np.flatnonzero(self.left[:count] < 0)
+        value = np.zeros(count, dtype=np.float64)
+        # ``_mean`` is a pairwise sum, whose blocking depends on length, so
+        # only leaves of one length are summed together.
+        leaves = leaves[np.argsort(self.size[leaves], kind="stable")]
+        sizes = self.size[leaves]
+        ends = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist() + [leaves.size]
+        first = 0
+        for end in ends:
+            group, m = leaves[first:end], int(sizes[first])
+            first = end
+            cells = (self.tree[group] * self.n + self.start[group])[:, None] + self.cells[:m]
+            value[group] = targets[cells].sum(axis=1) / m
+
+        feature = self.feature[:count].tolist()
+        threshold = self.threshold[:count].tolist()
+        left = self.left[:count].tolist()
+        value = value.tolist()
+        nodes: list[Node | None] = [None] * count
+        for i in range(count - 1, -1, -1):
+            child = left[i]
+            if child < 0:
+                nodes[i] = Node(value=value[i])
+            else:
+                nodes[i] = Node(
+                    feature=feature[i],
+                    threshold=threshold[i],
+                    left=nodes[child],
+                    right=nodes[child + 1],
+                )
+        return nodes[: self.n_trees]
+
+
 def _mean(a: np.ndarray) -> float:
     """``float(a.mean())`` bit for bit (the same pairwise sum, one IEEE
     division) without ``ndarray.mean``'s Python-level wrapper."""
@@ -311,22 +641,37 @@ def _best_split(values, starts, rows, idx, y, target, min_samples_leaf: int):
 
     # Different features can induce the *same* partition (e.g. both split
     # off one extreme row); their prefix-sum costs then differ only by
-    # rounding. Re-evaluate every near-minimal cut with the direct formula
-    # over the node's rows in index order, which is bitwise identical for
-    # identical partitions, so the smallest-feature-then-smallest-threshold
-    # tie-break is exact. Each distinct partition is scored once.
+    # rounding, so every near-minimal cut is re-scored exactly (_rescore).
     tolerance = 1e-9 * (1.0 + abs(lowest))
     features, positions = np.nonzero(cost <= lowest + tolerance)
     if features.size == 1:  # no rival cut to rank against
         feature, position = int(features[0]), positions[0]
         threshold = float((xs[feature, position] + xs[feature, position + 1]) / 2.0)
         return feature, threshold, values[starts[feature] + idx] <= threshold
+    thresholds = (xs[features, positions] + xs[features, positions + 1]) / 2.0
+    goes_left = values[starts[features][:, None] + idx] <= thresholds[:, None]
+    k = _rescore(goes_left, features, thresholds, target)
+    return int(features[k]), float(thresholds[k]), goes_left[k]
+
+
+def _rescore(goes_left, features, thresholds, target) -> int:
+    """Which of one node's near-minimal cuts is best by its exact children
+    SSE; ties go to the smallest feature, then the smallest threshold.
+
+    Row ``k`` of ``goes_left`` marks cut ``k``'s left rows among the
+    node's rows in index order, whose targets are ``target``. The direct
+    formula over rows in index order is bitwise identical for identical
+    partitions, so each distinct partition is scored once, and none when
+    all cuts induce one partition (the first then wins).
+    """
+    keys = [go_left.tobytes() for go_left in goes_left]
+    if keys.count(keys[0]) == len(keys):
+        return 0
     scored: dict[bytes, float] = {}
     best = None
-    for feature, position in zip(features, positions):
-        threshold = float((xs[feature, position] + xs[feature, position + 1]) / 2.0)
-        go_left = values[starts[feature] + idx] <= threshold
-        key = go_left.tobytes()
+    for k, (key, go_left, feature, threshold) in enumerate(
+        zip(keys, goes_left, features.tolist(), thresholds.tolist())
+    ):
         sse = scored.get(key)
         if sse is None:
             left = target[go_left]
@@ -336,5 +681,5 @@ def _best_split(values, starts, rows, idx, y, target, min_samples_leaf: int):
             )
             scored[key] = sse
         if best is None or (sse, feature, threshold) < best[:3]:
-            best = (sse, int(feature), threshold, go_left)
-    return best[1:]
+            best = (sse, feature, threshold, k)
+    return best[3]

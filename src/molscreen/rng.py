@@ -8,6 +8,8 @@ numpy version.
 
 from __future__ import annotations
 
+import numpy as np
+
 _SPAN = 1 << 64
 _MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -48,6 +50,23 @@ class SplitMix64:
             v = self.next_u64()
             if v < limit:
                 return v % n
+
+    def below_many(self, n: int, count: int) -> np.ndarray:
+        """``[self.below(n) for _ in range(count)]`` as an array, leaving
+        the generator in the same state. The stream is computed in numpy's
+        wrapping uint64 arithmetic; a block that holds a draw ``below``
+        would reject falls back to the loop."""
+        if not 0 < n <= 1 << 63:
+            raise ValueError("below_many() requires 1 <= n <= 2**63")
+        state = self._state
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        if _SPAN % n and (z >= np.uint64(_SPAN - _SPAN % n)).any():
+            return np.array([self.below(n) for _ in range(count)], dtype=np.intp)
+        self._state = (state + _GAMMA * count) & _MASK
+        return (z % np.uint64(n)).astype(np.intp)
 
     def sample(self, items: list, k: int) -> list:
         """k items drawn without replacement, by partial Fisher-Yates.

@@ -1,5 +1,6 @@
-"""The inlined ``SplitMix64.sample`` against the loop over ``below`` it
-replaced: the same items in the same order, and the same stream after."""
+"""The inlined ``SplitMix64.sample`` and the array ``below_many`` against
+the loops over ``below`` they replaced: the same draws in the same order,
+and the same stream after."""
 
 import pytest
 
@@ -69,3 +70,28 @@ def test_rejected_draws_are_redrawn_as_below_does():
 def test_sample_larger_than_population_rejected():
     with pytest.raises(ValueError):
         SplitMix64(1).sample([1, 2], 3)
+
+
+def test_below_many_equals_the_loop_over_below():
+    for index in range(500):
+        seed = derive_seed(11, index)
+        n = (1, 2, 3, 7, 21, 2000, (1 << 62) + 5, 1 << 63)[index % 8]
+        new, old = SplitMix64(seed), SplitMix64(seed)
+        count = index % 50
+        assert new.below_many(n, count).tolist() == [old.below(n) for _ in range(count)]
+        assert new.next_u64() == old.next_u64()
+
+
+def test_below_many_redraws_a_rejected_value():
+    # 2**64 - 1 is the one value below(3) rejects: put it third in the block.
+    state = (unmix(MASK) - 3 * GAMMA) & MASK
+    new, old = SplitMix64(0), SplitMix64(0)
+    new._state = old._state = state
+    assert new.below_many(3, 6).tolist() == [old.below(3) for _ in range(6)]
+    assert new.next_u64() == old.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, -1, (1 << 63) + 1])
+def test_below_many_rejects_an_out_of_range_bound(n):
+    with pytest.raises(ValueError):
+        SplitMix64(1).below_many(n, 3)

@@ -1,17 +1,22 @@
-"""The presorted tree learner against the per-node-sorting learner it
-replaced, and feature validation in every model."""
+"""The presorted tree learner and the lockstep forest against the
+per-node-sorting learner they replaced, and feature validation in every
+model."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from molscreen import cli, evaluation
 from molscreen.models import (
+    GBModel,
     ModelError,
     NonFiniteFeature,
+    RFModel,
     TrainConfig,
-    boosting,
+    WidthMismatch,
     fit_gb,
     fit_model,
     fit_rf,
@@ -23,9 +28,12 @@ from molscreen.models.tree import (
     Node,
     NonFiniteTarget,
     RegressionTree,
+    check_training_data,
     sort_columns,
 )
-from molscreen.rng import SplitMix64
+from molscreen.rng import SplitMix64, derive_seed
+
+from conftest import DATA_DIR
 
 
 def oracle_fit_tree(X, y, max_depth, min_samples_leaf=1, features_per_node=None,
@@ -187,15 +195,105 @@ def dumps(model) -> str:
     return json.dumps(model.to_dict())
 
 
+def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1,
+                  min_samples_leaf=1, seed=0):
+    """``fit_gb``'s boosting loop as it stood before the forest grew in
+    lockstep, around ``oracle_fit_tree``."""
+    X, y = check_training_data(X, y)
+
+    init = float(y.mean())
+    pred = np.full(X.shape[0], init, dtype=np.float64)
+    # Every tree sees the same X; only the residual target changes.
+    order = sort_columns(X)
+    # Each fit writes its training rows' predictions here.
+    fitted = np.empty(X.shape[0], dtype=np.float64)
+    trees = []
+    for _ in range(n_estimators):
+        residual = y - pred
+        tree = oracle_fit_tree(
+            X,
+            residual,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            order=order,
+            fitted=fitted,
+        )
+        pred += learning_rate * fitted
+        trees.append(tree)
+
+    config = {
+        "kind": "gb",
+        "n_estimators": n_estimators,
+        "max_depth": max_depth,
+        "learning_rate": learning_rate,
+        "min_samples_leaf": min_samples_leaf,
+        "seed": seed,
+    }
+    return GBModel(
+        init_value=init,
+        learning_rate=learning_rate,
+        trees=tuple(trees),
+        n_features=X.shape[1],
+        config=config,
+    )
+
+
+def oracle_fit_rf(X, y, n_estimators=55, max_depth=10, min_samples_leaf=1,
+                  bootstrap=True, max_features=None, seed=0):
+    """``fit_rf``'s tree-by-tree loop as it stood before the forest grew in
+    lockstep, around ``oracle_fit_tree``."""
+    X, y = check_training_data(X, y)
+
+    n, p = X.shape
+    per_node = max_features if max_features is not None else max(1, math.ceil(p / 3))
+    per_node = min(per_node, p)
+
+    tree_seeds = tuple(derive_seed(seed, t) for t in range(n_estimators))
+    trees = []
+    for tree_seed in tree_seeds:
+        if bootstrap:
+            boot_rng = SplitMix64(derive_seed(tree_seed, 0))
+            idx = np.array([boot_rng.below(n) for _ in range(n)], dtype=np.intp)
+        else:
+            idx = np.arange(n, dtype=np.intp)
+        trees.append(
+            oracle_fit_tree(
+                X[idx],
+                y[idx],
+                max_depth=max_depth,
+                min_samples_leaf=min_samples_leaf,
+                features_per_node=per_node if per_node < p else None,
+                seed=derive_seed(tree_seed, 1),
+            )
+        )
+
+    config = {
+        "kind": "rf",
+        "n_estimators": n_estimators,
+        "max_depth": max_depth,
+        "min_samples_leaf": min_samples_leaf,
+        "bootstrap": bootstrap,
+        "max_features": per_node,
+        "seed": seed,
+    }
+    return RFModel(
+        trees=tuple(trees),
+        tree_seeds=tree_seeds,
+        n_features=p,
+        config=config,
+    )
+
+
+ORACLES = {fit_gb: oracle_fit_gb, fit_rf: oracle_fit_rf}
+
+
 @pytest.fixture
-def oracle(monkeypatch):
-    """Fit with the wrappers' own code but the old tree learner inside."""
+def oracle():
+    """Fit with the learners' loops as they were, around the old tree
+    learner."""
 
     def fit(function, X, y, **kwargs):
-        with monkeypatch.context() as patch:
-            patch.setattr(boosting, "fit_tree", oracle_fit_tree)
-            patch.setattr(forest, "fit_tree", oracle_fit_tree)
-            return function(X, y, **kwargs)
+        return ORACLES[function](X, y, **kwargs)
 
     return fit
 
@@ -291,3 +389,108 @@ class TestNonFiniteFeatures:
         with pytest.raises(NonFiniteFeature, match="row 4, column 0"):
             model.predict(probe)
         assert model.predict(X[:5]).shape == (5,)
+
+
+def msc_training_splits():
+    """The training matrix, targets and model seed of every repeat of
+    ``evaluate --splitter msc --repeats 200`` on the bundled set, as
+    ``evaluate`` hands them to ``fit_model``."""
+
+    class Constant:
+        def predict(self, X):
+            return np.zeros(len(X))
+
+    fits = []
+
+    def record(X, y, config):
+        fits.append((X.copy(), y.copy(), config.seed))
+        return Constant()
+
+    original = evaluation.fit_model
+    evaluation.fit_model = record
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main([
+                "evaluate", "--dataset", str(DATA_DIR / "additives24.csv"),
+                "--registry", str(DATA_DIR / "scaffold_groups.csv"),
+                "--splitter", "msc", "--model", "gb", "--repeats", "200",
+                "--seed", "0", "--out-json", "/dev/null", "--out-text", "/dev/null",
+            ])
+    finally:
+        evaluation.fit_model = original
+    assert code == 0 and len(fits) == 200
+    return fits
+
+
+@pytest.fixture(scope="module")
+def msc_splits():
+    return msc_training_splits()
+
+
+@pytest.mark.parametrize("function", [fit_gb, fit_rf], ids=["gb", "rf"])
+def test_models_match_oracle_on_every_msc_training_split(function, msc_splits):
+    for X, y, seed in msc_splits:
+        assert dumps(function(X, y, seed=seed)) == dumps(ORACLES[function](X, y, seed=seed))
+
+
+def test_forest_matches_oracle_on_a_train_2k_shaped_problem():
+    X, y = bench_like(3)
+    kwargs = {"n_estimators": 11, "seed": 4}
+    assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle_fit_rf(X, y, **kwargs))
+
+
+@pytest.mark.parametrize("values", [1, 100, 1000])
+def test_forest_grown_in_chunks_matches_oracle(values, monkeypatch):
+    # A chunk holds at most this many feature values (at least one tree):
+    # 1 and 100 grow one tree per chunk, 1000 several trees per chunk.
+    monkeypatch.setattr(forest, "_CHUNK_VALUES", values)
+    X, y = SMALL["integer_ties"]
+    for kwargs in ({"n_estimators": 7, "seed": 2}, {"n_estimators": 3, "bootstrap": False}):
+        assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle_fit_rf(X, y, **kwargs))
+
+
+@pytest.mark.parametrize("name", ["n1", "n2", "n2_equal_rows", "tied_targets",
+                                  "all_columns_constant", "evaluate_sized", "bench_like_a"])
+def test_fits_raise_no_warnings(name):
+    X, y = {**SMALL, **LARGE}[name]
+    constant = np.full_like(y, 2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for target in (y, constant):
+            fit_tree(X, target, max_depth=10)
+            fit_tree(X, target, max_depth=4, min_samples_leaf=3, features_per_node=1)
+            fit_gb(X, target, n_estimators=3)
+            fit_rf(X, target, n_estimators=3, seed=1)
+            fit_rf(X, target, n_estimators=3, min_samples_leaf=2, max_features=X.shape[1])
+
+
+def test_evaluate_writes_nothing_to_stderr(tmp_path, capfd):
+    for kind in ("gb", "rf"):
+        code = cli.main([
+            "evaluate", "--dataset", str(DATA_DIR / "additives24.csv"),
+            "--registry", str(DATA_DIR / "scaffold_groups.csv"),
+            "--splitter", "msc", "--model", kind, "--repeats", "5", "--seed", "2",
+            "--out-json", str(tmp_path / "e.json"), "--out-text", str(tmp_path / "e.txt"),
+        ])
+        assert code == 0
+    assert capfd.readouterr().err == ""
+
+
+class TestTreePrediction:
+    def tree(self):
+        return fit_tree(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0, 1.0]),
+                        max_depth=1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_rows(self, bad):
+        with pytest.raises(NonFiniteFeature, match="row 0, column 0"):
+            self.tree().predict(np.array([[bad], [0.0]]))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2), (1, 0)])
+    def test_rejects_the_wrong_width(self, shape):
+        with pytest.raises(WidthMismatch):
+            self.tree().predict(np.zeros(shape))
+
+    def test_routes_finite_rows(self):
+        assert self.tree().predict([[0.0], [2.5]]).tolist() == [0.0, 1.0]
