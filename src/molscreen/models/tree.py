@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import SplitMix64
+from ..rng import SplitMix64, sample_many
 
 
 class ModelError(ValueError):
@@ -277,47 +277,38 @@ def grow_trees(
     values: np.ndarray,
     y: np.ndarray,
     max_depth: int,
-    min_samples_leaf: int = 1,
-    features_per_node: int | None = None,
-    seeds=(),
+    min_samples_leaf: int,
+    features_per_node: int | None,
+    seeds,
 ) -> list[Node]:
     """Grow one tree per leading index, all of them in lockstep, and
-    return their roots: the forest's learner.
+    return their roots: the forest's learner for trees with few rows.
 
     Tree ``t`` trains on ``values[t]`` (p x n: row ``f`` is feature ``f``
     of its n rows) and targets ``y[t]``; every row of ``values`` is
     sorted once, by one stable ``argsort``. A tree that draws a
     feature subset per node (``features_per_node`` below p) draws it from
     ``SplitMix64(seeds[t])`` at each searched node in depth-first order,
-    so each step takes the next depth-first node of every unfinished tree.
-    A tree that draws nothing has no order to keep, and each step takes
-    its whole frontier: the next level. Either way, one step searches all
-    the nodes it takes in one set of array calls and partitions the
-    chosen ones into children in another.
+    so each step takes the next depth-first node of every unfinished
+    tree. One step searches all the nodes it takes in one set of array
+    calls and partitions the chosen ones into children in another.
 
     Every tree is bitwise the one ``fit_tree`` grows from the same data,
     order and seed: a node's arithmetic does not depend on the nodes it is
     batched with.
     """
     growth = _Growth(values, y, max_depth, min_samples_leaf)
-    n_trees, p, _ = values.shape
+    p = values.shape[1]
     draws = features_per_node is not None and features_per_node < p
     rngs = [SplitMix64(seed) for seed in seeds] if draws else None
-    features = list(range(p))
     # Per tree, the nodes still to search: a stack in depth-first order.
     pending = {t: [t] for t in np.flatnonzero(growth.root_searchable()).tolist()}
     while pending:
-        if rngs is None:
-            ids = [i for stack in pending.values() for i in stack]
-            pending = {}
-            feats = None
-        else:
-            ids = [stack.pop() for stack in pending.values()]
-            feats = np.array(
-                [sorted(rngs[t].sample(features, features_per_node)) for t in pending],
-                dtype=np.intp,
-            )
-            pending = {t: stack for t, stack in pending.items() if stack}
+        ids = [stack.pop() for stack in pending.values()]
+        feats = None
+        if rngs is not None:
+            feats = np.sort(sample_many([rngs[t] for t in pending], p, features_per_node), axis=1)
+        pending = {t: stack for t, stack in pending.items() if stack}
         for tree, left, search_left, search_right in growth.step(np.array(ids), feats):
             # Right first, so that the left child is searched next.
             if search_right:
@@ -542,8 +533,10 @@ class _Growth:
 
         Different features can induce the *same* partition (e.g. both
         split off one extreme row); their prefix-sum costs then differ only
-        by rounding. So each node re-scores its near cuts exactly, one node
-        at a time (``_rescore``), over its rows in index order (``in_order``).
+        by rounding. A node whose near cuts all induce one partition keeps
+        its first, as ``_rescore`` would; the others re-score their near
+        cuts exactly (``_rescore_many``), over their rows in index order
+        (``in_order``).
         """
         which, flat = np.nonzero(near)
         feature, cut = np.divmod(flat, xs.shape[2] - 1)
@@ -552,12 +545,20 @@ class _Growth:
         threshold = (xs[b, feature, cut] + above) / 2.0
         rows = in_order[b]
         # Each near cut's left rows among its node's rows in index order.
+        # Padded cells repeat the last row, so they agree wherever the real
+        # cells do.
         goes_left = self.values[shift[b, feature][:, None] + rows] <= threshold[:, None]
-        ends = (np.flatnonzero(np.diff(which)) + 1).tolist()
-        chosen = []
-        for a, z, m in zip([0] + ends, ends + [which.size], size.tolist()):
-            target = self.y[rows[a, :m]]
-            chosen.append(a + _rescore(goes_left[a:z, :m], feature[a:z], threshold[a:z], target))
+        counts = near.sum(axis=1)
+        chosen = np.cumsum(counts) - counts
+        same = (goes_left == np.repeat(goes_left[chosen], counts, axis=0)).all(axis=1)
+        several = ~np.logical_and.reduceat(same, chosen)
+        if several.any():
+            cuts = np.repeat(several, counts)
+            node = which[cuts]
+            best = _rescore_many(
+                goes_left[cuts], self.y[rows[cuts]], size[node], node, feature[cuts], threshold[cuts]
+            )
+            chosen[several] = np.flatnonzero(cuts)[best]
         return feature[chosen], cut[chosen], threshold[chosen], above[chosen]
 
     def roots(self) -> list[Node]:
@@ -652,6 +653,46 @@ def _best_split(values, starts, rows, idx, y, target, min_samples_leaf: int):
     goes_left = values[starts[features][:, None] + idx] <= thresholds[:, None]
     k = _rescore(goes_left, features, thresholds, target)
     return int(features[k]), float(thresholds[k]), goes_left[k]
+
+
+def _rescore_many(goes_left, target, size, node, features, thresholds) -> np.ndarray:
+    """For each node, which of its near-minimal cuts is best by its exact
+    children SSE; ties go to the smallest feature, then the smallest
+    threshold, then the first cut. One cut index per node, in node order.
+
+    Row ``j`` of ``goes_left`` marks cut ``j``'s left rows among its
+    node's rows in index order, whose targets are row ``j`` of ``target``;
+    only its first ``size[j]`` cells are the node's, and ``node`` is
+    nondecreasing. Each side of a cut is scored as ``_rescore`` scores it:
+    the sum of ``(v - mean) ** 2`` over its rows in index order, with the
+    mean a sum over its length. Pairwise sums depend on length, so a side
+    is summed together only with sides of the same length.
+
+    This pays off over the many small tied nodes of a lockstep step; for
+    one node at a time ``_rescore`` is faster (11 trees of 2,000 rows grown
+    through ``fit_tree`` took 1.37 s with this function, 0.98 s without).
+    """
+    cuts, width = goes_left.shape
+    cells = np.arange(width)
+    real = cells < size[:, None]
+    n_left = (goes_left & real).sum(axis=1)
+    # Each cut's targets: its left rows, then its right rows, each in
+    # index order.
+    order = np.argsort(np.where(real, ~goes_left, 2), axis=1, kind="stable")
+    sides = np.take_along_axis(target, order, axis=1).ravel()
+    # Side s < cuts is cut s's left side, side cuts + s its right one.
+    start = np.concatenate((np.arange(cuts) * width, np.arange(cuts) * width + n_left))
+    length = np.concatenate((n_left, size - n_left))
+    by_length = np.argsort(length, kind="stable")
+    length = length[by_length]
+    bounds = [0] + (np.flatnonzero(np.diff(length)) + 1).tolist() + [length.size]
+    sse = np.empty(2 * cuts)
+    for a, z in zip(bounds[:-1], bounds[1:]):
+        pick, m = by_length[a:z], int(length[a])
+        v = sides[start[pick][:, None] + cells[:m]]
+        sse[pick] = ((v - (v.sum(axis=1) / m)[:, None]) ** 2).sum(axis=1)
+    best = np.lexsort((thresholds, features, sse[:cuts] + sse[cuts:], node))
+    return best[np.flatnonzero(np.diff(node[best], prepend=-1))]
 
 
 def _rescore(goes_left, features, thresholds, target) -> int:

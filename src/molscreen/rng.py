@@ -99,3 +99,48 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+# Measured with 14 items and k = 5: the array draws cost about 80 us per
+# call and the loop about 6 us per generator.
+_SAMPLE_MANY = 12
+
+
+def sample_many(generators: list, n: int, k: int) -> np.ndarray:
+    """``[g.sample(list(range(n)), k) for g in generators]`` as a
+    ``(len(generators), k)`` array, leaving every generator in the same
+    state. The draws of all generators are computed at once in numpy's
+    wrapping uint64 arithmetic, and the Fisher-Yates swaps one position
+    at a time for all of them; a generator whose block holds a draw
+    ``sample`` would reject falls back to ``sample``. Below
+    ``_SAMPLE_MANY`` generators, one ``sample`` per generator is faster
+    and is what runs."""
+    if k > n:
+        raise ValueError("sample size exceeds population")
+    if len(generators) < _SAMPLE_MANY:
+        items = list(range(n))
+        drawn = [g.sample(items, k) for g in generators]
+        return np.array(drawn, dtype=np.intp).reshape(len(generators), k)
+    states = np.array([g._state for g in generators], dtype=np.uint64)
+    z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA) + states[:, None]
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    m = np.arange(n, n - k, -1, dtype=np.uint64)
+    # sample rejects z >= 2**64 - 2**64 % m, and 2**64 % m is (2**64 - m) % m.
+    spare = (np.uint64(0) - m) % m
+    rejected = ((spare > 0) & (z >= np.uint64(0) - spare)).any(axis=1)
+    rows = np.arange(len(generators))
+    pool = np.broadcast_to(np.arange(n), (rows.size, n)).copy()
+    swap = (z % m).astype(np.intp) + np.arange(k)
+    for i in range(k):
+        j = swap[:, i]
+        drawn = pool[rows, j]
+        pool[rows, j] = pool[:, i]
+        pool[:, i] = drawn
+    out = pool[:, :k]
+    for t in np.flatnonzero(rejected).tolist():
+        out[t] = generators[t].sample(list(range(n)), k)
+    for t in np.flatnonzero(~rejected).tolist():
+        generators[t]._state = (generators[t]._state + _GAMMA * k) & _MASK
+    return out

@@ -1,10 +1,13 @@
-"""The inlined ``SplitMix64.sample`` and the array ``below_many`` against
-the loops over ``below`` they replaced: the same draws in the same order,
-and the same stream after."""
+"""The inlined ``SplitMix64.sample`` and the array ``below_many`` and
+``sample_many`` against the loops they replaced: the same draws in the
+same order, and the same stream after."""
+
+import warnings
 
 import pytest
 
-from molscreen.rng import SplitMix64, derive_seed
+from molscreen import rng
+from molscreen.rng import SplitMix64, derive_seed, sample_many
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -95,3 +98,36 @@ def test_below_many_redraws_a_rejected_value():
 def test_below_many_rejects_an_out_of_range_bound(n):
     with pytest.raises(ValueError):
         SplitMix64(1).below_many(n, 3)
+
+
+@pytest.mark.parametrize("below", [0, 10**9])
+def test_sample_many_equals_a_sample_per_generator(below, monkeypatch):
+    # Fewer generators than _SAMPLE_MANY draw through one sample each.
+    monkeypatch.setattr(rng, "_SAMPLE_MANY", below)
+    for n, k, count in [(14, 5, 55), (24, 8, 11), (3, 1, 7), (8, 8, 5), (5, 0, 3), (1, 1, 2)]:
+        seeds = [derive_seed(n * 100 + k, t) for t in range(count)]
+        new = [SplitMix64(seed) for seed in seeds]
+        old = [SplitMix64(seed) for seed in seeds]
+        for _ in range(20):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                drawn = sample_many(new, n, k)
+            assert drawn.shape == (count, k)
+            assert drawn.tolist() == [g.sample(list(range(n)), k) for g in old]
+        assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
+
+
+def test_sample_many_redraws_a_rejected_value(monkeypatch):
+    monkeypatch.setattr(rng, "_SAMPLE_MANY", 0)
+    # 2**64 - 1 is the one value a draw below 3 rejects: make it the first
+    # draw of the second generator.
+    new = [SplitMix64(derive_seed(5, t)) for t in range(3)]
+    old = [SplitMix64(derive_seed(5, t)) for t in range(3)]
+    new[1]._state = old[1]._state = (unmix(MASK) - GAMMA) & MASK
+    assert sample_many(new, 3, 2).tolist() == [g.sample([0, 1, 2], 2) for g in old]
+    assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
+
+
+def test_sample_many_larger_than_population_rejected():
+    with pytest.raises(ValueError):
+        sample_many([SplitMix64(1)], 2, 3)

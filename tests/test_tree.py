@@ -434,20 +434,38 @@ def test_models_match_oracle_on_every_msc_training_split(function, msc_splits):
         assert dumps(function(X, y, seed=seed)) == dumps(ORACLES[function](X, y, seed=seed))
 
 
-def test_forest_matches_oracle_on_a_train_2k_shaped_problem():
+# fit_rf grows a chunk's trees in lockstep up to this many rows per tree
+# in the chunk, and one by one through fit_tree above it.
+LEARNERS = {"lockstep": 10**9, "per_node": 0}
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_forest_matches_oracle_on_a_train_2k_shaped_problem(learner, monkeypatch):
+    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
     X, y = bench_like(3)
     kwargs = {"n_estimators": 11, "seed": 4}
     assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle_fit_rf(X, y, **kwargs))
 
 
-@pytest.mark.parametrize("values", [1, 100, 1000])
-def test_forest_grown_in_chunks_matches_oracle(values, monkeypatch):
-    # A chunk holds at most this many feature values (at least one tree):
-    # 1 and 100 grow one tree per chunk, 1000 several trees per chunk.
-    monkeypatch.setattr(forest, "_CHUNK_VALUES", values)
+@pytest.mark.parametrize("learner", LEARNERS)
+@pytest.mark.parametrize("chunk_bytes", [1, 20000])
+def test_forest_grown_in_chunks_matches_oracle(chunk_bytes, learner, monkeypatch):
+    # A chunk holds at most this many bytes (at least one tree), 8,640 a
+    # tree here: 1 grows one tree per chunk, 20,000 two trees per chunk.
+    monkeypatch.setattr(forest, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
     X, y = SMALL["integer_ties"]
     for kwargs in ({"n_estimators": 7, "seed": 2}, {"n_estimators": 3, "bootstrap": False}):
         assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle_fit_rf(X, y, **kwargs))
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_forest_rejects_a_negative_depth(learner, monkeypatch):
+    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
+    X, y = SMALL["integer_ties"]
+    for fit in (fit_rf, oracle_fit_rf):
+        with pytest.raises(ModelError, match="max_depth must be >= 0"):
+            fit(X, y, n_estimators=3, max_depth=-1)
 
 
 @pytest.mark.parametrize("name", ["n1", "n2", "n2_equal_rows", "tied_targets",
