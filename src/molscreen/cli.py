@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker threads for evaluate's repeats; accepted and ignored by "
-            "every other command (results never depend on it)"
+            "accepted and ignored by every command: each runs serially, and "
+            "results never depend on it"
         ),
     )
     common.add_argument(
@@ -239,8 +239,8 @@ def _load_feature_inputs(args, blocks, need_keyset: bool = True):
 
 
 def _echo(args, extra: dict) -> dict:
-    # threads is an execution detail with no effect on results; echoing it
-    # would break byte-identity between serial and parallel runs.
+    # threads has no effect; echoing it would make runs that differ only
+    # in --threads write different bytes.
     skip = {"func", "config", "threads"}
     echo = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -347,7 +347,6 @@ def cmd_evaluate(args) -> int:
         repeats=args.repeats,
         master_seed=args.seed,
         groups=groups,
-        threads=args.threads,
     )
 
     echo = _echo(args, {"command": "evaluate", "rows": len(dataset)})

@@ -105,6 +105,15 @@ def _parsed_rows(reader, smiles: str, parsed: dict):
         yield row_no, row, graph
 
 
+def parse_number(text: str, cast, what: str, error: type[Exception]):
+    """``cast(text)``; a cell that is no such number raises ``error``
+    with ``what`` (the row and column) in its message."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise error(f"{what}: {text!r} is not a valid {cast.__name__}") from None
+
+
 def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
     """Load a molecule dataset (CSV ``smiles,pce[,doi]``).
 
@@ -129,7 +138,7 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
             pce = 0.0
             text = (row.get("pce") or "").strip()
             if text:
-                pce = float(text)
+                pce = parse_number(text, float, f"row {row_no}: pce", InvalidPce)
                 if not (0.0 < pce < 100.0):
                     raise InvalidPce(f"row {row_no}: pce {pce} outside (0, 100)")
             elif require_pce:

@@ -3,8 +3,9 @@
 Three split strategies: scaffold-stratified (one test molecule from every
 group of three or fewer, two from larger groups), plain random, and
 leave-one-group-out. The harness repeats split/fit/score cycles with
-per-repeat seeds derived from a master seed via a splitmix-style hash, so
-reports are bit-identical whether repeats run serially or in parallel.
+per-repeat seeds derived from a master seed via a splitmix-style hash, and
+runs them one after another: a thread pool never beat the serial loop on
+these small fits, so ``--threads`` is accepted and has no effect.
 
 A repeat whose Spearman correlation is undefined (a one-molecule test set,
 or constant predictions or targets) is degenerate: it is recorded with
@@ -16,7 +17,6 @@ counts the fits that stopped before convergence (SVR at its update cap).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -242,27 +242,22 @@ def run_single(
     targets: np.ndarray,
     split: DatasetSplit,
     model_config: TrainConfig,
-    variance_threshold: float = selection.DEFAULT_VARIANCE_THRESHOLD,
-    pcc_threshold: float = selection.DEFAULT_PCC_THRESHOLD,
-    scope=selection.DEFAULT_SCOPE,
 ) -> RepeatScore:
     """Fit the selection pipeline and model on the training rows, score the
     test rows; returns (mae, spearman, converged), with spearman None where
     it is undefined: fewer than two test rows, or constant predictions or
-    targets, and converged the model's flag."""
-    train_matrix = features.rows(split.train)
-    pipeline = selection.fit(
-        train_matrix,
-        variance_threshold=variance_threshold,
-        pcc_threshold=pcc_threshold,
-        scope=scope,
-    )
-    X_train = selection.apply(pipeline, train_matrix).values
-    X_test = selection.apply(pipeline, features.rows(split.test)).values
-    y_train = targets[list(split.train)]
-    y_test = targets[list(split.test)]
-    model = fit_model(X_train, y_train, model_config)
-    pred = model.predict(X_test)
+    targets, and converged the model's flag.
+
+    The cascade, fitted on the training rows alone, projects the whole
+    matrix once; the training and test rows are then read from that one
+    row-major array, bitwise the values of projecting each part apart.
+    """
+    pipeline = selection.fit(features.rows(split.train))
+    X = selection.apply(pipeline, features).values
+    train, test = list(split.train), list(split.test)
+    model = fit_model(X[train], targets[train], model_config)
+    pred = model.predict(X[test])
+    y_test = targets[test]
     try:
         rho = spearman(pred, y_test)
     except (TooFewPoints, ConstantVector):
@@ -278,16 +273,13 @@ def repeated_eval(
     repeats: int = 200,
     master_seed: int = 0,
     groups: dict[int, list[int]] | None = None,
-    variance_threshold: float = selection.DEFAULT_VARIANCE_THRESHOLD,
-    pcc_threshold: float = selection.DEFAULT_PCC_THRESHOLD,
-    scope=selection.DEFAULT_SCOPE,
-    threads: int = 1,
 ) -> EvalReport:
     """Repeat split / fit / score cycles and aggregate mean and sample std.
 
     Repeat ``i`` uses seed ``derive_seed(master_seed, i)``; the split and the
     model fit draw their own sub-seeds from it. Leave-one-group-out ignores
     ``repeats`` and runs each deterministic per-group split exactly once.
+    The selection cascade runs with the ``selection.DEFAULT_*`` settings.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if features.values.shape[0] != targets.shape[0]:
@@ -313,26 +305,11 @@ def repeated_eval(
                     )
                 )
 
-    def score(index_split: tuple[int, DatasetSplit]) -> RepeatScore:
-        i, split = index_split
+    pairs = []
+    for i, split in enumerate(splits):
         repeat_seed = derive_seed(master_seed, i)
         config = model_config.with_seed(derive_seed(repeat_seed, 1))
-        return run_single(
-            features,
-            targets,
-            split,
-            config,
-            variance_threshold=variance_threshold,
-            pcc_threshold=pcc_threshold,
-            scope=scope,
-        )
-
-    tasks = list(enumerate(splits))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(score, tasks))
-    else:
-        pairs = [score(t) for t in tasks]
+        pairs.append(run_single(features, targets, split, config))
 
     return EvalReport(
         method=splitter.kind,
@@ -343,9 +320,9 @@ def repeated_eval(
             "splitter": splitter.kind,
             "test_fraction": splitter.test_fraction,
             "model": model_config.kind,
-            "variance_threshold": variance_threshold,
-            "pcc_threshold": pcc_threshold,
-            "scope": sorted(scope),
+            "variance_threshold": selection.DEFAULT_VARIANCE_THRESHOLD,
+            "pcc_threshold": selection.DEFAULT_PCC_THRESHOLD,
+            "scope": sorted(selection.DEFAULT_SCOPE),
             "threads_independent": True,
         },
     )

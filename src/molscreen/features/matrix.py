@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataio import read_molecules
+from ..dataio import parse_number, read_molecules
 from ..molgraph import MolecularGraph
 from .descriptors import DESCRIPTOR_NAMES, descriptors
 from .patterns import KeySet, fingerprint
@@ -125,7 +125,13 @@ def load_latents(path: str | Path) -> LatentTable:
                 raise UnparseableSMILES(f"row {row_no}: {row['smiles']!r}: {graph}")
             if graph.canonical in vectors:
                 raise DuplicateKey(f"row {row_no}: duplicate molecule {row['smiles']!r}")
-            vectors[graph.canonical] = np.array([float(v) for v in values], dtype=np.float64)
+            vectors[graph.canonical] = np.array(
+                [
+                    parse_number(v, float, f"row {row_no}: {name}", FeatureError)
+                    for name, v in zip(names, values)
+                ],
+                dtype=np.float64,
+            )
     return LatentTable(dimension=len(names), vectors=vectors, column_names=names)
 
 

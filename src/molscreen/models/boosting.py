@@ -8,11 +8,13 @@ data and hyperparameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tree import (
+    ModelError,
     RegressionTree,
     check_prediction_data,
     check_training_data,
@@ -78,6 +80,10 @@ def fit_gb(
     seed: int = 0,
 ) -> GBModel:
     X, y = check_training_data(X, y)
+    if n_estimators < 0:
+        raise ModelError(f"n_estimators must be >= 0, got {n_estimators!r}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ModelError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
 
     init = float(y.mean())
     pred = np.full(X.shape[0], init, dtype=np.float64)

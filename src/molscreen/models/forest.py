@@ -85,6 +85,8 @@ def fit_rf(
 ) -> RFModel:
     """``max_features`` of None means the ceil(p / 3) regression default."""
     X, y = check_training_data(X, y)
+    if n_estimators < 1:
+        raise ModelError(f"n_estimators must be >= 1, got {n_estimators!r}")
     if max_depth < 0:
         raise ModelError("max_depth must be >= 0")
 

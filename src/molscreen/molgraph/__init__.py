@@ -19,7 +19,6 @@ from .model import (
     UnclosedRingBond,
     UnknownElement,
     ValenceViolation,
-    implicit_hydrogens,
     perceive_rings,
 )
 from .parser import parse_smiles
@@ -45,7 +44,6 @@ __all__ = [
     "UnknownElement",
     "ValenceViolation",
     "canonical_smiles",
-    "implicit_hydrogens",
     "parse_smiles",
     "perceive_rings",
 ]

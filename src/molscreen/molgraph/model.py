@@ -117,10 +117,6 @@ class Atom:
     degree: int  # heavy-neighbour count
     offset: int = -1
 
-    @property
-    def bracket(self) -> bool:
-        return self.explicit_h is not None
-
 
 @dataclass(frozen=True)
 class Bond:
@@ -130,9 +126,6 @@ class Bond:
 
     def key(self) -> frozenset[int]:
         return frozenset((self.a, self.b))
-
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
 
 
 @dataclass(frozen=True)
@@ -325,12 +318,3 @@ def _bare_hydrogens(element: str, aromatic: bool, order_sum: int, offset: int) -
 def perceive_rings(graph: MolecularGraph) -> RingInfo:
     """Recompute the SSSR of a graph (pure, deterministic)."""
     return _rings.find_sssr(len(graph.atoms), [(b.a, b.b) for b in graph.bonds])
-
-
-def implicit_hydrogens(graph: MolecularGraph, atom_index: int) -> int:
-    """Resolved hydrogen count of an atom.
-
-    Bracket atoms report their explicit count; bare atoms report the
-    valence-derived implicit count (floored at zero).
-    """
-    return graph.atoms[atom_index].hydrogens

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import selection
-from .dataio import read_molecules
+from .dataio import parse_number, read_molecules
 from .features import (
     DESCRIPTOR_NAMES,
     KeySet,
@@ -320,11 +320,13 @@ def load_property_table(path: str | Path, parsed: dict | None = None) -> dict[st
             if isinstance(graph, str):
                 raise ScreeningError(f"property row {row_no}: {row['smiles']!r}: {graph}")
             entry = {}
-            for key in ("donor_number", "dipole_moment"):
+            for key, cast in (("donor_number", float), ("dipole_moment", float), ("hba", int)):
                 text = (row.get(key) or "").strip()
-                entry[key] = float(text) if text else None
-            hba_text = (row.get("hba") or "").strip()
-            entry["hba"] = int(hba_text) if hba_text else None
+                entry[key] = (
+                    parse_number(text, cast, f"property row {row_no}: {key}", ScreeningError)
+                    if text
+                    else None
+                )
             table[graph.canonical] = entry
     return table
 

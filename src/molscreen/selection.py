@@ -221,9 +221,6 @@ class SelectionPipeline:
             "scope": sorted(self.scope),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionPipeline":
         return cls(

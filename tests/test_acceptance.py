@@ -191,7 +191,7 @@ def test_criterion_5_funnel_structure(tmp_path, dataset24):
             TrainConfig(kind="gb", seed=1),
         )
         save_model(model, tmp_path / "model.json")
-        (tmp_path / "pipeline.json").write_text(pipeline.to_json())
+        (tmp_path / "pipeline.json").write_text(dataio.dump_json(pipeline.to_dict()))
 
         rows = synthetic_pool_rows()
         with (tmp_path / "pool.csv").open("w", newline="") as fh:

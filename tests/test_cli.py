@@ -243,6 +243,23 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, flags, field", [
+        ("rf", ["--n-estimators", "0"], "n_estimators"),
+        ("rf", ["--n-estimators", "-3"], "n_estimators"),
+        ("gb", ["--n-estimators", "-2"], "n_estimators"),
+        ("gb", ["--learning-rate", "inf"], "learning_rate"),
+        ("gb", ["--learning-rate", "nan"], "learning_rate"),
+        ("gb", ["--learning-rate", "0"], "learning_rate"),
+        ("gb", ["--learning-rate", "-1"], "learning_rate"),
+    ])
+    def test_broken_tree_hyperparameter_exits_1(self, tmp_path, capsys, model, flags, field):
+        out = tmp_path / "model.json"
+        assert run("train", "--dataset", DATASET, "--model", model, *flags,
+                   "--out", str(out), "--pipeline-out", str(tmp_path / "p.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--pcc-threshold", "nan"],
                                        ["--pcc-threshold", "inf"],
                                        ["--variance-threshold=-inf"]])
@@ -343,44 +360,83 @@ class TestEvaluate:
                    "--out-text", str(tmp_path / "r.txt")) == 2
 
 
-class TestScreen:
-    @pytest.fixture()
-    def screen_dir(self, tmp_path):
-        assert run("train", "--dataset", DATASET, "--model", "gb", "--seed", "3",
-                   "--out", str(tmp_path / "model.json"),
-                   "--pipeline-out", str(tmp_path / "pipeline.json")) == 0
-        pool = tmp_path / "pool.csv"
-        lines = ["smiles"] + [
-            "Cc1ccccc1", "Oc1ccccc1", "Nc1ccccc1", "CCc1ccncc1", "Cc1cccs1",
-            "CC1CCNCC1", "CCO", "NCCO", "C[Se]C", "C1CCCCCC1",
-        ]
-        pool.write_text("\n".join(lines) + "\n")
-        (tmp_path / "properties.csv").write_text(
-            "smiles,donor_number,dipole_moment,hba\n"
-            "Cc1ccccc1,20,2.0,\nOc1ccccc1,25,1.8,\nNc1ccccc1,30,1.5,\n"
-            "CCc1ccncc1,33,2.2,\nCc1cccs1,15,0.4,\nCC1CCNCC1,28,1.1,\n"
-            "CCO,31,1.7,\nNCCO,29,2.4,\n"
-        )
-        (tmp_path / "cas.csv").write_text(
-            "smiles,cas\nCc1ccccc1,108-88-3\nOc1ccccc1,108-95-2\n"
-            "CCc1ccncc1,536-75-4\nCCO,64-17-5\nNCCO,141-43-5\n"
-        )
-        config = {
-            "pool": "pool.csv",
-            "registry": REGISTRY,
-            "model": "model.json",
-            "pipeline": "pipeline.json",
-            "blocks": ["D"],
-            "vocabulary": {"elements": ["C", "N", "O", "S", "P", "F", "Cl",
-                                        "Br", "I", "B", "Si", "H", "K"]},
-            "top_fraction": 0.9,
-            "thresholds": {"dn_min": 18.0, "dm_min": 1.0, "ha_min": 1},
-            "properties": "properties.csv",
-            "cas": "cas.csv",
-        }
-        (tmp_path / "funnel.json").write_text(json.dumps(config, indent=2))
-        return tmp_path
+@pytest.fixture()
+def screen_dir(tmp_path):
+    assert run("train", "--dataset", DATASET, "--model", "gb", "--seed", "3",
+               "--out", str(tmp_path / "model.json"),
+               "--pipeline-out", str(tmp_path / "pipeline.json")) == 0
+    pool = tmp_path / "pool.csv"
+    lines = ["smiles"] + [
+        "Cc1ccccc1", "Oc1ccccc1", "Nc1ccccc1", "CCc1ccncc1", "Cc1cccs1",
+        "CC1CCNCC1", "CCO", "NCCO", "C[Se]C", "C1CCCCCC1",
+    ]
+    pool.write_text("\n".join(lines) + "\n")
+    (tmp_path / "properties.csv").write_text(
+        "smiles,donor_number,dipole_moment,hba\n"
+        "Cc1ccccc1,20,2.0,\nOc1ccccc1,25,1.8,\nNc1ccccc1,30,1.5,\n"
+        "CCc1ccncc1,33,2.2,\nCc1cccs1,15,0.4,\nCC1CCNCC1,28,1.1,\n"
+        "CCO,31,1.7,\nNCCO,29,2.4,\n"
+    )
+    (tmp_path / "cas.csv").write_text(
+        "smiles,cas\nCc1ccccc1,108-88-3\nOc1ccccc1,108-95-2\n"
+        "CCc1ccncc1,536-75-4\nCCO,64-17-5\nNCCO,141-43-5\n"
+    )
+    config = {
+        "pool": "pool.csv",
+        "registry": REGISTRY,
+        "model": "model.json",
+        "pipeline": "pipeline.json",
+        "blocks": ["D"],
+        "vocabulary": {"elements": ["C", "N", "O", "S", "P", "F", "Cl",
+                                    "Br", "I", "B", "Si", "H", "K"]},
+        "top_fraction": 0.9,
+        "thresholds": {"dn_min": 18.0, "dm_min": 1.0, "ha_min": 1},
+        "properties": "properties.csv",
+        "cas": "cas.csv",
+    }
+    (tmp_path / "funnel.json").write_text(json.dumps(config, indent=2))
+    return tmp_path
 
+
+class TestMalformedNumbers:
+    """A cell that is no number exits 1 with one line naming its row."""
+
+    def check(self, capsys, argv, column):
+        assert run(*map(str, argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "row 2" in err and column in err
+
+    def test_dataset_pce(self, tmp_path, capsys):
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("smiles,pce\nCCO,abc\nCCN,12\nCCC,14\n")
+        self.check(capsys, ["train", "--dataset", dataset, "--model", "gb",
+                            "--out", tmp_path / "m.json", "--pipeline-out", tmp_path / "p.json"],
+                   "pce")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("column, cell", [("donor_number", "x"),
+                                              ("dipole_moment", "1,5"),
+                                              ("hba", "2.5")])
+    def test_property_table(self, screen_dir, capsys, column, cell):
+        values = {"donor_number": "20", "dipole_moment": "2.0", "hba": "1", column: cell}
+        (screen_dir / "properties.csv").write_text(
+            "smiles,donor_number,dipole_moment,hba\n"
+            f"Cc1ccccc1,{values['donor_number']},\"{values['dipole_moment']}\",{values['hba']}\n"
+        )
+        self.check(capsys, ["screen", "--funnel", screen_dir / "funnel.json",
+                            "--out-json", screen_dir / "r.json",
+                            "--out-text", screen_dir / "r.txt"], column)
+        assert not (screen_dir / "r.json").exists()
+
+    def test_latent_table(self, tmp_path, capsys):
+        latents = tmp_path / "z.csv"
+        latents.write_text("smiles,z1,z2\nCCO,0.5,1e-3x\n")
+        self.check(capsys, ["featurize", "--dataset", DATASET, "--blocks", "Z",
+                            "--latents", latents, "--out", tmp_path / "f.csv"], "z2")
+
+
+class TestScreen:
     def test_five_tier_report(self, screen_dir):
         assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
                    "--out-json", str(screen_dir / "report.json"),
@@ -572,15 +628,39 @@ class TestDemo:
             assert fresh == shipped, name
 
 
-class TestThreadsHelp:
-    @pytest.mark.parametrize("command", ["evaluate", "screen"])
-    def test_help_says_only_evaluate_reads_it(self, command, capsys):
+COMMANDS = ["featurize", "train", "scaffold", "evaluate", "screen"]
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_says_every_command_ignores_it(self, command, capsys):
         with pytest.raises(SystemExit) as stop:
             run(command, "--help")
         assert stop.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert "worker threads for evaluate's repeats" in text
-        assert "ignored by every other command" in text
+        assert "accepted and ignored by every command" in text
+        assert "results never depend on it" in text
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_artifacts_do_not_depend_on_it(self, command, screen_dir):
+        # Artifacts echo their own paths, so both runs write the same ones.
+        out = screen_dir / "out"
+        flags = {
+            "featurize": ["--dataset", DATASET, "--blocks", "K,D",
+                          "--out", out / "features.csv"],
+            "train": ["--dataset", DATASET, "--model", "rf",
+                      "--out", out / "model.json", "--pipeline-out", out / "pipeline.json"],
+            "scaffold": ["--dataset", DATASET, "--registry", REGISTRY,
+                         "--out", out / "scaffolds.csv"],
+            "evaluate": ["--dataset", DATASET, "--registry", REGISTRY, "--repeats", "6",
+                         "--out-json", out / "report.json", "--out-text", out / "report.txt"],
+            "screen": ["--funnel", screen_dir / "funnel.json",
+                       "--out-json", out / "report.json", "--out-text", out / "report.txt"],
+        }[command]
+        assert run(command, *map(str, flags)) == 0
+        plain = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run(command, *map(str, flags), "--threads", "4") == 0
+        assert plain and {path.name: path.read_bytes() for path in out.iterdir()} == plain
 
 
 class TestModuleEntryPoint:

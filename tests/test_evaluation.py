@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from molscreen import selection
+from molscreen import evaluation, selection
 from molscreen.evaluation import (
     ConstantVector,
     DatasetSplit,
@@ -36,6 +36,29 @@ def matrix_from(values: np.ndarray) -> FeatureMatrix:
         names=tuple(f"x{j}" for j in range(values.shape[1])),
         values=values.astype(np.float64),
     )
+
+
+def mixed_problem():
+    """K and D columns on unlike scales, one D column nearly constant and
+    one a near copy of another, so the cascade scales and drops columns;
+    with four scaffold groups."""
+    rng = np.random.default_rng(21)
+    n = 22
+    keys = (rng.random((n, 2)) < 0.5).astype(np.float64)
+    d = rng.normal(size=(n, 3)) * np.array([3.0, 40.0, 0.7]) + 5.0
+    near_copy = d[:, :1] * 2.0 + rng.normal(scale=1e-3, size=(n, 1))
+    flat = np.full((n, 1), 9.0) + rng.normal(scale=1e-4, size=(n, 1))
+    values = np.hstack([keys, d, near_copy, flat])
+    features = FeatureMatrix(
+        ids=tuple(f"m{i}" for i in range(n)),
+        blocks=("K", "K", "D", "D", "D", "D", "D"),
+        names=("k0", "k1", "d0", "d1", "d2", "d3", "d4"),
+        values=values,
+    )
+    y = values[:, 2] * 0.3 + values[:, 0] + rng.normal(scale=0.2, size=n)
+    groups = {1: list(range(0, 3)), 2: list(range(3, 10)), 3: list(range(10, 12)),
+              4: list(range(12, n))}
+    return features, y, groups
 
 
 class TestMscSplit:
@@ -191,15 +214,60 @@ class TestRepeatedEval:
         # scores identically
         assert baseline == run_single(features, y, split, config)
 
-    def test_serial_parallel_identical(self):
-        features, y = self.linear_problem()
-        config = TrainConfig(kind="rf", seed=0, n_estimators=5)
-        serial = repeated_eval(features, y, SplitterSpec("random", 0.2), config,
-                               repeats=12, master_seed=17, threads=1)
-        parallel = repeated_eval(features, y, SplitterSpec("random", 0.2), config,
-                                 repeats=12, master_seed=17, threads=4)
-        assert serial.pairs == parallel.pairs
-        assert serial.to_dict() == parallel.to_dict()
+    @pytest.mark.parametrize("kind", ["msc", "random", "logo"])
+    @pytest.mark.parametrize("model", ["gb", "rf", "svr"])
+    def test_pairs_are_a_loop_of_run_single(self, kind, model):
+        features, y, groups = mixed_problem()
+        config = TrainConfig(kind=model, seed=0, n_estimators=4)
+        report = repeated_eval(features, y, SplitterSpec(kind, 0.2), config,
+                               repeats=6, master_seed=17, groups=groups)
+        if kind == "logo":
+            splits = logo_splits(groups)
+        else:
+            splits = []
+            for i in range(6):
+                split_seed = derive_seed(derive_seed(17, i), 0)
+                splits.append(msc_split(groups, split_seed) if kind == "msc"
+                              else random_split(len(y), 0.2, split_seed))
+        expected = tuple(
+            run_single(features, y, split, config.with_seed(derive_seed(derive_seed(17, i), 1)))
+            for i, split in enumerate(splits)
+        )
+        assert report.pairs == expected
+        assert report.repeats == len(splits)
+
+    def test_model_sees_each_part_projected_apart(self, monkeypatch):
+        # The cascade projects the whole matrix once; the rows the model fits
+        # and predicts must be bitwise those of projecting each part alone.
+        features, y, groups = mixed_problem()
+        fit = evaluation.fit_model
+        seen = []
+
+        class Spy:
+            def __init__(self, model):
+                self.model = model
+
+            def predict(self, X):
+                seen.append(X)
+                return self.model.predict(X)
+
+        def spy_fit(X, y, config):
+            seen.append(X)
+            return Spy(fit(X, y, config))
+
+        monkeypatch.setattr(evaluation, "fit_model", spy_fit)
+        splits = [msc_split(groups, seed) for seed in range(4)] + logo_splits(groups)
+        for split in splits:
+            seen.clear()
+            run_single(features, y, split, TrainConfig(kind="gb", seed=0, n_estimators=2))
+            pipeline = selection.fit(features.rows(split.train))
+            assert 0 < len(pipeline.kept_columns) < len(features.names)
+            assert len(seen) == 2
+            for X, rows in zip(seen, (split.train, split.test)):
+                expected = selection.apply(pipeline, features.rows(rows)).values
+                assert X.flags.c_contiguous
+                assert X.dtype == expected.dtype and X.shape == expected.shape
+                assert X.tobytes() == expected.tobytes()
 
     def test_logo_runs_once_per_group(self):
         features, y = self.linear_problem()

@@ -120,8 +120,24 @@ class TestGB:
         with pytest.raises(NonFiniteTarget):
             fit_gb(np.zeros((2, 1)), np.array([1.0, float("nan")]))
 
+    @pytest.mark.parametrize("params, field", [
+        ({"n_estimators": -2}, "n_estimators must be >= 0"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
+        ({"learning_rate": -1.0}, "learning_rate must be finite and > 0"),
+    ])
+    def test_broken_hyperparameter_rejected(self, params, field):
+        with pytest.raises(ModelError, match=field):
+            fit_gb(np.arange(4.0)[:, None], np.arange(4.0), **params)
+
 
 class TestRF:
+    @pytest.mark.parametrize("n_estimators", [0, -3])
+    def test_forest_without_trees_rejected(self, n_estimators):
+        with pytest.raises(ModelError, match="n_estimators must be >= 1"):
+            fit_rf(np.arange(4.0)[:, None], np.arange(4.0), n_estimators=n_estimators)
+
     def test_degenerate_forest_equals_tree(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(25, 4))

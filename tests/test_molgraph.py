@@ -11,7 +11,6 @@ from molscreen.molgraph import (
     UnclosedRingBond,
     UnknownElement,
     ValenceViolation,
-    implicit_hydrogens,
     parse_smiles,
     perceive_rings,
 )
@@ -167,28 +166,28 @@ def _all_simple_cycles(graph) -> set[frozenset[int]]:
 class TestImplicitHydrogens:
     def test_examples(self):
         g = parse_smiles("CC(N)=O")
-        assert implicit_hydrogens(g, 2) == 2  # the amide nitrogen
+        assert g.atoms[2].hydrogens == 2  # the amide nitrogen
         g = parse_smiles("C=O")
-        assert implicit_hydrogens(g, 1) == 0
+        assert g.atoms[1].hydrogens == 0
         g = parse_smiles("[NH4+]")
-        assert implicit_hydrogens(g, 0) == 4
+        assert g.atoms[0].hydrogens == 4
 
     def test_aromatic_conventions(self):
         thiophene = parse_smiles("c1ccsc1")
         s_index = next(i for i, a in enumerate(thiophene.atoms) if a.element == "S")
-        assert implicit_hydrogens(thiophene, s_index) == 0
+        assert thiophene.atoms[s_index].hydrogens == 0
         pyridine = parse_smiles("c1ccncc1")
         n_index = next(i for i, a in enumerate(pyridine.atoms) if a.element == "N")
-        assert implicit_hydrogens(pyridine, n_index) == 0
+        assert pyridine.atoms[n_index].hydrogens == 0
         pyrrole = parse_smiles("c1cc[nH]c1")
         n_index = next(i for i, a in enumerate(pyrrole.atoms) if a.element == "N")
-        assert implicit_hydrogens(pyrrole, n_index) == 1
+        assert pyrrole.atoms[n_index].hydrogens == 1
 
     def test_multivalent_sulfur(self):
         g = parse_smiles("CS(=O)(=O)C")  # bond sum 6 -> no hydrogens
-        assert implicit_hydrogens(g, 1) == 0
+        assert g.atoms[1].hydrogens == 0
         g = parse_smiles("SC")
-        assert implicit_hydrogens(g, 0) == 1
+        assert g.atoms[0].hydrogens == 1
 
 
 class TestParseTotality:

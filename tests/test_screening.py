@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from molscreen import selection
+from molscreen import dataio, selection
 from molscreen.features import assemble
 from molscreen.models import TrainConfig, fit_model, save_model
 from molscreen.molgraph import parse_smiles
@@ -241,7 +241,7 @@ class TestFunnel:
     def funnel_dir(self, tmp_path, dataset24, data_dir):
         model, pipeline = train_tiny_model(dataset24)
         save_model(model, tmp_path / "model.json")
-        (tmp_path / "pipeline.json").write_text(pipeline.to_json())
+        (tmp_path / "pipeline.json").write_text(dataio.dump_json(pipeline.to_dict()))
         build_pool_csv(tmp_path / "pool.csv", synthetic_pool_rows(1000))
 
         pool = load_pool(tmp_path / "pool.csv")
@@ -329,8 +329,6 @@ class TestFunnel:
             return {row[column].strip() for row in csv.DictReader(fh)}
 
     def test_each_spelling_parsed_once(self, funnel_dir, monkeypatch):
-        from molscreen import dataio
-
         config = FunnelConfig.load(funnel_dir / "funnel.json")
         pool_canonical = {r.canonical for r in load_pool(config.pool).records}
         # one more property row: ethanol spelled neither as in the pool nor

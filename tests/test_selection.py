@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from molscreen import selection
+from molscreen import dataio, selection
 from molscreen.features import FeatureMatrix
 from molscreen.selection import (
     ConstantVector,
@@ -308,7 +308,7 @@ class TestFitApply:
         matrix = self.build_ten_column_matrix()
         pipeline = selection.fit(matrix, 0.2, 0.9)
         path = tmp_path / "pipe.json"
-        path.write_text(pipeline.to_json())
+        path.write_text(dataio.dump_json(pipeline.to_dict()))
         loaded = SelectionPipeline.load(path)
         assert loaded == pipeline
 
