@@ -186,12 +186,9 @@ def _parse_with_config_file(parser, command: str, path: Path, flags: list[str]):
     values are skipped.
     """
     try:
-        with Path(path).open(encoding="utf-8") as handle:
-            values = json.load(handle)
-    except ValueError as exc:
-        raise UsageError(f"--config {path}: not valid JSON: {exc}") from None
-    if not isinstance(values, dict):
-        raise UsageError(f"--config {path}: expected a JSON object, got {type(values).__name__}")
+        values = dataio.read_json_object(path, dict, UsageError)
+    except UsageError as exc:
+        raise UsageError(f"--config {exc}") from None
     defaults = vars(parser.parse_args([command]))
     tokens = []
     for key, value in values.items():
@@ -308,7 +305,7 @@ def cmd_train(args) -> int:
         variance_threshold=args.variance_threshold,
         pcc_threshold=args.pcc_threshold,
     )
-    X = selection.apply(pipeline, matrix).values
+    X = selection.apply(pipeline, matrix)
     model = fit_model(X, dataset.targets(), _train_config(args))
 
     echo = _echo(args, {"command": "train", "rows": len(dataset)})

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -106,12 +107,16 @@ def _parsed_rows(reader, smiles: str, parsed: dict):
 
 
 def parse_number(text: str, cast, what: str, error: type[Exception]):
-    """``cast(text)``; a cell that is no such number raises ``error``
-    with ``what`` (the row and column) in its message."""
+    """``cast(text)``; a cell that is no such number, or a NaN or infinite
+    float, raises ``error`` with ``what`` (the row and column) in its
+    message."""
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError:
         raise error(f"{what}: {text!r} is not a valid {cast.__name__}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise error(f"{what}: {text!r} is not a finite number")
+    return value
 
 
 def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
@@ -150,6 +155,36 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
                 )
             )
     return Dataset(name=path.stem, records=tuple(records))
+
+
+def read_json_object(path: str | Path, read, error: type[Exception]):
+    """``read`` of the JSON object in ``path``; bad JSON, another JSON value
+    or an ``error`` from ``read`` raises ``error`` naming the file first."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
+    try:
+        return read(data)
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def json_field(data, key: str, cast, error: type[Exception]):
+    """``cast(data[key])``; a non-object ``data``, a missing ``key`` or an
+    AttributeError, TypeError or ValueError of ``cast`` (``error`` too, so
+    nested reads name their path) raises ``error`` naming ``key``."""
+    if not isinstance(data, dict):
+        raise error(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
+    if key not in data:
+        raise error(f"missing field {key!r}")
+    try:
+        return cast(data[key])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise error(f"field {key!r}: {exc}") from None
 
 
 def dump_json(payload: dict) -> str:

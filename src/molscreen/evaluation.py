@@ -253,7 +253,7 @@ def run_single(
     row-major array, bitwise the values of projecting each part apart.
     """
     pipeline = selection.fit(features.rows(split.train))
-    X = selection.apply(pipeline, features).values
+    X = selection.apply(pipeline, features)
     train, test = list(split.train), list(split.test)
     model = fit_model(X[train], targets[train], model_config)
     pred = model.predict(X[test])
@@ -322,7 +322,7 @@ def repeated_eval(
             "model": model_config.kind,
             "variance_threshold": selection.DEFAULT_VARIANCE_THRESHOLD,
             "pcc_threshold": selection.DEFAULT_PCC_THRESHOLD,
-            "scope": sorted(selection.DEFAULT_SCOPE),
+            "scope": [selection.SCOPE],
             "threads_independent": True,
         },
     )

@@ -63,9 +63,6 @@ class FeatureMatrix:
     def tagged_names(self) -> list[str]:
         return [f"{b}:{n}" for b, n in zip(self.blocks, self.names)]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.names.index(name)]
-
     def rows(self, indices) -> "FeatureMatrix":
         idx = list(indices)
         return FeatureMatrix(
@@ -73,19 +70,6 @@ class FeatureMatrix:
             blocks=self.blocks,
             names=self.names,
             values=self.values[idx, :],
-        )
-
-    def select_columns(self, names: list[str]) -> "FeatureMatrix":
-        position = {name: pos for pos, name in enumerate(self.names)}
-        try:
-            positions = [position[name] for name in names]
-        except KeyError as exc:
-            raise FeatureError(f"no such column {exc.args[0]!r}") from None
-        return FeatureMatrix(
-            ids=self.ids,
-            blocks=tuple(self.blocks[p] for p in positions),
-            names=tuple(self.names[p] for p in positions),
-            values=self.values[:, positions],
         )
 
 

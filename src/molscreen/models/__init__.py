@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from ..dataio import read_json_object
 from .boosting import GBModel, fit_gb
 from .forest import RFModel, fit_rf
 from .svr import SVRModel, default_gamma, fit_svr
@@ -88,16 +88,9 @@ def model_from_dict(data: dict):
     return KINDS[kind].model.from_dict(data)
 
 
-def save_model(model, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def load_model(path: str | Path):
-    with Path(path).open(encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+    """The model in a JSON file; a malformed one raises ModelError naming it."""
+    return read_json_object(path, model_from_dict, ModelError)
 
 
 __all__ = [
@@ -124,5 +117,4 @@ __all__ = [
     "load_model",
     "model_from_dict",
     "model_to_dict",
-    "save_model",
 ]

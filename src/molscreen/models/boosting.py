@@ -19,6 +19,7 @@ from .tree import (
     check_prediction_data,
     check_training_data,
     fit_tree,
+    read_field,
     sort_columns,
 )
 
@@ -62,11 +63,11 @@ class GBModel:
     @classmethod
     def from_dict(cls, data: dict) -> "GBModel":
         return cls(
-            init_value=float(data["init_value"]),
-            learning_rate=float(data["learning_rate"]),
-            trees=tuple(RegressionTree.from_dict(t) for t in data["trees"]),
-            n_features=int(data["n_features"]),
-            config=dict(data["config"]),
+            init_value=read_field(data, "init_value", float),
+            learning_rate=read_field(data, "learning_rate", float),
+            trees=read_field(data, "trees", lambda ts: tuple(map(RegressionTree.from_dict, ts))),
+            n_features=read_field(data, "n_features", int),
+            config=read_field(data, "config", dict),
         )
 
 
@@ -82,6 +83,8 @@ def fit_gb(
     X, y = check_training_data(X, y)
     if n_estimators < 0:
         raise ModelError(f"n_estimators must be >= 0, got {n_estimators!r}")
+    if max_depth < 0:
+        raise ModelError("max_depth must be >= 0")
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ModelError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
 

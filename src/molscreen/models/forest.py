@@ -21,6 +21,7 @@ from .tree import (
     check_training_data,
     fit_tree,
     grow_trees,
+    read_field,
 )
 
 
@@ -66,10 +67,10 @@ class RFModel:
     @classmethod
     def from_dict(cls, data: dict) -> "RFModel":
         return cls(
-            trees=tuple(RegressionTree.from_dict(t) for t in data["trees"]),
-            tree_seeds=tuple(int(s) for s in data["tree_seeds"]),
-            n_features=int(data["n_features"]),
-            config=dict(data["config"]),
+            trees=read_field(data, "trees", lambda ts: tuple(map(RegressionTree.from_dict, ts))),
+            tree_seeds=read_field(data, "tree_seeds", lambda seeds: tuple(map(int, seeds))),
+            n_features=read_field(data, "n_features", int),
+            config=read_field(data, "config", dict),
         )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import ModelError, check_prediction_data, check_training_data
+from .tree import ModelError, check_prediction_data, check_training_data, read_field
 
 _AT_BOUND = 1e-12
 _SUPPORT_EPS = 1e-10
@@ -84,19 +84,23 @@ class SVRModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SVRModel":
+        def floats(value) -> np.ndarray:
+            return np.array(list(value), dtype=np.float64)
+
+        n_features = read_field(data, "n_features", int)
         return cls(
-            support_vectors=np.array(data["support_vectors"], dtype=np.float64).reshape(
-                -1, int(data["n_features"])
+            support_vectors=read_field(
+                data, "support_vectors", lambda v: floats(v).reshape(-1, n_features)
             ),
-            coefficients=np.array(data["coefficients"], dtype=np.float64),
-            bias=float(data["bias"]),
-            kernel=str(data["kernel"]),
-            gamma=float(data["gamma"]),
-            C=float(data["C"]),
-            epsilon=float(data["epsilon"]),
-            converged=bool(data["converged"]),
-            n_features=int(data["n_features"]),
-            config=dict(data["config"]),
+            coefficients=read_field(data, "coefficients", floats),
+            bias=read_field(data, "bias", float),
+            kernel=read_field(data, "kernel", str),
+            gamma=read_field(data, "gamma", float),
+            C=read_field(data, "C", float),
+            epsilon=read_field(data, "epsilon", float),
+            converged=read_field(data, "converged", bool),
+            n_features=n_features,
+            config=read_field(data, "config", dict),
         )
 
 

@@ -16,14 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ..dataio import json_field
 from ..rng import SplitMix64, sample_many
 
 
 class ModelError(ValueError):
     pass
+
+
+read_field = partial(json_field, error=ModelError)  # a model file's field
 
 
 class EmptyTrainingSet(ModelError):
@@ -66,13 +71,13 @@ class Node:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Node":
-        if "leaf" in data:
-            return cls(value=float(data["leaf"]))
+        if isinstance(data, dict) and "leaf" in data:
+            return cls(value=read_field(data, "leaf", float))
         return cls(
-            feature=int(data["feature"]),
-            threshold=float(data["threshold"]),
-            left=cls.from_dict(data["left"]),
-            right=cls.from_dict(data["right"]),
+            feature=read_field(data, "feature", int),
+            threshold=read_field(data, "threshold", float),
+            left=read_field(data, "left", cls.from_dict),
+            right=read_field(data, "right", cls.from_dict),
         )
 
 
@@ -112,10 +117,10 @@ class RegressionTree:
     @classmethod
     def from_dict(cls, data: dict) -> "RegressionTree":
         return cls(
-            root=Node.from_dict(data["root"]),
-            max_depth=int(data["max_depth"]),
-            min_samples_leaf=int(data["min_samples_leaf"]),
-            n_features=int(data["n_features"]),
+            root=read_field(data, "root", Node.from_dict),
+            max_depth=read_field(data, "max_depth", int),
+            min_samples_leaf=read_field(data, "min_samples_leaf", int),
+            n_features=read_field(data, "n_features", int),
         )
 
 

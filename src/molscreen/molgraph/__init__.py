@@ -19,7 +19,6 @@ from .model import (
     UnclosedRingBond,
     UnknownElement,
     ValenceViolation,
-    perceive_rings,
 )
 from .parser import parse_smiles
 from .canon import canonical_smiles
@@ -45,5 +44,4 @@ __all__ = [
     "ValenceViolation",
     "canonical_smiles",
     "parse_smiles",
-    "perceive_rings",
 ]

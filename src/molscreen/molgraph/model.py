@@ -313,8 +313,3 @@ def _bare_hydrogens(element: str, aromatic: bool, order_sum: int, offset: int) -
         f"{max(valences)}",
         offset,
     )
-
-
-def perceive_rings(graph: MolecularGraph) -> RingInfo:
-    """Recompute the SSSR of a graph (pure, deterministic)."""
-    return _rings.find_sssr(len(graph.atoms), [(b.a, b.b) for b in graph.bonds])

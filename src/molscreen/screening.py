@@ -12,7 +12,6 @@ wins, so that table's row order can change the report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import selection
-from .dataio import parse_number, read_molecules
+from .dataio import parse_number, read_json_object, read_molecules
 from .features import (
     DESCRIPTOR_NAMES,
     KeySet,
@@ -90,12 +89,10 @@ class FunnelConfig:
         ``ScreeningError`` naming it."""
         path = Path(path)
         base = path.parent
-        with path.open(encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise ScreeningError(f"funnel config {path} is not valid JSON: {exc}")
-        data = _mapping(data, "funnel config")
+        try:
+            data = read_json_object(path, dict, ScreeningError)
+        except ScreeningError as exc:
+            raise ScreeningError(f"funnel config {exc}") from None
 
         def resolve(key: str, required: bool = True) -> Path | None:
             value = data.get(key)
@@ -406,7 +403,7 @@ def tier_rank(
     matrix = assemble(
         [r.graph for r in records], blocks, keyset=keyset, latents=latents
     )
-    X = selection.apply(pipeline, matrix).values
+    X = selection.apply(pipeline, matrix)
     predictions = model.predict(X)
     for record, value in zip(records, predictions):
         record.predicted_pce = float(value)

@@ -4,29 +4,38 @@ Pearson redundancy pruning.
 The cascade is a fit/apply pipeline. Fitting learns per-column maxima and
 the surviving column list from training rows only; applying reuses both on
 unseen rows without refitting, so normalized values may exceed 1.0 outside
-the training set. By default the cascade touches only the descriptor (D)
-block; key and latent blocks pass through untouched.
+the training set. The cascade touches only the descriptor (D) block; key
+and latent blocks pass through untouched.
+
+Both steps read the matrix's column names and blocks only on entry and on
+exit. In between, the stages take plain float arrays and return kept
+column positions, and :func:`apply` returns the models' row-major input
+array, not a :class:`FeatureMatrix`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from .dataio import json_field, read_json_object
 from .features import FeatureMatrix
 
 DEFAULT_VARIANCE_THRESHOLD = 0.2
 DEFAULT_PCC_THRESHOLD = 0.9
-DEFAULT_SCOPE = frozenset({"D"})
+SCOPE = "D"  # the one block the cascade touches
 
 
 class SelectionError(ValueError):
     pass
+
+
+_field = partial(json_field, error=SelectionError)  # a pipeline file's field
 
 
 class EmptyMatrix(SelectionError):
@@ -98,48 +107,33 @@ def _centred_rows(values: np.ndarray) -> np.ndarray:
     return rows - rows.mean(axis=1, keepdims=True)
 
 
-def max_normalize(
-    matrix: FeatureMatrix, scope=DEFAULT_SCOPE
-) -> tuple[FeatureMatrix, dict[str, float]]:
-    """Scale in-scope columns by their maximum absolute value.
+def max_normalize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scale each column by its maximum absolute value.
 
-    All-zero in-scope columns cannot be normalized and are removed here
+    Returns the positions of the columns kept, their peaks and their scaled
+    values. All-zero columns cannot be normalized and are dropped here
     (recorded as constant by the caller). The absolute-value convention
     keeps negative-valued columns inside [-1, 1]; on the non-negative count
     descriptors it coincides with plain X / X_max.
     """
-    if matrix.values.shape[0] == 0:
+    if values.shape[0] == 0:
         raise EmptyMatrix("cannot normalize an empty matrix")
-    scope = frozenset(scope)
-    peaks = np.max(np.abs(matrix.values), axis=0)
-    in_scope = np.array([b in scope for b in matrix.blocks], dtype=bool)
-    keep = ~in_scope | (peaks != 0.0)  # constant zero in-scope columns: dropped
-    scaled = in_scope & keep
-    # Out-of-scope columns divide by 1.0, which leaves every value unchanged.
-    values = matrix.values[:, keep] / np.where(scaled, peaks, 1.0)[keep]
-    column_max = {
-        n: float(peak) for n, peak, s in zip(matrix.names, peaks, scaled) if s
-    }
-    out = FeatureMatrix(
-        ids=matrix.ids,
-        blocks=tuple(b for b, k in zip(matrix.blocks, keep) if k),
-        names=tuple(n for n, k in zip(matrix.names, keep) if k),
-        values=values,
-    )
-    return out, column_max
+    peaks = np.max(np.abs(values), axis=0)
+    kept = np.flatnonzero(peaks)
+    return kept, peaks[kept], values[:, kept] / peaks[kept]
 
 
-def variance_filter(matrix: FeatureMatrix, threshold: float) -> list[str]:
-    """Columns whose sample standard deviation strictly exceeds ``threshold``.
+def variance_filter(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Positions of the columns whose sample standard deviation strictly
+    exceeds ``threshold``.
 
     All standard deviations come from one vectorized pass; a column within
     the near-tie band of the threshold is decided by :func:`sample_std`, so
     the kept columns are those of a per-column ``sample_std`` loop.
     """
-    values = matrix.values
-    n = values.shape[0]
-    if not matrix.names:
-        return []
+    n, p = values.shape
+    if p == 0:
+        return np.arange(0)
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
     dev = _centred_rows(values)
@@ -148,11 +142,11 @@ def variance_filter(matrix: FeatureMatrix, threshold: float) -> list[str]:
     kept = std > threshold + band
     for pos in np.flatnonzero(np.abs(std - threshold) <= band).tolist():
         kept[pos] = sample_std(values[:, pos]) > threshold
-    return [name for name, k in zip(matrix.names, kept) if k]
+    return np.flatnonzero(kept)
 
 
-def pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
-    """Drop redundant columns by correlation grouping.
+def pcc_prune(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Positions of the columns kept after correlation grouping.
 
     Columns with pairwise |Pearson| strictly above ``threshold`` are joined
     into connected components (union-find); each component keeps only its
@@ -164,8 +158,7 @@ def pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
     underflow or overflow; a constant column among them), is decided by the
     exact :func:`pearson`, which also raises its errors as it always has.
     """
-    values = matrix.values
-    n = len(matrix.names)
+    n = values.shape[1]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -198,8 +191,7 @@ def pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
         for i, j in zip(*(ix.tolist() for ix in np.nonzero(np.triu(edge, 1)))):
             union(i, j)
 
-    representatives = sorted({find(i) for i in range(n)})
-    return [matrix.names[i] for i in representatives]
+    return np.array(sorted({find(i) for i in range(n)}), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -208,7 +200,6 @@ class SelectionPipeline:
     kept_columns: tuple[str, ...]
     variance_threshold: float
     pcc_threshold: float
-    scope: frozenset[str]
 
     def to_dict(self) -> dict:
         return {
@@ -218,37 +209,43 @@ class SelectionPipeline:
                 "variance": self.variance_threshold,
                 "pcc": self.pcc_threshold,
             },
-            "scope": sorted(self.scope),
+            "scope": [SCOPE],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionPipeline":
+        """Read what :meth:`to_dict` writes; a missing or mistyped field
+        raises :class:`SelectionError` naming it."""
+        thresholds = _field(data, "thresholds", dict)
         return cls(
-            column_max={k: float(v) for k, v in data["column_max"].items()},
-            kept_columns=tuple(data["kept_columns"]),
-            variance_threshold=float(data["thresholds"]["variance"]),
-            pcc_threshold=float(data["thresholds"]["pcc"]),
-            scope=frozenset(data["scope"]),
+            column_max=_field(data, "column_max", lambda v: {k: float(p) for k, p in v.items()}),
+            kept_columns=_field(data, "kept_columns", _names),
+            variance_threshold=_field(thresholds, "variance", float),
+            pcc_threshold=_field(thresholds, "pcc", float),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "SelectionPipeline":
-        with Path(path).open(encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return read_json_object(path, cls.from_dict, SelectionError)
+
+
+def _names(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of strings, got {type(value).__name__}")
+    return tuple(value)
 
 
 def fit(
     matrix: FeatureMatrix,
     variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD,
     pcc_threshold: float = DEFAULT_PCC_THRESHOLD,
-    scope=DEFAULT_SCOPE,
 ) -> SelectionPipeline:
     """Fit the cascade on training rows.
 
-    In-scope columns run max normalization, the variance threshold and the
-    correlation pruning in that order; out-of-scope columns survive
-    untouched. Survivors keep their original column order. Both thresholds
-    must be finite numbers (:class:`SelectionError` otherwise).
+    Block-D columns run max normalization, the variance threshold and the
+    correlation pruning in that order; other blocks survive untouched.
+    Survivors keep their original column order. Both thresholds must be
+    finite numbers (:class:`SelectionError` otherwise).
     """
     for label, value in (
         ("variance_threshold", variance_threshold),
@@ -258,45 +255,34 @@ def fit(
             raise SelectionError(f"{label} must be a finite number, got {value!r}")
     if matrix.values.shape[0] == 0:
         raise EmptyMatrix("cannot fit on an empty matrix")
-    scope = frozenset(scope)
-    normalized, column_max = max_normalize(matrix, scope)
-
-    in_scope = [
-        name
-        for block, name in zip(normalized.blocks, normalized.names)
-        if block in scope
-    ]
-    survivors = set(normalized.names) - set(in_scope)
-    if in_scope:
-        sub = normalized.select_columns(in_scope)
-        after_variance = variance_filter(sub, variance_threshold)
-        if after_variance:
-            pruned = pcc_prune(
-                normalized.select_columns(after_variance), pcc_threshold
-            )
-            survivors |= set(pruned)
-
-    kept = tuple(n for n in matrix.names if n in survivors)
-    column_max = {k: v for k, v in column_max.items() if k in survivors}
+    keep = np.array([block != SCOPE for block in matrix.blocks], dtype=bool)
+    in_scope = np.flatnonzero(~keep)
+    nonzero, peaks, scaled = max_normalize(matrix.values[:, in_scope])
+    varied = variance_filter(scaled, variance_threshold)
+    chosen = varied[pcc_prune(scaled[:, varied], pcc_threshold)]
+    columns = in_scope[nonzero[chosen]]
+    keep[columns] = True
+    names = matrix.names
     return SelectionPipeline(
-        column_max=column_max,
-        kept_columns=kept,
+        column_max={
+            names[c]: peak for c, peak in zip(columns.tolist(), peaks[chosen].tolist())
+        },
+        kept_columns=tuple(names[c] for c in np.flatnonzero(keep).tolist()),
         variance_threshold=variance_threshold,
         pcc_threshold=pcc_threshold,
-        scope=scope,
     )
 
 
-def apply(pipeline: SelectionPipeline, matrix: FeatureMatrix) -> FeatureMatrix:
-    """Project a matrix through a fitted pipeline (pure; never refits)."""
-    present = set(matrix.names)
-    missing = [n for n in pipeline.kept_columns if n not in present]
+def apply(pipeline: SelectionPipeline, matrix: FeatureMatrix) -> np.ndarray:
+    """The model input of ``matrix``: its fitted columns, scaled by the
+    fitted peaks (pure; never refits)."""
+    position = {name: pos for pos, name in enumerate(matrix.names)}
+    missing = [n for n in pipeline.kept_columns if n not in position]
     if missing:
         raise UnknownColumn(f"matrix lacks fitted columns {missing}")
-    out = matrix.select_columns(list(pipeline.kept_columns))
+    columns = [position[name] for name in pipeline.kept_columns]
     # Unscaled columns divide by 1.0, which leaves every value unchanged. The
     # result is row-major: the models' BLAS calls round differently on a
     # column-major matrix, so the layout is part of the output.
-    peaks = np.array([pipeline.column_max.get(name, 1.0) for name in out.names])
-    values = np.divide(out.values, peaks, order="C")
-    return FeatureMatrix(ids=out.ids, blocks=out.blocks, names=out.names, values=values)
+    peaks = np.array([pipeline.column_max.get(n, 1.0) for n in pipeline.kept_columns])
+    return np.divide(matrix.values[:, columns], peaks, order="C")

@@ -21,7 +21,9 @@ from molscreen.evaluation import (
     repeated_eval,
 )
 from molscreen.features import FeatureMatrix, assemble
-from molscreen.models import TrainConfig, fit_gb, fit_model, fit_rf, fit_svr, fit_tree, save_model
+from molscreen.models import (
+    TrainConfig, fit_gb, fit_model, fit_rf, fit_svr, fit_tree, model_to_dict,
+)
 from molscreen.molgraph import canonical_smiles, parse_smiles
 from molscreen.scaffold import extract_scaffold, group_dataset
 from molscreen.screening import FunnelConfig, run_funnel, top_count
@@ -186,11 +188,11 @@ def test_criterion_5_funnel_structure(tmp_path, dataset24):
         matrix = assemble(dataset24.graphs(), {"D"})
         pipeline = selection.fit(matrix)
         model = fit_model(
-            selection.apply(pipeline, matrix).values,
+            selection.apply(pipeline, matrix),
             dataset24.targets(),
             TrainConfig(kind="gb", seed=1),
         )
-        save_model(model, tmp_path / "model.json")
+        (tmp_path / "model.json").write_text(dataio.dump_json(model_to_dict(model)))
         (tmp_path / "pipeline.json").write_text(dataio.dump_json(pipeline.to_dict()))
 
         rows = synthetic_pool_rows()

@@ -251,6 +251,7 @@ class TestTrain:
         ("gb", ["--learning-rate", "nan"], "learning_rate"),
         ("gb", ["--learning-rate", "0"], "learning_rate"),
         ("gb", ["--learning-rate", "-1"], "learning_rate"),
+        ("gb", ["--n-estimators", "0", "--max-depth", "-1"], "max_depth"),
     ])
     def test_broken_tree_hyperparameter_exits_1(self, tmp_path, capsys, model, flags, field):
         out = tmp_path / "model.json"
@@ -417,7 +418,9 @@ class TestMalformedNumbers:
 
     @pytest.mark.parametrize("column, cell", [("donor_number", "x"),
                                               ("dipole_moment", "1,5"),
-                                              ("hba", "2.5")])
+                                              ("hba", "2.5"),
+                                              ("donor_number", "nan"),
+                                              ("dipole_moment", "inf")])
     def test_property_table(self, screen_dir, capsys, column, cell):
         values = {"donor_number": "20", "dipole_moment": "2.0", "hba": "1", column: cell}
         (screen_dir / "properties.csv").write_text(
@@ -434,6 +437,54 @@ class TestMalformedNumbers:
         latents.write_text("smiles,z1,z2\nCCO,0.5,1e-3x\n")
         self.check(capsys, ["featurize", "--dataset", DATASET, "--blocks", "Z",
                             "--latents", latents, "--out", tmp_path / "f.csv"], "z2")
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_latent(self, tmp_path, capsys, cell):
+        latents = tmp_path / "z.csv"
+        latents.write_text(f"smiles,z1,z2\nCCO,0.5,{cell}\n")
+        self.check(capsys, ["featurize", "--dataset", DATASET, "--blocks", "Z",
+                            "--latents", latents, "--out", tmp_path / "f.csv"], "z2")
+
+
+class TestMalformedArtifacts:
+    """A broken pipeline or model file exits 1 with one line naming it."""
+
+    def check(self, screen_dir, capsys, name, text, message):
+        (screen_dir / name).write_text(text)
+        assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
+                   "--out-json", str(screen_dir / "r.json"),
+                   "--out-text", str(screen_dir / "r.txt")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {screen_dir / name}") and err.count("\n") == 1
+        assert message in err
+        assert not (screen_dir / "r.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("kept_columns"), "missing field 'kept_columns'"),
+        (lambda d: d.update(kept_columns="n_atoms"), "field 'kept_columns': expected a list"),
+        (lambda d: d["thresholds"].pop("pcc"), "missing field 'pcc'"),
+        (lambda d: d["column_max"].update(n_atoms="big"), "field 'column_max': "),
+    ], ids=["missing", "mistyped", "thresholds", "peak"])
+    def test_pipeline_field(self, screen_dir, capsys, edit, message):
+        data = json.loads((screen_dir / "pipeline.json").read_text())
+        edit(data)
+        self.check(screen_dir, capsys, "pipeline.json", json.dumps(data), message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("trees"), "missing field 'trees'"),
+        (lambda d: d["trees"][0].update(root=[]), "field 'trees': field 'root': expected"),
+    ], ids=["missing", "nested"])
+    def test_model_field(self, screen_dir, capsys, edit, message):
+        data = json.loads((screen_dir / "model.json").read_text())
+        edit(data)
+        self.check(screen_dir, capsys, "model.json", json.dumps(data), message)
+
+    @pytest.mark.parametrize("name", ["pipeline.json", "model.json"])
+    @pytest.mark.parametrize("text, message", [("{", "not valid JSON"),
+                                               ("[]", "expected a JSON object")],
+                             ids=["truncated", "array"])
+    def test_not_a_json_object(self, screen_dir, capsys, name, text, message):
+        self.check(screen_dir, capsys, name, text, message)
 
 
 class TestScreen:

@@ -264,7 +264,7 @@ class TestRepeatedEval:
             assert 0 < len(pipeline.kept_columns) < len(features.names)
             assert len(seen) == 2
             for X, rows in zip(seen, (split.train, split.test)):
-                expected = selection.apply(pipeline, features.rows(rows)).values
+                expected = selection.apply(pipeline, features.rows(rows))
                 assert X.flags.c_contiguous
                 assert X.dtype == expected.dtype and X.shape == expected.shape
                 assert X.tobytes() == expected.tobytes()

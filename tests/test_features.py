@@ -256,15 +256,6 @@ class TestAssemble:
             FeatureMatrix(ids=("a", "b", "c"), blocks=("K", "D"), names=("x", "y"),
                           values=values)
 
-    def test_select_columns_in_requested_order(self):
-        matrix = FeatureMatrix(ids=("a",), blocks=("K", "D", "Z"), names=("x", "y", "z"),
-                               values=np.array([[1.0, 2.0, 3.0]]))
-        out = matrix.select_columns(["z", "x"])
-        assert out.names == ("z", "x") and out.blocks == ("Z", "K")
-        assert out.values.tolist() == [[3.0, 1.0]]
-        with pytest.raises(FeatureError, match="no such column 'w'"):
-            matrix.select_columns(["x", "w"])
-
 
 class TestPatternValidation:
     def test_bond_index_out_of_range(self):

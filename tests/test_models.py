@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from molscreen import dataio
 from molscreen.models import (
     KINDS,
     MODEL_KINDS,
@@ -23,7 +24,6 @@ from molscreen.models import (
     load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
 )
 from molscreen.models.tree import check_training_data
 
@@ -126,6 +126,7 @@ class TestGB:
         ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
         ({"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
         ({"learning_rate": -1.0}, "learning_rate must be finite and > 0"),
+        ({"n_estimators": 0, "max_depth": -1}, "max_depth must be >= 0"),
     ])
     def test_broken_hyperparameter_rejected(self, params, field):
         with pytest.raises(ModelError, match=field):
@@ -234,7 +235,7 @@ class TestSerialization:
         y = rng.normal(size=20)
         model = fit_model(X, y, TrainConfig(kind=kind, seed=5, n_estimators=4))
         path = tmp_path / f"{kind}.json"
-        save_model(model, path)
+        path.write_text(dataio.dump_json(model_to_dict(model)))
         loaded = load_model(path)
         assert np.array_equal(model.predict(X), loaded.predict(X))
         assert json.dumps(model_to_dict(model), sort_keys=True) == json.dumps(
@@ -254,6 +255,24 @@ class TestSerialization:
     def test_version_check(self):
         with pytest.raises(Exception):
             model_from_dict({"format_version": 99, "kind": "gb"})
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("gb", lambda d: d.pop("trees"), "missing field 'trees'"),
+        ("gb", lambda d: d.update(trees="x"), "field 'trees': expected a JSON object"),
+        ("gb", lambda d: d["trees"][0]["root"].pop("threshold"),
+         "field 'trees': field 'root': missing field 'threshold'"),
+        ("rf", lambda d: d.update(tree_seeds=["x"]), "field 'tree_seeds': "),
+        ("rf", lambda d: d["trees"][1].update(n_features=None), "field 'n_features': "),
+        ("svr", lambda d: d.update(coefficients=3.0), "field 'coefficients': "),
+        ("svr", lambda d: d.update(support_vectors=[[1.0]]), "field 'support_vectors': "),
+    ], ids=["missing", "not-a-list", "nested", "seed", "tree-field", "scalar", "shape"])
+    def test_malformed_field_named(self, kind, edit, message):
+        X = np.arange(12.0).reshape(6, 2)
+        model = fit_model(X, X[:, 0], TrainConfig(kind=kind, seed=1, n_estimators=2))
+        data = json.loads(json.dumps(model_to_dict(model)))
+        edit(data)
+        with pytest.raises(ModelError, match=message):
+            model_from_dict(data)
 
 
 class TestPredictContracts:

@@ -10,8 +10,8 @@ from molscreen.molgraph import (
     MolGraphError,
     canonical_smiles,
     parse_smiles,
-    perceive_rings,
 )
+from molscreen.molgraph.rings import find_sssr
 from molscreen.scaffold import (
     DuplicateScaffold,
     NonFixedPointScaffold,
@@ -308,7 +308,8 @@ class TestFramework:
             assert framework.atoms == rebuilt.atoms
             assert framework.bonds == rebuilt.bonds
             assert framework.rings == rebuilt.rings
-            assert perceive_rings(framework) == framework.rings
+            edges = [(b.a, b.b) for b in framework.bonds]
+            assert find_sssr(len(framework.atoms), edges) == framework.rings
 
     def test_no_ring_perception(self, dataset24, registry9, monkeypatch):
         from molscreen.molgraph import rings

@@ -6,7 +6,7 @@ import pytest
 
 from molscreen import dataio, selection
 from molscreen.features import assemble
-from molscreen.models import TrainConfig, fit_model, save_model
+from molscreen.models import TrainConfig, fit_model, model_to_dict
 from molscreen.molgraph import parse_smiles
 from molscreen.screening import (
     FunnelConfig,
@@ -98,7 +98,7 @@ class TestTierScaffold:
 def train_tiny_model(dataset24):
     matrix = assemble(dataset24.graphs(), {"D"})
     pipeline = selection.fit(matrix)
-    X = selection.apply(pipeline, matrix).values
+    X = selection.apply(pipeline, matrix)
     model = fit_model(X, dataset24.targets(), TrainConfig(kind="gb", seed=1))
     return model, pipeline
 
@@ -114,7 +114,7 @@ class TestTierRank:
         assert len(survivors) == top_count(10, 0.3) == 3
         # brute force: predict all, full sort, take the top 3
         matrix = assemble([r.graph for r in records], ("D",))
-        preds = model.predict(selection.apply(pipeline, matrix).values)
+        preds = model.predict(selection.apply(pipeline, matrix))
         ranked = sorted(zip(preds, matrix.ids), key=lambda t: (-t[0], t[1]))
         expected = {canon for _, canon in ranked[:3]}
         assert {r.canonical for r in survivors} == expected
@@ -240,7 +240,7 @@ class TestFunnel:
     @pytest.fixture()
     def funnel_dir(self, tmp_path, dataset24, data_dir):
         model, pipeline = train_tiny_model(dataset24)
-        save_model(model, tmp_path / "model.json")
+        (tmp_path / "model.json").write_text(dataio.dump_json(model_to_dict(model)))
         (tmp_path / "pipeline.json").write_text(dataio.dump_json(pipeline.to_dict()))
         build_pool_csv(tmp_path / "pool.csv", synthetic_pool_rows(1000))
 

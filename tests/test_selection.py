@@ -69,18 +69,18 @@ class TestPearson:
 
 class TestMaxNormalize:
     def test_positive_column(self):
-        matrix, column_max = max_normalize(dmatrix({"a": [2, 4, 8]}))
-        assert matrix.column("a").tolist() == [0.25, 0.5, 1.0]
-        assert column_max == {"a": 8.0}
+        kept, peaks, scaled = max_normalize(np.array([[2.0], [4.0], [8.0]]))
+        assert scaled[:, 0].tolist() == [0.25, 0.5, 1.0]
+        assert kept.tolist() == [0] and peaks.tolist() == [8.0]
 
     def test_zero_column_removed(self):
-        matrix, column_max = max_normalize(dmatrix({"a": [0, 0, 0], "b": [1, 2, 3]}))
-        assert matrix.names == ("b",)
-        assert "a" not in column_max
+        kept, peaks, scaled = max_normalize(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]))
+        assert kept.tolist() == [1] and peaks.tolist() == [3.0]
+        assert scaled.shape == (3, 1)
 
     def test_negative_column_uses_absolute_max(self):
-        matrix, _ = max_normalize(dmatrix({"a": [-1, 2]}))
-        assert matrix.column("a").tolist() == [-0.5, 1.0]
+        _, _, scaled = max_normalize(np.array([[-1.0], [2.0]]))
+        assert scaled[:, 0].tolist() == [-0.5, 1.0]
 
     def test_out_of_scope_untouched(self):
         m = FeatureMatrix(
@@ -89,41 +89,39 @@ class TestMaxNormalize:
             names=("k", "d"),
             values=np.array([[3.0, 2.0], [1.0, 4.0]]),
         )
-        out, column_max = max_normalize(m, scope={"D"})
-        assert out.column("k").tolist() == [3.0, 1.0]
-        assert out.column("d").tolist() == [0.5, 1.0]
-        assert column_max == {"d": 4.0}
+        pipeline = selection.fit(m, 0.0, 0.999)
+        assert pipeline.kept_columns == ("k", "d")
+        assert pipeline.column_max == {"d": 4.0}
+        assert selection.apply(pipeline, m).tolist() == [[3.0, 0.5], [1.0, 1.0]]
 
     def test_empty(self):
-        empty = FeatureMatrix(ids=(), blocks=("D",), names=("a",),
-                              values=np.zeros((0, 1)))
         with pytest.raises(EmptyMatrix):
-            max_normalize(empty)
+            max_normalize(np.zeros((0, 1)))
 
 
 class TestVarianceFilter:
     def test_kept_and_dropped(self):
         matrix = dmatrix({"keep": [0, 1, 0, 1], "drop": [0.9, 1.0, 0.95, 1.0]})
-        assert variance_filter(matrix, 0.2) == ["keep"]
+        assert variance_filter(matrix.values, 0.2).tolist() == [0]
         # hand check: std of the dropped column is ~0.0479
         assert abs(sample_std([0.9, 1.0, 0.95, 1.0]) - 0.0479) <= 1e-4
 
     def test_zero_threshold_keeps_all_nonconstant(self):
         matrix = dmatrix({"a": [0, 1, 2], "b": [5, 5.1, 4.9]})
-        assert variance_filter(matrix, 0.0) == ["a", "b"]
+        assert variance_filter(matrix.values, 0.0).tolist() == [0, 1]
 
 
 class TestPccPrune:
     def test_duplicate_column_dropped(self):
         a = [1.0, 2.0, 3.0, 4.0]
         c = [4.0, 1.0, 3.0, 2.0]
-        kept = pcc_prune(dmatrix({"A": a, "B": [2 * v for v in a], "C": c}), 0.9)
-        assert kept == ["A", "C"]
+        kept = pcc_prune(dmatrix({"A": a, "B": [2 * v for v in a], "C": c}).values, 0.9)
+        assert kept.tolist() == [0, 2]
 
     def test_threshold_one_keeps_all(self):
         a = [1.0, 2.0, 3.0, 4.0]
-        kept = pcc_prune(dmatrix({"A": a, "B": [2 * v for v in a]}), 1.0)
-        assert kept == ["A", "B"]  # strict inequality
+        kept = pcc_prune(dmatrix({"A": a, "B": [2 * v for v in a]}).values, 1.0)
+        assert kept.tolist() == [0, 1]  # strict inequality
 
     def test_transitive_chain_forms_one_component(self):
         # Exact correlations (0.95, 0.95, 0.30) are not jointly realizable
@@ -146,7 +144,7 @@ class TestPccPrune:
         assert abs(pearson(b, c)) > 0.9
         assert abs(pearson(a, c)) < 0.9
         matrix = dmatrix({"A": a.tolist(), "B": b.tolist(), "C": c.tolist()})
-        assert pcc_prune(matrix, 0.9) == ["A"]
+        assert pcc_prune(matrix.values, 0.9).tolist() == [0]
         # brute-force component check
         assert _bruteforce_components(matrix.values, 0.9) == [{0, 1, 2}]
 
@@ -227,20 +225,20 @@ class TestFitApply:
         matrix = self.build_ten_column_matrix()
         pipeline = selection.fit(matrix, 0.2, 0.9)
         out = selection.apply(pipeline, matrix)
-        normalized, _ = max_normalize(matrix)
-        expected = normalized.select_columns(list(pipeline.kept_columns))
-        assert out.names == expected.names
-        assert np.array_equal(out.values, expected.values)
+        nonzero, _, scaled = max_normalize(matrix.values)
+        names = [matrix.names[c] for c in nonzero]
+        expected = scaled[:, [names.index(n) for n in pipeline.kept_columns]]
+        assert np.array_equal(out, expected)
         # applying twice through the pipeline is the same projection
         again = selection.apply(pipeline, matrix)
-        assert np.array_equal(out.values, again.values)
+        assert np.array_equal(out, again)
 
     def test_apply_on_unseen_rows_may_exceed_one(self):
         train = dmatrix({"a": [1.0, 2.0], "b": [1.0, 3.0]})
         pipeline = selection.fit(train, 0.2, 0.9)
         test = dmatrix({"a": [4.0, 1.0], "b": [6.0, 0.0]})
         out = selection.apply(pipeline, test)
-        assert out.values.max() > 1.0
+        assert out.max() > 1.0
 
     def test_unknown_column(self):
         train = dmatrix({"a": [1.0, 2.0, 4.0], "b": [1.0, 3.0, 2.0]})
@@ -256,11 +254,11 @@ class TestFitApply:
             names=("k", "d", "z"),
             values=np.array([[1.0, 2.0, 9.0], [0.0, 4.0, 8.0], [1.0, 6.0, 7.0]]),
         )
-        pipeline = selection.fit(m, 0.2, 0.9, scope={"D"})
+        pipeline = selection.fit(m, 0.2, 0.9)
         out = selection.apply(pipeline, m)
-        assert out.names == ("k", "d", "z")
-        assert out.column("k").tolist() == [1.0, 0.0, 1.0]
-        assert out.column("z").tolist() == [9.0, 8.0, 7.0]
+        assert pipeline.kept_columns == ("k", "d", "z")
+        assert out[:, 0].tolist() == [1.0, 0.0, 1.0]
+        assert out[:, 2].tolist() == [9.0, 8.0, 7.0]
 
     def test_pipeline_purity_on_test_rows(self):
         matrix = self.build_ten_column_matrix()
@@ -313,48 +311,37 @@ class TestFitApply:
         assert loaded == pipeline
 
 
-# Per-column cascade as it stood before the vectorized fit: verbatim copies,
-# the oracle the vectorized code must match bit for bit.
+# Per-column cascade as it stood before the vectorized fit, on the arrays
+# and positions the stages now take: the oracle the vectorized code must
+# match bit for bit.
 
 
-def _oracle_max_normalize(
-    matrix: FeatureMatrix, scope=selection.DEFAULT_SCOPE
-) -> tuple[FeatureMatrix, dict[str, float]]:
-    if matrix.values.shape[0] == 0:
+def _oracle_max_normalize(values: np.ndarray):
+    if values.shape[0] == 0:
         raise EmptyMatrix("cannot normalize an empty matrix")
-    scope = frozenset(scope)
-    keep: list[int] = []
-    column_max: dict[str, float] = {}
-    values = matrix.values.copy()
-    for pos, (block, name) in enumerate(zip(matrix.blocks, matrix.names)):
-        if block not in scope:
-            keep.append(pos)
-            continue
+    kept: list[int] = []
+    peaks: list[float] = []
+    values = values.copy()
+    for pos in range(values.shape[1]):
         peak = float(np.max(np.abs(values[:, pos])))
         if peak == 0.0:
             continue  # constant zero column: dropped
         values[:, pos] = values[:, pos] / peak
-        column_max[name] = peak
-        keep.append(pos)
-    out = FeatureMatrix(
-        ids=matrix.ids,
-        blocks=tuple(matrix.blocks[p] for p in keep),
-        names=tuple(matrix.names[p] for p in keep),
-        values=values[:, keep],
-    )
-    return out, column_max
+        kept.append(pos)
+        peaks.append(peak)
+    return np.array(kept, dtype=np.intp), np.array(peaks), values[:, kept]
 
 
-def _oracle_variance_filter(matrix: FeatureMatrix, threshold: float) -> list[str]:
+def _oracle_variance_filter(values: np.ndarray, threshold: float) -> np.ndarray:
     kept = []
-    for pos, name in enumerate(matrix.names):
-        if sample_std(matrix.values[:, pos]) > threshold:
-            kept.append(name)
-    return kept
+    for pos in range(values.shape[1]):
+        if sample_std(values[:, pos]) > threshold:
+            kept.append(pos)
+    return np.array(kept, dtype=np.intp)
 
 
-def _oracle_pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
-    n = len(matrix.names)
+def _oracle_pcc_prune(values: np.ndarray, threshold: float) -> np.ndarray:
+    n = values.shape[1]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -370,76 +357,75 @@ def _oracle_pcc_prune(matrix: FeatureMatrix, threshold: float) -> list[str]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(pearson(matrix.values[:, i], matrix.values[:, j])) > threshold:
+            if abs(pearson(values[:, i], values[:, j])) > threshold:
                 union(i, j)
 
-    representatives = sorted({find(i) for i in range(n)})
-    return [matrix.names[i] for i in representatives]
+    return np.array(sorted({find(i) for i in range(n)}), dtype=np.intp)
 
 
-def _oracle_apply(pipeline: SelectionPipeline, matrix: FeatureMatrix) -> FeatureMatrix:
+def _oracle_apply(pipeline: SelectionPipeline, matrix: FeatureMatrix) -> np.ndarray:
     missing = [n for n in pipeline.kept_columns if n not in matrix.names]
     if missing:
         raise UnknownColumn(f"matrix lacks fitted columns {missing}")
-    out = matrix.select_columns(list(pipeline.kept_columns))
-    values = out.values.copy()
-    for pos, name in enumerate(out.names):
+    values = matrix.values[:, [matrix.names.index(n) for n in pipeline.kept_columns]]
+    values = values.copy()
+    for pos, name in enumerate(pipeline.kept_columns):
         peak = pipeline.column_max.get(name)
         if peak is not None:
             values[:, pos] = values[:, pos] / peak
-    return FeatureMatrix(
-        ids=out.ids, blocks=out.blocks, names=out.names, values=values
-    )
+    return values
 
 
 def _outcome(function, *args):
-    """A call's result, or its error as (type, message)."""
+    """A call's result, arrays as lists, or its error as (type, message)."""
     try:
-        return function(*args)
+        result = function(*args)
     except selection.SelectionError as exc:
         return type(exc), str(exc)
+    return result.tolist() if isinstance(result, np.ndarray) else result
 
 
-def _oracle_fit(matrix, vt, pt, scope=selection.DEFAULT_SCOPE):
+def _oracle_fit(matrix, vt, pt):
     """``selection.fit`` running on the oracle stages."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(selection, "max_normalize", _oracle_max_normalize)
         patch.setattr(selection, "variance_filter", _oracle_variance_filter)
         patch.setattr(selection, "pcc_prune", _oracle_pcc_prune)
-        return _outcome(selection.fit, matrix, vt, pt, scope)
+        return _outcome(selection.fit, matrix, vt, pt)
 
 
-def _same_matrix(a: FeatureMatrix, b: FeatureMatrix) -> bool:
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
     return (
-        (a.ids, a.blocks, a.names) == (b.ids, b.blocks, b.names)
-        and a.values.shape == b.values.shape
+        a.shape == b.shape
+        and a.dtype == b.dtype
         # the memory layout steers the models' BLAS rounding
-        and a.values.flags.c_contiguous == b.values.flags.c_contiguous
-        and a.values.flags.f_contiguous == b.values.flags.f_contiguous
-        and a.values.tobytes() == b.values.tobytes()
+        and a.flags.c_contiguous == b.flags.c_contiguous
+        and a.flags.f_contiguous == b.flags.f_contiguous
+        and a.tobytes() == b.tobytes()
     )
 
 
-def _assert_matches_oracle(matrix, vts=(0.2,), pts=(0.9,), scope=selection.DEFAULT_SCOPE):
+def _assert_matches_oracle(matrix, vts=(0.2,), pts=(0.9,)):
     """Every stage, the fit and both applies equal the oracle's, errors too."""
-    got = _outcome(max_normalize, matrix, scope)
-    want = _outcome(_oracle_max_normalize, matrix, scope)
+    values = matrix.values[:, [b == selection.SCOPE for b in matrix.blocks]]
+    got = _outcome(max_normalize, values)
+    want = _outcome(_oracle_max_normalize, values)
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
     else:
-        assert _same_matrix(got[0], want[0]) and got[1] == want[1]
+        assert all(_same_array(g, w) for g, w in zip(got, want))
     for vt in vts:
-        assert _outcome(variance_filter, matrix, vt) == _outcome(
-            _oracle_variance_filter, matrix, vt
+        assert _outcome(variance_filter, values, vt) == _outcome(
+            _oracle_variance_filter, values, vt
         )
     for pt in pts:
-        assert _outcome(pcc_prune, matrix, pt) == _outcome(_oracle_pcc_prune, matrix, pt)
+        assert _outcome(pcc_prune, values, pt) == _outcome(_oracle_pcc_prune, values, pt)
     for vt in vts:
         for pt in pts:
-            pipeline = _outcome(selection.fit, matrix, vt, pt, scope)
-            assert pipeline == _oracle_fit(matrix, vt, pt, scope)
+            pipeline = _outcome(selection.fit, matrix, vt, pt)
+            assert pipeline == _oracle_fit(matrix, vt, pt)
             if isinstance(pipeline, SelectionPipeline):
-                assert _same_matrix(
+                assert _same_array(
                     selection.apply(pipeline, matrix), _oracle_apply(pipeline, matrix)
                 )
 
@@ -474,14 +460,17 @@ class TestVectorizedCascadeMatchesOracle:
         values = rng.normal(size=(15, 6))
         values[:, 2] = 0.0  # all-zero: dropped in scope, kept out of it
         values[:, 3] = 2.0 * values[:, 0]
+        values[:, 5] = 2.0 * values[:, 3]
         matrix = FeatureMatrix(
             ids=tuple(f"r{i}" for i in range(15)),
             blocks=("K", "D", "D", "D", "Z", "D"),
             names=tuple(f"c{j}" for j in range(6)),
             values=values,
         )
-        for scope in ({"D"}, {"K", "D"}, {"Z"}, set()):
-            _assert_matches_oracle(matrix, vts=(0.1, 0.2), pts=(0.5, 0.9), scope=scope)
+        _assert_matches_oracle(matrix, vts=(0.1, 0.2), pts=(0.5, 0.9))
+        pipeline = selection.fit(matrix)
+        assert pipeline.kept_columns == ("c0", "c1", "c3", "c4")
+        assert set(pipeline.column_max) == {"c1", "c3"}
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_correlations_within_ulps_of_threshold(self, sign):
@@ -520,9 +509,9 @@ class TestVectorizedCascadeMatchesOracle:
                     ulps = round((sample_std(column) - 0.2) / math.ulp(0.2))
                     if abs(ulps) <= 2:
                         hits.add(ulps)
-                        matrix = dmatrix({"a": column.tolist(), "b": (2.0 * u).tolist()})
-                        assert variance_filter(matrix, 0.2) == _oracle_variance_filter(
-                            matrix, 0.2
+                        values = np.stack([column, 2.0 * u], axis=1)
+                        assert _outcome(variance_filter, values, 0.2) == _outcome(
+                            _oracle_variance_filter, values, 0.2
                         )
         assert {-1, 0, 1} <= hits
 
@@ -541,7 +530,9 @@ class TestVectorizedCascadeMatchesOracle:
             "a": [1.0, -1.0, 1.0, -1.0], "b": [1.0, 1.0, -1.0, -1.0],
             "c": [1.0, -1.0, -1.0, 1.0], "d": [1.0, 2.0, 3.0, 5.0],
         })
-        assert pcc_prune(matrix, 0.0) == _oracle_pcc_prune(matrix, 0.0)
+        assert _outcome(pcc_prune, matrix.values, 0.0) == _outcome(
+            _oracle_pcc_prune, matrix.values, 0.0
+        )
         _assert_matches_oracle(matrix, vts=(0.0,), pts=(0.0, -0.5))
 
     @pytest.mark.parametrize("columns", [
@@ -557,8 +548,7 @@ class TestVectorizedCascadeMatchesOracle:
         _assert_matches_oracle(dmatrix(columns), vts=(-1.0, 0.0, 0.2), pts=(0.9,))
 
     def test_empty_rows(self):
-        empty = FeatureMatrix(ids=(), blocks=("D", "D"), names=("a", "b"),
-                              values=np.zeros((0, 2)))
+        empty = np.zeros((0, 2))
         for function, oracle in ((variance_filter, _oracle_variance_filter),
                                  (pcc_prune, _oracle_pcc_prune)):
             assert _outcome(function, empty, 0.2) == _outcome(oracle, empty, 0.2)
@@ -574,10 +564,13 @@ class TestVectorizedCascadeMatchesOracle:
             "plain": [1.0, 2.0, 0.0, 4.0],
         })
         with np.errstate(over="ignore"):
-            r = abs(pearson(matrix.column("tiny"), matrix.column("tiny2")))
+            values = matrix.values
+            r = abs(pearson(values[:, 2], values[:, 3]))
             for pt in (0.0, 0.5, 0.9, r, math.nextafter(r, 0.0)):
-                assert pcc_prune(matrix, pt) == _oracle_pcc_prune(matrix, pt)
-            assert variance_filter(matrix, 0.2) == _oracle_variance_filter(matrix, 0.2)
+                assert _outcome(pcc_prune, values, pt) == _outcome(_oracle_pcc_prune, values, pt)
+            assert _outcome(variance_filter, values, 0.2) == _outcome(
+                _oracle_variance_filter, values, 0.2
+            )
 
     def test_all_msc_training_splits_of_the_dataset(self, dataset24, registry9):
         from molscreen.evaluation import msc_split
@@ -593,7 +586,7 @@ class TestVectorizedCascadeMatchesOracle:
             pipeline = selection.fit(train)
             assert pipeline == _oracle_fit(train, 0.2, 0.9)
             for rows in (train, features.rows(split.test)):
-                assert _same_matrix(
+                assert _same_array(
                     selection.apply(pipeline, rows), _oracle_apply(pipeline, rows)
                 )
 
@@ -612,3 +605,19 @@ class TestFiniteThresholds:
         assert selection.fit(matrix, -1.0, 2.0).kept_columns == ("a", "b")
         assert selection.fit(matrix, 0.0, -1.0).kept_columns == ("a",)
         assert selection.fit(matrix, 5.0, 0.9).kept_columns == ()
+
+
+def test_fit_and_apply_build_no_feature_matrix(dataset24, registry9, monkeypatch):
+    from molscreen.evaluation import msc_split
+    from molscreen.features import assemble
+    from molscreen.rng import derive_seed
+    from molscreen.scaffold import group_dataset
+
+    features = assemble(dataset24.graphs(), {"D"})
+    groups = group_dataset(dataset24.graphs(), registry9)
+    train = features.rows(msc_split(groups, derive_seed(derive_seed(0, 0), 0)).train)
+    built = []
+    check = FeatureMatrix.__post_init__
+    monkeypatch.setattr(FeatureMatrix, "__post_init__", lambda m: built.append(check(m)))
+    selection.apply(selection.fit(train), features)
+    assert built == []
