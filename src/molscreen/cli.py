@@ -14,7 +14,6 @@ import contextlib
 import csv
 import dataclasses
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -105,15 +104,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON file with default values for this subcommand's options",
     )
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", type=Path)
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument("--blocks", default="D", help="comma-separated subset of K,D,Z")
+    features.add_argument("--keyset", type=Path, default=None)
+    features.add_argument("--latents", type=Path, default=None)
+    reports = argparse.ArgumentParser(add_help=False)
+    reports.add_argument("--out-json", type=Path)
+    reports.add_argument("--out-text", type=Path)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Path options are optional at parse time so a --config file can supply
-    # them; _require() enforces presence after the overlay.
-    p = sub.add_parser("featurize", parents=[common], help="write a feature matrix CSV")
-    p.add_argument("--dataset", type=Path)
-    p.add_argument("--blocks", default="D", help="comma-separated subset of K,D,Z")
-    p.add_argument("--keyset", type=Path, default=None)
-    p.add_argument("--latents", type=Path, default=None)
+    # them; main() enforces each command's _required ones after the overlay.
+    p = sub.add_parser("featurize", parents=[common, dataset, features],
+                       help="write a feature matrix CSV")
     p.add_argument(
         "--external-fingerprints",
         type=Path,
@@ -128,12 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_featurize, _required=("dataset", "out"))
 
-    p = sub.add_parser("train", parents=[common], help="fit a model and its selection pipeline")
-    p.add_argument("--dataset", type=Path)
-    p.add_argument("--blocks", default="D")
+    p = sub.add_parser("train", parents=[common, dataset, features],
+                       help="fit a model and its selection pipeline")
     p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--keyset", type=Path, default=None)
-    p.add_argument("--latents", type=Path, default=None)
     p.add_argument("--out", type=Path, help="model JSON path")
     p.add_argument("--pipeline-out", type=Path)
     p.add_argument("--n-estimators", type=int, default=None)
@@ -147,29 +149,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pcc-threshold", type=float, default=selection.DEFAULT_PCC_THRESHOLD)
     p.set_defaults(func=cmd_train, _required=("dataset", "model", "out", "pipeline_out"))
 
-    p = sub.add_parser("evaluate", parents=[common], help="repeated split/fit/score evaluation")
-    p.add_argument("--dataset", type=Path)
+    p = sub.add_parser("evaluate", parents=[common, dataset, features, reports],
+                       help="repeated split/fit/score evaluation")
     p.add_argument("--registry", type=Path, default=None)
-    p.add_argument("--blocks", default="D")
     p.add_argument("--model", choices=MODEL_KINDS, default="gb")
     p.add_argument("--splitter", choices=("msc", "random", "logo"), default="msc")
     p.add_argument("--repeats", type=int, default=200)
     p.add_argument("--test-fraction", type=float, default=0.1)
-    p.add_argument("--keyset", type=Path, default=None)
-    p.add_argument("--latents", type=Path, default=None)
-    p.add_argument("--out-json", type=Path)
-    p.add_argument("--out-text", type=Path)
     p.set_defaults(func=cmd_evaluate, _required=("dataset", "out_json", "out_text"))
 
-    p = sub.add_parser("screen", parents=[common], help="run the five-tier screening funnel")
+    p = sub.add_parser("screen", parents=[common, reports],
+                       help="run the five-tier screening funnel")
     p.add_argument("--funnel", type=Path, help="funnel config JSON")
     p.add_argument("--top-fraction", type=float, default=None, help="override the config value")
-    p.add_argument("--out-json", type=Path)
-    p.add_argument("--out-text", type=Path)
     p.set_defaults(func=cmd_screen, _required=("funnel", "out_json", "out_text"))
 
-    p = sub.add_parser("scaffold", parents=[common], help="dump scaffold and group per molecule")
-    p.add_argument("--dataset", type=Path)
+    p = sub.add_parser("scaffold", parents=[common, dataset],
+                       help="dump scaffold and group per molecule")
     p.add_argument("--registry", type=Path)
     p.add_argument("--out", type=Path)
     p.set_defaults(func=cmd_scaffold, _required=("dataset", "registry", "out"))
@@ -257,12 +253,13 @@ def cmd_featurize(args) -> int:
         external_k = load_latents(args.external_fingerprints)
     keyset, latents = _load_feature_inputs(args, blocks, need_keyset=external_k is None)
 
-    graphs, bad = [], []
+    graphs, seen, bad = [], {}, []
     with dataio.read_molecules(args.dataset) as (_, rows):
         for row_no, row, graph in rows:
             if isinstance(graph, str):
                 bad.append((row_no, row["smiles"], graph))
             else:
+                dataio.check_unique(seen, graph, row_no, row["smiles"])
                 graphs.append(graph)
     _print_bad_rows(bad, "warning" if args.skip_bad else "error")
     if bad and not args.skip_bad:
@@ -287,10 +284,10 @@ def _train_config(args) -> TrainConfig:
         n_estimators=args.n_estimators,
         max_depth=args.max_depth,
         learning_rate=args.learning_rate,
-        C=getattr(args, "svr_c", None),
-        epsilon=getattr(args, "svr_epsilon", None),
-        kernel=getattr(args, "kernel", None),
-        gamma=getattr(args, "gamma", None),
+        C=args.svr_c,
+        epsilon=args.svr_epsilon,
+        kernel=args.kernel,
+        gamma=args.gamma,
     )
 
 
@@ -309,14 +306,8 @@ def cmd_train(args) -> int:
     model = fit_model(X, dataset.targets(), _train_config(args))
 
     echo = _echo(args, {"command": "train", "rows": len(dataset)})
-    model_payload = model_to_dict(model)
-    model_payload["run_config"] = echo
-    dataio.atomic_write_text(args.out, dataio.dump_json(model_payload))
-
-    pipeline_payload = pipeline.to_dict()
-    pipeline_payload["format_version"] = dataio.FORMAT_VERSION
-    pipeline_payload["run_config"] = echo
-    dataio.atomic_write_text(args.pipeline_out, dataio.dump_json(pipeline_payload))
+    dataio.write_json_artifact(args.out, model_to_dict(model), echo)
+    dataio.write_json_artifact(args.pipeline_out, pipeline.to_dict(), echo)
     return 0
 
 
@@ -347,24 +338,8 @@ def cmd_evaluate(args) -> int:
     )
 
     echo = _echo(args, {"command": "evaluate", "rows": len(dataset)})
-    payload = report.to_dict()
-    payload["run_config"] = echo
-    payload["format_version"] = dataio.FORMAT_VERSION
-    if args.splitter == "logo":
-        payload["per_group"] = [
-            {"group_id": gid, "mae": score.mae, "spearman": score.spearman}
-            for gid, score in zip(sorted(groups), report.pairs)
-        ]
-    dataio.atomic_write_text(args.out_json, dataio.dump_json(payload))
-
-    text = evaluation.render_report_text([report])
-    if args.splitter == "logo":
-        lines = [text, "per-group breakdown:"]
-        for gid, score in zip(sorted(groups), report.pairs):
-            rho = "n/a" if score.spearman is None else f"{score.spearman:.4f}"
-            lines.append(f"  group {gid}: MAE {score.mae:.4f}  Spearman {rho}")
-        text = "\n".join(lines) + "\n"
-    dataio.atomic_write_text(args.out_text, text)
+    dataio.write_json_artifact(args.out_json, report.to_dict(), echo)
+    dataio.atomic_write_text(args.out_text, evaluation.render_report_text([report]))
     return 0
 
 
@@ -382,10 +357,7 @@ def cmd_screen(args) -> int:
     report = run_funnel(config)
     _print_bad_rows(report.failed_rows, "warning")
     echo = _echo(args, {"command": "screen"})
-    payload = report.to_dict()
-    payload["run_config"] = echo
-    payload["format_version"] = dataio.FORMAT_VERSION
-    dataio.atomic_write_text(args.out_json, dataio.dump_json(payload))
+    dataio.write_json_artifact(args.out_json, report.to_dict(), echo)
     dataio.atomic_write_text(args.out_text, report.render_text())
     return 0
 
@@ -395,7 +367,7 @@ def cmd_scaffold(args) -> int:
     registry = load_registry(args.registry)
     echo = _echo(args, {"command": "scaffold", "rows": len(dataset)})
     out = io.StringIO()
-    out.write("# " + json.dumps(echo, sort_keys=True) + "\n")
+    out.write(dataio.config_comment(echo))
     # Group names are free text: csv quotes any name holding a comma or
     # quote, so every data row keeps the header's five fields.
     writer = csv.writer(out, lineterminator="\n")

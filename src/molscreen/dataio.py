@@ -1,9 +1,12 @@
 """Dataset ingestion and artifact writing.
 
 All file formats are plain CSV/JSON, UTF-8, LF line endings, '.' decimals,
-headers mandatory. Output artifacts embed the resolved run configuration:
-JSON artifacts as a ``config`` key, CSV artifacts as a single leading
-``#`` comment line above the header. Writes are atomic (temp file + rename).
+headers mandatory. This module owns the artifact envelope: a JSON artifact
+carries its run configuration as ``run_config`` and the one
+:data:`FORMAT_VERSION` as ``format_version`` (:func:`write_json_artifact`),
+a CSV artifact its run configuration as a single leading ``#`` comment line
+above the header (:func:`config_comment`). Writes are atomic (temp file +
+rename).
 
 Every molecule CSV the package reads goes through :func:`read_molecules`,
 which skips leading ``#`` lines, so a CSV artifact reads back as input. Its
@@ -53,7 +56,6 @@ class DatasetRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    name: str
     records: tuple[DatasetRecord, ...]
 
     def __len__(self) -> int:
@@ -119,13 +121,21 @@ def parse_number(text: str, cast, what: str, error: type[Exception]):
     return value
 
 
+def check_unique(seen: dict[str, int], graph: MolecularGraph, row_no: int, smiles: str) -> None:
+    """Record that row ``row_no`` holds ``graph``; a molecule that ``seen``
+    already holds from an earlier row raises :class:`DuplicateMolecule`
+    naming both rows."""
+    first = seen.setdefault(graph.canonical, row_no)
+    if first != row_no:
+        raise DuplicateMolecule(f"row {row_no}: duplicate of row {first} ({smiles!r})")
+
+
 def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
     """Load a molecule dataset (CSV ``smiles,pce[,doi]``).
 
     Efficiencies must lie in (0, 100); duplicate canonical structures are
     rejected with :class:`DuplicateMolecule`.
     """
-    path = Path(path)
     records: list[DatasetRecord] = []
     seen: dict[str, int] = {}
     columns = ("smiles", "pce") if require_pce else ("smiles",)
@@ -134,12 +144,7 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
             smiles = row["smiles"]
             if isinstance(graph, str):
                 raise DataError(f"row {row_no}: {smiles!r}: {graph}")
-            canon = graph.canonical
-            if canon in seen:
-                raise DuplicateMolecule(
-                    f"row {row_no}: duplicate of row {seen[canon]} ({smiles!r})"
-                )
-            seen[canon] = row_no
+            check_unique(seen, graph, row_no, smiles)
             pce = 0.0
             text = (row.get("pce") or "").strip()
             if text:
@@ -151,10 +156,10 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
             doi = (row.get("doi") or "").strip() or None
             records.append(
                 DatasetRecord(
-                    smiles=smiles, canonical=canon, graph=graph, pce=pce, doi=doi
+                    smiles=smiles, canonical=graph.canonical, graph=graph, pce=pce, doi=doi
                 )
             )
-    return Dataset(name=path.stem, records=tuple(records))
+    return Dataset(records=tuple(records))
 
 
 def read_json_object(path: str | Path, read, error: type[Exception]):
@@ -205,24 +210,32 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def format_float(value: float) -> str:
-    """Shortest round-trip decimal text for a float ('.' separator)."""
-    return repr(float(value))
+def config_comment(run_config: dict) -> str:
+    """The ``#`` line that heads a CSV artifact: its run configuration."""
+    return "# " + json.dumps(run_config, sort_keys=True) + "\n"
 
 
-def matrix_csv_text(matrix, config_echo: dict) -> str:
+def write_json_artifact(path: str | Path, payload: dict, run_config: dict) -> None:
+    """Write ``payload`` with its ``run_config`` and ``format_version``
+    atomically to ``path``."""
+    envelope = {"run_config": run_config, "format_version": FORMAT_VERSION}
+    atomic_write_text(path, dump_json({**payload, **envelope}))
+
+
+def matrix_csv_text(matrix, run_config: dict) -> str:
     """Feature matrix as CSV with block-tagged header and a config comment.
 
     Column names come from outside (latent and fingerprint tables), so the
     header goes through the csv module, which quotes a name holding a comma
     or quote. Row fields need no quoting: ids are canonical SMILES and
-    values are float reprs, neither of which holds a comma, quote or line
-    break. Joining them spares the csv writer's per-field cost, which made
-    this function about 30 % slower on a 222 x 88 matrix.
+    values are float reprs (the shortest text that reads back as the same
+    float), neither of which holds a comma, quote or line break. Joining
+    them spares the csv writer's per-field cost, which made this function
+    about 30 % slower on a 222 x 88 matrix.
     """
     out = io.StringIO()
-    out.write("# " + json.dumps(config_echo, sort_keys=True) + "\n")
+    out.write(config_comment(run_config))
     csv.writer(out, lineterminator="\n").writerow(["smiles"] + matrix.tagged_names)
     for row_id, row in zip(matrix.ids, matrix.values):
-        out.write(",".join([row_id] + [format_float(v) for v in row]) + "\n")
+        out.write(",".join([row_id] + [repr(float(v)) for v in row]) + "\n")
     return out.getvalue()

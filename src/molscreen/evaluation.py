@@ -116,7 +116,8 @@ def random_split(n: int, test_fraction: float = 0.1, seed: int = 0) -> DatasetSp
 
 
 def logo_splits(groups: dict[int, list[int]]) -> list[DatasetSplit]:
-    """One deterministic split per group: that group is the test set."""
+    """One deterministic split per group: that group is the test set, and
+    the split's ``seed`` is the group id."""
     if len(groups) < 2:
         raise SingleGroup("leave-one-group-out needs at least 2 groups")
     universe = sorted(i for members in groups.values() for i in members)
@@ -185,6 +186,8 @@ class EvalReport:
     # one per repeat
     pairs: tuple[RepeatScore, ...]
     config: dict = field(default_factory=dict)
+    # leave-one-group-out: the held-out group of each repeat; else empty
+    group_ids: tuple[int, ...] = ()
 
     @property
     def mae_mean(self) -> float:
@@ -216,7 +219,7 @@ class EvalReport:
         return _sample_std_or_none(self.defined_spearman)
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "method": self.method,
             "repeats": self.repeats,
             "degenerate_repeats": self.degenerate_repeats,
@@ -229,6 +232,12 @@ class EvalReport:
             ],
             "config": self.config,
         }
+        if self.group_ids:
+            data["per_group"] = [
+                {"group_id": gid, "mae": score.mae, "spearman": score.spearman}
+                for gid, score in zip(self.group_ids, self.pairs)
+            ]
+        return data
 
 
 def _sample_std_or_none(values) -> float | None:
@@ -316,6 +325,7 @@ def repeated_eval(
         repeats=len(splits),
         master_seed=master_seed,
         pairs=tuple(pairs),
+        group_ids=tuple(split.seed for split in splits) if splitter.kind == "logo" else (),
         config={
             "splitter": splitter.kind,
             "test_fraction": splitter.test_fraction,
@@ -331,7 +341,7 @@ def repeated_eval(
 def render_report_text(reports: list[EvalReport]) -> str:
     """Plain-text table: one row per method, cells as ``mean ± std``; a
     method with degenerate repeats or unconverged fits gets a line counting
-    each."""
+    each, and a leave-one-group-out report a per-group breakdown."""
     header = f"{'Method':<10} {'MAE':>20} {'Spearman':>20}"
     lines = [header, "-" * len(header)]
     notes = []
@@ -349,6 +359,11 @@ def render_report_text(reports: list[EvalReport]) -> str:
                 f"{report.method}: {report.unconverged_fits} of {report.repeats} "
                 "fits did not converge"
             )
+        if report.group_ids:
+            notes += ["", "per-group breakdown:"]
+            for gid, score in zip(report.group_ids, report.pairs):
+                rho = "n/a" if score.spearman is None else f"{score.spearman:.4f}"
+                notes.append(f"  group {gid}: MAE {score.mae:.4f}  Spearman {rho}")
     return "\n".join(lines + notes) + "\n"
 
 

@@ -156,7 +156,6 @@ class PatternKey:
 
 @dataclass(frozen=True)
 class KeySet:
-    name: str
     keys: tuple[PatternKey, ...]
 
     def __len__(self) -> int:
@@ -226,7 +225,7 @@ def _shortest_cycles(n: int, bonds: tuple[PatternBond, ...]) -> list[int]:
     return shortest
 
 
-def load_keyset(path: str | Path, name: str | None = None) -> KeySet:
+def load_keyset(path: str | Path) -> KeySet:
     """Load a key set from its JSON description.
 
     Order in the file is the bit order of every fingerprint computed with
@@ -238,7 +237,7 @@ def load_keyset(path: str | Path, name: str | None = None) -> KeySet:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise PatternError(f"key set {path} is not valid JSON: {exc}") from None
-    return keyset_from_entries(raw, name=name or path.stem)
+    return keyset_from_entries(raw, name=path.stem)
 
 
 def keyset_from_entries(raw: list[dict], name: str) -> KeySet:
@@ -258,7 +257,7 @@ def keyset_from_entries(raw: list[dict], name: str) -> KeySet:
         seen_ids.add(key.id)
         seen_labels.add(key.label)
         keys.append(key)
-    return KeySet(name=name, keys=tuple(keys))
+    return KeySet(keys=tuple(keys))
 
 
 def _key_from_entry(entry: dict, pos: int) -> PatternKey:

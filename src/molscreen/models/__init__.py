@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from ..dataio import read_json_object
+from ..dataio import FORMAT_VERSION, read_json_object
 from .boosting import GBModel, fit_gb
 from .forest import RFModel, fit_rf
 from .svr import SVRModel, default_gamma, fit_svr
@@ -34,7 +34,6 @@ KINDS = {
     "svr": ModelKind(fit_svr, SVRModel, ("C", "epsilon", "kernel", "gamma")),
 }
 MODEL_KINDS = tuple(KINDS)
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .tree import (
     check_training_data,
     fit_tree,
     read_field,
+    read_trees,
     sort_columns,
 )
 
@@ -62,11 +63,12 @@ class GBModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GBModel":
+        n_features = read_field(data, "n_features", int)
         return cls(
             init_value=read_field(data, "init_value", float),
             learning_rate=read_field(data, "learning_rate", float),
-            trees=read_field(data, "trees", lambda ts: tuple(map(RegressionTree.from_dict, ts))),
-            n_features=read_field(data, "n_features", int),
+            trees=read_trees(data, n_features),
+            n_features=n_features,
             config=read_field(data, "config", dict),
         )
 

@@ -22,6 +22,7 @@ from .tree import (
     fit_tree,
     grow_trees,
     read_field,
+    read_trees,
 )
 
 
@@ -66,10 +67,14 @@ class RFModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RFModel":
+        n_features = read_field(data, "n_features", int)
+        trees = read_trees(data, n_features)
+        if not trees:
+            raise ModelError("field 'trees': a forest needs at least one tree")
         return cls(
-            trees=read_field(data, "trees", lambda ts: tuple(map(RegressionTree.from_dict, ts))),
+            trees=trees,
             tree_seeds=read_field(data, "tree_seeds", lambda seeds: tuple(map(int, seeds))),
-            n_features=read_field(data, "n_features", int),
+            n_features=n_features,
             config=read_field(data, "config", dict),
         )
 

@@ -87,14 +87,26 @@ class SVRModel:
         def floats(value) -> np.ndarray:
             return np.array(list(value), dtype=np.float64)
 
+        def kernel(value) -> str:
+            if value not in _KERNELS:
+                raise ValueError(f"unknown kernel {value!r}; choose from {tuple(_KERNELS)}")
+            return value
+
         n_features = read_field(data, "n_features", int)
+        support_vectors = read_field(
+            data, "support_vectors", lambda v: floats(v).reshape(-1, n_features)
+        )
+        coefficients = read_field(data, "coefficients", floats)
+        if coefficients.shape[0] != support_vectors.shape[0]:
+            raise ModelError(
+                f"field 'coefficients': {coefficients.shape[0]} values for "
+                f"{support_vectors.shape[0]} support vectors"
+            )
         return cls(
-            support_vectors=read_field(
-                data, "support_vectors", lambda v: floats(v).reshape(-1, n_features)
-            ),
-            coefficients=read_field(data, "coefficients", floats),
+            support_vectors=support_vectors,
+            coefficients=coefficients,
             bias=read_field(data, "bias", float),
-            kernel=read_field(data, "kernel", str),
+            kernel=read_field(data, "kernel", kernel),
             gamma=read_field(data, "gamma", float),
             C=read_field(data, "C", float),
             epsilon=read_field(data, "epsilon", float),

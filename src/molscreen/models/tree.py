@@ -116,12 +116,38 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegressionTree":
-        return cls(
+        """Read what :meth:`to_dict` writes; a node that splits on a
+        feature outside ``[0, n_features)`` raises :class:`ModelError`."""
+        tree = cls(
             root=read_field(data, "root", Node.from_dict),
             max_depth=read_field(data, "max_depth", int),
             min_samples_leaf=read_field(data, "min_samples_leaf", int),
             n_features=read_field(data, "n_features", int),
         )
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                if not 0 <= node.feature < tree.n_features:
+                    raise ModelError(
+                        f"a node splits on feature {node.feature}, "
+                        f"outside [0, {tree.n_features})"
+                    )
+                stack += (node.left, node.right)
+        return tree
+
+
+def read_trees(data: dict, n_features: int) -> tuple[RegressionTree, ...]:
+    """The ``trees`` field of an ensemble's file; a tree that reads other
+    than the ensemble's ``n_features`` columns raises :class:`ModelError`."""
+    trees = read_field(data, "trees", lambda ts: tuple(map(RegressionTree.from_dict, ts)))
+    for tree in trees:
+        if tree.n_features != n_features:
+            raise ModelError(
+                f"field 'trees': a tree reads {tree.n_features} features, "
+                f"the model {n_features}"
+            )
+    return trees
 
 
 def sort_columns(X: np.ndarray) -> np.ndarray:

@@ -243,15 +243,12 @@ class MolecularGraph:
                     f"aromatic atom {spec.element!r} outside any ring", spec.offset
                 )
 
-        order_sums = [0] * n
-        plain_sums = [0] * n  # aromatic bonds counted as single
+        order_sums = [0] * n  # aromatic bonds count 1, as single ones
         heavy_deg = [0] * n
         for bond in fixed_bonds:
             val = ORDER_VALUE[bond.order]
             order_sums[bond.a] += val
             order_sums[bond.b] += val
-            plain_sums[bond.a] += 1 if bond.order == AROMATIC else val
-            plain_sums[bond.b] += 1 if bond.order == AROMATIC else val
             for here, there in ((bond.a, bond.b), (bond.b, bond.a)):
                 if atom_specs[there].element != "H":
                     heavy_deg[here] += 1
@@ -262,11 +259,11 @@ class MolecularGraph:
             if spec.explicit_h is not None:
                 # Bracket atom: hydrogens are exactly as written; sanity-check
                 # against the largest valence, widened by the charge.
-                total = plain_sums[idx] + spec.explicit_h
+                total = order_sums[idx] + spec.explicit_h
                 if total > max(valences) + abs(spec.formal_charge):
                     raise ValenceViolation(
                         f"{spec.element} with {spec.explicit_h}H and "
-                        f"{plain_sums[idx]} bonds exceeds valence",
+                        f"{order_sums[idx]} bonds exceeds valence",
                         spec.offset,
                     )
                 hydrogens = spec.explicit_h

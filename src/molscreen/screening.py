@@ -21,6 +21,7 @@ import numpy as np
 from . import selection
 from .dataio import parse_number, read_json_object, read_molecules
 from .features import (
+    BLOCK_ORDER,
     DESCRIPTOR_NAMES,
     KeySet,
     LatentTable,
@@ -130,12 +131,20 @@ class FunnelConfig:
             raise ScreeningError(
                 f"vocabulary.require_latent must be true or false, got {require_latent!r}"
             )
+        blocks = tuple(_strings(data.get("blocks", ["D"]), "blocks"))
+        if not blocks or not set(blocks) <= set(BLOCK_ORDER):
+            raise ScreeningError(
+                f"blocks must list one or more of {', '.join(BLOCK_ORDER)}, got {list(blocks)!r}"
+            )
+        latents = resolve("latents", required=False)
+        if "Z" in blocks and latents is None:
+            raise ScreeningError("blocks include Z but the config names no latents file")
         return cls(
             pool=resolve("pool"),
             registry=resolve("registry"),
             model=resolve("model"),
             pipeline=resolve("pipeline"),
-            blocks=tuple(_strings(data.get("blocks", ["D"]), "blocks")),
+            blocks=blocks,
             top_fraction=fraction,
             thresholds=PropertyThresholds(
                 dn_min=threshold("dn_min", float("-inf")),
@@ -145,7 +154,7 @@ class FunnelConfig:
             properties=resolve("properties", required=False),
             cas=resolve("cas", required=False),
             keyset=resolve("keyset", required=False),
-            latents=resolve("latents", required=False),
+            latents=latents,
             vocabulary_elements=elements,
             require_latent=require_latent,
             raw=data,
@@ -482,8 +491,6 @@ def run_funnel(config: FunnelConfig) -> ScreeningReport:
     if "K" in config.blocks:
         keyset = load_keyset(config.keyset) if config.keyset else default_keyset()
     latents = load_latents(config.latents) if config.latents else None
-    if "Z" in config.blocks and latents is None:
-        raise ScreeningError("Z block configured without a latent table")
     prop_table = (
         load_property_table(config.properties, parsed) if config.properties else {}
     )

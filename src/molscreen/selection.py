@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import json_field, read_json_object
+from .dataio import FORMAT_VERSION, json_field, read_json_object
 from .features import FeatureMatrix
 
 DEFAULT_VARIANCE_THRESHOLD = 0.2
@@ -210,12 +210,17 @@ class SelectionPipeline:
                 "pcc": self.pcc_threshold,
             },
             "scope": [SCOPE],
+            "format_version": FORMAT_VERSION,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionPipeline":
-        """Read what :meth:`to_dict` writes; a missing or mistyped field
-        raises :class:`SelectionError` naming it."""
+        """Read what :meth:`to_dict` writes; another format version, or a
+        missing or mistyped field, raises :class:`SelectionError` naming
+        it."""
+        version = data.get("format_version")
+        if version != FORMAT_VERSION:
+            raise SelectionError(f"unsupported pipeline format version {version!r}")
         thresholds = _field(data, "thresholds", dict)
         return cls(
             column_max=_field(data, "column_max", lambda v: {k: float(p) for k, p in v.items()}),

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import molscreen
-from molscreen.cli import main
+from molscreen.cli import build_parser, main
 
 from conftest import DATA_DIR
 
@@ -109,6 +110,13 @@ class TestFeaturize:
     def test_bad_blocks_usage_error(self, tmp_path):
         assert run("featurize", "--dataset", DATASET, "--blocks", "Q",
                    "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_duplicate_molecule_names_both_rows(self, tmp_path, capsys):
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("smiles,pce\nCCO,12\nOCC,14\n")
+        assert run("featurize", "--dataset", str(dataset), "--out", str(tmp_path / "f.csv")) == 1
+        assert capsys.readouterr().err == "error: row 3: duplicate of row 2 ('OCC')\n"
+        assert not (tmp_path / "f.csv").exists()
 
 
 GOOD_KEY = {"id": 0, "label": "C_C", "atoms": [{"element": "C"}, {"element": "C"}],
@@ -464,7 +472,8 @@ class TestMalformedArtifacts:
         (lambda d: d.update(kept_columns="n_atoms"), "field 'kept_columns': expected a list"),
         (lambda d: d["thresholds"].pop("pcc"), "missing field 'pcc'"),
         (lambda d: d["column_max"].update(n_atoms="big"), "field 'column_max': "),
-    ], ids=["missing", "mistyped", "thresholds", "peak"])
+        (lambda d: d.update(format_version=99), "unsupported pipeline format version 99"),
+    ], ids=["missing", "mistyped", "thresholds", "peak", "version"])
     def test_pipeline_field(self, screen_dir, capsys, edit, message):
         data = json.loads((screen_dir / "pipeline.json").read_text())
         edit(data)
@@ -475,6 +484,24 @@ class TestMalformedArtifacts:
         (lambda d: d["trees"][0].update(root=[]), "field 'trees': field 'root': expected"),
     ], ids=["missing", "nested"])
     def test_model_field(self, screen_dir, capsys, edit, message):
+        data = json.loads((screen_dir / "model.json").read_text())
+        edit(data)
+        self.check(screen_dir, capsys, "model.json", json.dumps(data), message)
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("svr", lambda d: d["coefficients"].pop(), "values for "),
+        ("svr", lambda d: d.update(kernel="poly"), "field 'kernel': unknown kernel 'poly'"),
+        ("gb", lambda d: d["trees"][0]["root"].update(feature=99), "feature 99, outside [0, "),
+        ("gb", lambda d: d["trees"][0]["root"].update(feature=-1), "feature -1, outside [0, "),
+        ("gb", lambda d: d["trees"][0].update(n_features=99), "a tree reads 99 features"),
+        ("rf", lambda d: d.update(trees=[]), "a forest needs at least one tree"),
+    ], ids=["svr-coefficients", "svr-kernel", "gb-feature-high", "gb-feature-negative",
+            "gb-tree-width", "rf-no-trees"])
+    def test_model_fields_disagree(self, screen_dir, capsys, kind, edit, message):
+        # Each file reads field by field; its fields must also fit together.
+        assert run("train", "--dataset", DATASET, "--model", kind, "--seed", "3",
+                   "--out", str(screen_dir / "model.json"),
+                   "--pipeline-out", str(screen_dir / "pipeline.json")) == 0
         data = json.loads((screen_dir / "model.json").read_text())
         edit(data)
         self.check(screen_dir, capsys, "model.json", json.dumps(data), message)
@@ -545,6 +572,18 @@ class TestScreen:
                    "--out-text", str(screen_dir / "r.txt")) == 1
         assert not (screen_dir / "r.json").exists()
 
+    def test_unknown_block_exits_1_before_any_tier(self, screen_dir, capsys):
+        # No row reaches the rank tier, which is the first to read blocks.
+        config = json.loads((screen_dir / "funnel.json").read_text())
+        config.update(blocks=["X"], vocabulary={"elements": ["Xe"]})
+        (screen_dir / "funnel.json").write_text(json.dumps(config))
+        assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
+                   "--out-json", str(screen_dir / "r.json"),
+                   "--out-text", str(screen_dir / "r.txt")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: blocks ") and err.count("\n") == 1
+        assert not (screen_dir / "r.json").exists()
+
     def test_rerun_byte_identical(self, screen_dir):
         args = ["screen", "--funnel", str(screen_dir / "funnel.json"),
                 "--out-json", str(screen_dir / "report.json"),
@@ -596,6 +635,26 @@ class TestScaffoldCommand:
         names = {row[3]: row[4] for row in rows}
         assert names["1"] == "acyclic, plain"
         assert names["2"] == 'six-membered "aromatics"'
+
+
+COMMANDS = ["featurize", "train", "scaffold", "evaluate", "screen"]
+
+
+def artifact_flags(command: str, screen_dir: Path, out: Path) -> list[str]:
+    """Flags that make ``command`` write its artifacts into ``out``."""
+    return list(map(str, {
+        "featurize": ["--dataset", DATASET, "--blocks", "K,D",
+                      "--out", out / "features.csv"],
+        "train": ["--dataset", DATASET, "--model", "rf",
+                  "--out", out / "model.json", "--pipeline-out", out / "pipeline.json"],
+        "scaffold": ["--dataset", DATASET, "--registry", REGISTRY,
+                     "--out", out / "scaffolds.csv"],
+        "evaluate": ["--dataset", DATASET, "--registry", REGISTRY, "--model", "svr",
+                     "--repeats", "20", "--seed", "4",
+                     "--out-json", out / "report.json", "--out-text", out / "report.txt"],
+        "screen": ["--funnel", screen_dir / "funnel.json",
+                   "--out-json", out / "report.json", "--out-text", out / "report.txt"],
+    }[command]))
 
 
 class TestConfigFile:
@@ -650,19 +709,27 @@ class TestConfigFile:
                        "--out", str(out)) == code
         assert "skip_bad must be true or false" in capsys.readouterr().err
 
-    def test_rerun_from_run_config_is_byte_identical(self, tmp_path):
-        assert run("evaluate", "--dataset", DATASET, "--registry", REGISTRY,
-                   "--model", "svr", "--repeats", "20", "--seed", "4",
-                   "--out-json", str(tmp_path / "r.json"),
-                   "--out-text", str(tmp_path / "r.txt")) == 0
-        report, text = (tmp_path / "r.json").read_bytes(), (tmp_path / "r.txt").read_bytes()
-        run_config = tmp_path / "run_config.json"
-        run_config.write_text(json.dumps(json.loads(report)["run_config"]))
-        (tmp_path / "r.json").unlink()
-        (tmp_path / "r.txt").unlink()
-        assert run("evaluate", "--config", str(run_config)) == 0
-        assert (tmp_path / "r.json").read_bytes() == report
-        assert (tmp_path / "r.txt").read_bytes() == text
+    def test_rerun_from_run_config_is_byte_identical(self, screen_dir):
+        # A JSON artifact holds run_config as a key, a CSV one on its # line.
+        out = screen_dir / "out"
+        for command, artifact in (("featurize", "features.csv"), ("train", "model.json"),
+                                  ("scaffold", "scaffolds.csv"), ("evaluate", "report.json"),
+                                  ("screen", "report.json")):
+            assert run(command, *artifact_flags(command, screen_dir, out)) == 0
+            written = {path.name: path.read_bytes() for path in out.iterdir()}
+            text = written[artifact].decode()
+            if artifact.endswith(".csv"):
+                run_config = json.loads(text.splitlines()[0].removeprefix("# "))
+            else:
+                run_config = json.loads(text)["run_config"]
+            config = screen_dir / "run_config.json"
+            config.write_text(json.dumps(run_config))
+            for path in out.iterdir():
+                path.unlink()
+            assert run(command, "--config", str(config)) == 0, command
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == written, command
+            for path in out.iterdir():
+                path.unlink()
 
 
 class TestDemo:
@@ -679,9 +746,6 @@ class TestDemo:
             assert fresh == shipped, name
 
 
-COMMANDS = ["featurize", "train", "scaffold", "evaluate", "screen"]
-
-
 class TestThreadsFlag:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_says_every_command_ignores_it(self, command, capsys):
@@ -696,21 +760,10 @@ class TestThreadsFlag:
     def test_artifacts_do_not_depend_on_it(self, command, screen_dir):
         # Artifacts echo their own paths, so both runs write the same ones.
         out = screen_dir / "out"
-        flags = {
-            "featurize": ["--dataset", DATASET, "--blocks", "K,D",
-                          "--out", out / "features.csv"],
-            "train": ["--dataset", DATASET, "--model", "rf",
-                      "--out", out / "model.json", "--pipeline-out", out / "pipeline.json"],
-            "scaffold": ["--dataset", DATASET, "--registry", REGISTRY,
-                         "--out", out / "scaffolds.csv"],
-            "evaluate": ["--dataset", DATASET, "--registry", REGISTRY, "--repeats", "6",
-                         "--out-json", out / "report.json", "--out-text", out / "report.txt"],
-            "screen": ["--funnel", screen_dir / "funnel.json",
-                       "--out-json", out / "report.json", "--out-text", out / "report.txt"],
-        }[command]
-        assert run(command, *map(str, flags)) == 0
+        flags = artifact_flags(command, screen_dir, out)
+        assert run(command, *flags) == 0
         plain = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert run(command, *map(str, flags), "--threads", "4") == 0
+        assert run(command, *flags, "--threads", "4") == 0
         assert plain and {path.name: path.read_bytes() for path in out.iterdir()} == plain
 
 
@@ -723,3 +776,80 @@ class TestModuleEntryPoint:
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 0, result.stderr
         assert "usage: molscreen" in result.stdout
+
+
+# Each subcommand's options as (dest, default, type, choices). run_config is
+# vars() of the parsed options, so a change here changes every artifact.
+SHARED = {
+    "--config": ("config", None, "Path", None),
+    "--seed": ("seed", 0, "int", None),
+    "--threads": ("threads", 1, "int", None),
+}
+FEATURES = {
+    "--blocks": ("blocks", "D", None, None),
+    "--dataset": ("dataset", None, "Path", None),
+    "--keyset": ("keyset", None, "Path", None),
+    "--latents": ("latents", None, "Path", None),
+}
+REPORTS = {
+    "--out-json": ("out_json", None, "Path", None),
+    "--out-text": ("out_text", None, "Path", None),
+}
+OPTIONS = {
+    "featurize": {
+        **SHARED, **FEATURES,
+        "--external-fingerprints": ("external_fingerprints", None, "Path", None),
+        "--out": ("out", None, "Path", None),
+        "--skip-bad": ("skip_bad", False, None, None),
+    },
+    "train": {
+        **SHARED, **FEATURES,
+        "--gamma": ("gamma", None, "float", None),
+        "--kernel": ("kernel", None, None, ("rbf", "linear")),
+        "--learning-rate": ("learning_rate", None, "float", None),
+        "--max-depth": ("max_depth", None, "int", None),
+        "--model": ("model", None, None, ("gb", "rf", "svr")),
+        "--n-estimators": ("n_estimators", None, "int", None),
+        "--out": ("out", None, "Path", None),
+        "--pcc-threshold": ("pcc_threshold", 0.9, "float", None),
+        "--pipeline-out": ("pipeline_out", None, "Path", None),
+        "--svr-c": ("svr_c", None, "float", None),
+        "--svr-epsilon": ("svr_epsilon", None, "float", None),
+        "--variance-threshold": ("variance_threshold", 0.2, "float", None),
+    },
+    "evaluate": {
+        **SHARED, **FEATURES, **REPORTS,
+        "--model": ("model", "gb", None, ("gb", "rf", "svr")),
+        "--registry": ("registry", None, "Path", None),
+        "--repeats": ("repeats", 200, "int", None),
+        "--splitter": ("splitter", "msc", None, ("msc", "random", "logo")),
+        "--test-fraction": ("test_fraction", 0.1, "float", None),
+    },
+    "screen": {
+        **SHARED, **REPORTS,
+        "--funnel": ("funnel", None, "Path", None),
+        "--top-fraction": ("top_fraction", None, "float", None),
+    },
+    "scaffold": {
+        **SHARED,
+        "--dataset": ("dataset", None, "Path", None),
+        "--out": ("out", None, "Path", None),
+        "--registry": ("registry", None, "Path", None),
+    },
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_options_are_unchanged(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        table = {
+            ", ".join(a.option_strings): (
+                a.dest, a.default, getattr(a.type, "__name__", None),
+                tuple(a.choices) if a.choices else None,
+            )
+            for a in sub.choices[command]._actions
+            if a.dest != "help"
+        }
+        assert table == OPTIONS[command]

@@ -386,7 +386,7 @@ def _count_images(graph, bond_orders, pattern, limit=None):
 
 def assert_matches_oracle(graphs, keys):
     """Full counts and fingerprint bits equal the oracle's on every pair."""
-    keyset = KeySet(name="oracle", keys=tuple(keys))
+    keyset = KeySet(keys=tuple(keys))
     for graph in graphs:
         orders = _bond_orders(graph)
         for k in keys:

@@ -448,6 +448,9 @@ class TestFunnelConfigValidation:
         ({"blocks": "D"}, "blocks"),
         ({"pool": 3}, "pool"),
         ({"cas": ["cas.csv"]}, "cas"),
+        ({"blocks": []}, "blocks"),
+        ({"blocks": ["D", "X"]}, "blocks"),
+        ({"blocks": ["D", "Z"]}, "blocks"),
     ])
     def test_malformed_field_is_named(self, tmp_path, changes, field):
         with pytest.raises(ScreeningError, match=field.replace(".", r"\.")):
