@@ -180,16 +180,26 @@ def read_json_object(path: str | Path, read, error: type[Exception]):
 
 def json_field(data, key: str, cast, error: type[Exception]):
     """``cast(data[key])``; a non-object ``data``, a missing ``key`` or an
-    AttributeError, TypeError or ValueError of ``cast`` (``error`` too, so
-    nested reads name their path) raises ``error`` naming ``key``."""
+    AttributeError, TypeError, ValueError or OverflowError of ``cast``
+    (``error`` too, so nested reads name their path) raises ``error``
+    naming ``key``."""
     if not isinstance(data, dict):
         raise error(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
     if key not in data:
         raise error(f"missing field {key!r}")
     try:
         return cast(data[key])
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise error(f"field {key!r}: {exc}") from None
+
+
+def finite_float(value) -> float:
+    """``float(value)``; NaN or an infinity, which ``json`` reads from
+    ``NaN`` and ``Infinity``, raises ValueError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
 
 
 def dump_json(payload: dict) -> str:

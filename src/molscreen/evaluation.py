@@ -69,6 +69,9 @@ class SplitterSpec:
     def __post_init__(self):
         if self.kind not in ("msc", "random", "logo"):
             raise EvaluationError(f"unknown splitter {self.kind!r}")
+        # Every splitter's report records test_fraction; NaN fails this too.
+        if not 0.0 < self.test_fraction <= 1.0:
+            raise EvaluationError(f"test_fraction must be in (0, 1], got {self.test_fraction!r}")
 
 
 def msc_split(groups: dict[int, list[int]], seed: int) -> DatasetSplit:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataio import finite_float
 from .tree import (
     ModelError,
     RegressionTree,
@@ -65,8 +66,8 @@ class GBModel:
     def from_dict(cls, data: dict) -> "GBModel":
         n_features = read_field(data, "n_features", int)
         return cls(
-            init_value=read_field(data, "init_value", float),
-            learning_rate=read_field(data, "learning_rate", float),
+            init_value=read_field(data, "init_value", finite_float),
+            learning_rate=read_field(data, "learning_rate", finite_float),
             trees=read_trees(data, n_features),
             n_features=n_features,
             config=read_field(data, "config", dict),
@@ -79,7 +80,6 @@ def fit_gb(
     n_estimators: int = 35,
     max_depth: int = 4,
     learning_rate: float = 0.1,
-    min_samples_leaf: int = 1,
     seed: int = 0,
 ) -> GBModel:
     X, y = check_training_data(X, y)
@@ -99,14 +99,7 @@ def fit_gb(
     trees = []
     for _ in range(n_estimators):
         residual = y - pred
-        tree = fit_tree(
-            X,
-            residual,
-            max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
-            order=order,
-            fitted=fitted,
-        )
+        tree = fit_tree(X, residual, max_depth=max_depth, order=order, fitted=fitted)
         pred += learning_rate * fitted
         trees.append(tree)
 
@@ -115,7 +108,7 @@ def fit_gb(
         "n_estimators": n_estimators,
         "max_depth": max_depth,
         "learning_rate": learning_rate,
-        "min_samples_leaf": min_samples_leaf,
+        "min_samples_leaf": 1,
         "seed": seed,
     }
     return GBModel(

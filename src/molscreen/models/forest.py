@@ -2,8 +2,10 @@
 
 Each tree trains on a seeded bootstrap resample (n draws with replacement)
 with per-node feature subsampling of ceil(p / 3) features, the regression
-convention. Per-tree seeds are pre-derived from the master seed, so fitting
-trees in any order (or in parallel) yields the identical model.
+convention, and grows as deep as ``max_depth`` allows: a node is a leaf
+when it holds one row, has a constant target or has no valid cut. Per-tree
+seeds are pre-derived from the master seed, so fitting trees in any order
+(or in parallel) yields the identical model.
 """
 
 from __future__ import annotations
@@ -84,17 +86,20 @@ def fit_rf(
     y,
     n_estimators: int = 55,
     max_depth: int = 10,
-    min_samples_leaf: int = 1,
     bootstrap: bool = True,
     max_features: int | None = None,
     seed: int = 0,
 ) -> RFModel:
-    """``max_features`` of None means the ceil(p / 3) regression default."""
+    """``max_features`` of None means the ceil(p / 3) regression default.
+    ``bootstrap=False, max_features=p`` grows ``fit_tree``'s tree on every
+    row, which is how the forest is checked against a single tree."""
     X, y = check_training_data(X, y)
     if n_estimators < 1:
         raise ModelError(f"n_estimators must be >= 1, got {n_estimators!r}")
     if max_depth < 0:
         raise ModelError("max_depth must be >= 0")
+    if max_features is not None and max_features < 1:
+        raise ModelError(f"max_features must be >= 1, got {max_features!r}")
 
     n, p = X.shape
     per_node = max_features if max_features is not None else max(1, math.ceil(p / 3))
@@ -116,7 +121,7 @@ def fit_rf(
         seeds = [derive_seed(tree_seed, 1) for tree_seed in chunk_seeds]
         if n > _LOCKSTEP_ROWS_PER_TREE * len(chunk_seeds):
             trees += [
-                fit_tree(X[r], y[r], max_depth, min_samples_leaf, features_per_node, seed)
+                fit_tree(X[r], y[r], max_depth, features_per_node, seed)
                 for r, seed in zip(rows, seeds)
             ]
             continue
@@ -125,25 +130,16 @@ def fit_rf(
             np.ascontiguousarray(X[rows].transpose(0, 2, 1)),
             y[rows],
             max_depth,
-            min_samples_leaf,
             features_per_node,
             seeds,
         )
-        trees += [
-            RegressionTree(
-                root=root,
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                n_features=p,
-            )
-            for root in roots
-        ]
+        trees += [RegressionTree(root=root, max_depth=max_depth, n_features=p) for root in roots]
 
     config = {
         "kind": "rf",
         "n_estimators": n_estimators,
         "max_depth": max_depth,
-        "min_samples_leaf": min_samples_leaf,
+        "min_samples_leaf": 1,
         "bootstrap": bootstrap,
         "max_features": per_node,
         "seed": seed,

@@ -9,9 +9,10 @@ is solved by sequential pair optimization: at each step the pair of points
 with the largest Karush-Kuhn-Tucker violation (measured through the
 feasible-bias intervals each point induces) is optimized exactly along the
 sum-preserving direction, handling the kinks of the l1 term piecewise.
-Training stops when the largest violation drops below the tolerance or the
-pair-update cap is reached; in the latter case the model is returned with
-``converged`` set to False.
+Training stops when the largest violation drops below ``_TOL`` (1e-3) or
+after ``_MAX_UPDATES`` (100,000) pair updates; in the latter case the model
+is returned with ``converged`` set to False. Both are fixed, and the
+model's ``config`` records them.
 
 A point's interval is its residual y_k - u_k (u = K b) plus two offsets
 that depend on b_k alone, so a pair update costs a handful of contiguous
@@ -27,10 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataio import finite_float
 from .tree import ModelError, check_prediction_data, check_training_data, read_field
 
 _AT_BOUND = 1e-12
 _SUPPORT_EPS = 1e-10
+_TOL = 1e-3
+_MAX_UPDATES = 100_000
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -85,7 +89,10 @@ class SVRModel:
     @classmethod
     def from_dict(cls, data: dict) -> "SVRModel":
         def floats(value) -> np.ndarray:
-            return np.array(list(value), dtype=np.float64)
+            values = np.array(list(value), dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise ValueError("holds a non-finite number")
+            return values
 
         def kernel(value) -> str:
             if value not in _KERNELS:
@@ -105,11 +112,11 @@ class SVRModel:
         return cls(
             support_vectors=support_vectors,
             coefficients=coefficients,
-            bias=read_field(data, "bias", float),
+            bias=read_field(data, "bias", finite_float),
             kernel=read_field(data, "kernel", kernel),
-            gamma=read_field(data, "gamma", float),
-            C=read_field(data, "C", float),
-            epsilon=read_field(data, "epsilon", float),
+            gamma=read_field(data, "gamma", finite_float),
+            C=read_field(data, "C", finite_float),
+            epsilon=read_field(data, "epsilon", finite_float),
             converged=read_field(data, "converged", bool),
             n_features=n_features,
             config=read_field(data, "config", dict),
@@ -132,8 +139,6 @@ def fit_svr(
     epsilon: float = 0.75,
     kernel: str = "rbf",
     gamma: float | None = None,
-    tol: float = 1e-3,
-    max_updates: int = 100_000,
     seed: int = 0,
 ) -> SVRModel:
     X, y = check_training_data(X, y)
@@ -142,7 +147,7 @@ def fit_svr(
     X = np.ascontiguousarray(X)
     if kernel not in _KERNELS:
         raise ModelError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}")
-    _check_hyperparameters(C, epsilon, gamma, tol, max_updates)
+    _check_hyperparameters(C, epsilon, gamma)
 
     n = X.shape[0]
     gamma_val = default_gamma(X) if gamma is None else float(gamma)
@@ -167,11 +172,11 @@ def fit_svr(
 
     converged = False
     updates = 0
-    while updates < max_updates:
+    while updates < _MAX_UPDATES:
         intervals()
         i = int(lo.argmax())
         j = int(hi.argmin())
-        if i == j or lo[i] - hi[j] < tol:
+        if i == j or lo[i] - hi[j] < _TOL:
             converged = True
             break
         delta = _optimize_pair(
@@ -208,8 +213,8 @@ def fit_svr(
         "epsilon": epsilon,
         "kernel": kernel,
         "gamma": gamma_val,
-        "tol": tol,
-        "max_updates": max_updates,
+        "tol": _TOL,
+        "max_updates": _MAX_UPDATES,
         "seed": seed,
     }
     return SVRModel(
@@ -226,17 +231,13 @@ def fit_svr(
     )
 
 
-def _check_hyperparameters(C, epsilon, gamma, tol, max_updates) -> None:
+def _check_hyperparameters(C, epsilon, gamma) -> None:
     if not (math.isfinite(C) and C > 0):
         raise ModelError(f"C must be finite and > 0, got {C!r}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ModelError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
         raise ModelError(f"gamma must be finite and > 0, got {gamma!r}")
-    if not tol > 0:
-        raise ModelError(f"tol must be > 0, got {tol!r}")
-    if max_updates < 0:
-        raise ModelError(f"max_updates must be >= 0, got {max_updates!r}")
 
 
 def _offsets(b: float, C: float, epsilon: float) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from ..dataio import json_field
+from ..dataio import finite_float, json_field
 from ..rng import SplitMix64, sample_many
 
 
@@ -72,10 +72,10 @@ class Node:
     @classmethod
     def from_dict(cls, data: dict) -> "Node":
         if isinstance(data, dict) and "leaf" in data:
-            return cls(value=read_field(data, "leaf", float))
+            return cls(value=read_field(data, "leaf", finite_float))
         return cls(
             feature=read_field(data, "feature", int),
-            threshold=read_field(data, "threshold", float),
+            threshold=read_field(data, "threshold", finite_float),
             left=read_field(data, "left", cls.from_dict),
             right=read_field(data, "right", cls.from_dict),
         )
@@ -85,8 +85,9 @@ class Node:
 class RegressionTree:
     root: Node
     max_depth: int
-    min_samples_leaf: int
     n_features: int
+    # Model files record it; every tree grown here may have one-row leaves.
+    min_samples_leaf: int = 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._predict(check_prediction_data(X, self.n_features))
@@ -203,14 +204,15 @@ def fit_tree(
     X,
     y,
     max_depth: int,
-    min_samples_leaf: int = 1,
     features_per_node: int | None = None,
     seed: int = 0,
     *,
     order: np.ndarray | None = None,
     fitted: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Fit a CART regression tree.
+    """Fit a CART regression tree. A node is a leaf when it is at
+    ``max_depth``, holds fewer than two rows, has a constant target or
+    has no valid cut (one between two distinct values).
 
     ``features_per_node`` limits the split search at every node to a seeded
     random draw of that many features (the regression-forest convention);
@@ -229,6 +231,8 @@ def fit_tree(
     X, y = check_training_data(X, y)
     if max_depth < 0:
         raise ModelError("max_depth must be >= 0")
+    if features_per_node is not None and features_per_node < 1:
+        raise ModelError(f"features_per_node must be >= 1, got {features_per_node!r}")
 
     n, n_features = X.shape
     if order is None:
@@ -253,21 +257,14 @@ def fit_tree(
         # idx: the node's rows, increasing; rows: p x idx.size, row f holds
         # them in ascending order of feature f (None at max_depth).
         target = y[idx]
-        if (
-            depth >= max_depth
-            or idx.size < 2 * min_samples_leaf
-            or idx.size < 2
-            or (target == target[0]).all()
-        ):
+        if depth >= max_depth or idx.size < 2 or (target == target[0]).all():
             return leaf(idx, target)
         if features_per_node is not None and features_per_node < n_features:
             feats = sorted(rng.sample(list(range(n_features)), features_per_node))
-            found = _best_split(
-                values, starts[feats], rows[feats], idx, y, target, min_samples_leaf
-            )
+            found = _best_split(values, starts[feats], rows[feats], idx, y, target)
         else:
             feats = range(n_features)
-            found = _best_split(values, starts, rows, idx, y, target, min_samples_leaf)
+            found = _best_split(values, starts, rows, idx, y, target)
         if found is None:
             return leaf(idx, target)
         local_feature, threshold, go_left = found
@@ -296,19 +293,13 @@ def fit_tree(
     # build refers to itself; dropping the name breaks that cycle, so its
     # arrays are freed now rather than at the next garbage collection.
     del build, leaf
-    return RegressionTree(
-        root=root,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        n_features=n_features,
-    )
+    return RegressionTree(root=root, max_depth=max_depth, n_features=n_features)
 
 
 def grow_trees(
     values: np.ndarray,
     y: np.ndarray,
     max_depth: int,
-    min_samples_leaf: int,
     features_per_node: int | None,
     seeds,
 ) -> list[Node]:
@@ -328,7 +319,7 @@ def grow_trees(
     order and seed: a node's arithmetic does not depend on the nodes it is
     batched with.
     """
-    growth = _Growth(values, y, max_depth, min_samples_leaf)
+    growth = _Growth(values, y, max_depth)
     p = values.shape[1]
     draws = features_per_node is not None and features_per_node < p
     rngs = [SplitMix64(seed) for seed in seeds] if draws else None
@@ -376,11 +367,10 @@ class _Growth:
     invalid.
     """
 
-    def __init__(self, values, y, max_depth, min_samples_leaf):
+    def __init__(self, values, y, max_depth):
         n_trees, p, n = values.shape
         self.n_trees, self.p, self.n = n_trees, p, n
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         # Feature f of row t * n + r is values[t * (p - 1) * n + f * n + (t * n + r)].
         self.values = np.ascontiguousarray(values, dtype=np.float64).ravel()
         self.y = np.ascontiguousarray(y, dtype=np.float64).ravel()
@@ -417,11 +407,7 @@ class _Growth:
         """Which roots are not leaves before any search: not at max depth,
         big enough to split, and with a non-constant target."""
         y = self.y.reshape(self.n_trees, self.n)
-        return (
-            (self.max_depth > 0)
-            & (self.n >= max(2, 2 * self.min_samples_leaf))
-            & (y != y[:, :1]).any(axis=1)
-        )
+        return (self.max_depth > 0) & (self.n >= 2) & (y != y[:, :1]).any(axis=1)
 
     def step(self, ids: np.ndarray, feats: np.ndarray | None) -> list:
         """Search the nodes ``ids`` (candidate features ``feats[i]`` for
@@ -473,11 +459,8 @@ class _Growth:
         # Right sizes; a padded cut gets 1 so that it divides by no zero.
         rest = np.maximum(size[:, None] - k, 1.0)[:, None, :]
         cost = (s2 - (s1**2) / k) + ((total2 - s2) - ((total1 - s1) ** 2) / rest)
-        valid = xs[:, :, :-1] < xs[:, :, 1:]
-        if self.min_samples_leaf > 1:
-            valid &= (k >= self.min_samples_leaf) & (rest >= self.min_samples_leaf)
         # Per node, cuts in (feature, position) order.
-        cost = np.where(valid, cost, np.inf).reshape(ids.size, -1)
+        cost = np.where(xs[:, :, :-1] < xs[:, :, 1:], cost, np.inf).reshape(ids.size, -1)
 
         lowest = cost.min(axis=1)
         best = cost.argmin(axis=1)
@@ -540,11 +523,10 @@ class _Growth:
             # target. Each child is a run of cells in the chosen feature's
             # order, and the right one runs to the padded end.
             ys = self.y[sorted_rows]
-            fits = max(2, 2 * self.min_samples_leaf)
             differs = (ys != ys[:, :1]) & in_left
-            search_left = search & (n_left >= fits) & differs.any(axis=1)
+            search_left = search & (n_left >= 2) & differs.any(axis=1)
             differs = (ys != ys[:, -1:]) > in_left
-            search_right = search & (size - n_left >= fits) & differs.any(axis=1)
+            search_right = search & (size - n_left >= 2) & differs.any(axis=1)
         first = self.count
         self.count += 2 * ids.size
         left = self.cells[first : self.count : 2]
@@ -637,16 +619,16 @@ def _mean(a: np.ndarray) -> float:
     return float(a.sum()) / a.size
 
 
-def _best_split(values, starts, rows, idx, y, target, min_samples_leaf: int):
+def _best_split(values, starts, rows, idx, y, target):
     """Best (local feature, threshold, left mask over ``idx``) by weighted
     children SSE, or None.
 
     ``rows`` holds, per candidate feature, the node's rows in ascending
     order of that feature, whose values start at ``starts`` in ``values``;
     ``target`` is ``y[idx]``. Prefix sums give left/right SSE for every
-    cut position of every candidate at once; invalid cuts (equal adjacent
-    values, leaf-size violations) are masked out and ties resolve to the
-    smallest feature index then the smallest threshold.
+    cut position of every candidate at once; invalid cuts (between equal
+    adjacent values) are masked out and ties resolve to the smallest
+    feature index then the smallest threshold.
     """
     m = idx.size
     xs = values[rows + starts[:, None]]
@@ -662,10 +644,7 @@ def _best_split(values, starts, rows, idx, y, target, min_samples_leaf: int):
     right_sse = (total2 - s2[:, :-1]) - ((total1 - s1[:, :-1]) ** 2) / (m - k)
     cost = left_sse + right_sse
 
-    valid = xs[:, :-1] < xs[:, 1:]
-    if min_samples_leaf > 1:
-        valid &= (k >= min_samples_leaf) & ((m - k) >= min_samples_leaf)
-    cost = np.where(valid, cost, np.inf)
+    cost = np.where(xs[:, :-1] < xs[:, 1:], cost, np.inf)
 
     lowest = float(cost.min())
     if not math.isfinite(lowest):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import FORMAT_VERSION, json_field, read_json_object
+from .dataio import FORMAT_VERSION, finite_float, json_field, read_json_object
 from .features import FeatureMatrix
 
 DEFAULT_VARIANCE_THRESHOLD = 0.2
@@ -223,10 +223,12 @@ class SelectionPipeline:
             raise SelectionError(f"unsupported pipeline format version {version!r}")
         thresholds = _field(data, "thresholds", dict)
         return cls(
-            column_max=_field(data, "column_max", lambda v: {k: float(p) for k, p in v.items()}),
+            column_max=_field(
+                data, "column_max", lambda v: {k: finite_float(p) for k, p in v.items()}
+            ),
             kept_columns=_field(data, "kept_columns", _names),
-            variance_threshold=_field(thresholds, "variance", float),
-            pcc_threshold=_field(thresholds, "pcc", float),
+            variance_threshold=_field(thresholds, "variance", finite_float),
+            pcc_threshold=_field(thresholds, "pcc", finite_float),
         )
 
     @classmethod

@@ -368,6 +368,20 @@ class TestEvaluate:
                    "--out-json", str(tmp_path / "r.json"),
                    "--out-text", str(tmp_path / "r.txt")) == 2
 
+    @pytest.mark.parametrize("splitter", ["msc", "logo", "random"])
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "1.5", "-0.1"])
+    def test_test_fraction_outside_unit_interval_exits_1(self, tmp_path, capsys, splitter,
+                                                          fraction):
+        # Every splitter's report records the fraction, so every splitter
+        # checks it; a NaN would be written as invalid JSON.
+        assert run("evaluate", "--dataset", DATASET, "--registry", REGISTRY,
+                   "--splitter", splitter, "--repeats", "2", "--test-fraction", fraction,
+                   "--out-json", str(tmp_path / "r.json"),
+                   "--out-text", str(tmp_path / "r.txt")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: test_fraction must be in (0, 1], got {float(fraction)!r}\n"
+        assert not (tmp_path / "r.json").exists()
+
 
 @pytest.fixture()
 def screen_dir(tmp_path):
@@ -454,6 +468,15 @@ class TestMalformedNumbers:
                             "--latents", latents, "--out", tmp_path / "f.csv"], "z2")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def first_leaf(node: dict) -> dict:
+    while "leaf" not in node:
+        node = node["left"]
+    return node
+
+
 class TestMalformedArtifacts:
     """A broken pipeline or model file exits 1 with one line naming it."""
 
@@ -505,6 +528,46 @@ class TestMalformedArtifacts:
         data = json.loads((screen_dir / "model.json").read_text())
         edit(data)
         self.check(screen_dir, capsys, "model.json", json.dumps(data), message)
+
+    @pytest.mark.parametrize("name, kind, edit, message", [
+        ("model.json", "gb", lambda d: d["trees"][0]["root"].update(threshold=NAN),
+         "field 'threshold': nan is not a finite number"),
+        ("model.json", "gb", lambda d: first_leaf(d["trees"][0]["root"]).update(leaf=INF),
+         "field 'leaf': inf is not a finite number"),
+        ("model.json", "gb", lambda d: d.update(init_value=NAN),
+         "field 'init_value': nan is not a finite number"),
+        ("model.json", "gb", lambda d: d.update(learning_rate=INF),
+         "field 'learning_rate': inf is not a finite number"),
+        ("model.json", "svr", lambda d: d["support_vectors"][0].__setitem__(0, NAN),
+         "field 'support_vectors': holds a non-finite number"),
+        ("model.json", "svr", lambda d: d["coefficients"].__setitem__(0, -INF),
+         "field 'coefficients': holds a non-finite number"),
+        ("model.json", "svr", lambda d: d.update(bias=NAN),
+         "field 'bias': nan is not a finite number"),
+        ("model.json", "svr", lambda d: d.update(gamma=INF),
+         "field 'gamma': inf is not a finite number"),
+        ("model.json", "svr", lambda d: d.update(C=NAN), "field 'C': nan is not a finite number"),
+        ("model.json", "svr", lambda d: d.update(epsilon=-INF),
+         "field 'epsilon': -inf is not a finite number"),
+        ("pipeline.json", "gb",
+         lambda d: d["column_max"].update(dict.fromkeys(d["column_max"], NAN)),
+         "field 'column_max': nan is not a finite number"),
+        ("pipeline.json", "gb", lambda d: d["thresholds"].update(variance=INF),
+         "field 'variance': inf is not a finite number"),
+        ("pipeline.json", "gb", lambda d: d["thresholds"].update(pcc=NAN),
+         "field 'pcc': nan is not a finite number"),
+    ], ids=["tree-threshold", "tree-leaf", "gb-init-value", "gb-learning-rate",
+            "svr-support-vectors", "svr-coefficients", "svr-bias", "svr-gamma", "svr-C",
+            "svr-epsilon", "pipeline-column-max", "pipeline-variance", "pipeline-pcc"])
+    def test_non_finite_number(self, screen_dir, capsys, name, kind, edit, message):
+        # json reads NaN and Infinity; a model that held one would predict
+        # NaN, which the report would write as invalid JSON.
+        assert run("train", "--dataset", DATASET, "--model", kind, "--seed", "3",
+                   "--out", str(screen_dir / "model.json"),
+                   "--pipeline-out", str(screen_dir / "pipeline.json")) == 0
+        data = json.loads((screen_dir / name).read_text())
+        edit(data)
+        self.check(screen_dir, capsys, name, json.dumps(data), message)
 
     @pytest.mark.parametrize("name", ["pipeline.json", "model.json"])
     @pytest.mark.parametrize("text, message", [("{", "not valid JSON"),

@@ -25,7 +25,7 @@ from molscreen.models import (
     model_from_dict,
     model_to_dict,
 )
-from molscreen.models.tree import check_training_data
+from molscreen.models.tree import check_training_data, grow_trees
 
 
 def exhaustive_stump(X, y):
@@ -77,13 +77,6 @@ class TestTree:
             sse, feature, threshold = exhaustive_stump(X, y)
             assert tree.root.feature == feature
             assert tree.root.threshold == pytest.approx(threshold, abs=1e-12)
-
-    def test_min_samples_leaf(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        y = np.array([0.0, 0.0, 0.0, 10.0])
-        tree = fit_tree(X, y, max_depth=1, min_samples_leaf=2)
-        # the best unconstrained cut (3 | 1) is forbidden; must split 2 | 2
-        assert tree.root.threshold == pytest.approx(1.5)
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
@@ -265,7 +258,10 @@ class TestSerialization:
         ("rf", lambda d: d["trees"][1].update(n_features=None), "field 'n_features': "),
         ("svr", lambda d: d.update(coefficients=3.0), "field 'coefficients': "),
         ("svr", lambda d: d.update(support_vectors=[[1.0]]), "field 'support_vectors': "),
-    ], ids=["missing", "not-a-list", "nested", "seed", "tree-field", "scalar", "shape"])
+        ("gb", lambda d: d.update(n_features=float("inf")),
+         "field 'n_features': cannot convert float infinity to integer"),
+    ], ids=["missing", "not-a-list", "nested", "seed", "tree-field", "scalar", "shape",
+            "infinite-int"])
     def test_malformed_field_named(self, kind, edit, message):
         X = np.arange(12.0).reshape(6, 2)
         model = fit_model(X, X[:, 0], TrainConfig(kind=kind, seed=1, n_estimators=2))
@@ -369,6 +365,37 @@ class TestTrainingDataContract:
     def test_returns_float64_arrays(self):
         X, y = check_training_data([[1, 2], [3, 4]], [5, 6])
         assert X.dtype == y.dtype == np.float64
+
+
+# Each fitter's parameters as (name, default), the data first; a default
+# of inspect.Parameter.empty marks a required parameter.
+REQUIRED = inspect.Parameter.empty
+FITTER_PARAMETERS = {
+    fit_tree: [("X", REQUIRED), ("y", REQUIRED), ("max_depth", REQUIRED),
+               ("features_per_node", None), ("seed", 0), ("order", None), ("fitted", None)],
+    grow_trees: [("values", REQUIRED), ("y", REQUIRED), ("max_depth", REQUIRED),
+                 ("features_per_node", REQUIRED), ("seeds", REQUIRED)],
+    fit_gb: [("X", REQUIRED), ("y", REQUIRED), ("n_estimators", 35), ("max_depth", 4),
+             ("learning_rate", 0.1), ("seed", 0)],
+    fit_rf: [("X", REQUIRED), ("y", REQUIRED), ("n_estimators", 55), ("max_depth", 10),
+             ("bootstrap", True), ("max_features", None), ("seed", 0)],
+    fit_svr: [("X", REQUIRED), ("y", REQUIRED), ("C", 500.0), ("epsilon", 0.75),
+              ("kernel", "rbf"), ("gamma", None), ("seed", 0)],
+}
+
+
+class TestFitterSignatures:
+    """A learner takes only the hyperparameters some caller sets; the
+    minimum leaf size and SVR's stopping rule are fixed."""
+
+    @pytest.mark.parametrize("fitter", FITTER_PARAMETERS, ids=lambda f: f.__name__)
+    def test_parameters_are_unchanged(self, fitter):
+        parameters = inspect.signature(fitter).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == FITTER_PARAMETERS[fitter]
+
+    def test_settable_count(self):
+        settable = [name for table in FITTER_PARAMETERS.values() for name, _ in table[2:]]
+        assert len(settable) == 22
 
 
 class TestKindTable:

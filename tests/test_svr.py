@@ -108,6 +108,12 @@ def oracle_optimize_pair(K, y, u, beta, i, j, C, epsilon):
     return best_d
 
 
+def fit_svr_capped(monkeypatch, X, y, max_updates=svr._MAX_UPDATES, **kwargs):
+    """``fit_svr`` with its pair-update cap set to ``max_updates``."""
+    monkeypatch.setattr(svr, "_MAX_UPDATES", max_updates)
+    return fit_svr(X, y, **kwargs)
+
+
 def bench_like_regression(n, p=24, seed=0):
     """Half the columns small integers (many ties), half uniform reals; a
     target mixing linear, threshold and interaction terms plus noise."""
@@ -152,22 +158,22 @@ CASES = _cases()
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_bitwise_equal(self, name):
+    def test_bitwise_equal(self, name, monkeypatch):
         X, y, kwargs = CASES[name]
-        model = fit_svr(X, y, **kwargs)
+        model = fit_svr_capped(monkeypatch, X, y, **kwargs)
         vectors, coefficients, bias, converged = oracle_fit(X, y, **kwargs)
         assert np.array_equal(model.support_vectors, vectors)
         assert np.array_equal(model.coefficients, coefficients)
         assert model.bias == bias
         assert model.converged == converged
 
-    def test_cases_cover_the_interval_classes(self):
+    def test_cases_cover_the_interval_classes(self, monkeypatch):
         X, y, kwargs = CASES["c_1_many_at_bound"]
         at_bound = np.abs(fit_svr(X, y, **kwargs).coefficients) >= 1.0 - svr._AT_BOUND
         assert at_bound.sum() >= 5
-        X, y, kwargs = CASES["update_cap_hit"]
-        assert not fit_svr(X, y, **kwargs).converged
         assert fit_svr(*CASES["bench_like_300"][:2]).converged
+        X, y, kwargs = CASES["update_cap_hit"]
+        assert not fit_svr_capped(monkeypatch, X, y, **kwargs).converged
 
 
 class TestKernelSymmetry:
@@ -201,9 +207,6 @@ class TestHyperparameterValidation:
             {"gamma": math.nan},
             {"gamma": math.inf},
             {"kernel": "linear", "gamma": -2.0},
-            {"tol": 0.0},
-            {"tol": -1e-3},
-            {"max_updates": -1},
         ],
         ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
     )
@@ -211,11 +214,16 @@ class TestHyperparameterValidation:
         with pytest.raises(ModelError):
             fit_svr(*self.problem(), **kwargs)
 
-    def test_accepted_edges(self):
+    def test_accepted_edges(self, monkeypatch):
         X, y = self.problem()
         assert fit_svr(X, y, epsilon=0.0).converged
-        assert not fit_svr(X, y, max_updates=0).converged
-        fit_svr(X, y, C=1e-13, gamma=1e-9, tol=1e-12)
+        monkeypatch.setattr(svr, "_TOL", 1e-12)
+        fit_svr(X, y, C=1e-13, gamma=1e-9)
+        assert not fit_svr_capped(monkeypatch, X, y, max_updates=0).converged
+
+    def test_config_records_the_fixed_stopping_rule(self):
+        model = fit_svr(*self.problem())
+        assert (model.config["tol"], model.config["max_updates"]) == (1e-3, 100_000)
 
 
 class TestMemoryLayout:
@@ -224,14 +232,14 @@ class TestMemoryLayout:
 
     @pytest.mark.parametrize("n, p", [(12, 5), (40, 24), (90, 60), (200, 90)])
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
-    def test_layouts_agree(self, n, p, kernel):
+    def test_layouts_agree(self, n, p, kernel, monkeypatch):
+        monkeypatch.setattr(svr, "_MAX_UPDATES", 3000)
         rng = np.random.default_rng(n * 1000 + p)
         X = rng.normal(size=(n, p))
         y = X[:, 0] * 3.0 - X[:, 1] + rng.normal(scale=0.5, size=n)
         X_new = rng.normal(size=(17, p))
         layouts = [X, np.asfortranarray(X), np.ascontiguousarray(X.T).T]
-        fits = [fit_svr(M, y, C=10.0, epsilon=0.1, kernel=kernel, max_updates=3000)
-                for M in layouts]
+        fits = [fit_svr(M, y, C=10.0, epsilon=0.1, kernel=kernel) for M in layouts]
         assert not layouts[1].flags.c_contiguous and not layouts[2].flags.c_contiguous
         reference = fits[0].to_dict()
         for model in fits[1:]:

@@ -36,8 +36,8 @@ from molscreen.rng import SplitMix64, derive_seed
 from conftest import DATA_DIR
 
 
-def oracle_fit_tree(X, y, max_depth, min_samples_leaf=1, features_per_node=None,
-                    seed=0, order=None, fitted=None):
+def oracle_fit_tree(X, y, max_depth, features_per_node=None, seed=0, order=None,
+                    fitted=None):
     """``fit_tree`` as it stood before presorting: every node copies its
     rows out of ``X`` and sorts every candidate column. ``order`` is
     accepted and ignored, and ``fitted`` is filled by routing ``X`` through
@@ -61,18 +61,13 @@ def oracle_fit_tree(X, y, max_depth, min_samples_leaf=1, features_per_node=None,
 
     def build(idx, depth):
         target = y[idx]
-        if (
-            depth >= max_depth
-            or idx.size < 2 * min_samples_leaf
-            or idx.size < 2
-            or np.all(target == target[0])
-        ):
+        if depth >= max_depth or idx.size < 2 or np.all(target == target[0]):
             return Node(value=float(target.mean()))
         if features_per_node is not None and features_per_node < n_features:
             feats = sorted(rng.sample(list(range(n_features)), features_per_node))
         else:
             feats = list(range(n_features))
-        found = oracle_best_split(X[np.ix_(idx, feats)], target, min_samples_leaf)
+        found = oracle_best_split(X[np.ix_(idx, feats)], target)
         if found is None:
             return Node(value=float(target.mean()))
         local_feature, threshold = found
@@ -89,14 +84,13 @@ def oracle_fit_tree(X, y, max_depth, min_samples_leaf=1, features_per_node=None,
         )
 
     root = build(np.arange(X.shape[0]), 0)
-    tree = RegressionTree(root=root, max_depth=max_depth,
-                          min_samples_leaf=min_samples_leaf, n_features=n_features)
+    tree = RegressionTree(root=root, max_depth=max_depth, n_features=n_features)
     if fitted is not None:
         fitted[:] = tree.predict(X)
     return tree
 
 
-def oracle_best_split(X, y, min_samples_leaf):
+def oracle_best_split(X, y):
     n, p = X.shape
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
@@ -113,9 +107,6 @@ def oracle_best_split(X, y, min_samples_leaf):
     cost = left_sse + right_sse
 
     valid = xs[:-1, :] < xs[1:, :]
-    if min_samples_leaf > 1:
-        sizes_ok = (k >= min_samples_leaf) & ((n - k) >= min_samples_leaf)
-        valid &= sizes_ok
     cost = np.where(valid, cost, np.inf)
 
     lowest = float(np.min(cost))
@@ -195,8 +186,7 @@ def dumps(model) -> str:
     return json.dumps(model.to_dict())
 
 
-def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1,
-                  min_samples_leaf=1, seed=0):
+def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1, seed=0):
     """``fit_gb``'s boosting loop as it stood before the forest grew in
     lockstep, around ``oracle_fit_tree``."""
     X, y = check_training_data(X, y)
@@ -214,7 +204,6 @@ def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1,
             X,
             residual,
             max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
             order=order,
             fitted=fitted,
         )
@@ -226,7 +215,7 @@ def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1,
         "n_estimators": n_estimators,
         "max_depth": max_depth,
         "learning_rate": learning_rate,
-        "min_samples_leaf": min_samples_leaf,
+        "min_samples_leaf": 1,
         "seed": seed,
     }
     return GBModel(
@@ -238,8 +227,8 @@ def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1,
     )
 
 
-def oracle_fit_rf(X, y, n_estimators=55, max_depth=10, min_samples_leaf=1,
-                  bootstrap=True, max_features=None, seed=0):
+def oracle_fit_rf(X, y, n_estimators=55, max_depth=10, bootstrap=True,
+                  max_features=None, seed=0):
     """``fit_rf``'s tree-by-tree loop as it stood before the forest grew in
     lockstep, around ``oracle_fit_tree``."""
     X, y = check_training_data(X, y)
@@ -261,7 +250,6 @@ def oracle_fit_rf(X, y, n_estimators=55, max_depth=10, min_samples_leaf=1,
                 X[idx],
                 y[idx],
                 max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
                 features_per_node=per_node if per_node < p else None,
                 seed=derive_seed(tree_seed, 1),
             )
@@ -271,7 +259,7 @@ def oracle_fit_rf(X, y, n_estimators=55, max_depth=10, min_samples_leaf=1,
         "kind": "rf",
         "n_estimators": n_estimators,
         "max_depth": max_depth,
-        "min_samples_leaf": min_samples_leaf,
+        "min_samples_leaf": 1,
         "bootstrap": bootstrap,
         "max_features": per_node,
         "seed": seed,
@@ -300,9 +288,9 @@ def oracle():
 
 TREE_SETTINGS = [
     {"max_depth": 8},
-    {"max_depth": 6, "min_samples_leaf": 3},
+    {"max_depth": 6},
     {"max_depth": 6, "features_per_node": 1, "seed": 5},
-    {"max_depth": 6, "features_per_node": 2, "min_samples_leaf": 2, "seed": 9},
+    {"max_depth": 6, "features_per_node": 2, "seed": 9},
 ]
 
 
@@ -316,10 +304,10 @@ def test_tree_matches_oracle_on_small_problems(name):
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_gb_and_rf_match_oracle_on_small_problems(name, oracle):
     X, y = SMALL[name]
-    for kwargs in ({}, {"min_samples_leaf": 2, "max_depth": 3}):
+    for kwargs in ({}, {"max_depth": 3}):
         assert dumps(fit_gb(X, y, **kwargs)) == dumps(oracle(fit_gb, X, y, **kwargs))
     for kwargs in ({"n_estimators": 9, "seed": 3},
-                   {"n_estimators": 5, "min_samples_leaf": 2, "max_features": 1},
+                   {"n_estimators": 5, "max_features": 1},
                    {"n_estimators": 3, "bootstrap": False}):
         assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle(fit_rf, X, y, **kwargs))
 
@@ -468,6 +456,23 @@ def test_forest_rejects_a_negative_depth(learner, monkeypatch):
             fit(X, y, n_estimators=3, max_depth=-1)
 
 
+@pytest.mark.parametrize("learner", LEARNERS)
+@pytest.mark.parametrize("max_features", [0, -2])
+def test_forest_rejects_fewer_than_one_feature_per_node(max_features, learner, monkeypatch):
+    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
+    X, y = SMALL["integer_ties"]
+    with pytest.raises(ModelError, match=f"max_features must be >= 1, got {max_features}"):
+        fit_rf(X, y, n_estimators=3, max_features=max_features)
+
+
+@pytest.mark.parametrize("features_per_node", [0, -2])
+def test_tree_rejects_fewer_than_one_feature_per_node(features_per_node):
+    X, y = SMALL["integer_ties"]
+    message = f"features_per_node must be >= 1, got {features_per_node}"
+    with pytest.raises(ModelError, match=message):
+        fit_tree(X, y, max_depth=3, features_per_node=features_per_node)
+
+
 @pytest.mark.parametrize("name", ["n1", "n2", "n2_equal_rows", "tied_targets",
                                   "all_columns_constant", "evaluate_sized", "bench_like_a"])
 def test_fits_raise_no_warnings(name):
@@ -477,10 +482,10 @@ def test_fits_raise_no_warnings(name):
         warnings.simplefilter("error")
         for target in (y, constant):
             fit_tree(X, target, max_depth=10)
-            fit_tree(X, target, max_depth=4, min_samples_leaf=3, features_per_node=1)
+            fit_tree(X, target, max_depth=4, features_per_node=1)
             fit_gb(X, target, n_estimators=3)
             fit_rf(X, target, n_estimators=3, seed=1)
-            fit_rf(X, target, n_estimators=3, min_samples_leaf=2, max_features=X.shape[1])
+            fit_rf(X, target, n_estimators=3, max_features=X.shape[1])
 
 
 def test_evaluate_writes_nothing_to_stderr(tmp_path, capfd):
