@@ -339,7 +339,7 @@ def cmd_evaluate(args) -> int:
 
     echo = _echo(args, {"command": "evaluate", "rows": len(dataset)})
     dataio.write_json_artifact(args.out_json, report.to_dict(), echo)
-    dataio.atomic_write_text(args.out_text, evaluation.render_report_text([report]))
+    dataio.atomic_write_text(args.out_text, report.render_text())
     return 0
 
 

@@ -11,6 +11,8 @@ rename).
 Every molecule CSV the package reads goes through :func:`read_molecules`,
 which skips leading ``#`` lines, so a CSV artifact reads back as input. Its
 callers only decide what an unparseable row does: raise, drop, or warn.
+Every JSON input goes through :func:`read_json` and the field types below,
+which keep JSON's numbers apart from its strings and booleans (RFC 8259).
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class DatasetRecord:
     canonical: str
     graph: MolecularGraph
     pce: float
-    doi: str | None = None
 
 
 @dataclass(frozen=True)
@@ -78,34 +79,44 @@ def read_molecules(
 ):
     """Open a molecule CSV, skip its leading ``#`` lines, check ``columns``.
 
-    A missing column raises ``error`` naming the file. Yields ``(header,
-    rows)``; each row is ``(row_no, row, graph)`` with the header as row 1,
-    the ``smiles`` cell stripped and ``graph`` the molecule or the parser's
-    message. ``parsed`` maps spellings read earlier in the run to their
-    result and takes the new ones, so a shared spelling is parsed once.
+    A missing column, a row the csv module rejects or bytes that are not
+    UTF-8 (which have no row: text decodes a block at a time) raise ``error``
+    naming the file. Yields ``(header, rows)``; each row is ``(row_no, row,
+    graph)`` with the header as row 1, the ``smiles`` cell stripped and
+    ``graph`` the molecule or the parser's message. ``parsed`` maps spellings
+    read earlier in the run to their result and takes the new ones.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(dropwhile(lambda line: line.startswith("#"), handle))
-        header = reader.fieldnames or []
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise error(f"{path} misses column(s) {', '.join(missing)}")
-        yield header, _parsed_rows(reader, smiles, {} if parsed is None else parsed)
+        try:
+            header = reader.fieldnames or []
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise error(f"{path} misses column(s) {', '.join(missing)}")
+            yield header, _parsed_rows(reader, smiles, {} if parsed is None else parsed)
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise error(f"{path}: {exc}") from None
 
 
 def _parsed_rows(reader, smiles: str, parsed: dict):
-    for row_no, row in enumerate(reader, start=2):
-        text = row[smiles] = (row.get(smiles) or "").strip()
-        graph = parsed.get(text)
-        if graph is None:
-            try:
-                graph = parse_smiles(text)
-            except MolGraphError as exc:
-                # The message, not the exception: its traceback would keep
-                # the parser's frames alive for as long as ``parsed`` lives.
-                graph = str(exc)
-            parsed[text] = graph
-        yield row_no, row, graph
+    row_no = 1
+    try:
+        for row_no, row in enumerate(reader, start=2):
+            text = row[smiles] = (row.get(smiles) or "").strip()
+            graph = parsed.get(text)
+            if graph is None:
+                try:
+                    graph = parse_smiles(text)
+                except MolGraphError as exc:
+                    # The message, not the exception: its traceback would
+                    # keep the parser's frames alive as long as ``parsed``.
+                    graph = str(exc)
+                parsed[text] = graph
+            yield row_no, row, graph
+    except csv.Error as exc:  # a quoted cell may span lines: count rows
+        raise csv.Error(f"row {row_no + 1}: {exc}") from None
 
 
 def parse_number(text: str, cast, what: str, error: type[Exception]):
@@ -131,7 +142,7 @@ def check_unique(seen: dict[str, int], graph: MolecularGraph, row_no: int, smile
 
 
 def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
-    """Load a molecule dataset (CSV ``smiles,pce[,doi]``).
+    """Load a molecule dataset (CSV ``smiles,pce``; other columns are ignored).
 
     Efficiencies must lie in (0, 100); duplicate canonical structures are
     rejected with :class:`DuplicateMolecule`.
@@ -153,53 +164,98 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
                     raise InvalidPce(f"row {row_no}: pce {pce} outside (0, 100)")
             elif require_pce:
                 raise InvalidPce(f"row {row_no}: missing pce value")
-            doi = (row.get("doi") or "").strip() or None
             records.append(
-                DatasetRecord(
-                    smiles=smiles, canonical=graph.canonical, graph=graph, pce=pce, doi=doi
-                )
+                DatasetRecord(smiles=smiles, canonical=graph.canonical, graph=graph, pce=pce)
             )
     return Dataset(records=tuple(records))
 
 
-def read_json_object(path: str | Path, read, error: type[Exception]):
-    """``read`` of the JSON object in ``path``; bad JSON, another JSON value
-    or an ``error`` from ``read`` raises ``error`` naming the file first."""
+def read_json(path: str | Path, read, error: type[Exception]):
+    """:func:`json_value` of ``read`` on the JSON value in ``path``; bytes
+    that are not UTF-8 or bad JSON raise ``error`` naming the file."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except ValueError as exc:
+    except ValueError as exc:  # UnicodeDecodeError is one
         raise error(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return json_value(data, read, str(path), error)
+
+
+def read_json_object(path: str | Path, read, error: type[Exception]):
+    """:func:`read_json` of a file that must hold a JSON object."""
+    return read_json(path, lambda data: read(json_object(data)), error)
+
+
+def json_value(value, cast, what: str, error: type[Exception]):
+    """``cast(value)``; a failure of ``cast`` raises ``error`` after ``what``."""
     try:
-        return read(data)
-    except error as exc:
-        raise error(f"{path}: {exc}") from None
+        return cast(value)
+    except (error, AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what}: {exc}") from None
 
 
 def json_field(data, key: str, cast, error: type[Exception]):
-    """``cast(data[key])``; a non-object ``data``, a missing ``key`` or an
-    AttributeError, TypeError, ValueError or OverflowError of ``cast``
-    (``error`` too, so nested reads name their path) raises ``error``
-    naming ``key``."""
+    """:func:`json_value` of ``data[key]``; a non-object ``data`` or a
+    missing ``key`` raises ``error`` naming ``key``."""
     if not isinstance(data, dict):
         raise error(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
     if key not in data:
         raise error(f"missing field {key!r}")
-    try:
-        return cast(data[key])
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise error(f"field {key!r}: {exc}") from None
+    return json_value(data[key], cast, f"field {key!r}", error)
+
+
+def _typed(value, ok: bool, kind: str):
+    if not ok:
+        got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+        raise TypeError(f"expected {kind}, got {got}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_object(value) -> dict:
+    return _typed(value, isinstance(value, dict), "a JSON object")
+
+
+def strings(value) -> list[str]:
+    for item in _typed(value, isinstance(value, list), "a list of strings"):
+        _typed(item, isinstance(item, str), "a string in the list")
+    return value
+
+
+def boolean(value) -> bool:
+    return _typed(value, isinstance(value, bool), "true or false")
+
+
+def integer(value) -> int:
+    """An integer; a float with no fraction, such as ``2.0``, counts."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return _typed(value, isinstance(value, int) and not isinstance(value, bool), "an integer")
+
+
+def number(value) -> float:
+    """A number as a float; ``Infinity`` is one, ``NaN`` is not."""
+    return float(_typed(value, _is_number(value) and value == value, "a number"))
 
 
 def finite_float(value) -> float:
-    """``float(value)``; NaN or an infinity, which ``json`` reads from
-    ``NaN`` and ``Infinity``, raises ValueError."""
-    number = float(value)
-    if not math.isfinite(number):
+    """:func:`number` without the infinities (ValueError)."""
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{value!r} is not a finite number")
-    return number
+    return number(value)
+
+
+def finite_floats(value) -> np.ndarray:
+    """A list of :func:`finite_float` numbers as a float array."""
+    for item in _typed(value, isinstance(value, list), "a list of numbers"):
+        _typed(item, _is_number(item), "a number in the list")
+    values = np.array(value, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("holds a non-finite number")
+    return values
 
 
 def dump_json(payload: dict) -> str:

@@ -242,6 +242,25 @@ class EvalReport:
             ]
         return data
 
+    def render_text(self) -> str:
+        """A text table with cells ``mean ± std``, a line per nonzero count
+        below it, and a leave-one-group-out report's per-group breakdown."""
+        header = f"{'Method':<10} {'MAE':>20} {'Spearman':>20}"
+        mae_cell = _cell(self.mae_mean, self.mae_std)
+        sp_cell = _cell(self.spearman_mean, self.spearman_std)
+        lines = [header, "-" * len(header), f"{self.method:<10} {mae_cell:>20} {sp_cell:>20}"]
+        counts = [
+            (self.degenerate_repeats, "repeats degenerate (Spearman undefined, MAE kept)"),
+            (self.unconverged_fits, "fits did not converge"),
+        ]
+        lines += [f"{self.method}: {n} of {self.repeats} {what}" for n, what in counts if n]
+        if self.group_ids:
+            lines += ["", "per-group breakdown:"]
+            for gid, score in zip(self.group_ids, self.pairs):
+                rho = "n/a" if score.spearman is None else f"{score.spearman:.4f}"
+                lines.append(f"  group {gid}: MAE {score.mae:.4f}  Spearman {rho}")
+        return "\n".join(lines) + "\n"
+
 
 def _sample_std_or_none(values) -> float | None:
     if len(values) < 2:
@@ -339,35 +358,6 @@ def repeated_eval(
             "threads_independent": True,
         },
     )
-
-
-def render_report_text(reports: list[EvalReport]) -> str:
-    """Plain-text table: one row per method, cells as ``mean ± std``; a
-    method with degenerate repeats or unconverged fits gets a line counting
-    each, and a leave-one-group-out report a per-group breakdown."""
-    header = f"{'Method':<10} {'MAE':>20} {'Spearman':>20}"
-    lines = [header, "-" * len(header)]
-    notes = []
-    for report in reports:
-        mae_cell = _cell(report.mae_mean, report.mae_std)
-        sp_cell = _cell(report.spearman_mean, report.spearman_std)
-        lines.append(f"{report.method:<10} {mae_cell:>20} {sp_cell:>20}")
-        if report.degenerate_repeats:
-            notes.append(
-                f"{report.method}: {report.degenerate_repeats} of {report.repeats} "
-                "repeats degenerate (Spearman undefined, MAE kept)"
-            )
-        if report.unconverged_fits:
-            notes.append(
-                f"{report.method}: {report.unconverged_fits} of {report.repeats} "
-                "fits did not converge"
-            )
-        if report.group_ids:
-            notes += ["", "per-group breakdown:"]
-            for gid, score in zip(report.group_ids, report.pairs):
-                rho = "n/a" if score.spearman is None else f"{score.spearman:.4f}"
-                notes.append(f"  group {gid}: MAE {score.mae:.4f}  Spearman {rho}")
-    return "\n".join(lines + notes) + "\n"
 
 
 def _cell(mean: float | None, std: float | None) -> str:

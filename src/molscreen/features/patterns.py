@@ -24,7 +24,6 @@ no other cycle, and no system holds one longer than its atom count.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..dataio import integer, json_value, read_json
 from ..molgraph import MolecularGraph
 from ..molgraph.model import BOND_ORDERS, VALENCES
 
@@ -232,19 +232,12 @@ def load_keyset(path: str | Path) -> KeySet:
     the set, permanently.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise PatternError(f"key set {path} is not valid JSON: {exc}") from None
-    return keyset_from_entries(raw, name=path.stem)
+    return read_json(path, lambda raw: keyset_from_entries(raw, name=path.stem), PatternError)
 
 
 def keyset_from_entries(raw: list[dict], name: str) -> KeySet:
     if not isinstance(raw, list):
-        raise PatternError(
-            f"key set {name!r} must be a list of keys, not {type(raw).__name__}"
-        )
+        raise PatternError(f"key set {name!r} must be a list of keys, not {type(raw).__name__}")
     keys = []
     seen_ids: set[int] = set()
     seen_labels: set[str] = set()
@@ -264,19 +257,23 @@ def _key_from_entry(entry: dict, pos: int) -> PatternKey:
     """One key from its JSON object; ``pos`` names it while its label is
     unknown."""
     label = f"entry {pos}"
+
+    def integer_field(key: str, value) -> int:
+        return json_value(value, integer, f"key {label!r} field {key!r}", PatternError)
+
     try:
-        key_id = int(entry["id"])
+        key_id = integer_field("id", entry["id"])
         label = str(entry.get("label", f"key_{key_id}"))
         atoms = tuple(_atom_from_entry(a, label) for a in entry["atoms"])
         bonds = tuple(
             PatternBond(
-                a=int(b["a"]),
-                b=int(b["b"]),
+                a=integer_field("a", b["a"]),
+                b=integer_field("b", b["b"]),
                 order=None if b.get("order", "*") == "*" else b["order"],
             )
             for b in entry.get("bonds", [])
         )
-        min_count = int(entry.get("min_count", 1))
+        min_count = integer_field("min_count", entry.get("min_count", 1))
     except PatternError:
         raise
     except KeyError as exc:

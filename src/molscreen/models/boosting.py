@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataio import finite_float
+from ..dataio import finite_float, integer, json_object
 from .tree import (
     ModelError,
     RegressionTree,
@@ -64,13 +64,13 @@ class GBModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GBModel":
-        n_features = read_field(data, "n_features", int)
+        n_features = read_field(data, "n_features", integer)
         return cls(
             init_value=read_field(data, "init_value", finite_float),
             learning_rate=read_field(data, "learning_rate", finite_float),
             trees=read_trees(data, n_features),
             n_features=n_features,
-            config=read_field(data, "config", dict),
+            config=read_field(data, "config", json_object),
         )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataio import integer, json_object
 from ..rng import SplitMix64, derive_seed
 from .tree import (
     ModelError,
@@ -69,15 +70,15 @@ class RFModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RFModel":
-        n_features = read_field(data, "n_features", int)
+        n_features = read_field(data, "n_features", integer)
         trees = read_trees(data, n_features)
         if not trees:
             raise ModelError("field 'trees': a forest needs at least one tree")
         return cls(
             trees=trees,
-            tree_seeds=read_field(data, "tree_seeds", lambda seeds: tuple(map(int, seeds))),
+            tree_seeds=read_field(data, "tree_seeds", lambda seeds: tuple(map(integer, seeds))),
             n_features=n_features,
-            config=read_field(data, "config", dict),
+            config=read_field(data, "config", json_object),
         )
 
 

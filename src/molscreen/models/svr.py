@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataio import finite_float
+from ..dataio import boolean, finite_float, finite_floats, integer, json_object
 from .tree import ModelError, check_prediction_data, check_training_data, read_field
 
 _AT_BOUND = 1e-12
@@ -88,22 +88,21 @@ class SVRModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SVRModel":
-        def floats(value) -> np.ndarray:
-            values = np.array(list(value), dtype=np.float64)
-            if not np.isfinite(values).all():
-                raise ValueError("holds a non-finite number")
-            return values
-
         def kernel(value) -> str:
             if value not in _KERNELS:
                 raise ValueError(f"unknown kernel {value!r}; choose from {tuple(_KERNELS)}")
             return value
 
-        n_features = read_field(data, "n_features", int)
-        support_vectors = read_field(
-            data, "support_vectors", lambda v: floats(v).reshape(-1, n_features)
-        )
-        coefficients = read_field(data, "coefficients", floats)
+        n_features = read_field(data, "n_features", integer)
+
+        def vectors(value) -> np.ndarray:
+            if not isinstance(value, list):
+                raise TypeError(f"expected a list of rows, got {type(value).__name__}")
+            rows = [finite_floats(row) for row in value]
+            return np.array(rows, dtype=np.float64).reshape(len(rows), n_features)
+
+        support_vectors = read_field(data, "support_vectors", vectors)
+        coefficients = read_field(data, "coefficients", finite_floats)
         if coefficients.shape[0] != support_vectors.shape[0]:
             raise ModelError(
                 f"field 'coefficients': {coefficients.shape[0]} values for "
@@ -117,9 +116,9 @@ class SVRModel:
             gamma=read_field(data, "gamma", finite_float),
             C=read_field(data, "C", finite_float),
             epsilon=read_field(data, "epsilon", finite_float),
-            converged=read_field(data, "converged", bool),
+            converged=read_field(data, "converged", boolean),
             n_features=n_features,
-            config=read_field(data, "config", dict),
+            config=read_field(data, "config", json_object),
         )
 
 

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from ..dataio import finite_float, json_field
+from ..dataio import finite_float, integer, json_field
 from ..rng import SplitMix64, sample_many
 
 
@@ -74,7 +74,7 @@ class Node:
         if isinstance(data, dict) and "leaf" in data:
             return cls(value=read_field(data, "leaf", finite_float))
         return cls(
-            feature=read_field(data, "feature", int),
+            feature=read_field(data, "feature", integer),
             threshold=read_field(data, "threshold", finite_float),
             left=read_field(data, "left", cls.from_dict),
             right=read_field(data, "right", cls.from_dict),
@@ -121,9 +121,9 @@ class RegressionTree:
         feature outside ``[0, n_features)`` raises :class:`ModelError`."""
         tree = cls(
             root=read_field(data, "root", Node.from_dict),
-            max_depth=read_field(data, "max_depth", int),
-            min_samples_leaf=read_field(data, "min_samples_leaf", int),
-            n_features=read_field(data, "n_features", int),
+            max_depth=read_field(data, "max_depth", integer),
+            min_samples_leaf=read_field(data, "min_samples_leaf", integer),
+            n_features=read_field(data, "n_features", integer),
         )
         stack = [tree.root]
         while stack:

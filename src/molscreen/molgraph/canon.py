@@ -47,6 +47,7 @@ from __future__ import annotations
 from .model import (
     AROMATIC,
     DOUBLE,
+    ORDER_VALUE,
     ORGANIC_SUBSET,
     SINGLE,
     TRIPLE,
@@ -56,7 +57,6 @@ from .model import (
 
 _BOND_RANK = {SINGLE: 0, AROMATIC: 1, DOUBLE: 2, TRIPLE: 3}
 _BOND_TOKEN = {SINGLE: "", AROMATIC: "", DOUBLE: "=", TRIPLE: "#"}
-_BOND_VALUE = {SINGLE: 1, AROMATIC: 1, DOUBLE: 2, TRIPLE: 3}
 
 
 def canonical_smiles(graph: MolecularGraph) -> str:
@@ -375,7 +375,7 @@ def _atom_token(graph: MolecularGraph, idx: int) -> str:
         if atom.explicit_h is None:
             # A bare atom's hydrogens are the default count by construction.
             return symbol
-        order_sum = sum(_BOND_VALUE[bond.order] for _, bond in graph.adjacency[idx])
+        order_sum = sum(ORDER_VALUE[bond.order] for _, bond in graph.adjacency[idx])
         try:
             default_h = _bare_hydrogens(atom.element, atom.aromatic, order_sum, -1)
         except ValueError:

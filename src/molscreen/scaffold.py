@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataio import read_molecules
+from .dataio import parse_number, read_molecules
 from .molgraph import DOUBLE, TRIPLE, AtomSpec, MolecularGraph, RingInfo
 from .molgraph.rings import two_core
 
@@ -196,10 +196,8 @@ def load_registry(path: str | Path) -> ScaffoldRegistry:
     with read_molecules(path, columns, ScaffoldError, smiles="scaffold_smiles") as (_, rows):
         for row_no, row, graph in rows:
             raw = row["scaffold_smiles"]
-            try:
-                group_id = int(row["group_id"])
-            except (TypeError, ValueError):
-                raise ScaffoldError(f"row {row_no}: bad group_id {row['group_id']!r}")
+            text = (row["group_id"] or "").strip()
+            group_id = parse_number(text, int, f"row {row_no}: group_id", ScaffoldError)
             name = (row["group_name"] or "").strip()
 
             if raw == "":

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import selection
+from . import dataio, selection
 from .dataio import parse_number, read_json_object, read_molecules
 from .features import (
     BLOCK_ORDER,
@@ -86,52 +86,39 @@ class FunnelConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "FunnelConfig":
-        """Read and check a funnel config; a malformed field raises
-        ``ScreeningError`` naming it."""
+        """The checked config in ``path``, as :meth:`from_dict` reads it."""
         path = Path(path)
-        base = path.parent
         try:
-            data = read_json_object(path, dict, ScreeningError)
+            return read_json_object(path, lambda d: cls.from_dict(d, path.parent), ScreeningError)
         except ScreeningError as exc:
             raise ScreeningError(f"funnel config {exc}") from None
+
+    @classmethod
+    def from_dict(cls, data: dict, base: Path) -> "FunnelConfig":
+        """The config in ``data`` with paths relative to ``base``; a malformed
+        field raises ``ScreeningError`` naming it, a null one reads as absent."""
+
+        def get(part: dict, name: str, cast, default=None):
+            got = part.get(name.rpartition(".")[2])
+            return default if got is None else dataio.json_value(got, cast, name, ScreeningError)
 
         def resolve(key: str, required: bool = True) -> Path | None:
             value = data.get(key)
             if value is None:
                 if required:
-                    raise ScreeningError(f"funnel config misses {key!r}")
+                    raise ScreeningError(f"misses {key!r}")
                 return None
             if not isinstance(value, str) or not value:
                 raise ScreeningError(f"{key} must be a file path, got {value!r}")
             return (base / value).resolve() if not Path(value).is_absolute() else Path(value)
 
-        fraction = _number(data.get("top_fraction", 0.01), "top_fraction")
+        fraction = get(data, "top_fraction", dataio.number, 0.01)
         if not (0.0 < fraction <= 1.0):
             raise ScreeningError("top_fraction must be in (0, 1]")
-        thresholds = _mapping(data.get("thresholds", {}), "thresholds")
-
-        def threshold(key: str, default: float) -> float:
-            value = thresholds.get(key)
-            return default if value is None else _number(value, f"thresholds.{key}")
-
-        ha_min = thresholds.get("ha_min")
-        if ha_min is None:
-            ha_min = 0
-        elif isinstance(ha_min, float) and ha_min.is_integer():
-            ha_min = int(ha_min)
-        if isinstance(ha_min, bool) or not isinstance(ha_min, int):
-            raise ScreeningError(f"thresholds.ha_min must be an integer, got {ha_min!r}")
-
-        vocab = _mapping(data.get("vocabulary", {}), "vocabulary")
-        elements = vocab.get("elements")
-        if elements is not None:
-            elements = frozenset(_strings(elements, "vocabulary.elements"))
-        require_latent = vocab.get("require_latent", False)
-        if not isinstance(require_latent, bool):
-            raise ScreeningError(
-                f"vocabulary.require_latent must be true or false, got {require_latent!r}"
-            )
-        blocks = tuple(_strings(data.get("blocks", ["D"]), "blocks"))
+        thresholds = get(data, "thresholds", dataio.json_object, {})
+        vocab = get(data, "vocabulary", dataio.json_object, {})
+        elements = get(vocab, "vocabulary.elements", dataio.strings)
+        blocks = tuple(get(data, "blocks", dataio.strings, ["D"]))
         if not blocks or not set(blocks) <= set(BLOCK_ORDER):
             raise ScreeningError(
                 f"blocks must list one or more of {', '.join(BLOCK_ORDER)}, got {list(blocks)!r}"
@@ -147,40 +134,18 @@ class FunnelConfig:
             blocks=blocks,
             top_fraction=fraction,
             thresholds=PropertyThresholds(
-                dn_min=threshold("dn_min", float("-inf")),
-                dm_min=threshold("dm_min", float("-inf")),
-                ha_min=ha_min,
+                dn_min=get(thresholds, "thresholds.dn_min", dataio.number, float("-inf")),
+                dm_min=get(thresholds, "thresholds.dm_min", dataio.number, float("-inf")),
+                ha_min=get(thresholds, "thresholds.ha_min", dataio.integer, 0),
             ),
             properties=resolve("properties", required=False),
             cas=resolve("cas", required=False),
             keyset=resolve("keyset", required=False),
             latents=latents,
-            vocabulary_elements=elements,
-            require_latent=require_latent,
+            vocabulary_elements=None if elements is None else frozenset(elements),
+            require_latent=get(vocab, "vocabulary.require_latent", dataio.boolean, False),
             raw=data,
         )
-
-
-def _mapping(value, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScreeningError(f"{field} must be a JSON object, got {value!r}")
-    return value
-
-
-def _number(value, field: str) -> float:
-    """A JSON number as a float; NaN and non-numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScreeningError(f"{field} must be a number, got {value!r}")
-    value = float(value)
-    if math.isnan(value):
-        raise ScreeningError(f"{field} must be a number, got NaN")
-    return value
-
-
-def _strings(value, field: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ScreeningError(f"{field} must be a list of strings, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

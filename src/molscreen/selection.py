@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import FORMAT_VERSION, finite_float, json_field, read_json_object
+from .dataio import FORMAT_VERSION, finite_float, json_field, json_object, read_json_object, strings
 from .features import FeatureMatrix
 
 DEFAULT_VARIANCE_THRESHOLD = 0.2
@@ -221,12 +221,12 @@ class SelectionPipeline:
         version = data.get("format_version")
         if version != FORMAT_VERSION:
             raise SelectionError(f"unsupported pipeline format version {version!r}")
-        thresholds = _field(data, "thresholds", dict)
+        thresholds = _field(data, "thresholds", json_object)
         return cls(
             column_max=_field(
                 data, "column_max", lambda v: {k: finite_float(p) for k, p in v.items()}
             ),
-            kept_columns=_field(data, "kept_columns", _names),
+            kept_columns=_field(data, "kept_columns", lambda v: tuple(strings(v))),
             variance_threshold=_field(thresholds, "variance", finite_float),
             pcc_threshold=_field(thresholds, "pcc", finite_float),
         )
@@ -234,12 +234,6 @@ class SelectionPipeline:
     @classmethod
     def load(cls, path: str | Path) -> "SelectionPipeline":
         return read_json_object(path, cls.from_dict, SelectionError)
-
-
-def _names(value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"expected a list of strings, got {type(value).__name__}")
-    return tuple(value)
 
 
 def fit(

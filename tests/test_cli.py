@@ -125,7 +125,7 @@ GOOD_KEY = {"id": 0, "label": "C_C", "atoms": [{"element": "C"}, {"element": "C"
 
 class TestMalformedKeyset:
     """A bad key-set file is a validation failure (exit 1) with a message
-    naming the key, never a traceback."""
+    naming the file and the key, never a traceback."""
 
     def featurize(self, tmp_path, capsys, content):
         path = tmp_path / "keys.json"
@@ -139,13 +139,14 @@ class TestMalformedKeyset:
         entry = dict(GOOD_KEY, bonds=[{"a": 0, "b": b}])
         code, err = self.featurize(tmp_path, capsys, [entry])
         assert code == 1
-        assert f"error: key 'C_C' has bond 0-{b} outside its 2 atoms" in err
+        path = tmp_path / "keys.json"
+        assert f"error: {path}: key 'C_C' has bond 0-{b} outside its 2 atoms" in err
 
     def test_missing_atoms(self, tmp_path, capsys):
         entry = {k: v for k, v in GOOD_KEY.items() if k != "atoms"}
         code, err = self.featurize(tmp_path, capsys, [entry])
         assert code == 1
-        assert "error: key 'C_C' is missing 'atoms'" in err
+        assert f"error: {tmp_path / 'keys.json'}: key 'C_C' is missing 'atoms'" in err
 
     def test_object_instead_of_list(self, tmp_path, capsys):
         code, err = self.featurize(tmp_path, capsys, GOOD_KEY)
@@ -157,30 +158,51 @@ class TestMalformedKeyset:
                  "bonds": [{"a": i, "b": i + 1} for i in range(8)]}
         code, err = self.featurize(tmp_path, capsys, [entry])
         assert code == 1
-        assert "error: key 'long' has 9 atoms (limit 8)" in err
+        assert f"error: {tmp_path / 'keys.json'}: key 'long' has 9 atoms (limit 8)" in err
 
     @pytest.mark.parametrize("min_count", [0, -1])
     def test_min_count_below_one(self, tmp_path, capsys, min_count):
         code, err = self.featurize(tmp_path, capsys, [dict(GOOD_KEY, min_count=min_count)])
         assert code == 1
-        assert f"error: key 'C_C' has min_count {min_count}" in err
+        assert f"error: {tmp_path / 'keys.json'}: key 'C_C' has min_count {min_count}" in err
 
     def test_aromatic_flag_not_a_boolean(self, tmp_path, capsys):
         entry = dict(GOOD_KEY, atoms=[{"element": "C", "aromatic": "false"}], bonds=[])
         code, err = self.featurize(tmp_path, capsys, [entry])
         assert code == 1
-        assert "error: key 'C_C' has aromatic 'false'" in err
+        assert f"error: {tmp_path / 'keys.json'}: key 'C_C' has aromatic 'false'" in err
 
     def test_unknown_element(self, tmp_path, capsys):
         entry = dict(GOOD_KEY, atoms=[{"element": "Xx"}], bonds=[])
         code, err = self.featurize(tmp_path, capsys, [entry])
         assert code == 1
-        assert "error: key 'C_C' has unknown element 'Xx'" in err
+        assert f"error: {tmp_path / 'keys.json'}: key 'C_C' has unknown element 'Xx'" in err
 
     def test_not_json(self, tmp_path, capsys):
         code, err = self.featurize(tmp_path, capsys, "[{")
         assert code == 1
-        assert "is not valid JSON" in err
+        assert f"error: {tmp_path / 'keys.json'}: not valid JSON" in err
+
+    @pytest.mark.parametrize("entry, field, got", [
+        (dict(GOOD_KEY, id=1.9), "'id'", "1.9"),
+        (dict(GOOD_KEY, bonds=[{"a": True, "b": 1}]), "'a'", "True"),
+        (dict(GOOD_KEY, min_count=2.5), "'min_count'", "2.5"),
+    ], ids=["id", "bond-end", "min-count"])
+    def test_mistyped_integer(self, tmp_path, capsys, entry, field, got):
+        # int() took each of these: 1.9 as key 1, True as atom 1.
+        code, err = self.featurize(tmp_path, capsys, [entry])
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'keys.json'}: key ")
+        assert f"field {field}: expected an integer, got {got}" in err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "keys.json"
+        path.write_bytes(b'[{"id": 0, "label": "\xff", "atoms": [{}]}]')
+        code = run("featurize", "--dataset", DATASET, "--blocks", "K", "--keyset", str(path),
+                   "--out", str(tmp_path / "f.csv"))
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: not valid JSON: ") and "0xff" in err
 
     def test_good_keyset(self, tmp_path, capsys):
         code, _ = self.featurize(tmp_path, capsys, [GOOD_KEY])
@@ -468,6 +490,42 @@ class TestMalformedNumbers:
                             "--latents", latents, "--out", tmp_path / "f.csv"], "z2")
 
 
+class TestUnreadableMoleculeFile:
+    """A molecule CSV that is not UTF-8, or that the csv module rejects,
+    exits 1 with one line naming the file."""
+
+    CASES = {
+        "not-utf8": (b"smiles,pce\nCCO,12\nCC\xffN,14\n", "not UTF-8 text"),
+        "huge-cell": (b"smiles,pce\nCCO,12\n" + b"C" * 140_000 + b",14\n",
+                      "row 3: field larger than field limit"),
+    }
+
+    def check(self, capsys, argv, path, message):
+        assert run(*map(str, argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_featurize(self, tmp_path, capsys, case):
+        content, message = self.CASES[case]
+        dataset = tmp_path / "d.csv"
+        dataset.write_bytes(content)
+        self.check(capsys, ["featurize", "--dataset", dataset, "--blocks", "D",
+                            "--out", tmp_path / "f.csv"], dataset, message)
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_screen_pool(self, screen_dir, capsys, case):
+        content, message = self.CASES[case]
+        pool = screen_dir / "pool.csv"
+        pool.write_bytes(content)
+        self.check(capsys, ["screen", "--funnel", screen_dir / "funnel.json",
+                            "--out-json", screen_dir / "r.json",
+                            "--out-text", screen_dir / "r.txt"], pool, message)
+        assert not (screen_dir / "r.json").exists()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -569,6 +627,37 @@ class TestMalformedArtifacts:
         edit(data)
         self.check(screen_dir, capsys, name, json.dumps(data), message)
 
+    @pytest.mark.parametrize("name, kind, edit, message", [
+        ("model.json", "gb", lambda d: d["trees"][0]["root"].update(feature=1.9),
+         "field 'root': field 'feature': expected an integer, got 1.9"),
+        ("model.json", "gb", lambda d: d.update(n_features="15"),
+         "field 'n_features': expected an integer, got '15'"),
+        ("model.json", "gb", lambda d: d["trees"][0].update(max_depth=True),
+         "field 'max_depth': expected an integer, got True"),
+        ("model.json", "rf", lambda d: d.update(tree_seeds=[1.5]),
+         "field 'tree_seeds': expected an integer, got 1.5"),
+        ("model.json", "svr", lambda d: d.update(converged="false"),
+         "field 'converged': expected true or false, got 'false'"),
+        ("model.json", "gb", lambda d: d["trees"][0]["root"].update(threshold="0.5"),
+         "field 'threshold': expected a number, got '0.5'"),
+        ("model.json", "gb", lambda d: d.update(init_value=True),
+         "field 'init_value': expected a number, got True"),
+        ("model.json", "svr", lambda d: d["coefficients"].__setitem__(0, "1.0"),
+         "field 'coefficients': expected a number in the list, got '1.0'"),
+        ("pipeline.json", "gb", lambda d: d["thresholds"].update(pcc="0.9"),
+         "field 'pcc': expected a number, got '0.9'"),
+    ], ids=["tree-feature", "n-features", "max-depth", "rf-tree-seeds", "svr-converged",
+            "tree-threshold", "gb-init-value", "svr-coefficients", "pipeline-pcc"])
+    def test_mistyped_field(self, screen_dir, capsys, name, kind, edit, message):
+        # JSON's numbers are apart from its strings and booleans: each of
+        # these read as a number, an integer or a boolean before.
+        assert run("train", "--dataset", DATASET, "--model", kind, "--seed", "3",
+                   "--out", str(screen_dir / "model.json"),
+                   "--pipeline-out", str(screen_dir / "pipeline.json")) == 0
+        data = json.loads((screen_dir / name).read_text())
+        edit(data)
+        self.check(screen_dir, capsys, name, json.dumps(data), message)
+
     @pytest.mark.parametrize("name", ["pipeline.json", "model.json"])
     @pytest.mark.parametrize("text, message", [("{", "not valid JSON"),
                                                ("[]", "expected a JSON object")],
@@ -644,7 +733,8 @@ class TestScreen:
                    "--out-json", str(screen_dir / "r.json"),
                    "--out-text", str(screen_dir / "r.txt")) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: blocks ") and err.count("\n") == 1
+        assert err.startswith(f"error: funnel config {screen_dir / 'funnel.json'}: blocks ")
+        assert err.count("\n") == 1
         assert not (screen_dir / "r.json").exists()
 
     def test_rerun_byte_identical(self, screen_dir):

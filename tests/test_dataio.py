@@ -82,3 +82,63 @@ class TestReadMolecules:
         assert graphs[0] is graphs[2] is graphs[5]
         # failures are kept as their message, not as the exception
         assert parsed["C1CC"] == graphs[1] == graphs[3] == "unclosed ring-bond digit (offset 1)"
+
+    @pytest.mark.parametrize("header", [True, False], ids=["in-header", "in-row"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, header):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"smil\xffes\nCCO\n" if header else b"smiles\nCCO\nC\xffC\n")
+        with pytest.raises(FeatureError, match=r"m\.csv: not UTF-8 text \(invalid start byte\)"):
+            with read_molecules(path, error=FeatureError) as (_, rows):
+                list(rows)
+
+    def test_row_the_csv_module_rejects_is_numbered(self, tmp_path):
+        # Row 2 spans two lines of the file; rows, not lines, are counted.
+        path = tmp_path / "m.csv"
+        path.write_text('# echo\nsmiles,note\nCCO,"two\nlines"\n'
+                        + "C" * 140_000 + ",x\nCCN,y\n")
+        seen = []
+        with pytest.raises(DataError, match=r"m\.csv: row 3: field larger than field limit"):
+            with read_molecules(path) as (_, rows):
+                seen.extend(row_no for row_no, _, _ in rows)
+        assert seen == [2]
+
+
+# field type -> (JSON values it reads, as read; JSON values it rejects)
+FIELD_TYPES = {
+    dataio.integer: ([(3, 3), (2.0, 2), (-1, -1)], [1.9, True, "2", None, float("inf"), [1]]),
+    dataio.number: ([(0.5, 0.5), (2, 2.0), (float("-inf"), float("-inf"))],
+                    ["0.5", True, None, float("nan"), {}]),
+    dataio.finite_float: ([(0.5, 0.5), (-3, -3.0)],
+                          ["0.5", False, float("nan"), float("inf"), [0.5]]),
+    dataio.boolean: ([(True, True), (False, False)], ["false", 0, 1, None]),
+    dataio.strings: ([(["C", "N"], ["C", "N"]), ([], [])], ["C", ["C", 7], {"C": 1}]),
+    dataio.json_object: ([({"a": 1}, {"a": 1})], [[], "a", None]),
+}
+
+
+@pytest.mark.parametrize("kind", FIELD_TYPES, ids=lambda kind: kind.__name__)
+def test_json_field_types(kind):
+    good, bad = FIELD_TYPES[kind]
+    for value, read in good:
+        assert kind(value) == read and type(kind(value)) is type(read)
+    for value in bad:
+        with pytest.raises((TypeError, ValueError)):
+            kind(value)
+
+
+def test_finite_floats_types_each_element():
+    assert dataio.finite_floats([1, 2.5]).tolist() == [1.0, 2.5]
+    for value, message in [([1.0, "2"], "expected a number in the list, got '2'"),
+                           ([True], "expected a number in the list, got True"),
+                           ("1.0", "expected a list of numbers, got '1.0'"),
+                           ([1.0, float("nan")], "holds a non-finite number")]:
+        with pytest.raises((TypeError, ValueError), match=message):
+            dataio.finite_floats(value)
+
+
+def test_json_field_names_the_path():
+    data = {"outer": {"inner": "7"}}
+    read = lambda v: dataio.json_field(v, "inner", dataio.integer, DataError)  # noqa: E731
+    with pytest.raises(DataError) as caught:
+        dataio.json_field(data, "outer", read, DataError)
+    assert str(caught.value) == "field 'outer': field 'inner': expected an integer, got '7'"

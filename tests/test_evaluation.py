@@ -17,7 +17,6 @@ from molscreen.evaluation import (
     SplitterSpec,
     logo_splits,
     mae,
-    render_report_text,
     msc_split,
     random_split,
     repeated_eval,
@@ -305,7 +304,7 @@ class TestDegenerateRepeats:
         assert payload["degenerate_repeats"] == 4
         assert payload["spearman"] == {"mean": None, "std": None}
         assert payload["mae"]["mean"] == report.mae_mean > 0
-        text = render_report_text([report])
+        text = report.render_text()
         assert "n/a" in text
         assert "4 of 4 repeats degenerate" in text
 
@@ -341,7 +340,7 @@ class TestDegenerateRepeats:
                                TrainConfig(kind="gb", seed=0), repeats=3)
         assert report.degenerate_repeats == 0
         assert report.to_dict()["degenerate_repeats"] == 0
-        assert len(render_report_text([report]).splitlines()) == 3
+        assert len(report.render_text().splitlines()) == 3
 
 
 class TestSplitterArithmeticSpeed:
@@ -385,7 +384,7 @@ class TestUnconvergedFits:
         assert report.unconverged_fits == 2
         assert [score.converged for score in report.pairs] == [True, False, True, False, True]
         assert report.to_dict()["unconverged_fits"] == 2
-        text = render_report_text([report])
+        text = report.render_text()
         assert text.splitlines()[-1] == "random: 2 of 5 fits did not converge"
 
         # the flag rides along without changing the scores
@@ -394,7 +393,7 @@ class TestUnconvergedFits:
                               repeats=5, master_seed=2)
         assert [s[:2] for s in clean.pairs] == [s[:2] for s in report.pairs]
         assert clean.unconverged_fits == 0
-        assert "converge" not in render_report_text([clean])
+        assert "converge" not in clean.render_text()
 
     def test_run_single_reports_the_flag(self):
         features, y = self.problem()

@@ -259,7 +259,7 @@ class TestSerialization:
         ("svr", lambda d: d.update(coefficients=3.0), "field 'coefficients': "),
         ("svr", lambda d: d.update(support_vectors=[[1.0]]), "field 'support_vectors': "),
         ("gb", lambda d: d.update(n_features=float("inf")),
-         "field 'n_features': cannot convert float infinity to integer"),
+         "field 'n_features': expected an integer, got inf"),
     ], ids=["missing", "not-a-list", "nested", "seed", "tree-field", "scalar", "shape",
             "infinite-int"])
     def test_malformed_field_named(self, kind, edit, message):

@@ -429,6 +429,29 @@ class TestFunnelConfigValidation:
         config = self.load(tmp_path, thresholds={"ha_min": 2.0})
         assert config.thresholds.ha_min == 2 and isinstance(config.thresholds.ha_min, int)
 
+    def test_infinite_threshold_loads(self, tmp_path):
+        # json.dumps writes -Infinity, which json reads back as -inf.
+        config = self.load(tmp_path, thresholds={"dn_min": float("-inf"), "dm_min": 1.5})
+        assert config.thresholds == PropertyThresholds(dn_min=float("-inf"), dm_min=1.5)
+        assert "-Infinity" in (tmp_path / "funnel.json").read_text()
+
+    def test_null_reads_as_absent_everywhere(self, tmp_path):
+        nulls = dict.fromkeys(("top_fraction", "thresholds", "vocabulary", "blocks", "cas"))
+        config = self.load(tmp_path, **nulls)
+        assert (config.top_fraction, config.blocks, config.cas) == (0.01, ("D",), None)
+        assert config.thresholds == PropertyThresholds()
+        assert (config.vocabulary_elements, config.require_latent) == (None, False)
+        config = self.load(tmp_path, vocabulary={"elements": ["C"], "require_latent": None})
+        assert config.require_latent is False
+
+    def test_field_error_names_the_file(self, tmp_path):
+        path = self.write(tmp_path, {**self.VALID, "thresholds": {"ha_min": True}})
+        with pytest.raises(ScreeningError) as caught:
+            FunnelConfig.load(path)
+        assert str(caught.value) == (
+            f"funnel config {path}: thresholds.ha_min: expected an integer, got True"
+        )
+
     @pytest.mark.parametrize("changes, field", [
         ({"thresholds": [1, 2]}, "thresholds"),
         ({"vocabulary": ["C"]}, "vocabulary"),
