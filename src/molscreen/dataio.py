@@ -204,6 +204,18 @@ def json_field(data, key: str, cast, error: type[Exception]):
     return json_value(data[key], cast, f"field {key!r}", error)
 
 
+def check_format_version(data, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming the field unless ``data``'s ``format_version``
+    is the integer :data:`FORMAT_VERSION` (so ``true`` and ``"1"`` fail)."""
+
+    def check(value):
+        version = integer(value)
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported {what} format version {version!r}")
+
+    json_field(data, "format_version", check, error)
+
+
 def _typed(value, ok: bool, kind: str):
     if not ok:
         got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
@@ -217,6 +229,10 @@ def _is_number(value) -> bool:
 
 def json_object(value) -> dict:
     return _typed(value, isinstance(value, dict), "a JSON object")
+
+
+def string(value) -> str:
+    return _typed(value, isinstance(value, str), "a string")
 
 
 def strings(value) -> list[str]:

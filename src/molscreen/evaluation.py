@@ -5,7 +5,9 @@ group of three or fewer, two from larger groups), plain random, and
 leave-one-group-out. The harness repeats split/fit/score cycles with
 per-repeat seeds derived from a master seed via a splitmix-style hash, and
 runs them one after another: a thread pool never beat the serial loop on
-these small fits, so ``--threads`` is accepted and has no effect.
+these small fits, so ``--threads`` is accepted and has no effect. gb
+repeats are fitted together instead, their boosters grown in lockstep
+(``models.fit_models``), with the same models and scores.
 
 A repeat whose Spearman correlation is undefined (a one-molecule test set,
 or constant predictions or targets) is degenerate: it is recorded with
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import selection
 from .features import FeatureMatrix
-from .models import TrainConfig, fit_model
+from .models import TrainConfig, fit_model, fit_models
 from .rng import SplitMix64, derive_seed
-from .selection import ConstantVector, LengthMismatch
+from .selection import ConstantVector, LengthMismatch, SelectionError
 
 
 class EvaluationError(ValueError):
@@ -268,6 +270,29 @@ def _sample_std_or_none(values) -> float | None:
     return selection.sample_std(values)
 
 
+def _prepare(features: FeatureMatrix, targets: np.ndarray, split: DatasetSplit) -> tuple:
+    """A split's (training X, training y, test X, test y), the X parts
+    projected by the selection cascade fitted on the training rows alone.
+
+    The cascade projects the whole matrix once; the training and test rows
+    are then read from that one row-major array, bitwise the values of
+    projecting each part apart.
+    """
+    pipeline = selection.fit(features.rows(split.train))
+    X = selection.apply(pipeline, features)
+    train, test = list(split.train), list(split.test)
+    return X[train], targets[train], X[test], targets[test]
+
+
+def _score(model, X_test: np.ndarray, y_test: np.ndarray) -> RepeatScore:
+    pred = model.predict(X_test)
+    try:
+        rho = spearman(pred, y_test)
+    except (TooFewPoints, ConstantVector):
+        rho = None
+    return RepeatScore(mae(pred, y_test), rho, getattr(model, "converged", True))
+
+
 def run_single(
     features: FeatureMatrix,
     targets: np.ndarray,
@@ -277,23 +302,27 @@ def run_single(
     """Fit the selection pipeline and model on the training rows, score the
     test rows; returns (mae, spearman, converged), with spearman None where
     it is undefined: fewer than two test rows, or constant predictions or
-    targets, and converged the model's flag.
+    targets, and converged the model's flag."""
+    X_train, y_train, X_test, y_test = _prepare(features, targets, split)
+    return _score(fit_model(X_train, y_train, model_config), X_test, y_test)
 
-    The cascade, fitted on the training rows alone, projects the whole
-    matrix once; the training and test rows are then read from that one
-    row-major array, bitwise the values of projecting each part apart.
-    """
-    pipeline = selection.fit(features.rows(split.train))
-    X = selection.apply(pipeline, features)
-    train, test = list(split.train), list(split.test)
-    model = fit_model(X[train], targets[train], model_config)
-    pred = model.predict(X[test])
-    y_test = targets[test]
-    try:
-        rho = spearman(pred, y_test)
-    except (TooFewPoints, ConstantVector):
-        rho = None
-    return RepeatScore(mae(pred, y_test), rho, getattr(model, "converged", True))
+
+def _run_together(features, targets, splits, model_config, seeds) -> list[RepeatScore]:
+    """``run_single`` of every split, with the models fitted in one
+    ``fit_models`` call. Every cascade runs before any model is fitted;
+    when one fails, the repeats before it are fitted first, so the error
+    raised is still the first failing repeat's."""
+    parts, failure = [], None
+    for split in splits:
+        try:
+            parts.append(_prepare(features, targets, split))
+        except SelectionError as error:
+            failure = error
+            break
+    fitted = fit_models([part[:2] for part in parts], model_config, seeds[: len(parts)])
+    if failure is not None:
+        raise failure
+    return [_score(model, X_test, y_test) for model, (_, _, X_test, y_test) in zip(fitted, parts)]
 
 
 def repeated_eval(
@@ -336,11 +365,16 @@ def repeated_eval(
                     )
                 )
 
-    pairs = []
-    for i, split in enumerate(splits):
-        repeat_seed = derive_seed(master_seed, i)
-        config = model_config.with_seed(derive_seed(repeat_seed, 1))
-        pairs.append(run_single(features, targets, split, config))
+    seeds = [derive_seed(derive_seed(master_seed, i), 1) for i in range(len(splits))]
+    if model_config.kind == "gb":
+        pairs = _run_together(features, targets, splits, model_config, seeds)
+    else:
+        # A forest or SVR fit gains nothing from batching, and 200 held
+        # forests take about 44 MB: these fit and score one repeat at a time.
+        pairs = [
+            run_single(features, targets, split, model_config.with_seed(seed))
+            for split, seed in zip(splits, seeds)
+        ]
 
     return EvalReport(
         method=splitter.kind,

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataio import integer, json_value, read_json
+from ..dataio import integer, json_value, read_json, string
 from ..molgraph import MolecularGraph
 from ..molgraph.model import BOND_ORDERS, VALENCES
 
@@ -258,22 +258,22 @@ def _key_from_entry(entry: dict, pos: int) -> PatternKey:
     unknown."""
     label = f"entry {pos}"
 
-    def integer_field(key: str, value) -> int:
-        return json_value(value, integer, f"key {label!r} field {key!r}", PatternError)
+    def field(key: str, value, cast):
+        return json_value(value, cast, f"key {label!r} field {key!r}", PatternError)
 
     try:
-        key_id = integer_field("id", entry["id"])
-        label = str(entry.get("label", f"key_{key_id}"))
+        key_id = field("id", entry["id"], integer)
+        label = field("label", entry.get("label", f"key_{key_id}"), string)
         atoms = tuple(_atom_from_entry(a, label) for a in entry["atoms"])
         bonds = tuple(
             PatternBond(
-                a=integer_field("a", b["a"]),
-                b=integer_field("b", b["b"]),
+                a=field("a", b["a"], integer),
+                b=field("b", b["b"], integer),
                 order=None if b.get("order", "*") == "*" else b["order"],
             )
             for b in entry.get("bonds", [])
         )
-        min_count = integer_field("min_count", entry.get("min_count", 1))
+        min_count = field("min_count", entry.get("min_count", 1), integer)
     except PatternError:
         raise
     except KeyError as exc:

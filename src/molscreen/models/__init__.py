@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from ..dataio import FORMAT_VERSION, read_json_object
-from .boosting import GBModel, fit_gb
+from ..dataio import FORMAT_VERSION, check_format_version, read_json_object
+from .boosting import GBModel, fit_gb, fit_gb_many
 from .forest import RFModel, fit_rf
 from .svr import SVRModel, default_gamma, fit_svr
 from .tree import (
@@ -62,12 +62,25 @@ class TrainConfig:
         return TrainConfig(**{**self.__dict__, "seed": seed})
 
 
+def _settings(config: TrainConfig) -> dict:
+    """Each field ``config.kind`` reads that is set."""
+    params = {name: getattr(config, name) for name in KINDS[config.kind].fields}
+    return {name: value for name, value in params.items() if value is not None}
+
+
 def fit_model(X, y, config: TrainConfig):
     """Fit ``config.kind`` with the seed and each field it reads that is set."""
-    kind = KINDS[config.kind]
-    params = {name: getattr(config, name) for name in kind.fields}
-    params = {name: value for name, value in params.items() if value is not None}
-    return kind.fit(X, y, seed=config.seed, **params)
+    return KINDS[config.kind].fit(X, y, seed=config.seed, **_settings(config))
+
+
+def fit_models(problems, config: TrainConfig, seeds) -> list:
+    """``fit_model(X, y, config.with_seed(seed))`` for each ``(X, y)`` of
+    ``problems`` and its seed, in order; a failure raises the first
+    failing problem's error. gb boosters with one training-row count grow
+    in lockstep (``fit_gb_many``); other kinds fit one at a time."""
+    if config.kind != "gb":
+        return [fit_model(X, y, config.with_seed(seed)) for (X, y), seed in zip(problems, seeds)]
+    return fit_gb_many(problems, seeds, **_settings(config))
 
 
 def model_to_dict(model) -> dict:
@@ -77,9 +90,7 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(data: dict):
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ModelError(f"unsupported model format version {version!r}")
+    check_format_version(data, "model", ModelError)
     kind = data.get("kind")
     # A tuple test, not a dict lookup: an unhashable kind is just unknown.
     if kind not in MODEL_KINDS:
@@ -109,7 +120,9 @@ __all__ = [
     "WidthMismatch",
     "default_gamma",
     "fit_gb",
+    "fit_gb_many",
     "fit_model",
+    "fit_models",
     "fit_rf",
     "fit_svr",
     "fit_tree",

@@ -18,6 +18,7 @@ import numpy as np
 from ..dataio import integer, json_object
 from ..rng import SplitMix64, derive_seed
 from .tree import (
+    _CHUNK_BYTES,
     ModelError,
     RegressionTree,
     check_prediction_data,
@@ -31,10 +32,9 @@ from .tree import (
 
 # Trees grown in lockstep hold, per tree and training row, p feature
 # values, p + 1 row lists and room for two nodes in eight node arrays:
-# about 16 p + 136 bytes. A forest grows in equal chunks of trees of at
-# most _CHUNK_BYTES (at least one tree per chunk).
-_CHUNK_BYTES = 1 << 26
-
+# about 16 p + 136 bytes. fit_rf grows a forest in equal chunks of trees
+# of at most _CHUNK_BYTES (at least one tree per chunk).
+#
 # Lockstep growth shares each step's per-call overhead among the chunk's
 # trees, but costs more per row than fit_tree (padded cells, a scatter
 # partition). So a chunk's trees grow in lockstep only while they have at
@@ -76,10 +76,21 @@ class RFModel:
             raise ModelError("field 'trees': a forest needs at least one tree")
         return cls(
             trees=trees,
-            tree_seeds=read_field(data, "tree_seeds", lambda seeds: tuple(map(integer, seeds))),
+            tree_seeds=read_field(data, "tree_seeds", lambda seeds: _tree_seeds(seeds, len(trees))),
             n_features=n_features,
             config=read_field(data, "config", json_object),
         )
+
+
+def _tree_seeds(values, n_trees: int) -> tuple[int, ...]:
+    """One 64-bit unsigned seed per tree, as ``fit_rf`` derives them."""
+    seeds = tuple(map(integer, values))
+    for seed in seeds:
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    if len(seeds) != n_trees:
+        raise ValueError(f"{len(seeds)} seeds for {n_trees} trees")
+    return seeds
 
 
 def fit_rf(

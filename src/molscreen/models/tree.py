@@ -9,7 +9,9 @@ subsampling (used by the forest), driven by a seeded generator.
 
 ``fit_tree`` grows one tree node by node; ``grow_trees`` grows a forest's
 trees in lockstep, searching one node of every tree per step in one set of
-array calls, and yields the same trees.
+array calls, and yields the same trees. ``_Growth.grow`` steps trees that
+draw no features (gradient boosting's) level by level instead: one step
+searches every pending node of every tree.
 """
 
 from __future__ import annotations
@@ -319,19 +321,20 @@ def grow_trees(
     order and seed: a node's arithmetic does not depend on the nodes it is
     batched with.
     """
-    growth = _Growth(values, y, max_depth)
+    growth = _Growth(values, max_depth)
     p = values.shape[1]
     draws = features_per_node is not None and features_per_node < p
     rngs = [SplitMix64(seed) for seed in seeds] if draws else None
     # Per tree, the nodes still to search: a stack in depth-first order.
-    pending = {t: [t] for t in np.flatnonzero(growth.root_searchable()).tolist()}
+    pending = {t: [t] for t in np.flatnonzero(growth.plant(y)).tolist()}
     while pending:
         ids = [stack.pop() for stack in pending.values()]
         feats = None
         if rngs is not None:
             feats = np.sort(sample_many([rngs[t] for t in pending], p, features_per_node), axis=1)
         pending = {t: stack for t, stack in pending.items() if stack}
-        for tree, left, search_left, search_right in growth.step(np.array(ids), feats):
+        split = growth.step(np.array(ids), feats)
+        for tree, left, search_left, search_right in zip(*(a.tolist() for a in split)):
             # Right first, so that the left child is searched next.
             if search_right:
                 pending.setdefault(tree, []).append(left + 1)
@@ -347,6 +350,10 @@ def grow_trees(
 # (nodes x lists x padded rows), which bounds a step's memory.
 _PAD_CELLS = 2048
 _GROUP_CELLS = 1 << 16
+
+# The most bytes one _Growth may hold; a forest or a set of boosters
+# larger than this grows in chunks.
+_CHUNK_BYTES = 1 << 26
 
 
 class _Growth:
@@ -365,21 +372,25 @@ class _Growth:
     its largest node. A node's padded cells repeat its last row, so they
     hold finite values, and every padded cut joins two equal values and is
     invalid.
+
+    Trees are grown on targets given to :meth:`plant`. With ``replant``,
+    the sorted lists are kept, so that the same rows can grow a new set of
+    trees on new targets (a boosting round) without sorting again.
     """
 
-    def __init__(self, values, y, max_depth):
+    def __init__(self, values, max_depth, replant=False):
         n_trees, p, n = values.shape
         self.n_trees, self.p, self.n = n_trees, p, n
         self.max_depth = max_depth
         # Feature f of row t * n + r is values[t * (p - 1) * n + f * n + (t * n + r)].
         self.values = np.ascontiguousarray(values, dtype=np.float64).ravel()
-        self.y = np.ascontiguousarray(y, dtype=np.float64).ravel()
         lists = np.empty(n_trees * (p + 1) * n + 1, dtype=np.intp)
         shaped = lists[:-1].reshape(n_trees, p + 1, n)
         shaped[:, p] = np.arange(n_trees * n).reshape(n_trees, n)
         for t in range(n_trees):  # one tree at a time bounds the argsort's memory
             np.add(np.argsort(values[t], axis=1, kind="stable"), t * n, out=shaped[t, :p])
         self.lists = lists
+        self.sorted_lists = lists.copy() if replant else None
         # Partition writes of padded cells land in this last, unused slot.
         self.spill = lists.size - 1
         # Where tree t's lists start, and where its feature values start
@@ -401,34 +412,57 @@ class _Growth:
         self.threshold = np.zeros(capacity, dtype=np.float64)
         self.tree[:n_trees] = self.cells[:n_trees]
         self.size[:n_trees] = n
-        self.count = n_trees
+        self.count = 0
 
-    def root_searchable(self) -> np.ndarray:
-        """Which roots are not leaves before any search: not at max depth,
-        big enough to split, and with a non-constant target."""
+    def plant(self, y) -> np.ndarray:
+        """Start one tree per set of rows, its root holding them all, on
+        targets ``y`` (trees x n). Returns which roots are not leaves
+        before any search: not at max depth, big enough to split, and with
+        a non-constant target."""
+        if self.count:  # a replant: partitions moved the lists
+            np.copyto(self.lists, self.sorted_lists)
+            self.left[: self.count] = -1
+        self.count = self.n_trees
+        self.y = np.ascontiguousarray(y, dtype=np.float64).ravel()
         y = self.y.reshape(self.n_trees, self.n)
         return (self.max_depth > 0) & (self.n >= 2) & (y != y[:, :1]).any(axis=1)
 
-    def step(self, ids: np.ndarray, feats: np.ndarray | None) -> list:
+    def grow(self, y, fitted: np.ndarray) -> list[Node]:
+        """Plant trees on targets ``y`` and grow them level by level: each
+        step searches every pending node of every tree. Returns the roots;
+        ``fitted`` (trees x n) receives each training row's leaf value.
+
+        Only for trees that draw no features per node: then no generator
+        ties a node to a depth-first order, and each tree is bitwise the
+        one ``fit_tree`` grows, with the same ``fitted`` values.
+        """
+        ids = np.flatnonzero(self.plant(y))
+        while ids.size:
+            _, left, search_left, search_right = self.step(ids, None)
+            ids = np.concatenate((left[search_left], left[search_right] + 1))
+        return self.roots(fitted)
+
+    def step(self, ids: np.ndarray, feats: np.ndarray | None) -> tuple:
         """Search the nodes ``ids`` (candidate features ``feats[i]`` for
         node ``ids[i]``, or every feature if None) and split those with a
-        valid cut. Returns (tree, left child id, whether the left child
-        needs a search, whether the right one does) per split node."""
+        valid cut. Returns, as arrays over the split nodes: the tree, the
+        left child's id, whether the left child needs a search and whether
+        the right one does."""
         size = self.size[ids]
         n_feats = self.p if feats is None else feats.shape[1]
         by_size = np.argsort(-size, kind="stable")
         sizes = size[by_size].tolist()
-        split, first, waste = [], 0, 0
+        groups, first, waste = [], 0, 0
         for i, m in enumerate(sizes):
             waste += (sizes[first] - m) * n_feats
             if i > first and (
                 waste > _PAD_CELLS or (i + 1 - first) * sizes[first] * (self.p + 1) > _GROUP_CELLS
             ):
-                group = by_size[first:i]
-                split += self._split(ids[group], None if feats is None else feats[group])
+                groups.append(by_size[first:i])
                 first, waste = i, 0
-        group = by_size[first:]
-        return split + self._split(ids[group], None if feats is None else feats[group])
+        groups.append(by_size[first:])
+        split = [self._split(ids[g], None if feats is None else feats[g]) for g in groups]
+        return split[0] if len(split) == 1 else tuple(map(np.concatenate, zip(*split)))
 
     def _split(self, ids, feats):
         p = self.p
@@ -537,7 +571,7 @@ class _Growth:
         self.start[first + 1 : self.count : 2] = start + n_left
         self.size[first : self.count : 2] = n_left
         self.size[first + 1 : self.count : 2] = size - n_left
-        return list(zip(tree.tolist(), left.tolist(), search_left.tolist(), search_right.tolist()))
+        return tree, left, search_left, search_right
 
     def _settle(self, nodes, near, xs, in_order, shift, size):
         """(local feature, cut, threshold, value above the cut) for each of
@@ -574,12 +608,12 @@ class _Growth:
             chosen[several] = np.flatnonzero(cuts)[best]
         return feature[chosen], cut[chosen], threshold[chosen], above[chosen]
 
-    def roots(self) -> list[Node]:
+    def roots(self, fitted: np.ndarray | None = None) -> list[Node]:
         """Every tree's root, after setting each leaf to the mean of its
-        targets in index order."""
+        targets in index order. ``fitted``, a C-ordered float64 array of
+        trees x n, receives each training row's leaf value."""
         count = self.count
         in_order = self.lists[:-1].reshape(self.n_trees, self.p + 1, self.n)[:, self.p].ravel()
-        targets = self.y[in_order]
         leaves = np.flatnonzero(self.left[:count] < 0)
         value = np.zeros(count, dtype=np.float64)
         # ``_mean`` is a pairwise sum, whose blocking depends on length, so
@@ -592,7 +626,10 @@ class _Growth:
             group, m = leaves[first:end], int(sizes[first])
             first = end
             cells = (self.tree[group] * self.n + self.start[group])[:, None] + self.cells[:m]
-            value[group] = targets[cells].sum(axis=1) / m
+            rows = in_order[cells]
+            value[group] = self.y[rows].sum(axis=1) / m
+            if fitted is not None:
+                fitted.reshape(-1)[rows] = value[group, None]
 
         feature = self.feature[:count].tolist()
         threshold = self.threshold[:count].tolist()

@@ -23,7 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import FORMAT_VERSION, finite_float, json_field, json_object, read_json_object, strings
+from .dataio import (
+    FORMAT_VERSION,
+    check_format_version,
+    finite_float,
+    json_field,
+    json_object,
+    read_json_object,
+    strings,
+)
 from .features import FeatureMatrix
 
 DEFAULT_VARIANCE_THRESHOLD = 0.2
@@ -218,9 +226,7 @@ class SelectionPipeline:
         """Read what :meth:`to_dict` writes; another format version, or a
         missing or mistyped field, raises :class:`SelectionError` naming
         it."""
-        version = data.get("format_version")
-        if version != FORMAT_VERSION:
-            raise SelectionError(f"unsupported pipeline format version {version!r}")
+        check_format_version(data, "pipeline", SelectionError)
         thresholds = _field(data, "thresholds", json_object)
         return cls(
             column_max=_field(

@@ -195,6 +195,13 @@ class TestMalformedKeyset:
         assert err.startswith(f"error: {tmp_path / 'keys.json'}: key ")
         assert f"field {field}: expected an integer, got {got}" in err
 
+    def test_label_not_a_string(self, tmp_path, capsys):
+        # str() took it, as the key '5'.
+        code, err = self.featurize(tmp_path, capsys, [dict(GOOD_KEY, label=5)])
+        assert code == 1 and err.count("\n") == 1
+        path = tmp_path / "keys.json"
+        assert f"error: {path}: key 'entry 0' field 'label': expected a string, got 5" in err
+
     def test_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "keys.json"
         path.write_bytes(b'[{"id": 0, "label": "\xff", "atoms": [{}]}]')
@@ -646,8 +653,13 @@ class TestMalformedArtifacts:
          "field 'coefficients': expected a number in the list, got '1.0'"),
         ("pipeline.json", "gb", lambda d: d["thresholds"].update(pcc="0.9"),
          "field 'pcc': expected a number, got '0.9'"),
+        ("model.json", "rf", lambda d: d.update(tree_seeds=[]),
+         "field 'tree_seeds': 0 seeds for 55 trees"),
+        ("model.json", "rf", lambda d: d.update(tree_seeds=[-5, 2**70]),
+         "field 'tree_seeds': seed -5 is outside [0, 2**64)"),
     ], ids=["tree-feature", "n-features", "max-depth", "rf-tree-seeds", "svr-converged",
-            "tree-threshold", "gb-init-value", "svr-coefficients", "pipeline-pcc"])
+            "tree-threshold", "gb-init-value", "svr-coefficients", "pipeline-pcc",
+            "rf-no-tree-seeds", "rf-tree-seed-range"])
     def test_mistyped_field(self, screen_dir, capsys, name, kind, edit, message):
         # JSON's numbers are apart from its strings and booleans: each of
         # these read as a number, an integer or a boolean before.
@@ -656,6 +668,19 @@ class TestMalformedArtifacts:
                    "--pipeline-out", str(screen_dir / "pipeline.json")) == 0
         data = json.loads((screen_dir / name).read_text())
         edit(data)
+        self.check(screen_dir, capsys, name, json.dumps(data), message)
+
+    @pytest.mark.parametrize("name", ["pipeline.json", "model.json"])
+    @pytest.mark.parametrize("version, message", [
+        (True, "expected an integer, got True"),
+        ("1", "expected an integer, got '1'"),
+        (2, "unsupported {} format version 2"),
+    ], ids=["true", "string", "two"])
+    def test_format_version(self, screen_dir, capsys, name, version, message):
+        # Compared with != alone, true passed as version 1.
+        data = json.loads((screen_dir / name).read_text())
+        data["format_version"] = version
+        message = "field 'format_version': " + message.format(name.removesuffix(".json"))
         self.check(screen_dir, capsys, name, json.dumps(data), message)
 
     @pytest.mark.parametrize("name", ["pipeline.json", "model.json"])

@@ -111,6 +111,7 @@ FIELD_TYPES = {
     dataio.finite_float: ([(0.5, 0.5), (-3, -3.0)],
                           ["0.5", False, float("nan"), float("inf"), [0.5]]),
     dataio.boolean: ([(True, True), (False, False)], ["false", 0, 1, None]),
+    dataio.string: ([("C_C", "C_C"), ("", "")], [5, None, ["C"], True]),
     dataio.strings: ([(["C", "N"], ["C", "N"]), ([], [])], ["C", ["C", 7], {"C": 1}]),
     dataio.json_object: ([({"a": 1}, {"a": 1})], [[], "a", None]),
 }

@@ -24,7 +24,7 @@ from molscreen.evaluation import (
     spearman,
 )
 from molscreen.features import FeatureMatrix
-from molscreen.models import TrainConfig
+from molscreen.models import TrainConfig, boosting
 from molscreen.rng import derive_seed
 
 
@@ -213,18 +213,15 @@ class TestRepeatedEval:
         # scores identically
         assert baseline == run_single(features, y, split, config)
 
-    @pytest.mark.parametrize("kind", ["msc", "random", "logo"])
-    @pytest.mark.parametrize("model", ["gb", "rf", "svr"])
-    def test_pairs_are_a_loop_of_run_single(self, kind, model):
-        features, y, groups = mixed_problem()
-        config = TrainConfig(kind=model, seed=0, n_estimators=4)
+    @staticmethod
+    def assert_loop_of_run_single(features, y, groups, kind, config, repeats):
         report = repeated_eval(features, y, SplitterSpec(kind, 0.2), config,
-                               repeats=6, master_seed=17, groups=groups)
+                               repeats=repeats, master_seed=17, groups=groups)
         if kind == "logo":
             splits = logo_splits(groups)
         else:
             splits = []
-            for i in range(6):
+            for i in range(repeats):
                 split_seed = derive_seed(derive_seed(17, i), 0)
                 splits.append(msc_split(groups, split_seed) if kind == "msc"
                               else random_split(len(y), 0.2, split_seed))
@@ -234,6 +231,71 @@ class TestRepeatedEval:
         )
         assert report.pairs == expected
         assert report.repeats == len(splits)
+        return report, splits
+
+    @pytest.mark.parametrize("kind", ["msc", "random", "logo"])
+    @pytest.mark.parametrize("model", ["gb", "rf", "svr"])
+    def test_pairs_are_a_loop_of_run_single(self, kind, model):
+        features, y, groups = mixed_problem()
+        config = TrainConfig(kind=model, seed=0, n_estimators=4)
+        self.assert_loop_of_run_single(features, y, groups, kind, config, repeats=6)
+
+    @pytest.mark.parametrize("case", ["msc", "random", "logo-row-counts", "constant-targets"])
+    def test_lockstep_pairs_are_a_loop_of_run_single(self, case, monkeypatch):
+        # gb repeats with equal training-row counts are fitted in lockstep
+        # when there are at least _LOCKSTEP_BOOSTERS of them; each case
+        # records the batch sizes it grew, so it cannot pass by falling
+        # back to fit_gb.
+        batches = []
+        lockstep = boosting._fit_lockstep
+
+        def spy(data, *args):
+            batches.append(sorted(X.shape[0] for X, _ in data))
+            return lockstep(data, *args)
+
+        monkeypatch.setattr(boosting, "_fit_lockstep", spy)
+        features, y, groups = mixed_problem()
+        kind, grown = case, [[16] * 8] if case == "msc" else [[17] * 8]
+        if case == "logo-row-counts":
+            # Held-out groups of 1, 1, 1, 3, 3, 3, 2 and 8 molecules: two
+            # batches of three (21 and 19 training rows, the first with a
+            # one-molecule test set each) and two repeats fitted alone.
+            kind, grown = "logo", [[19] * 3, [21] * 3]
+            sizes = [1, 1, 1, 3, 3, 3, 2, 8]
+            bounds = np.cumsum([0] + sizes)
+            groups = {g + 1: list(range(bounds[g], bounds[g + 1])) for g in range(len(sizes))}
+        elif case == "constant-targets":
+            # One distinct target: a repeat that holds it out trains on a
+            # constant, so its trees are bare roots and it predicts one.
+            kind, y = "random", np.where(np.arange(len(y)) == 6, 2.0, 1.0)
+        report, splits = self.assert_loop_of_run_single(
+            features, y, groups, kind, TrainConfig(kind="gb", seed=0), repeats=8
+        )
+        assert sorted(batches) == grown
+        if case == "logo-row-counts":
+            assert 0 < report.degenerate_repeats < report.repeats
+        if case == "constant-targets":
+            assert 0 < sum(6 in split.test for split in splits) < len(splits)
+
+    @pytest.mark.parametrize("groups, n_estimators", [
+        # repeat 0's fit fails (a negative n_estimators) before repeat 1's
+        # cascade (one training row)
+        ({1: [0], 2: list(range(1, 22))}, -1),
+        # repeat 0's cascade fails, and so would every fit
+        ({1: list(range(21)), 2: [21]}, -1),
+        # repeat 0 fits, repeat 1's cascade fails
+        ({1: [0], 2: list(range(1, 22))}, 35),
+    ], ids=["fit-first", "cascade-first", "cascade-later"])
+    def test_the_first_failing_repeat_raises(self, groups, n_estimators):
+        features, y, _ = mixed_problem()
+        config = TrainConfig(kind="gb", seed=0, n_estimators=n_estimators)
+        with pytest.raises(ValueError) as looped:
+            for i, split in enumerate(logo_splits(groups)):
+                run_single(features, y, split, config.with_seed(derive_seed(derive_seed(17, i), 1)))
+        with pytest.raises(ValueError) as phased:
+            repeated_eval(features, y, SplitterSpec("logo"), config, master_seed=17, groups=groups)
+        assert type(phased.value) is type(looped.value)
+        assert str(phased.value) == str(looped.value)
 
     def test_model_sees_each_part_projected_apart(self, monkeypatch):
         # The cascade projects the whole matrix once; the rows the model fits

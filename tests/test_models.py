@@ -16,8 +16,11 @@ from molscreen.models import (
     NonFiniteTarget,
     TrainConfig,
     WidthMismatch,
+    boosting,
     fit_gb,
+    fit_gb_many,
     fit_model,
+    fit_models,
     fit_rf,
     fit_svr,
     fit_tree,
@@ -377,6 +380,8 @@ FITTER_PARAMETERS = {
                  ("features_per_node", REQUIRED), ("seeds", REQUIRED)],
     fit_gb: [("X", REQUIRED), ("y", REQUIRED), ("n_estimators", 35), ("max_depth", 4),
              ("learning_rate", 0.1), ("seed", 0)],
+    fit_gb_many: [("problems", REQUIRED), ("seeds", REQUIRED), ("n_estimators", 35),
+                  ("max_depth", 4), ("learning_rate", 0.1)],
     fit_rf: [("X", REQUIRED), ("y", REQUIRED), ("n_estimators", 55), ("max_depth", 10),
              ("bootstrap", True), ("max_features", None), ("seed", 0)],
     fit_svr: [("X", REQUIRED), ("y", REQUIRED), ("C", 500.0), ("epsilon", 0.75),
@@ -395,7 +400,79 @@ class TestFitterSignatures:
 
     def test_settable_count(self):
         settable = [name for table in FITTER_PARAMETERS.values() for name, _ in table[2:]]
-        assert len(settable) == 22
+        assert len(settable) == 25
+
+
+class TestFitModels:
+    """``fit_models`` is a loop of ``fit_model``; gb boosters with one row
+    count grow in lockstep when there are enough of them."""
+
+    @staticmethod
+    def problems():
+        # Five problems of 15 rows (one lockstep group, widths 1 to 4, one
+        # with a constant target), two of 12 (fitted one by one) and one of 9.
+        rng = np.random.default_rng(31)
+        shapes = [(15, 3), (12, 2), (15, 1), (15, 4), (9, 3), (15, 2), (12, 3), (15, 3)]
+        problems = [(rng.normal(size=shape), rng.normal(size=shape[0])) for shape in shapes]
+        problems[5] = (problems[5][0], np.full(15, 0.5))
+        return problems
+
+    @staticmethod
+    def assert_loop_of_fit_model(config, monkeypatch) -> list[int]:
+        """Check ``fit_models`` against ``fit_model`` on :meth:`problems`;
+        returns the size of each batch grown in lockstep."""
+        batches = []
+        lockstep = boosting._fit_lockstep
+        monkeypatch.setattr(boosting, "_fit_lockstep",
+                            lambda data, *args: batches.append(len(data)) or lockstep(data, *args))
+        problems, seeds = TestFitModels.problems(), [3 * i + 1 for i in range(8)]
+        fitted = fit_models(problems, config, seeds)
+        expected = [fit_model(X, y, config.with_seed(seed)) for (X, y), seed in zip(problems, seeds)]
+        assert [json.dumps(model_to_dict(m)) for m in fitted] == [
+            json.dumps(model_to_dict(m)) for m in expected
+        ]
+        return batches
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("fields", [{}, {"n_estimators": 3, "max_depth": 2}], ids=["unset", "set"])
+    def test_a_loop_of_fit_model(self, kind, fields, monkeypatch):
+        batches = self.assert_loop_of_fit_model(TrainConfig(kind=kind, seed=0, **fields), monkeypatch)
+        assert batches == ([5] if kind == "gb" else [])
+
+    def test_a_group_grows_in_chunks_of_bounded_memory(self, monkeypatch):
+        # The 15-row group is 5 boosters of up to 4 columns, about
+        # 15 x (24 x 4 + 176) bytes each: a cap of three boosters' worth
+        # cuts it into chunks of 3 and 2, and the 2 fit one by one.
+        monkeypatch.setattr(boosting, "_CHUNK_BYTES", 3 * 15 * (24 * 4 + 176))
+        config = TrainConfig(kind="gb", seed=0, n_estimators=3)
+        assert self.assert_loop_of_fit_model(config, monkeypatch) == [3]
+
+    def test_boosters_above_the_row_limit_fit_one_by_one(self, monkeypatch):
+        monkeypatch.setattr(boosting, "_LOCKSTEP_ROWS", 14)
+        config = TrainConfig(kind="gb", seed=0, n_estimators=3)
+        assert self.assert_loop_of_fit_model(config, monkeypatch) == []
+
+    def test_the_first_failing_problem_raises(self):
+        good, (X, y) = self.problems()[:2]
+        bad_y, bad_X = (X, np.where(y > 0, np.nan, y)), (np.where(X > 0, np.inf, X), y)
+        config = TrainConfig(kind="gb", seed=0)
+        with pytest.raises(NonFiniteTarget):
+            fit_models([good, bad_y, bad_X], config, [0, 1, 2])
+        with pytest.raises(NonFiniteFeature):
+            fit_models([good, bad_X, bad_y], config, [0, 1, 2])
+        # fit_gb checks its data before its hyperparameters.
+        with pytest.raises(ModelError, match="n_estimators must be >= 0"):
+            fit_models([good, bad_y], TrainConfig(kind="gb", seed=0, n_estimators=-1), [0, 1])
+        with pytest.raises(NonFiniteTarget):
+            fit_models([bad_y, good], TrainConfig(kind="gb", seed=0, n_estimators=-1), [0, 1])
+
+    def test_a_problem_without_columns_fails_as_in_fit_gb(self):
+        problems = [(X[:, :0] if i == 2 else X, y) for i, (X, y) in enumerate(self.problems())]
+        with pytest.raises(ValueError) as alone:
+            fit_gb(*problems[2])
+        with pytest.raises(ValueError) as batched:
+            fit_gb_many(problems, list(range(8)))
+        assert str(batched.value) == str(alone.value)
 
 
 class TestKindTable:

@@ -17,7 +17,9 @@ from molscreen.models import (
     RFModel,
     TrainConfig,
     WidthMismatch,
+    boosting,
     fit_gb,
+    fit_gb_many,
     fit_model,
     fit_rf,
     fit_tree,
@@ -379,10 +381,10 @@ class TestNonFiniteFeatures:
         assert model.predict(X[:5]).shape == (5,)
 
 
-def msc_training_splits():
+def evaluate_training_splits(*options):
     """The training matrix, targets and model seed of every repeat of
-    ``evaluate --splitter msc --repeats 200`` on the bundled set, as
-    ``evaluate`` hands them to ``fit_model``."""
+    ``evaluate --model gb`` on the bundled set with ``options``, as
+    ``evaluate`` hands them to ``fit_models``."""
 
     class Constant:
         def predict(self, X):
@@ -390,24 +392,31 @@ def msc_training_splits():
 
     fits = []
 
-    def record(X, y, config):
-        fits.append((X.copy(), y.copy(), config.seed))
-        return Constant()
+    def record(problems, config, seeds):
+        fits.extend((X.copy(), y.copy(), seed) for (X, y), seed in zip(problems, seeds))
+        return [Constant() for _ in seeds]
 
-    original = evaluation.fit_model
-    evaluation.fit_model = record
+    original = evaluation.fit_models
+    evaluation.fit_models = record
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = cli.main([
                 "evaluate", "--dataset", str(DATA_DIR / "additives24.csv"),
-                "--registry", str(DATA_DIR / "scaffold_groups.csv"),
-                "--splitter", "msc", "--model", "gb", "--repeats", "200",
-                "--seed", "0", "--out-json", "/dev/null", "--out-text", "/dev/null",
+                "--registry", str(DATA_DIR / "scaffold_groups.csv"), "--model", "gb",
+                "--seed", "0", "--out-json", "/dev/null", "--out-text", "/dev/null", *options,
             ])
     finally:
-        evaluation.fit_model = original
-    assert code == 0 and len(fits) == 200
+        evaluation.fit_models = original
+    assert code == 0
+    return fits
+
+
+def msc_training_splits():
+    """The training matrix, targets and model seed of every repeat of
+    ``evaluate --splitter msc --repeats 200`` on the bundled set."""
+    fits = evaluate_training_splits("--splitter", "msc", "--repeats", "200")
+    assert len(fits) == 200
     return fits
 
 
@@ -420,6 +429,28 @@ def msc_splits():
 def test_models_match_oracle_on_every_msc_training_split(function, msc_splits):
     for X, y, seed in msc_splits:
         assert dumps(function(X, y, seed=seed)) == dumps(ORACLES[function](X, y, seed=seed))
+
+
+EVALUATE_OPTIONS = {
+    "msc": ("--splitter", "msc", "--repeats", "200"),
+    "random": ("--splitter", "random", "--repeats", "200"),
+    "logo": ("--splitter", "logo"),
+    "msc-keys": ("--splitter", "msc", "--repeats", "200", "--blocks", "K,D"),
+}
+
+
+@pytest.mark.parametrize("options", EVALUATE_OPTIONS)
+def test_lockstep_boosters_match_fit_gb_on_every_evaluate_split(options, monkeypatch):
+    fits = evaluate_training_splits(*EVALUATE_OPTIONS[options])
+    problems, seeds = [(X, y) for X, y, _ in fits], [seed for _, _, seed in fits]
+    # Leave-one-group-out splits differ in row count, so most of their
+    # groups are too small to grow in lockstep; a threshold of 1 grows each
+    # in lockstep too.
+    thresholds = [boosting._LOCKSTEP_BOOSTERS] + [1] * (options == "logo")
+    expected = [dumps(fit_gb(X, y, seed=seed)) for X, y, seed in fits]
+    for threshold in thresholds:
+        monkeypatch.setattr(boosting, "_LOCKSTEP_BOOSTERS", threshold)
+        assert [dumps(model) for model in fit_gb_many(problems, seeds)] == expected
 
 
 # fit_rf grows a chunk's trees in lockstep up to this many rows per tree
