@@ -172,12 +172,15 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
 
 def read_json(path: str | Path, read, error: type[Exception]):
     """:func:`json_value` of ``read`` on the JSON value in ``path``; bytes
-    that are not UTF-8 or bad JSON raise ``error`` naming the file."""
+    that are not UTF-8, bad JSON or JSON nested deeper than ``json`` reads
+    raise ``error`` naming the file."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except ValueError as exc:  # UnicodeDecodeError is one
         raise error(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deeply to read") from None
     return json_value(data, read, str(path), error)
 
 

@@ -369,8 +369,9 @@ def repeated_eval(
     if model_config.kind == "gb":
         pairs = _run_together(features, targets, splits, model_config, seeds)
     else:
-        # A forest or SVR fit gains nothing from batching, and 200 held
-        # forests take about 44 MB: these fit and score one repeat at a time.
+        # A forest or SVR fit gains nothing from batching, and fitting and
+        # holding 200 forests raises peak RSS by about 15 MB: these fit and
+        # score one repeat at a time.
         pairs = [
             run_single(features, targets, split, model_config.with_seed(seed))
             for split, seed in zip(splits, seeds)

@@ -13,7 +13,6 @@ from .svr import SVRModel, default_gamma, fit_svr
 from .tree import (
     EmptyTrainingSet,
     ModelError,
-    Node,
     NonFiniteFeature,
     NonFiniteTarget,
     RegressionTree,
@@ -110,7 +109,6 @@ __all__ = [
     "EmptyTrainingSet",
     "GBModel",
     "ModelError",
-    "Node",
     "NonFiniteFeature",
     "NonFiniteTarget",
     "RFModel",

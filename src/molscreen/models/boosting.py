@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .tree import (
     _CHUNK_BYTES,
     ModelError,
     RegressionTree,
+    TreeTable,
     _Growth,
     check_prediction_data,
     check_training_data,
@@ -44,8 +46,8 @@ class GBModel:
     def predict(self, X) -> np.ndarray:
         X = check_prediction_data(X, self.n_features)
         out = np.full(X.shape[0], self.init_value, dtype=np.float64)
-        for tree in self.trees:
-            out += self.learning_rate * tree._predict(X)
+        for step in self._steps(X):  # tree by tree, in order
+            out += step
         return out
 
     def staged_train_mse(self, X, y) -> list[float]:
@@ -54,10 +56,19 @@ class GBModel:
         y = np.asarray(y, dtype=np.float64)
         pred = np.full(X.shape[0], self.init_value, dtype=np.float64)
         losses = [float(np.mean((y - pred) ** 2))]
-        for tree in self.trees:
-            pred += self.learning_rate * tree._predict(X)
+        for step in self._steps(X):
+            pred += step
             losses.append(float(np.mean((y - pred) ** 2)))
         return losses
+
+    @cached_property
+    def _table(self) -> TreeTable:
+        return TreeTable(self.trees)
+
+    def _steps(self, X: np.ndarray) -> np.ndarray:
+        """``learning_rate`` times each tree's prediction for each row of a
+        checked ``X``: trees x rows."""
+        return self.learning_rate * self._table.leaf_values(X)
 
     def to_dict(self) -> dict:
         return {
@@ -231,6 +242,8 @@ def _fit_lockstep(data, seeds, n_estimators, max_depth, learning_rate) -> list[G
         pred += learning_rate * fitted
     models = []
     for b, (width, seed) in enumerate(zip(widths, seeds)):
-        trees = [RegressionTree(root=roots[b], max_depth=max_depth, n_features=width) for roots in rounds]
+        trees = [
+            RegressionTree(*nodes[b], max_depth=max_depth, n_features=width) for nodes in rounds
+        ]
         models.append(_model(init[b], learning_rate, trees, width, n_estimators, max_depth, seed))
     return models

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .tree import (
     _CHUNK_BYTES,
     ModelError,
     RegressionTree,
+    TreeTable,
     check_prediction_data,
     check_training_data,
     fit_tree,
@@ -55,9 +57,13 @@ class RFModel:
     def predict(self, X) -> np.ndarray:
         X = check_prediction_data(X, self.n_features)
         total = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            total += tree._predict(X)
+        for values in self._table.leaf_values(X):  # tree by tree, in order
+            total += values
         return total / len(self.trees)
+
+    @cached_property
+    def _table(self) -> TreeTable:
+        return TreeTable(self.trees)
 
     def to_dict(self) -> dict:
         return {
@@ -138,14 +144,13 @@ def fit_rf(
             ]
             continue
         # Tree t trains on X[rows[t]]: values[t] holds its columns as rows.
-        roots = grow_trees(
+        trees += grow_trees(
             np.ascontiguousarray(X[rows].transpose(0, 2, 1)),
             y[rows],
             max_depth,
             features_per_node,
             seeds,
         )
-        trees += [RegressionTree(root=root, max_depth=max_depth, n_features=p) for root in roots]
 
     config = {
         "kind": "rf",

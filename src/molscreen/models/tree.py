@@ -12,6 +12,10 @@ trees in lockstep, searching one node of every tree per step in one set of
 array calls, and yields the same trees. ``_Growth.grow`` steps trees that
 draw no features (gradient boosting's) level by level instead: one step
 searches every pending node of every tree.
+
+A tree is stored as flat node arrays (``RegressionTree``), which every
+grower fills directly. ``TreeTable`` stacks an ensemble's trees so that
+prediction moves every (tree, row) pair down one level per step.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,69 +54,47 @@ class WidthMismatch(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class Node:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "Node | None" = None
-    right: "Node | None" = None
-    value: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Node":
-        if isinstance(data, dict) and "leaf" in data:
-            return cls(value=read_field(data, "leaf", finite_float))
-        return cls(
-            feature=read_field(data, "feature", integer),
-            threshold=read_field(data, "threshold", finite_float),
-            left=read_field(data, "left", cls.from_dict),
-            right=read_field(data, "right", cls.from_dict),
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RegressionTree:
-    root: Node
+    """A tree as flat node arrays. Node 0 is the root. A split node ``i``
+    sends a row whose value of feature ``feature[i]`` is ``<=
+    threshold[i]`` to node ``left[i]`` and any other row to ``left[i] +
+    1``; a leaf has ``left[i] == -1`` and predicts ``value[i]``. A child's
+    id is above its parent's. ``feature`` and ``threshold`` are 0 at a
+    leaf, ``value`` is 0 at a split node."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
     max_depth: int
     n_features: int
     # Model files record it; every tree grown here may have one-row leaves.
     min_samples_leaf: int = 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._predict(check_prediction_data(X, self.n_features))
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        """``predict`` on an ``X`` already checked by
-        ``check_prediction_data``."""
-        out = np.empty(X.shape[0], dtype=np.float64)
-        self._fill(self.root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _fill(self, node: Node, X, idx, out) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        self._fill(node.left, X, idx[go_left], out)
-        self._fill(node.right, X, idx[~go_left], out)
+        X = check_prediction_data(X, self.n_features)
+        return TreeTable((self,)).leaf_values(X)[0]
 
     def to_dict(self) -> dict:
+        feature, threshold, left, value = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.value)
+        )
+        # Children come after their parent, so each is built before it.
+        nodes: list = [None] * len(left)
+        for i in range(len(left) - 1, -1, -1):
+            child = left[i]
+            if child < 0:
+                nodes[i] = {"leaf": value[i]}
+            else:
+                nodes[i] = {
+                    "feature": feature[i],
+                    "threshold": threshold[i],
+                    "left": nodes[child],
+                    "right": nodes[child + 1],
+                }
         return {
-            "root": self.root.to_dict(),
+            "root": nodes[0],
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "n_features": self.n_features,
@@ -120,24 +103,111 @@ class RegressionTree:
     @classmethod
     def from_dict(cls, data: dict) -> "RegressionTree":
         """Read what :meth:`to_dict` writes; a node that splits on a
-        feature outside ``[0, n_features)`` raises :class:`ModelError`."""
-        tree = cls(
-            root=read_field(data, "root", Node.from_dict),
-            max_depth=read_field(data, "max_depth", integer),
-            min_samples_leaf=read_field(data, "min_samples_leaf", integer),
-            n_features=read_field(data, "n_features", integer),
+        feature outside ``[0, n_features)``, or a tree deeper than its
+        ``max_depth``, raises :class:`ModelError`."""
+        feature, threshold, left, value, height = read_field(data, "root", _read_nodes)
+        max_depth = read_field(data, "max_depth", integer)
+        min_samples_leaf = read_field(data, "min_samples_leaf", integer)
+        n_features = read_field(data, "n_features", integer)
+        for f, child in zip(feature, left):
+            if child >= 0 and not 0 <= f < n_features:
+                raise ModelError(f"a node splits on feature {f}, outside [0, {n_features})")
+        if height > max_depth:
+            raise ModelError(f"a tree {height} levels deep has max_depth {max_depth}")
+        return cls(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.intp),
+            value=np.array(value, dtype=np.float64),
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            n_features=n_features,
         )
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                if not 0 <= node.feature < tree.n_features:
-                    raise ModelError(
-                        f"a node splits on feature {node.feature}, "
-                        f"outside [0, {tree.n_features})"
-                    )
-                stack += (node.left, node.right)
-        return tree
+
+
+def _read_nodes(root) -> tuple[list, list, list, list, int]:
+    """The node lists (feature, threshold, left, value) of the nested
+    nodes under ``root`` and the tree's height, read without recursion, so
+    that a tree of any depth reads. A malformed node raises
+    :class:`ModelError` naming its path from the root, as
+    ``field 'left': field 'right': ...``."""
+    feature, threshold, left, value = [0], [0.0], [-1], [0.0]
+    parent, depth = [-1], [0]
+    stack = [(root, 0)]
+    while stack:
+        data, i = stack.pop()
+        try:
+            if isinstance(data, dict) and "leaf" in data:
+                value[i] = read_field(data, "leaf", finite_float)
+                continue
+            feature[i] = read_field(data, "feature", integer)
+            threshold[i] = read_field(data, "threshold", finite_float)
+            below = read_field(data, "left", _node), read_field(data, "right", _node)
+        except ModelError as exc:
+            path, node = [], i
+            while parent[node] >= 0:
+                path.append("left" if left[parent[node]] == node else "right")
+                node = parent[node]
+            raise ModelError("".join(f"field {side!r}: " for side in reversed(path)) + str(exc))
+        child = left[i] = len(left)
+        feature += [0, 0]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        value += [0.0, 0.0]
+        parent += [i, i]
+        depth += [depth[i] + 1] * 2
+        stack += ((below[1], child + 1), (below[0], child))
+    return feature, threshold, left, value, max(depth)
+
+
+def _node(data):
+    """A child node's JSON, read later by ``_read_nodes``."""
+    return data
+
+
+class TreeTable:
+    """The nodes of several trees stacked into one set of arrays, so that
+    one pass routes every (tree, row) pair.
+
+    Node ``i`` of the table steps a row to ``step[i] - (x[feature[i]] <=
+    threshold[i])``: its left child or the one after it. A leaf steps
+    every row to itself (``step`` is its own id plus one and its threshold
+    infinite). No tree is deeper than its ``max_depth`` (no fitter grows
+    one and ``from_dict`` rejects one), so routing takes at most the
+    largest ``max_depth`` in steps."""
+
+    __slots__ = ("feature", "threshold", "step", "value", "roots", "depth")
+
+    def __init__(self, trees):
+        sizes = [tree.left.size for tree in trees]
+        self.roots = np.array([0, *accumulate(sizes)][:-1], dtype=np.intp)
+        self.feature, threshold, left, self.value = (
+            np.concatenate([np.empty(0, dtype)] + [getattr(tree, name) for tree in trees])
+            for name, dtype in (
+                ("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
+                ("value", np.float64),
+            )
+        )
+        split = left >= 0
+        self.step = np.where(split, left + np.repeat(self.roots, sizes), np.arange(left.size)) + 1
+        self.threshold = np.where(split, threshold, np.inf)
+        self.depth = max((tree.max_depth for tree in trees), default=0)
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Tree ``t``'s prediction for row ``r`` of ``X`` at ``[t, r]``.
+        ``X`` is as ``check_prediction_data`` returns it: row-major, so
+        feature ``f`` of row ``r`` is ``X.ravel()[r * p + f]``. Every pair
+        moves down one level per step until all of them are at leaves."""
+        rows, p = X.shape
+        cells = X.ravel()
+        at = np.arange(rows) * p
+        node = np.repeat(self.roots[:, None], rows, axis=1)
+        for _ in range(self.depth):
+            threshold = self.threshold[node]
+            if not (threshold < np.inf).any():
+                break
+            node = self.step[node] - (cells[at + self.feature[node]] <= threshold)
+        return self.value[node]
 
 
 def read_trees(data: dict, n_features: int) -> tuple[RegressionTree, ...]:
@@ -248,19 +318,20 @@ def fit_tree(
     values = np.ascontiguousarray(X.T).ravel()
     starts = np.arange(n_features, dtype=np.intp) * n
     in_left = np.zeros(n, dtype=bool)
+    # The node arrays, node 0 the root; a split appends its two children.
+    node_feature, node_threshold, node_left, node_value = [0], [0.0], [-1], [0.0]
 
-    def leaf(idx: np.ndarray, target: np.ndarray) -> Node:
-        value = _mean(target)
+    def leaf(node: int, idx: np.ndarray, target: np.ndarray) -> None:
+        value = node_value[node] = _mean(target)
         if fitted is not None:
             fitted[idx] = value
-        return Node(value=value)
 
-    def build(idx: np.ndarray, rows: np.ndarray | None, depth: int) -> Node:
+    def build(node: int, idx: np.ndarray, rows: np.ndarray | None, depth: int) -> None:
         # idx: the node's rows, increasing; rows: p x idx.size, row f holds
         # them in ascending order of feature f (None at max_depth).
         target = y[idx]
         if depth >= max_depth or idx.size < 2 or (target == target[0]).all():
-            return leaf(idx, target)
+            return leaf(node, idx, target)
         if features_per_node is not None and features_per_node < n_features:
             feats = sorted(rng.sample(list(range(n_features)), features_per_node))
             found = _best_split(values, starts[feats], rows[feats], idx, y, target)
@@ -268,12 +339,12 @@ def fit_tree(
             feats = range(n_features)
             found = _best_split(values, starts, rows, idx, y, target)
         if found is None:
-            return leaf(idx, target)
+            return leaf(node, idx, target)
         local_feature, threshold, go_left = found
         left_idx = idx[go_left]
         n_left = left_idx.size
         if n_left == 0 or n_left == idx.size:
-            return leaf(idx, target)
+            return leaf(node, idx, target)
         if depth + 1 >= max_depth:  # both children are leaves
             left_rows = right_rows = None
         else:
@@ -284,18 +355,27 @@ def fit_tree(
             in_left[left_idx] = False
             left_rows = rows[sel].reshape(n_features, n_left)
             right_rows = rows[~sel].reshape(n_features, -1)
-        return Node(
-            feature=feats[local_feature],
-            threshold=threshold,
-            left=build(left_idx, left_rows, depth + 1),
-            right=build(idx[~go_left], right_rows, depth + 1),
-        )
+        node_feature[node], node_threshold[node] = feats[local_feature], threshold
+        child = node_left[node] = len(node_left)
+        node_feature.extend((0, 0))
+        node_threshold.extend((0.0, 0.0))
+        node_left.extend((-1, -1))
+        node_value.extend((0.0, 0.0))
+        build(child, left_idx, left_rows, depth + 1)
+        build(child + 1, idx[~go_left], right_rows, depth + 1)
 
-    root = build(np.arange(n), order, 0)
+    build(0, np.arange(n), order, 0)
     # build refers to itself; dropping the name breaks that cycle, so its
     # arrays are freed now rather than at the next garbage collection.
     del build, leaf
-    return RegressionTree(root=root, max_depth=max_depth, n_features=n_features)
+    return RegressionTree(
+        feature=np.array(node_feature, dtype=np.intp),
+        threshold=np.array(node_threshold, dtype=np.float64),
+        left=np.array(node_left, dtype=np.intp),
+        value=np.array(node_value, dtype=np.float64),
+        max_depth=max_depth,
+        n_features=n_features,
+    )
 
 
 def grow_trees(
@@ -304,9 +384,9 @@ def grow_trees(
     max_depth: int,
     features_per_node: int | None,
     seeds,
-) -> list[Node]:
-    """Grow one tree per leading index, all of them in lockstep, and
-    return their roots: the forest's learner for trees with few rows.
+) -> list[RegressionTree]:
+    """Grow one tree per leading index, all of them in lockstep: the
+    forest's learner for trees with few rows.
 
     Tree ``t`` trains on ``values[t]`` (p x n: row ``f`` is feature ``f``
     of its n rows) and targets ``y[t]``; every row of ``values`` is
@@ -340,7 +420,7 @@ def grow_trees(
                 pending.setdefault(tree, []).append(left + 1)
             if search_left:
                 pending.setdefault(tree, []).append(left)
-    return growth.roots()
+    return [RegressionTree(*nodes, max_depth=max_depth, n_features=p) for nodes in growth.nodes()]
 
 
 # A node joins a step's group of larger nodes while padding the group's
@@ -422,15 +502,18 @@ class _Growth:
         if self.count:  # a replant: partitions moved the lists
             np.copyto(self.lists, self.sorted_lists)
             self.left[: self.count] = -1
+            self.feature[: self.count] = 0
+            self.threshold[: self.count] = 0.0
         self.count = self.n_trees
         self.y = np.ascontiguousarray(y, dtype=np.float64).ravel()
         y = self.y.reshape(self.n_trees, self.n)
         return (self.max_depth > 0) & (self.n >= 2) & (y != y[:, :1]).any(axis=1)
 
-    def grow(self, y, fitted: np.ndarray) -> list[Node]:
+    def grow(self, y, fitted: np.ndarray) -> list[tuple]:
         """Plant trees on targets ``y`` and grow them level by level: each
-        step searches every pending node of every tree. Returns the roots;
-        ``fitted`` (trees x n) receives each training row's leaf value.
+        step searches every pending node of every tree. Returns each tree's
+        :meth:`nodes`; ``fitted`` (trees x n) receives each training row's
+        leaf value.
 
         Only for trees that draw no features per node: then no generator
         ties a node to a depth-first order, and each tree is bitwise the
@@ -440,7 +523,7 @@ class _Growth:
         while ids.size:
             _, left, search_left, search_right = self.step(ids, None)
             ids = np.concatenate((left[search_left], left[search_right] + 1))
-        return self.roots(fitted)
+        return self.nodes(fitted)
 
     def step(self, ids: np.ndarray, feats: np.ndarray | None) -> tuple:
         """Search the nodes ``ids`` (candidate features ``feats[i]`` for
@@ -608,10 +691,12 @@ class _Growth:
             chosen[several] = np.flatnonzero(cuts)[best]
         return feature[chosen], cut[chosen], threshold[chosen], above[chosen]
 
-    def roots(self, fitted: np.ndarray | None = None) -> list[Node]:
-        """Every tree's root, after setting each leaf to the mean of its
-        targets in index order. ``fitted``, a C-ordered float64 array of
-        trees x n, receives each training row's leaf value."""
+    def nodes(self, fitted: np.ndarray | None = None) -> list[tuple]:
+        """Every tree's node arrays, the fields ``RegressionTree`` starts
+        with (feature, threshold, left, value), after setting each leaf to
+        the mean of its targets in index order. ``fitted``, a C-ordered
+        float64 array of trees x n, receives each training row's leaf
+        value."""
         count = self.count
         in_order = self.lists[:-1].reshape(self.n_trees, self.p + 1, self.n)[:, self.p].ravel()
         leaves = np.flatnonzero(self.left[:count] < 0)
@@ -631,23 +716,24 @@ class _Growth:
             if fitted is not None:
                 fitted.reshape(-1)[rows] = value[group, None]
 
-        feature = self.feature[:count].tolist()
-        threshold = self.threshold[:count].tolist()
-        left = self.left[:count].tolist()
-        value = value.tolist()
-        nodes: list[Node | None] = [None] * count
-        for i in range(count - 1, -1, -1):
-            child = left[i]
-            if child < 0:
-                nodes[i] = Node(value=value[i])
-            else:
-                nodes[i] = Node(
-                    feature=feature[i],
-                    threshold=threshold[i],
-                    left=nodes[child],
-                    right=nodes[child + 1],
-                )
-        return nodes[: self.n_trees]
+        # Each tree's nodes in id order, renumbered from 0: the root (node
+        # t) comes first, and two children, numbered together, stay
+        # together.
+        tree = self.tree[:count]
+        order = np.argsort(tree, kind="stable")
+        sizes = np.bincount(tree, minlength=self.n_trees)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        local = np.empty(count, dtype=np.intp)
+        local[order] = self.cells[:count] - np.repeat(starts, sizes)
+        left = self.left[:count][order]
+        left = np.where(left >= 0, local[left], -1)
+        feature, threshold = self.feature[:count][order], self.threshold[:count][order]
+        value = value[order]
+        return [
+            (feature[a:b], threshold[a:b], left[a:b], value[a:b])
+            for a, b in zip(starts.tolist(), ends.tolist())
+        ]
 
 
 def _mean(a: np.ndarray) -> float:

@@ -153,8 +153,9 @@ def test_criterion_4_model_oracles():
             y = rng.normal(size=n)
             tree = fit_tree(X, y, max_depth=1)
             _, feature, threshold = exhaustive_stump(X, y)
-            assert tree.root.feature == feature
-            assert abs(tree.root.threshold - threshold) <= 1e-12
+            assert tree.left[0] >= 0
+            assert tree.feature[0] == feature
+            assert abs(tree.threshold[0] - threshold) <= 1e-12
 
         for _ in range(20):
             n = int(rng.integers(10, 40))

@@ -15,6 +15,8 @@ from conftest import DATA_DIR
 
 DATASET = str(DATA_DIR / "additives24.csv")
 REGISTRY = str(DATA_DIR / "scaffold_groups.csv")
+# JSON nested far deeper than json.load recurses.
+NESTED = '{"blocks": ' * 100_000 + "1" + "}" * 100_000
 
 
 def run(*argv) -> int:
@@ -182,6 +184,11 @@ class TestMalformedKeyset:
         code, err = self.featurize(tmp_path, capsys, "[{")
         assert code == 1
         assert f"error: {tmp_path / 'keys.json'}: not valid JSON" in err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        code, err = self.featurize(tmp_path, capsys, NESTED)
+        assert code == 1
+        assert err == f"error: {tmp_path / 'keys.json'}: JSON nested too deeply to read\n"
 
     @pytest.mark.parametrize("entry, field, got", [
         (dict(GOOD_KEY, id=1.9), "'id'", "1.9"),
@@ -542,6 +549,15 @@ def first_leaf(node: dict) -> dict:
     return node
 
 
+def chain(levels: int) -> dict:
+    """A tree's root ``levels`` splits deep: each split's right child
+    splits again."""
+    node = {"leaf": 0.0}
+    for level in range(levels):
+        node = {"feature": 0, "threshold": float(level), "left": {"leaf": 1.0}, "right": node}
+    return node
+
+
 class TestMalformedArtifacts:
     """A broken pipeline or model file exits 1 with one line naming it."""
 
@@ -583,8 +599,15 @@ class TestMalformedArtifacts:
         ("gb", lambda d: d["trees"][0]["root"].update(feature=-1), "feature -1, outside [0, "),
         ("gb", lambda d: d["trees"][0].update(n_features=99), "a tree reads 99 features"),
         ("rf", lambda d: d.update(trees=[]), "a forest needs at least one tree"),
+        ("gb", lambda d: d["trees"][0].update(root=chain(300)),
+         "field 'trees': a tree 300 levels deep has max_depth 4"),
+        ("gb", lambda d: d["trees"][0].update(root=chain(150)),
+         "field 'trees': a tree 150 levels deep has max_depth 4"),
+        ("rf", lambda d: d["trees"][-1].update(root=chain(11)),
+         "field 'trees': a tree 11 levels deep has max_depth 10"),
     ], ids=["svr-coefficients", "svr-kernel", "gb-feature-high", "gb-feature-negative",
-            "gb-tree-width", "rf-no-trees"])
+            "gb-tree-width", "rf-no-trees", "gb-tree-300-levels", "gb-tree-150-levels",
+            "rf-tree-one-level-too-deep"])
     def test_model_fields_disagree(self, screen_dir, capsys, kind, edit, message):
         # Each file reads field by field; its fields must also fit together.
         assert run("train", "--dataset", DATASET, "--model", kind, "--seed", "3",
@@ -647,6 +670,10 @@ class TestMalformedArtifacts:
          "field 'converged': expected true or false, got 'false'"),
         ("model.json", "gb", lambda d: d["trees"][0]["root"].update(threshold="0.5"),
          "field 'threshold': expected a number, got '0.5'"),
+        ("model.json", "gb", lambda d: d["trees"][0]["root"].update(right={
+            "feature": 0, "threshold": 0.5, "left": {"leaf": "x"}, "right": {"leaf": 1.0}}),
+         "field 'trees': field 'root': field 'right': field 'left': field 'leaf': "
+         "expected a number, got 'x'"),
         ("model.json", "gb", lambda d: d.update(init_value=True),
          "field 'init_value': expected a number, got True"),
         ("model.json", "svr", lambda d: d["coefficients"].__setitem__(0, "1.0"),
@@ -658,7 +685,7 @@ class TestMalformedArtifacts:
         ("model.json", "rf", lambda d: d.update(tree_seeds=[-5, 2**70]),
          "field 'tree_seeds': seed -5 is outside [0, 2**64)"),
     ], ids=["tree-feature", "n-features", "max-depth", "rf-tree-seeds", "svr-converged",
-            "tree-threshold", "gb-init-value", "svr-coefficients", "pipeline-pcc",
+            "tree-threshold", "tree-nested-leaf", "gb-init-value", "svr-coefficients", "pipeline-pcc",
             "rf-no-tree-seeds", "rf-tree-seed-range"])
     def test_mistyped_field(self, screen_dir, capsys, name, kind, edit, message):
         # JSON's numbers are apart from its strings and booleans: each of
@@ -683,6 +710,21 @@ class TestMalformedArtifacts:
         message = "field 'format_version': " + message.format(name.removesuffix(".json"))
         self.check(screen_dir, capsys, name, json.dumps(data), message)
 
+    def test_a_deep_tree_within_its_max_depth_reads(self, screen_dir):
+        # The tree reader walks nodes with a stack of its own, so a tree
+        # as deep as its max_depth says reads at any depth json reads.
+        data = json.loads((screen_dir / "model.json").read_text())
+        data["trees"][0].update(root=chain(300), max_depth=300)
+        (screen_dir / "model.json").write_text(json.dumps(data))
+        assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
+                   "--out-json", str(screen_dir / "r.json"),
+                   "--out-text", str(screen_dir / "r.txt")) == 0
+
+    @pytest.mark.parametrize("name", ["pipeline.json", "model.json"])
+    def test_deeply_nested_json(self, screen_dir, capsys, name):
+        # json.load recursed past Python's limit and raised RecursionError.
+        self.check(screen_dir, capsys, name, NESTED, "JSON nested too deeply to read")
+
     @pytest.mark.parametrize("name", ["pipeline.json", "model.json"])
     @pytest.mark.parametrize("text, message", [("{", "not valid JSON"),
                                                ("[]", "expected a JSON object")],
@@ -692,6 +734,15 @@ class TestMalformedArtifacts:
 
 
 class TestScreen:
+    def test_deeply_nested_funnel_config_exits_1(self, screen_dir, capsys):
+        funnel = screen_dir / "funnel.json"
+        funnel.write_text(NESTED)
+        assert run("screen", "--funnel", str(funnel), "--out-json", str(screen_dir / "r.json"),
+                   "--out-text", str(screen_dir / "r.txt")) == 1
+        assert capsys.readouterr().err == (
+            f"error: funnel config {funnel}: JSON nested too deeply to read\n"
+        )
+
     def test_five_tier_report(self, screen_dir):
         assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
                    "--out-json", str(screen_dir / "report.json"),
@@ -871,6 +922,12 @@ class TestConfigFile:
         assert err.startswith(f"usage error: --config {tmp_path / 'defaults.json'}: ")
         assert reason in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_deeply_nested_json_is_a_usage_error(self, tmp_path, capsys):
+        assert self.evaluate(tmp_path, NESTED, "--repeats", "2") == 2
+        err = capsys.readouterr().err
+        assert err == (f"usage error: --config {tmp_path / 'defaults.json'}: "
+                       "JSON nested too deeply to read\n")
 
     def test_explicit_flag_equal_to_its_default_wins(self, tmp_path):
         assert self.evaluate(tmp_path, '{"repeats": 3}', "--repeats", "200") == 0

@@ -55,19 +55,21 @@ class TestTree:
     def test_stump_example(self):
         tree = fit_tree(np.array([[0.0], [1.0], [2.0], [3.0]]),
                         np.array([0.0, 0.0, 1.0, 1.0]), max_depth=1)
-        assert tree.root.feature == 0
-        assert tree.root.threshold == 1.5
-        assert tree.root.left.value == 0.0
-        assert tree.root.right.value == 1.0
+        # The root splits, and both of its children are leaves.
+        assert tree.left.tolist() == [1, -1, -1]
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 1.5
+        assert tree.value[1] == 0.0
+        assert tree.value[2] == 1.0
 
     def test_constant_target_single_leaf(self):
         tree = fit_tree(np.array([[0.0], [1.0], [2.0]]), np.array([4.0] * 3),
                         max_depth=5)
-        assert tree.root.is_leaf and tree.root.value == 4.0
+        assert tree.left.tolist() == [-1] and tree.value[0] == 4.0
 
     def test_depth_zero(self):
         tree = fit_tree(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]), max_depth=0)
-        assert tree.root.is_leaf and tree.root.value == 2.0
+        assert tree.left.tolist() == [-1] and tree.value[0] == 2.0
 
     def test_matches_exhaustive_stump_on_100_random_problems(self):
         rng = np.random.default_rng(404)
@@ -78,8 +80,9 @@ class TestTree:
             y = rng.normal(size=n)
             tree = fit_tree(X, y, max_depth=1)
             sse, feature, threshold = exhaustive_stump(X, y)
-            assert tree.root.feature == feature
-            assert tree.root.threshold == pytest.approx(threshold, abs=1e-12)
+            assert tree.left[0] >= 0
+            assert tree.feature[0] == feature
+            assert tree.threshold[0] == pytest.approx(threshold, abs=1e-12)
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):

@@ -1,10 +1,13 @@
 """The presorted tree learner and the lockstep forest against the
-per-node-sorting learner they replaced, and feature validation in every
+per-node-sorting learner they replaced, one-pass prediction against the
+recursive per-node predictor it replaced, and feature validation in every
 model."""
 
 import json
 import math
 import warnings
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,18 +27,136 @@ from molscreen.models import (
     fit_rf,
     fit_tree,
     forest,
+    load_model,
 )
 from molscreen.models.tree import (
     EmptyTrainingSet,
-    Node,
     NonFiniteTarget,
     RegressionTree,
+    check_prediction_data,
     check_training_data,
     sort_columns,
 )
 from molscreen.rng import SplitMix64, derive_seed
 
 from conftest import DATA_DIR
+
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+
+
+@dataclass(frozen=True)
+class Node:
+    """A tree node as a linked object, as trees were stored before they
+    became flat node arrays."""
+
+    feature: int | None = None
+    threshold: float | None = None
+    left: "Node | None" = None
+    right: "Node | None" = None
+    value: float | None = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.value is not None
+
+
+def flat_tree(root: Node, max_depth: int, n_features: int) -> RegressionTree:
+    """The ``RegressionTree`` of a ``Node`` graph, numbered breadth first."""
+    feature, threshold, left, value = [], [], [], []
+    nodes = [root]
+    for node in nodes:  # grows as it goes
+        split = not node.is_leaf
+        feature.append(node.feature if split else 0)
+        threshold.append(node.threshold if split else 0.0)
+        left.append(len(nodes) if split else -1)
+        value.append(0.0 if split else node.value)
+        if split:
+            nodes += (node.left, node.right)
+    return RegressionTree(
+        feature=np.array(feature, dtype=np.intp), threshold=np.array(threshold),
+        left=np.array(left, dtype=np.intp), value=np.array(value),
+        max_depth=max_depth, n_features=n_features,
+    )
+
+
+def node_graph(tree: RegressionTree, i: int = 0) -> Node:
+    """Node ``i`` of a flat tree and everything below it as ``Node``s."""
+    child = int(tree.left[i])
+    if child < 0:
+        return Node(value=float(tree.value[i]))
+    return Node(feature=int(tree.feature[i]), threshold=float(tree.threshold[i]),
+                left=node_graph(tree, child), right=node_graph(tree, child + 1))
+
+
+def route(node: Node, X, idx, out) -> None:
+    """The recursive predictor trees had before one-pass routing: each
+    node sends its rows ``idx`` on by ``x <= threshold``."""
+    if node.is_leaf:
+        out[idx] = node.value
+        return
+    go_left = X[idx, node.feature] <= node.threshold
+    route(node.left, X, idx[go_left], out)
+    route(node.right, X, idx[~go_left], out)
+
+
+def node_predict(root: Node, X) -> np.ndarray:
+    out = np.empty(X.shape[0], dtype=np.float64)
+    route(root, X, np.arange(X.shape[0]), out)
+    return out
+
+
+def oracle_predict(model, X) -> np.ndarray:
+    """``model.predict(X)`` for a tree, a booster or a forest, each tree
+    routed node by node and the trees summed one by one in order."""
+    X = check_prediction_data(X, model.n_features)
+    if isinstance(model, RegressionTree):
+        return node_predict(node_graph(model), X)
+    if isinstance(model, GBModel):
+        out = np.full(X.shape[0], model.init_value, dtype=np.float64)
+        for tree in model.trees:
+            out += model.learning_rate * node_predict(node_graph(tree), X)
+        return out
+    total = np.zeros(X.shape[0], dtype=np.float64)
+    for tree in model.trees:
+        total += node_predict(node_graph(tree), X)
+    return total / len(model.trees)
+
+
+def threshold_rows(model, base: np.ndarray) -> np.ndarray:
+    """One row per split node of every tree of ``model`` whose value of
+    the node's feature is exactly the node's threshold. Each starts as a
+    row of ``base``; on the way down from the root, each feature not set
+    yet is set to take the path: the threshold toward a left child, the
+    next float above it toward a right one."""
+    rows = []
+    for tree in getattr(model, "trees", (model,)):
+        left = tree.left.tolist()
+        parent = {}
+        for i, child in enumerate(left):
+            if child >= 0:
+                parent[child] = parent[child + 1] = i
+        for target in np.flatnonzero(tree.left >= 0).tolist():
+            chain = [target]
+            while chain[-1] in parent:
+                chain.append(parent[chain[-1]])
+            chain.reverse()
+            row, done = base[len(rows) % len(base)].copy(), set()
+            for node, child in zip(chain, chain[1:] + [None]):
+                f, threshold = int(tree.feature[node]), tree.threshold[node]
+                if f not in done:
+                    done.add(f)
+                    right = child is not None and child != left[node]
+                    row[f] = np.nextafter(threshold, np.inf) if right else threshold
+            rows.append(row)
+    return np.array(rows).reshape(-1, model.n_features)
+
+
+def assert_predicts_like_oracle(model, X) -> None:
+    """``model.predict`` is bitwise ``oracle_predict`` on the rows of
+    ``X``, on rows exactly on its thresholds and on no rows."""
+    X = np.asarray(X, dtype=np.float64)
+    for rows in (X, threshold_rows(model, X), X[:0]):
+        assert model.predict(rows).tobytes() == oracle_predict(model, rows).tobytes()
 
 
 def oracle_fit_tree(X, y, max_depth, features_per_node=None, seed=0, order=None,
@@ -86,10 +207,9 @@ def oracle_fit_tree(X, y, max_depth, features_per_node=None, seed=0, order=None,
         )
 
     root = build(np.arange(X.shape[0]), 0)
-    tree = RegressionTree(root=root, max_depth=max_depth, n_features=n_features)
     if fitted is not None:
-        fitted[:] = tree.predict(X)
-    return tree
+        fitted[:] = node_predict(root, X)
+    return flat_tree(root, max_depth, n_features)
 
 
 def oracle_best_split(X, y):
@@ -300,27 +420,36 @@ TREE_SETTINGS = [
 def test_tree_matches_oracle_on_small_problems(name):
     X, y = SMALL[name]
     for settings in TREE_SETTINGS:
-        assert dumps(fit_tree(X, y, **settings)) == dumps(oracle_fit_tree(X, y, **settings))
+        tree = fit_tree(X, y, **settings)
+        assert dumps(tree) == dumps(oracle_fit_tree(X, y, **settings))
+        assert_predicts_like_oracle(tree, X)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_gb_and_rf_match_oracle_on_small_problems(name, oracle):
     X, y = SMALL[name]
-    for kwargs in ({}, {"max_depth": 3}):
-        assert dumps(fit_gb(X, y, **kwargs)) == dumps(oracle(fit_gb, X, y, **kwargs))
+    for kwargs in ({}, {"max_depth": 3}, {"n_estimators": 0}):
+        model = fit_gb(X, y, **kwargs)
+        assert dumps(model) == dumps(oracle(fit_gb, X, y, **kwargs))
+        assert_predicts_like_oracle(model, X)
     for kwargs in ({"n_estimators": 9, "seed": 3},
                    {"n_estimators": 5, "max_features": 1},
                    {"n_estimators": 3, "bootstrap": False}):
-        assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle(fit_rf, X, y, **kwargs))
+        model = fit_rf(X, y, **kwargs)
+        assert dumps(model) == dumps(oracle(fit_rf, X, y, **kwargs))
+        assert_predicts_like_oracle(model, X)
 
 
 @pytest.mark.parametrize("name", sorted(LARGE))
 def test_models_match_oracle_on_benchmark_shaped_problems(name, oracle):
     X, y = LARGE[name]
-    assert dumps(fit_tree(X, y, max_depth=10)) == dumps(oracle_fit_tree(X, y, max_depth=10))
-    assert dumps(fit_gb(X, y)) == dumps(oracle(fit_gb, X, y))
     kwargs = {"n_estimators": 4, "seed": 7}
-    assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle(fit_rf, X, y, **kwargs))
+    models = [fit_tree(X, y, max_depth=10), fit_gb(X, y), fit_rf(X, y, **kwargs)]
+    oracles = [oracle_fit_tree(X, y, max_depth=10), oracle(fit_gb, X, y),
+               oracle(fit_rf, X, y, **kwargs)]
+    for model, expected in zip(models, oracles):
+        assert dumps(model) == dumps(expected)
+        assert_predicts_like_oracle(model, X)
 
 
 def test_shared_order_is_the_trees_own_sort():
@@ -339,6 +468,7 @@ def test_fitted_is_the_trees_prediction_on_its_training_rows(name):
         fitted = np.full(len(y), np.nan)
         tree = fit_tree(X, y, fitted=fitted, **settings)
         assert fitted.tobytes() == tree.predict(X).tobytes()
+        assert_predicts_like_oracle(tree, X)
         assert dumps(tree) == dumps(fit_tree(X, y, **settings))
 
 
@@ -428,7 +558,9 @@ def msc_splits():
 @pytest.mark.parametrize("function", [fit_gb, fit_rf], ids=["gb", "rf"])
 def test_models_match_oracle_on_every_msc_training_split(function, msc_splits):
     for X, y, seed in msc_splits:
-        assert dumps(function(X, y, seed=seed)) == dumps(ORACLES[function](X, y, seed=seed))
+        model = function(X, y, seed=seed)
+        assert dumps(model) == dumps(ORACLES[function](X, y, seed=seed))
+        assert_predicts_like_oracle(model, X)
 
 
 EVALUATE_OPTIONS = {
@@ -450,7 +582,58 @@ def test_lockstep_boosters_match_fit_gb_on_every_evaluate_split(options, monkeyp
     expected = [dumps(fit_gb(X, y, seed=seed)) for X, y, seed in fits]
     for threshold in thresholds:
         monkeypatch.setattr(boosting, "_LOCKSTEP_BOOSTERS", threshold)
-        assert [dumps(model) for model in fit_gb_many(problems, seeds)] == expected
+        models = fit_gb_many(problems, seeds)
+        assert [dumps(model) for model in models] == expected
+    for model, (X, _) in zip(models, problems):
+        assert_predicts_like_oracle(model, X)
+
+
+def evaluate_test_sets(kind, splitter, monkeypatch):
+    """Every model ``evaluate --repeats 200`` fits on the bundled set with
+    ``kind`` and ``splitter``, and the test rows it scores the model on."""
+    scored = []
+    score = evaluation._score
+
+    def record(model, X_test, y_test):
+        scored.append((model, X_test.copy()))
+        return score(model, X_test, y_test)
+
+    monkeypatch.setattr(evaluation, "_score", record)
+    code = cli.main([
+        "evaluate", "--dataset", str(DATA_DIR / "additives24.csv"),
+        "--registry", str(DATA_DIR / "scaffold_groups.csv"), "--model", kind,
+        "--splitter", splitter, "--repeats", "200", "--seed", "0",
+        "--out-json", "/dev/null", "--out-text", "/dev/null",
+    ])
+    assert code == 0 and len(scored) == 200
+    return scored
+
+
+@pytest.mark.parametrize("splitter", ["msc", "random"])
+@pytest.mark.parametrize("kind", ["gb", "rf"])
+def test_every_evaluate_repeat_predicts_like_the_oracle(kind, splitter, monkeypatch):
+    for model, X_test in evaluate_test_sets(kind, splitter, monkeypatch):
+        assert_predicts_like_oracle(model, X_test)
+
+
+def test_demo_model_predicts_like_the_oracle(tmp_path, monkeypatch):
+    # The demo model's own training rows, recorded from the README's train
+    # command.
+    fits = []
+
+    def record(X, y, config):
+        fits.append(X.copy())
+        return fit_model(X, y, config)
+
+    monkeypatch.setattr(cli, "fit_model", record)
+    assert cli.main([
+        "train", "--dataset", str(DATA_DIR / "additives24.csv"), "--model", "gb",
+        "--seed", "7", "--out", str(tmp_path / "model.json"),
+        "--pipeline-out", str(tmp_path / "pipeline.json"),
+    ]) == 0
+    model = load_model(DEMO / "model.json")
+    assert len(model.trees) == 35
+    assert_predicts_like_oracle(model, fits[0])
 
 
 # fit_rf grows a chunk's trees in lockstep up to this many rows per tree
@@ -463,7 +646,9 @@ def test_forest_matches_oracle_on_a_train_2k_shaped_problem(learner, monkeypatch
     monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
     X, y = bench_like(3)
     kwargs = {"n_estimators": 11, "seed": 4}
-    assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle_fit_rf(X, y, **kwargs))
+    model = fit_rf(X, y, **kwargs)
+    assert dumps(model) == dumps(oracle_fit_rf(X, y, **kwargs))
+    assert_predicts_like_oracle(model, X)
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
@@ -475,7 +660,9 @@ def test_forest_grown_in_chunks_matches_oracle(chunk_bytes, learner, monkeypatch
     monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
     X, y = SMALL["integer_ties"]
     for kwargs in ({"n_estimators": 7, "seed": 2}, {"n_estimators": 3, "bootstrap": False}):
-        assert dumps(fit_rf(X, y, **kwargs)) == dumps(oracle_fit_rf(X, y, **kwargs))
+        model = fit_rf(X, y, **kwargs)
+        assert dumps(model) == dumps(oracle_fit_rf(X, y, **kwargs))
+        assert_predicts_like_oracle(model, X)
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
@@ -548,3 +735,18 @@ class TestTreePrediction:
 
     def test_routes_finite_rows(self):
         assert self.tree().predict([[0.0], [2.5]]).tolist() == [0.0, 1.0]
+
+    def test_a_row_on_the_threshold_goes_left(self):
+        assert self.tree().predict([[1.5], [np.nextafter(1.5, 2.0)]]).tolist() == [0.0, 1.0]
+
+    def test_no_rows(self):
+        X, train = np.zeros((0, 1)), np.array([[0.0], [1.0]])
+        assert self.tree().predict(X).shape == (0,)
+        for model in (fit_gb(train, [0.0, 1.0], n_estimators=2),
+                      fit_rf(train, [0.0, 1.0], n_estimators=2)):
+            assert model.predict(X).shape == (0,)
+
+    def test_a_leaf_alone(self):
+        tree = fit_tree(np.array([[0.0], [1.0]]), np.array([2.0, 2.0]), max_depth=3)
+        assert tree.left.tolist() == [-1]
+        assert tree.predict([[5.0], [-5.0]]).tolist() == [2.0, 2.0]
