@@ -3,11 +3,13 @@
 Three split strategies: scaffold-stratified (one test molecule from every
 group of three or fewer, two from larger groups), plain random, and
 leave-one-group-out. The harness repeats split/fit/score cycles with
-per-repeat seeds derived from a master seed via a splitmix-style hash, and
-runs them one after another: a thread pool never beat the serial loop on
-these small fits, so ``--threads`` is accepted and has no effect. gb
-repeats are fitted together instead, their boosters grown in lockstep
-(``models.fit_models``), with the same models and scores.
+per-repeat seeds derived from a master seed via a splitmix-style hash: a
+thread pool never beat the serial loop on these small fits, so
+``--threads`` is accepted and has no effect. Repeats are fitted in
+batches instead, one ``models.fit_models`` call per batch of the kind's
+``batch`` size, which fits the repeats of one training-row count
+together (gb boosters and forests grown in lockstep, SVR problems solved
+side by side), with the same models and scores as one repeat at a time.
 
 A repeat whose Spearman correlation is undefined (a one-molecule test set,
 or constant predictions or targets) is degenerate: it is recorded with
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import selection
 from .features import FeatureMatrix
-from .models import TrainConfig, fit_model, fit_models
+from .models import KINDS, TrainConfig, fit_model, fit_models
 from .rng import SplitMix64, derive_seed
 from .selection import ConstantVector, LengthMismatch, SelectionError
 
@@ -308,21 +310,30 @@ def run_single(
 
 
 def _run_together(features, targets, splits, model_config, seeds) -> list[RepeatScore]:
-    """``run_single`` of every split, with the models fitted in one
-    ``fit_models`` call. Every cascade runs before any model is fitted;
-    when one fails, the repeats before it are fitted first, so the error
-    raised is still the first failing repeat's."""
-    parts, failure = [], None
-    for split in splits:
-        try:
-            parts.append(_prepare(features, targets, split))
-        except SelectionError as error:
-            failure = error
-            break
-    fitted = fit_models([part[:2] for part in parts], model_config, seeds[: len(parts)])
-    if failure is not None:
-        raise failure
-    return [_score(model, X_test, y_test) for model, (_, _, X_test, y_test) in zip(fitted, parts)]
+    """``run_single`` of every split, with the models fitted in batches of
+    ``KINDS[kind].batch``, one ``fit_models`` call each, and scored before
+    the next batch is fitted. Every cascade of a batch runs before its
+    models are fitted; when one fails, the repeats before it are fitted
+    first, so the error raised is still the first failing repeat's."""
+    batch = KINDS[model_config.kind].batch
+    pairs = []
+    for first in range(0, len(splits), batch):
+        parts, failure = [], None
+        for split in splits[first : first + batch]:
+            try:
+                parts.append(_prepare(features, targets, split))
+            except SelectionError as error:
+                failure = error
+                break
+        fitted = fit_models(
+            [part[:2] for part in parts], model_config, seeds[first : first + len(parts)]
+        )
+        if failure is not None:
+            raise failure
+        pairs += [
+            _score(model, X_test, y_test) for model, (_, _, X_test, y_test) in zip(fitted, parts)
+        ]
+    return pairs
 
 
 def repeated_eval(
@@ -366,16 +377,7 @@ def repeated_eval(
                 )
 
     seeds = [derive_seed(derive_seed(master_seed, i), 1) for i in range(len(splits))]
-    if model_config.kind == "gb":
-        pairs = _run_together(features, targets, splits, model_config, seeds)
-    else:
-        # A forest or SVR fit gains nothing from batching, and fitting and
-        # holding 200 forests raises peak RSS by about 15 MB: these fit and
-        # score one repeat at a time.
-        pairs = [
-            run_single(features, targets, split, model_config.with_seed(seed))
-            for split, seed in zip(splits, seeds)
-        ]
+    pairs = _run_together(features, targets, splits, model_config, seeds)
 
     return EvalReport(
         method=splitter.kind,

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from ..dataio import finite_float, integer, json_object
+from .batch import fit_many
 from .tree import (
     _CHUNK_BYTES,
     ModelError,
@@ -185,35 +186,21 @@ def fit_gb_many(
     ``_LOCKSTEP_BOOSTERS`` grows in lockstep (:func:`_fit_lockstep`), a
     smaller one through ``fit_gb``.
     """
-    data = []
-    for X, y in problems:
-        data.append(check_training_data(X, y))
-        if len(data) == 1:  # fit_gb checks its data, then these
-            _check_hyperparameters(n_estimators, max_depth, learning_rate)
-    groups: dict[int, list[int]] = {}
-    for i, (X, _) in enumerate(data):
-        # fit_tree fails on a matrix without columns, so such a problem
-        # goes through fit_gb alone, to fail there, as does a large one.
-        alone = not X.shape[1] or X.shape[0] > _LOCKSTEP_ROWS
-        groups.setdefault(-1 - i if alone else X.shape[0], []).append(i)
-    models: list[GBModel | None] = [None] * len(data)
-    for group in groups.values():  # in order of their first problem
-        n, p = data[group[0]][0].shape[0], max(data[i][0].shape[1] for i in group)
-        chunks = max(1, -(-len(group) * n * (24 * p + 176) // _CHUNK_BYTES))
-        per_chunk = -(-len(group) // chunks)
-        for first in range(0, len(group), per_chunk):
-            members = group[first : first + per_chunk]
-            if len(members) < _LOCKSTEP_BOOSTERS:
-                for i in members:
-                    models[i] = fit_gb(*data[i], n_estimators, max_depth, learning_rate, seeds[i])
-                continue
-            fitted = _fit_lockstep(
-                [data[i] for i in members], [seeds[i] for i in members],
-                n_estimators, max_depth, learning_rate,
-            )
-            for i, model in zip(members, fitted):
-                models[i] = model
-    return models
+    return fit_many(
+        problems,
+        seeds,
+        fit=lambda X, y, seed: fit_gb(X, y, n_estimators, max_depth, learning_rate, seed),
+        check=lambda: _check_hyperparameters(n_estimators, max_depth, learning_rate),
+        # fit_tree fails on a matrix without columns: such a problem goes
+        # through fit_gb, to fail there, as does a large one.
+        joins=lambda n, p: p > 0 and n <= _LOCKSTEP_ROWS,
+        cost=lambda n, p: n * (24 * p + 176),
+        budget=_CHUNK_BYTES,
+        together=lambda data, seeds: _fit_lockstep(
+            data, seeds, n_estimators, max_depth, learning_rate
+        ),
+        smallest=_LOCKSTEP_BOOSTERS,
+    )
 
 
 def _fit_lockstep(data, seeds, n_estimators, max_depth, learning_rate) -> list[GBModel]:

@@ -6,6 +6,10 @@ convention, and grows as deep as ``max_depth`` allows: a node is a leaf
 when it holds one row, has a constant target or has no valid cut. Per-tree
 seeds are pre-derived from the master seed, so fitting trees in any order
 (or in parallel) yields the identical model.
+
+``fit_rf`` fits one forest; ``fit_rf_many`` fits many on unrelated data,
+such as the repeats of an evaluation, and grows the trees of several
+forests with one training-row count in one lockstep growth.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from ..dataio import integer, json_object
 from ..rng import SplitMix64, derive_seed
+from .batch import fit_many
 from .tree import (
     _CHUNK_BYTES,
     ModelError,
@@ -26,6 +31,7 @@ from .tree import (
     check_prediction_data,
     check_training_data,
     fit_tree,
+    grow_depth_first,
     grow_trees,
     read_field,
     read_trees,
@@ -45,6 +51,17 @@ from .tree import (
 # lockstep time over fit_tree time: 0.90 at 300 rows x 11 trees, 1.03 at
 # 600 x 11, 1.06 at 1,000 x 11, 0.88 at 2,000 x 22, 0.68 at 2,000 x 55.
 _LOCKSTEP_ROWS_PER_TREE = 50
+
+# fit_rf_many grows the forests of one training-row count together, in
+# chunks of at most this many bytes of lockstep state (at least two
+# forests; a chunk of one goes through fit_rf). Each forest in a growth
+# adds its state and widens the steps: on msc training splits of
+# additives24.csv (18 rows, 55 trees), time per forest was 16.3 ms grown
+# alone, 13.3 ms two to a growth, 12.5 at three, 11.7 at four and 11.5 at
+# twelve (fastest of seven), and a growth's tracemalloc peak 0.9 MB alone,
+# 1.3 MB at two, 1.7 at three, 2.1 at four and 6.0 at twelve. evaluate
+# fits its rf repeats three at a time (models.KINDS).
+_FORESTS_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -99,6 +116,39 @@ def _tree_seeds(values, n_trees: int) -> tuple[int, ...]:
     return seeds
 
 
+def _check_hyperparameters(n_estimators, max_depth, max_features=None) -> None:
+    if n_estimators < 1:
+        raise ModelError(f"n_estimators must be >= 1, got {n_estimators!r}")
+    if max_depth < 0:
+        raise ModelError("max_depth must be >= 0")
+    if max_features is not None and max_features < 1:
+        raise ModelError(f"max_features must be >= 1, got {max_features!r}")
+
+
+def _per_node(p: int, max_features: int | None = None) -> int:
+    """The features a node draws: ``max_features``, or ceil(p / 3) if None,
+    at most p."""
+    return min(max_features if max_features is not None else max(1, math.ceil(p / 3)), p)
+
+
+def _bootstrap(tree_seeds, n: int) -> np.ndarray:
+    """Each tree's n bootstrap rows, one row of the result per tree."""
+    return np.array([SplitMix64(derive_seed(seed, 0)).below_many(n, n) for seed in tree_seeds])
+
+
+def _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed) -> RFModel:
+    config = {
+        "kind": "rf",
+        "n_estimators": n_estimators,
+        "max_depth": max_depth,
+        "min_samples_leaf": 1,
+        "bootstrap": bootstrap,
+        "max_features": per_node,
+        "seed": seed,
+    }
+    return RFModel(trees=tuple(trees), tree_seeds=tree_seeds, n_features=p, config=config)
+
+
 def fit_rf(
     X,
     y,
@@ -112,16 +162,10 @@ def fit_rf(
     ``bootstrap=False, max_features=p`` grows ``fit_tree``'s tree on every
     row, which is how the forest is checked against a single tree."""
     X, y = check_training_data(X, y)
-    if n_estimators < 1:
-        raise ModelError(f"n_estimators must be >= 1, got {n_estimators!r}")
-    if max_depth < 0:
-        raise ModelError("max_depth must be >= 0")
-    if max_features is not None and max_features < 1:
-        raise ModelError(f"max_features must be >= 1, got {max_features!r}")
+    _check_hyperparameters(n_estimators, max_depth, max_features)
 
     n, p = X.shape
-    per_node = max_features if max_features is not None else max(1, math.ceil(p / 3))
-    per_node = min(per_node, p)
+    per_node = _per_node(p, max_features)
     features_per_node = per_node if per_node < p else None
 
     tree_seeds = tuple(derive_seed(seed, t) for t in range(n_estimators))
@@ -131,9 +175,7 @@ def fit_rf(
     for first in range(0, n_estimators, per_chunk):
         chunk_seeds = tree_seeds[first : first + per_chunk]
         if bootstrap:
-            rows = np.array(
-                [SplitMix64(derive_seed(tree_seed, 0)).below_many(n, n) for tree_seed in chunk_seeds]
-            )
+            rows = _bootstrap(chunk_seeds, n)
         else:
             rows = np.broadcast_to(np.arange(n), (len(chunk_seeds), n))
         seeds = [derive_seed(tree_seed, 1) for tree_seed in chunk_seeds]
@@ -151,19 +193,78 @@ def fit_rf(
             features_per_node,
             seeds,
         )
+    return _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed)
 
-    config = {
-        "kind": "rf",
-        "n_estimators": n_estimators,
-        "max_depth": max_depth,
-        "min_samples_leaf": 1,
-        "bootstrap": bootstrap,
-        "max_features": per_node,
-        "seed": seed,
-    }
-    return RFModel(
-        trees=tuple(trees),
-        tree_seeds=tree_seeds,
-        n_features=p,
-        config=config,
+
+def fit_rf_many(problems, seeds, n_estimators: int = 55, max_depth: int = 10) -> list[RFModel]:
+    """``fit_rf(X, y, n_estimators, max_depth, seed=seed)`` for each
+    ``(X, y)`` of ``problems`` and its seed, in order: each model is
+    ``to_dict()``-equal to that one, and a failure raises the error
+    ``fit_rf`` raises on the first problem it fails on.
+
+    A forest that ``fit_rf`` would grow in lockstep in one piece joins the
+    others of its training-row count; together they grow in chunks of at
+    most ``_FORESTS_BYTES`` of lockstep state, each chunk in one
+    :func:`_grow_forests`. Any other forest, and a chunk of one, goes
+    through ``fit_rf``.
+    """
+    def per_forest(n: int, p: int) -> int:
+        return n_estimators * n * (16 * p + 136)
+
+    return fit_many(
+        problems,
+        seeds,
+        fit=lambda X, y, seed: fit_rf(X, y, n_estimators, max_depth, seed=seed),
+        check=lambda: _check_hyperparameters(n_estimators, max_depth),
+        joins=lambda n, p: (
+            p > 0
+            and n <= _LOCKSTEP_ROWS_PER_TREE * n_estimators
+            and per_forest(n, p) <= _CHUNK_BYTES
+        ),
+        cost=per_forest,
+        budget=_FORESTS_BYTES,
+        together=lambda data, seeds: _grow_forests(data, seeds, n_estimators, max_depth),
+        smallest=2,
     )
+
+
+def _grow_forests(data, seeds, n_estimators, max_depth) -> list[RFModel]:
+    """``fit_rf`` of each ``(X, y)`` in ``data``, all with the same row
+    count and at least one column, with every tree of every forest grown
+    in one ``grow_depth_first``.
+
+    A narrower ``X`` is padded with zero columns after its own, as
+    ``boosting._fit_lockstep`` pads: a constant column has no valid cut.
+    A forest that searches every feature at each node draws all of them
+    instead, which searches the same features in the same order; draws
+    grow with the width, so a forest drawing fewer than the most is
+    narrower than the padded width.
+    """
+    n = data[0][0].shape[0]
+    widths = [X.shape[1] for X, _ in data]
+    values = np.zeros((len(data) * n_estimators, max(widths), n))
+    targets = np.empty((len(data) * n_estimators, n))
+    tree_seeds, node_seeds, draws = [], [], []
+    for f, ((X, y), seed) in enumerate(zip(data, seeds)):
+        forest_seeds = tuple(derive_seed(seed, t) for t in range(n_estimators))
+        rows = _bootstrap(forest_seeds, n)
+        block = slice(f * n_estimators, (f + 1) * n_estimators)
+        values[block, : widths[f]] = X[rows].transpose(0, 2, 1)
+        targets[block] = y[rows]
+        tree_seeds.append(forest_seeds)
+        node_seeds += [derive_seed(tree_seed, 1) for tree_seed in forest_seeds]
+        draws.append(_per_node(widths[f]))
+    nodes = grow_depth_first(
+        values, targets, max_depth, node_seeds,
+        np.repeat(widths, n_estimators), np.repeat(draws, n_estimators),
+    )
+    models = []
+    for f, (p, seed) in enumerate(zip(widths, seeds)):
+        trees = [
+            RegressionTree(*tree, max_depth=max_depth, n_features=p)
+            for tree in nodes[f * n_estimators : (f + 1) * n_estimators]
+        ]
+        models.append(
+            _model(trees, tree_seeds[f], p, n_estimators, max_depth, True, draws[f], seed)
+        )
+    return models

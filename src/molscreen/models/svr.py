@@ -19,6 +19,14 @@ that depend on b_k alone, so a pair update costs a handful of contiguous
 O(n) passes: the residual, both interval ends and their arg-extremes, and
 u += d (K_i - K_j), read from rows of the symmetric Gram matrix. Only the
 two updated points are reclassified.
+
+``fit_svr_many`` solves many problems of one row count side by side: each
+step makes those passes for all of them on problems x n arrays and each
+problem's pair update on its own, with bitwise ``fit_svr``'s results.
+Batching pays from about 16 problems of 18 rows (``_SOLVE_TOGETHER``); the
+200 msc training splits of additives24.csv solve in 0.38 ms a problem
+against 0.66 ms one at a time, and hold 8 n (n + p + 8) bytes a problem of
+Gram matrix and state, 1.2 MB for the 200.
 """
 
 from __future__ import annotations
@@ -29,12 +37,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataio import boolean, finite_float, finite_floats, integer, json_object
+from .batch import fit_many
 from .tree import ModelError, check_prediction_data, check_training_data, read_field
 
 _AT_BOUND = 1e-12
 _SUPPORT_EPS = 1e-10
 _TOL = 1e-3
 _MAX_UPDATES = 100_000
+
+# fit_svr_many solves problems together in chunks of at most this many
+# bytes of Gram matrices and solver state (about 8 n (n + p + 8) bytes a
+# problem of n rows and p columns)...
+_GRAM_BYTES = 1 << 24
+
+# ...and of at least this many problems; a smaller chunk goes through
+# fit_svr. A step of the solvers together costs about 60 array calls
+# whatever the problems in it, fit_svr's about 12. On msc training splits
+# of additives24.csv (18 rows), time per problem against 0.66 ms one at a
+# time: 1.13 ms in chunks of 5, 0.80 of 10, 0.68 of 15, 0.60 of 20, 0.53
+# of 30, 0.42 of 120 and 0.38 of 200.
+_SOLVE_TOGETHER = 16
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -144,9 +166,7 @@ def fit_svr(
     # Row-major, as in predict: the kernel's matrix products round
     # differently on other layouts of the same values.
     X = np.ascontiguousarray(X)
-    if kernel not in _KERNELS:
-        raise ModelError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}")
-    _check_hyperparameters(C, epsilon, gamma)
+    _check_hyperparameters(C, epsilon, kernel, gamma)
 
     n = X.shape[0]
     gamma_val = default_gamma(X) if gamma is None else float(gamma)
@@ -198,6 +218,12 @@ def fit_svr(
         updates += 1
 
     intervals()
+    return _model(X, r, lo, hi, beta, kernel, gamma_val, C, epsilon, converged, seed)
+
+
+def _model(X, r, lo, hi, beta, kernel, gamma, C, epsilon, converged, seed) -> SVRModel:
+    """The model of a finished solve: ``r``, ``lo`` and ``hi`` are the
+    final residual and interval ends, ``beta`` the dual coefficients."""
     max_lo = float(np.max(lo))
     min_hi = float(np.min(hi))
     if np.isfinite(max_lo) and np.isfinite(min_hi):
@@ -211,7 +237,7 @@ def fit_svr(
         "C": C,
         "epsilon": epsilon,
         "kernel": kernel,
-        "gamma": gamma_val,
+        "gamma": gamma,
         "tol": _TOL,
         "max_updates": _MAX_UPDATES,
         "seed": seed,
@@ -221,7 +247,7 @@ def fit_svr(
         coefficients=beta[support].copy(),
         bias=bias,
         kernel=kernel,
-        gamma=gamma_val,
+        gamma=gamma,
         C=C,
         epsilon=epsilon,
         converged=converged,
@@ -230,7 +256,125 @@ def fit_svr(
     )
 
 
-def _check_hyperparameters(C, epsilon, gamma) -> None:
+def fit_svr_many(
+    problems,
+    seeds,
+    C: float = 500.0,
+    epsilon: float = 0.75,
+    kernel: str = "rbf",
+    gamma: float | None = None,
+) -> list[SVRModel]:
+    """``fit_svr(X, y, C, epsilon, kernel, gamma, seed)`` for each ``(X, y)``
+    of ``problems`` and its seed, in order: each model is ``to_dict()``-equal
+    to that one, with bitwise the same coefficients, and a failure raises
+    the error ``fit_svr`` raises on the first problem it fails on.
+
+    Problems with equal row counts are solved together in chunks of at
+    most ``_GRAM_BYTES`` of Gram matrices (:func:`_solve_together`); a
+    chunk of fewer than ``_SOLVE_TOGETHER`` goes through ``fit_svr``.
+    """
+    return fit_many(
+        problems,
+        seeds,
+        fit=lambda X, y, seed: fit_svr(X, y, C, epsilon, kernel, gamma, seed),
+        check=lambda: _check_hyperparameters(C, epsilon, kernel, gamma),
+        joins=lambda n, p: True,
+        cost=lambda n, p: 8 * n * (n + p + 8),
+        budget=_GRAM_BYTES,
+        together=lambda data, seeds: _solve_together(data, seeds, C, epsilon, kernel, gamma),
+        smallest=_SOLVE_TOGETHER,
+    )
+
+
+def _solve_together(data, seeds, C, epsilon, kernel, gamma) -> list[SVRModel]:
+    """``fit_svr`` of each ``(X, y)`` in ``data``, all with the same row
+    count, stepping the solvers of every unfinished problem at once.
+
+    Each problem's gamma and kernel come from their own calls, as in
+    ``fit_svr``. A step makes the solver's O(n) passes (the residual, the
+    interval ends and their arg-extremes, ``u += d (K_i - K_j)``) on
+    problems x n arrays, element for element the values ``fit_svr``
+    computes, and each problem's pair update on its own scalars. A problem
+    that stops leaves the arrays, its model built from its own 1-D rows.
+    """
+    n = data[0][0].shape[0]
+    eps = float(epsilon)
+    X = [np.ascontiguousarray(features) for features, _ in data]
+    gammas = [default_gamma(x) if gamma is None else float(gamma) for x in X]
+    K = np.empty((len(data), n, n))
+    for b, (x, g) in enumerate(zip(X, gammas)):
+        K[b] = _KERNELS[kernel](x, x, g)
+    # Row p * n + k of ``rows`` is row k of problem p's Gram matrix, and
+    # ``diagonal[p * n + k]`` its diagonal entry.
+    rows = K.reshape(-1, n)
+    diagonal = np.ascontiguousarray(K.diagonal(axis1=1, axis2=2)).ravel()
+
+    # Row b of each state array is problem active[b]'s, as in fit_svr; the
+    # arrays are C-ordered, so cell (b, k) is at flat index b * n + k.
+    active = np.arange(len(data))
+    y = np.array([target for _, target in data])
+    beta = np.zeros((len(data), n))
+    u = np.zeros((len(data), n))
+    start = _offsets(0.0, C, eps)
+    lo_off = np.full((len(data), n), start[0])
+    hi_off = np.full((len(data), n), start[1])
+    models: list = [None] * len(data)
+    updates = 0
+    while active.size:
+        r = y - u
+        lo = r + lo_off
+        hi = r + hi_off
+        if updates == _MAX_UPDATES:
+            converged = np.zeros(active.size, dtype=bool)
+            stop = ~converged
+            go = np.empty(0, dtype=np.intp)
+        else:
+            base = np.arange(0, active.size * n, n)
+            i = lo.argmax(axis=1) + base
+            j = hi.argmin(axis=1) + base
+            converged = (i == j) | (lo.ravel()[i] - hi.ravel()[j] < _TOL)
+            stop = converged.copy()
+            go = np.flatnonzero(~converged)
+            i, j = i[go], j[go]
+            # The rows of the pair's points in ``rows``.
+            at = (active[go] - go) * n
+            Ri, Rj = i + at, j + at
+            a = diagonal[Ri] + diagonal[Rj] - 2.0 * rows.ravel()[Ri * n + Rj % n]
+            u_flat, y_flat, beta_flat = u.ravel(), y.ravel(), beta.ravel()
+            g = (u_flat[i] - y_flat[i]) - (u_flat[j] - y_flat[j])
+            pairs = zip(a.tolist(), g.tolist(), beta_flat[i].tolist(), beta_flat[j].tolist())
+            delta = np.array([_optimize_pair(*pair, C, eps) for pair in pairs], dtype=np.float64)
+            moving = np.abs(delta) >= 1e-14  # else numerically stuck: not converged
+            if not moving.all():
+                stop[go[~moving]] = True
+                go, i, j, Ri, Rj, delta = (v[moving] for v in (go, i, j, Ri, Rj, delta))
+        for b in np.flatnonzero(stop).tolist():
+            p = active[b]
+            models[p] = _model(
+                X[p], r[b], lo[b], hi[b], beta[b], kernel, gammas[p], C, epsilon,
+                bool(converged[b]), seeds[p],
+            )
+        if go.size:
+            beta_flat[i] += delta
+            beta_flat[j] -= delta
+            for ends in (i, j):
+                offsets = [_offsets(b, C, eps) for b in beta_flat[ends].tolist()]
+                lo_off.ravel()[ends], hi_off.ravel()[ends] = np.array(offsets).T
+            step = rows[Ri] - rows[Rj]
+            step *= delta[:, None]
+            u[go] += step
+        updates += 1
+        if stop.any():
+            keep = ~stop
+            active, y, beta, u, lo_off, hi_off = (
+                state[keep] for state in (active, y, beta, u, lo_off, hi_off)
+            )
+    return models
+
+
+def _check_hyperparameters(C, epsilon, kernel, gamma) -> None:
+    if kernel not in _KERNELS:
+        raise ModelError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}")
     if not (math.isfinite(C) and C > 0):
         raise ModelError(f"C must be finite and > 0, got {C!r}")
     if not (math.isfinite(epsilon) and epsilon >= 0):

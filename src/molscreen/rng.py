@@ -101,41 +101,54 @@ class SplitMix64:
 _SAMPLE_MANY = 12
 
 
-def sample_many(generators: list, n: int, k: int) -> np.ndarray:
-    """``[g.sample(list(range(n)), k) for g in generators]`` as a
-    ``(len(generators), k)`` array, leaving every generator in the same
-    state. The draws of all generators are computed at once in numpy's
-    wrapping uint64 arithmetic, and the Fisher-Yates swaps one position
-    at a time for all of them; a generator whose block holds a draw
-    ``sample`` would reject falls back to ``sample``. Below
-    ``_SAMPLE_MANY`` generators, one ``sample`` per generator is faster
-    and is what runs."""
-    if k > n:
+def sample_many(generators: list, n, k) -> np.ndarray:
+    """``[g.sample(list(range(n_t)), k_t) for g, n_t, k_t in zip(generators,
+    n, k)]`` as a ``(len(generators), max k)`` array, leaving every
+    generator in the same state; ``n`` and ``k`` are each an int shared by
+    every generator or one per generator. A row whose ``k_t`` is below the
+    largest holds ``n_t`` in its remaining cells.
+
+    The draws of all generators are computed at once in numpy's wrapping
+    uint64 arithmetic, and the Fisher-Yates swaps one position at a time
+    for all of them; a generator whose block holds a draw ``sample`` would
+    reject falls back to ``sample``. Below ``_SAMPLE_MANY`` generators, one
+    ``sample`` per generator is faster and is what runs."""
+    count = len(generators)
+    n = np.broadcast_to(np.asarray(n, dtype=np.intp), count)
+    k = np.broadcast_to(np.asarray(k, dtype=np.intp), count)
+    if (k > n).any():
         raise ValueError("sample size exceeds population")
-    if len(generators) < _SAMPLE_MANY:
-        items = list(range(n))
-        drawn = [g.sample(items, k) for g in generators]
-        return np.array(drawn, dtype=np.intp).reshape(len(generators), k)
+    width = int(k.max()) if count else 0
+    out = np.repeat(n[:, None], width, axis=1)
+    if count < _SAMPLE_MANY:
+        for t, (g, n_t, k_t) in enumerate(zip(generators, n.tolist(), k.tolist())):
+            out[t, :k_t] = g.sample(list(range(n_t)), k_t)
+        return out
     states = np.array([g._state for g in generators], dtype=np.uint64)
-    z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA) + states[:, None]
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GAMMA) + states[:, None]
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    m = np.arange(n, n - k, -1, dtype=np.uint64)
+    position = np.arange(width)
+    live = position < k[:, None]
+    # The population left at each draw; 1 past a generator's last draw,
+    # where the swap is a no-op.
+    m = np.where(live, n[:, None] - position, 1).astype(np.uint64)
     # sample rejects z >= 2**64 - 2**64 % m, and 2**64 % m is (2**64 - m) % m.
     spare = (np.uint64(0) - m) % m
     rejected = ((spare > 0) & (z >= np.uint64(0) - spare)).any(axis=1)
-    rows = np.arange(len(generators))
-    pool = np.broadcast_to(np.arange(n), (rows.size, n)).copy()
-    swap = (z % m).astype(np.intp) + np.arange(k)
-    for i in range(k):
+    rows = np.arange(count)
+    top = int(n.max())
+    pool = np.broadcast_to(np.arange(top), (count, top)).copy()
+    swap = (z % m).astype(np.intp) + position
+    for i in range(width):
         j = swap[:, i]
         drawn = pool[rows, j]
         pool[rows, j] = pool[:, i]
         pool[:, i] = drawn
-    out = pool[:, :k]
+    np.copyto(out, pool[:, :width], where=live)
     for t in np.flatnonzero(rejected).tolist():
-        out[t] = generators[t].sample(list(range(n)), k)
+        out[t, : k[t]] = generators[t].sample(list(range(n[t])), int(k[t]))
     for t in np.flatnonzero(~rejected).tolist():
-        generators[t]._state = (generators[t]._state + _GAMMA * k) & _MASK
+        generators[t]._state = (generators[t]._state + _GAMMA * int(k[t])) & _MASK
     return out

@@ -24,7 +24,7 @@ from molscreen.evaluation import (
     spearman,
 )
 from molscreen.features import FeatureMatrix
-from molscreen.models import TrainConfig, boosting
+from molscreen.models import ModelError, TrainConfig, boosting, forest, svr
 from molscreen.rng import derive_seed
 
 
@@ -240,55 +240,118 @@ class TestRepeatedEval:
         config = TrainConfig(kind=model, seed=0, n_estimators=4)
         self.assert_loop_of_run_single(features, y, groups, kind, config, repeats=6)
 
-    @pytest.mark.parametrize("case", ["msc", "random", "logo-row-counts", "constant-targets"])
-    def test_lockstep_pairs_are_a_loop_of_run_single(self, case, monkeypatch):
-        # gb repeats with equal training-row counts are fitted in lockstep
-        # when there are at least _LOCKSTEP_BOOSTERS of them; each case
-        # records the batch sizes it grew, so it cannot pass by falling
-        # back to fit_gb.
+    # (model, case, TrainConfig fields, the row counts of each batch fitted
+    # together). Every evaluate batch of 8 repeats (gb, svr) is fitted in
+    # one fit_models call, rf in calls of 3. Leave-one-group-out holds out
+    # groups of 1, 1, 1, 3, 3, 3, 2 and 8 molecules: two batches of three
+    # (21 and 19 training rows, the first with a one-molecule test set
+    # each) and two repeats fitted alone.
+    LOCKSTEP_CASES = {
+        "msc": ("gb", "msc", {}, [[16] * 8]),
+        "random": ("gb", "random", {}, [[17] * 8]),
+        "logo-row-counts": ("gb", "logo-row-counts", {}, [[19] * 3, [21] * 3]),
+        "constant-targets": ("gb", "constant-targets", {}, [[17] * 8]),
+        "rf-msc": ("rf", "msc", {"n_estimators": 7}, [[16] * 2, [16] * 3, [16] * 3]),
+        "rf-random": ("rf", "random", {"n_estimators": 7}, [[17] * 2, [17] * 3, [17] * 3]),
+        "rf-logo-row-counts": ("rf", "logo-row-counts", {"n_estimators": 7}, [[19] * 3, [21] * 3]),
+        "rf-constant-targets": ("rf", "constant-targets", {"n_estimators": 7},
+                                [[17] * 2, [17] * 3, [17] * 3]),
+        "svr-msc": ("svr", "msc", {}, [[16] * 8]),
+        "svr-random": ("svr", "random", {}, [[17] * 8]),
+        "svr-logo-row-counts": ("svr", "logo-row-counts", {}, [[19] * 3, [21] * 3]),
+        "svr-constant-targets": ("svr", "constant-targets", {}, [[17] * 8]),
+        # a coefficient at zero and at both bounds at once
+        "svr-c-tiny": ("svr", "msc", {"C": 1e-13}, [[16] * 8]),
+        "svr-c-near-bound": ("svr", "random", {"C": 1.5e-12, "epsilon": 0.0}, [[17] * 8]),
+        "svr-linear": ("svr", "random", {"kernel": "linear", "epsilon": 0.1}, [[17] * 8]),
+        "svr-linear-logo": ("svr", "logo-row-counts", {"kernel": "linear", "gamma": 0.5},
+                            [[19] * 3, [21] * 3]),
+        "svr-unconverged": ("svr", "msc", {}, [[16] * 8]),
+        "svr-stuck": ("svr", "random", {}, [[17] * 8]),
+    }
+    # The function that fits a batch together, per model kind.
+    TOGETHER = {"gb": (boosting, "_fit_lockstep"), "rf": (forest, "_grow_forests"),
+                "svr": (svr, "_solve_together")}
+
+    @pytest.mark.parametrize("name", LOCKSTEP_CASES)
+    def test_lockstep_pairs_are_a_loop_of_run_single(self, name, monkeypatch):
+        # Each case records the batches fitted together, so it cannot pass
+        # by falling back to fit_gb, fit_rf or fit_svr.
+        model, case, fields, grown = self.LOCKSTEP_CASES[name]
         batches = []
-        lockstep = boosting._fit_lockstep
+        module, function = self.TOGETHER[model]
+        together = getattr(module, function)
 
         def spy(data, *args):
             batches.append(sorted(X.shape[0] for X, _ in data))
-            return lockstep(data, *args)
+            return together(data, *args)
 
-        monkeypatch.setattr(boosting, "_fit_lockstep", spy)
+        monkeypatch.setattr(module, function, spy)
+        # Fewer than 16 SVR problems are solved one by one; here two or more
+        # are solved together, as gb's three or more grow in lockstep.
+        monkeypatch.setattr(svr, "_SOLVE_TOGETHER", 2)
         features, y, groups = mixed_problem()
-        kind, grown = case, [[16] * 8] if case == "msc" else [[17] * 8]
+        kind = case
         if case == "logo-row-counts":
-            # Held-out groups of 1, 1, 1, 3, 3, 3, 2 and 8 molecules: two
-            # batches of three (21 and 19 training rows, the first with a
-            # one-molecule test set each) and two repeats fitted alone.
-            kind, grown = "logo", [[19] * 3, [21] * 3]
-            sizes = [1, 1, 1, 3, 3, 3, 2, 8]
+            kind, sizes = "logo", [1, 1, 1, 3, 3, 3, 2, 8]
             bounds = np.cumsum([0] + sizes)
             groups = {g + 1: list(range(bounds[g], bounds[g + 1])) for g in range(len(sizes))}
         elif case == "constant-targets":
             # One distinct target: a repeat that holds it out trains on a
             # constant, so its trees are bare roots and it predicts one.
             kind, y = "random", np.where(np.arange(len(y)) == 6, 2.0, 1.0)
+        if name == "svr-unconverged":
+            # Some repeats stop at the cap, the others converge below it.
+            monkeypatch.setattr(svr, "_MAX_UPDATES", 10)
+        stuck = []
+        if name == "svr-stuck":
+            # An update stuck at a step below 1e-14 ends its problem's
+            # solve, unconverged: here every update of a pair with a
+            # negative and a positive coefficient, a rule of the arguments
+            # alone, so the loop and the batch see the same updates.
+            optimize = svr._optimize_pair
+
+            def sticks(a, g, bi, bj, C, epsilon):
+                if bi < 0 < bj:
+                    stuck.append((bi, bj))
+                    return 5e-15
+                return optimize(a, g, bi, bj, C, epsilon)
+
+            monkeypatch.setattr(svr, "_optimize_pair", sticks)
         report, splits = self.assert_loop_of_run_single(
-            features, y, groups, kind, TrainConfig(kind="gb", seed=0), repeats=8
+            features, y, groups, kind, TrainConfig(kind=model, seed=0, **fields), repeats=8
         )
-        assert sorted(batches) == grown
+        assert sorted(batches) == sorted(grown)
         if case == "logo-row-counts":
             assert 0 < report.degenerate_repeats < report.repeats
         if case == "constant-targets":
             assert 0 < sum(6 in split.test for split in splits) < len(splits)
+        if name in ("svr-unconverged", "svr-stuck"):
+            assert 0 < report.unconverged_fits < report.repeats
+        if name == "svr-stuck":
+            assert stuck
 
-    @pytest.mark.parametrize("groups, n_estimators", [
-        # repeat 0's fit fails (a negative n_estimators) before repeat 1's
+    @pytest.mark.parametrize("model, groups, fails", [
+        # repeat 0's fit fails (a bad hyperparameter) before repeat 1's
         # cascade (one training row)
-        ({1: [0], 2: list(range(1, 22))}, -1),
+        ("gb", {1: [0], 2: list(range(1, 22))}, True),
         # repeat 0's cascade fails, and so would every fit
-        ({1: list(range(21)), 2: [21]}, -1),
+        ("gb", {1: list(range(21)), 2: [21]}, True),
         # repeat 0 fits, repeat 1's cascade fails
-        ({1: [0], 2: list(range(1, 22))}, 35),
-    ], ids=["fit-first", "cascade-first", "cascade-later"])
-    def test_the_first_failing_repeat_raises(self, groups, n_estimators):
+        ("gb", {1: [0], 2: list(range(1, 22))}, False),
+        ("rf", {1: [0], 2: list(range(1, 22))}, True),
+        ("rf", {1: list(range(21)), 2: [21]}, True),
+        ("rf", {1: [0], 2: list(range(1, 22))}, False),
+        ("svr", {1: [0], 2: list(range(1, 22))}, True),
+        ("svr", {1: list(range(21)), 2: [21]}, True),
+        ("svr", {1: [0], 2: list(range(1, 22))}, False),
+    ], ids=["fit-first", "cascade-first", "cascade-later",
+            "rf-fit-first", "rf-cascade-first", "rf-cascade-later",
+            "svr-fit-first", "svr-cascade-first", "svr-cascade-later"])
+    def test_the_first_failing_repeat_raises(self, model, groups, fails):
         features, y, _ = mixed_problem()
-        config = TrainConfig(kind="gb", seed=0, n_estimators=n_estimators)
+        broken = {"gb": {"n_estimators": -1}, "rf": {"n_estimators": 0}, "svr": {"C": -1.0}}
+        config = TrainConfig(kind=model, seed=0, **(broken[model] if fails else {}))
         with pytest.raises(ValueError) as looped:
             for i, split in enumerate(logo_splits(groups)):
                 run_single(features, y, split, config.with_seed(derive_seed(derive_seed(17, i), 1)))
@@ -296,6 +359,40 @@ class TestRepeatedEval:
             repeated_eval(features, y, SplitterSpec("logo"), config, master_seed=17, groups=groups)
         assert type(phased.value) is type(looped.value)
         assert str(phased.value) == str(looped.value)
+
+    @pytest.mark.parametrize("model, grown", [("gb", [3]), ("rf", [3]), ("svr", [3])])
+    def test_a_cascade_failing_after_a_batch_raises_after_the_batch_fits(
+        self, model, grown, monkeypatch
+    ):
+        # Holding out groups 1 to 4 leaves 21 training rows each; repeat 3's
+        # cascade fails. Repeats 0 to 2 are fitted together first (rf's
+        # first batch, and the part of gb's and svr's batch before the
+        # failure), and a bad hyperparameter fails that fit first.
+        batches = []
+        module, function = self.TOGETHER[model]
+        together = getattr(module, function)
+        monkeypatch.setattr(module, function,
+                            lambda data, *args: batches.append(len(data)) or together(data, *args))
+        prepare = evaluation._prepare
+
+        def fails_on_group_4(features, targets, split):
+            if split.seed == 4:
+                raise selection.TooFewSamples("group 4")
+            return prepare(features, targets, split)
+
+        monkeypatch.setattr(evaluation, "_prepare", fails_on_group_4)
+        monkeypatch.setattr(svr, "_SOLVE_TOGETHER", 2)
+        features, y, _ = mixed_problem()
+        groups = {1: [0], 2: [1], 3: [2], 4: [3], 5: list(range(4, 22))}
+        with pytest.raises(selection.TooFewSamples, match="group 4"):
+            repeated_eval(features, y, SplitterSpec("logo"), TrainConfig(kind=model, seed=0),
+                          master_seed=17, groups=groups)
+        assert batches == grown
+        broken = {"gb": {"n_estimators": -1}, "rf": {"n_estimators": 0}, "svr": {"C": -1.0}}
+        with pytest.raises(ModelError):
+            repeated_eval(features, y, SplitterSpec("logo"),
+                          TrainConfig(kind=model, seed=0, **broken[model]),
+                          master_seed=17, groups=groups)
 
     def test_model_sees_each_part_projected_apart(self, monkeypatch):
         # The cascade projects the whole matrix once; the rows the model fits
@@ -430,15 +527,17 @@ class TestUnconvergedFits:
 
         from molscreen import evaluation
 
-        fit = evaluation.fit_model
+        fit = evaluation.fit_models
         calls = []
 
-        def every_other_stalls(X, y, config):
-            model = fit(X, y, config)
-            calls.append(model)
-            return dataclasses.replace(model, converged=len(calls) % 2 == 1)
+        def every_other_stalls(problems, config, seeds):
+            stalled = []
+            for model in fit(problems, config, seeds):
+                calls.append(model)
+                stalled.append(dataclasses.replace(model, converged=len(calls) % 2 == 1))
+            return stalled
 
-        monkeypatch.setattr(evaluation, "fit_model", every_other_stalls)
+        monkeypatch.setattr(evaluation, "fit_models", every_other_stalls)
         features, y = self.problem()
         config = TrainConfig(kind="svr", seed=0)
         report = repeated_eval(features, y, SplitterSpec("random", 0.2), config,
@@ -450,7 +549,7 @@ class TestUnconvergedFits:
         assert text.splitlines()[-1] == "random: 2 of 5 fits did not converge"
 
         # the flag rides along without changing the scores
-        monkeypatch.setattr(evaluation, "fit_model", fit)
+        monkeypatch.setattr(evaluation, "fit_models", fit)
         clean = repeated_eval(features, y, SplitterSpec("random", 0.2), config,
                               repeats=5, master_seed=2)
         assert [s[:2] for s in clean.pairs] == [s[:2] for s in report.pairs]

@@ -28,7 +28,18 @@ from molscreen.models import (
     model_from_dict,
     model_to_dict,
 )
+from molscreen.models import forest, svr
 from molscreen.models.tree import check_training_data, grow_trees
+from test_tree import msc_training_splits
+
+# The function each kind's batch fitter fits a batch together with.
+TOGETHER = {"gb": (boosting, "_fit_lockstep"), "rf": (forest, "_grow_forests"),
+            "svr": (svr, "_solve_together")}
+
+
+@pytest.fixture(scope="module")
+def msc_splits():
+    return msc_training_splits()
 
 
 def exhaustive_stump(X, y):
@@ -421,13 +432,21 @@ class TestFitModels:
         return problems
 
     @staticmethod
+    def spy_on_batches(kind, monkeypatch) -> list[int]:
+        """The size of each batch ``kind``'s batch fitter fits together,
+        filled in as it fits them."""
+        batches = []
+        module, function = TOGETHER[kind]
+        together = getattr(module, function)
+        monkeypatch.setattr(module, function,
+                            lambda data, *args: batches.append(len(data)) or together(data, *args))
+        return batches
+
+    @staticmethod
     def assert_loop_of_fit_model(config, monkeypatch) -> list[int]:
         """Check ``fit_models`` against ``fit_model`` on :meth:`problems`;
-        returns the size of each batch grown in lockstep."""
-        batches = []
-        lockstep = boosting._fit_lockstep
-        monkeypatch.setattr(boosting, "_fit_lockstep",
-                            lambda data, *args: batches.append(len(data)) or lockstep(data, *args))
+        returns the size of each batch fitted together."""
+        batches = TestFitModels.spy_on_batches(config.kind, monkeypatch)
         problems, seeds = TestFitModels.problems(), [3 * i + 1 for i in range(8)]
         fitted = fit_models(problems, config, seeds)
         expected = [fit_model(X, y, config.with_seed(seed)) for (X, y), seed in zip(problems, seeds)]
@@ -439,8 +458,49 @@ class TestFitModels:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("fields", [{}, {"n_estimators": 3, "max_depth": 2}], ids=["unset", "set"])
     def test_a_loop_of_fit_model(self, kind, fields, monkeypatch):
+        # Forests grow together two or more at a time, and SVR problems,
+        # here, too: the 15-row group and the two of 12; gb boosters grow in
+        # lockstep three or more at a time.
+        monkeypatch.setattr(svr, "_SOLVE_TOGETHER", 2)
         batches = self.assert_loop_of_fit_model(TrainConfig(kind=kind, seed=0, **fields), monkeypatch)
-        assert batches == ([5] if kind == "gb" else [])
+        assert batches == ([5] if kind == "gb" else [5, 2])
+
+    @pytest.mark.parametrize("kind", ["rf", "svr"])
+    def test_every_msc_split_of_the_bundled_set(self, kind, msc_splits, monkeypatch):
+        # All 200 repeats of evaluate --splitter msc at once: forests fit
+        # in chunks of bounded memory, SVR problems all together.
+        batches = self.spy_on_batches(kind, monkeypatch)
+        problems, seeds = [(X, y) for X, y, _ in msc_splits], [seed for *_, seed in msc_splits]
+        config = TrainConfig(kind=kind, seed=0)
+        fitted = fit_models(problems, config, seeds)
+        expected = [
+            fit_model(X, y, config.with_seed(seed)) for (X, y), seed in zip(problems, seeds)
+        ]
+        for model, single in zip(fitted, expected):
+            assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(single))
+            if kind == "svr":
+                assert model.coefficients.tobytes() == single.coefficients.tobytes()
+                assert model.support_vectors.tobytes() == single.support_vectors.tobytes()
+        assert sum(batches) == 200 and (len(batches) > 1) == (kind == "rf")
+
+    def test_forests_grow_in_chunks_of_bounded_memory(self, monkeypatch):
+        # The 15-row group is 5 forests of up to 4 columns, 3 trees each,
+        # about 3 x 15 x (16 x 4 + 136) bytes a forest: a cap of three
+        # forests' worth cuts it into chunks of 3 and 2; the two forests of
+        # 12 rows grow together.
+        monkeypatch.setattr(forest, "_FORESTS_BYTES", 3 * 3 * 15 * (16 * 4 + 136))
+        config = TrainConfig(kind="rf", seed=0, n_estimators=3)
+        assert self.assert_loop_of_fit_model(config, monkeypatch) == [3, 2, 2]
+
+    def test_svr_problems_solve_in_chunks_of_bounded_memory(self, monkeypatch):
+        # A 15-row problem of up to 4 columns holds about 8 x 15 x (15 + 4
+        # + 8) bytes: a cap of two problems' worth cuts the group of 5 into
+        # chunks of 2, 2 and 1, the 1 solved through fit_svr; the two
+        # problems of 12 rows fit in one chunk.
+        monkeypatch.setattr(svr, "_GRAM_BYTES", 2 * 8 * 15 * (15 + 4 + 8))
+        monkeypatch.setattr(svr, "_SOLVE_TOGETHER", 2)
+        config = TrainConfig(kind="svr", seed=0)
+        assert self.assert_loop_of_fit_model(config, monkeypatch) == [2, 2, 2]
 
     def test_a_group_grows_in_chunks_of_bounded_memory(self, monkeypatch):
         # The 15-row group is 5 boosters of up to 4 columns, about
@@ -477,10 +537,38 @@ class TestFitModels:
             fit_gb_many(problems, list(range(8)))
         assert str(batched.value) == str(alone.value)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_a_failing_fit_raises_before_a_later_problems_check(self, kind):
+        # A problem without columns fails in its fitter, not in the checks:
+        # it fails before the non-finite target of a later problem, as in a
+        # loop of fit_model.
+        problems = self.problems()
+        problems[2] = (problems[2][0][:, :0], problems[2][1])
+        problems[4] = (problems[4][0], np.full(9, np.nan))
+        config = TrainConfig(kind=kind, seed=0)
+        with pytest.raises(Exception) as looped:
+            for X, y in problems:
+                fit_model(X, y, config)
+        with pytest.raises(Exception) as batched:
+            fit_models(problems, config, list(range(8)))
+        assert type(batched.value) is type(looped.value)
+        assert str(batched.value) == str(looped.value)
+
 
 class TestKindTable:
     def test_model_kinds_keep_their_order(self):
         assert MODEL_KINDS == ("gb", "rf", "svr")
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_a_batch_fitter_takes_its_kinds_fields(self, kind):
+        # fit_many takes the problems and their seeds, then each field the
+        # kind reads with fit's default.
+        fit = inspect.signature(KINDS[kind].fit).parameters
+        many = inspect.signature(KINDS[kind].fit_many).parameters
+        assert list(many)[:2] == ["problems", "seeds"]
+        assert {name: p.default for name, p in list(many.items())[2:]} == {
+            name: fit[name].default for name in KINDS[kind].fields
+        }
 
     def test_every_field_a_kind_reads_is_a_parameter_of_its_fitter(self):
         config_fields = set(TrainConfig.__dataclass_fields__) - {"kind", "seed"}

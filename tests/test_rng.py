@@ -131,3 +131,60 @@ def test_sample_many_redraws_a_rejected_value(monkeypatch):
 def test_sample_many_larger_than_population_rejected():
     with pytest.raises(ValueError):
         sample_many([SplitMix64(1)], 2, 3)
+
+
+def per_generator_loop(generators, n, k) -> list:
+    """What ``sample_many`` with one ``n`` and ``k`` per generator returns,
+    row by row: each generator's ``sample``, padded with its ``n``."""
+    width = max(k, default=0)
+    return [g.sample(list(range(n_t)), k_t) + [n_t] * (width - k_t)
+            for g, n_t, k_t in zip(generators, n, k)]
+
+
+@pytest.mark.parametrize("below", [0, 10**9])
+def test_sample_many_takes_a_population_and_size_per_generator(below, monkeypatch):
+    # Mixed sizes, k equal to n (a full shuffle), k of 0 and a population
+    # of one, on the array path (below = 0) and the loop path.
+    monkeypatch.setattr(rng, "_SAMPLE_MANY", below)
+    shapes = [(14, 5), (13, 5), (12, 4), (17, 6), (4, 4), (6, 0), (1, 1), (24, 8)] * 3
+    n, k = [s[0] for s in shapes], [s[1] for s in shapes]
+    seeds = [derive_seed(77, t) for t in range(len(shapes))]
+    new = [SplitMix64(seed) for seed in seeds]
+    old = [SplitMix64(seed) for seed in seeds]
+    for _ in range(20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drawn = sample_many(new, n, k)
+        assert drawn.shape == (len(shapes), max(k))
+        assert drawn.tolist() == per_generator_loop(old, n, k)
+    assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
+
+
+@pytest.mark.parametrize("below", [0, 10**9])
+def test_sample_many_mixes_ints_and_arrays(below, monkeypatch):
+    monkeypatch.setattr(rng, "_SAMPLE_MANY", below)
+    seeds = [derive_seed(78, t) for t in range(13)]
+    k = [t % 4 for t in range(13)]
+    drawn = sample_many([SplitMix64(seed) for seed in seeds], 9, k)
+    assert drawn.tolist() == per_generator_loop([SplitMix64(seed) for seed in seeds], [9] * 13, k)
+    n = [3 + t for t in range(13)]
+    drawn = sample_many([SplitMix64(seed) for seed in seeds], n, 3)
+    assert drawn.tolist() == per_generator_loop([SplitMix64(seed) for seed in seeds], n, [3] * 13)
+
+
+def test_sample_many_per_generator_redraws_a_rejected_value(monkeypatch):
+    monkeypatch.setattr(rng, "_SAMPLE_MANY", 0)
+    # 2**64 - 1 is the one value a draw below 3 rejects: the first draw of
+    # the second generator, whose population is 3, among generators of
+    # other populations and sizes.
+    n, k = [5, 3, 7, 3], [2, 2, 4, 1]
+    new = [SplitMix64(derive_seed(6, t)) for t in range(4)]
+    old = [SplitMix64(derive_seed(6, t)) for t in range(4)]
+    new[1]._state = old[1]._state = (unmix(MASK) - GAMMA) & MASK
+    assert sample_many(new, n, k).tolist() == per_generator_loop(old, n, k)
+    assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
+
+
+def test_sample_many_per_generator_larger_than_population_rejected():
+    with pytest.raises(ValueError):
+        sample_many([SplitMix64(1), SplitMix64(2)], [4, 2], [3, 3])

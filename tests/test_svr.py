@@ -176,6 +176,53 @@ class TestAgainstOracle:
         assert not fit_svr_capped(monkeypatch, X, y, **kwargs).converged
 
 
+class TestSolvedTogether:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bitwise_fit_svr(self, name, monkeypatch):
+        # Each case with variants of the same row count: reversed rows, a
+        # rescaled target, and a narrower matrix.
+        X, y, kwargs = CASES[name]
+        kwargs = dict(kwargs)
+        monkeypatch.setattr(svr, "_MAX_UPDATES", kwargs.pop("max_updates", svr._MAX_UPDATES))
+        problems = [(X, y), (X[::-1], y[::-1]), (X, 0.5 * y + 0.1), (X[:, :2], y)]
+        seeds = [3, 1, 4, 1]
+        monkeypatch.setattr(svr, "_SOLVE_TOGETHER", 2)
+        solved = []
+        solve = svr._solve_together
+        monkeypatch.setattr(svr, "_solve_together",
+                            lambda data, *args: solved.append(len(data)) or solve(data, *args))
+        models = svr.fit_svr_many(problems, seeds, **kwargs)
+        assert solved == [4]
+        for model, (Xp, yp), seed in zip(models, problems, seeds):
+            single = fit_svr(Xp, yp, seed=seed, **kwargs)
+            assert model.to_dict() == single.to_dict()
+            assert model.coefficients.tobytes() == single.coefficients.tobytes()
+            assert model.support_vectors.tobytes() == single.support_vectors.tobytes()
+            assert model.bias == single.bias and model.converged == single.converged
+
+    def test_checks_as_fit_svr(self):
+        X, y, _ = CASES["c_1_many_at_bound"]
+        bad = (X, np.where(y > 0, np.nan, y))
+        with pytest.raises(ModelError, match="unknown kernel"):
+            svr.fit_svr_many([(X, y), bad], [0, 1], kernel="poly")
+        with pytest.raises(ModelError, match="non-finite"):
+            svr.fit_svr_many([bad, (X, y)], [0, 1], kernel="poly")
+        with pytest.raises(ModelError, match="C must be"):
+            svr.fit_svr_many([(X, y)] * 3, [0, 1, 2], C=0.0)
+        assert svr.fit_svr_many([], []) == []
+
+    def test_fewer_than_the_break_even_solve_one_by_one(self, monkeypatch):
+        X, y, _ = CASES["c_1_many_at_bound"]
+        solved = []
+        solve = svr._solve_together
+        monkeypatch.setattr(svr, "_solve_together",
+                            lambda data, *args: solved.append(len(data)) or solve(data, *args))
+        svr.fit_svr_many([(X, y)] * (svr._SOLVE_TOGETHER - 1), range(svr._SOLVE_TOGETHER - 1))
+        assert solved == []
+        svr.fit_svr_many([(X, y)] * svr._SOLVE_TOGETHER, range(svr._SOLVE_TOGETHER))
+        assert solved == [svr._SOLVE_TOGETHER]
+
+
 class TestKernelSymmetry:
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
     @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (24, 20), (301, 24), (2000, 24)])
