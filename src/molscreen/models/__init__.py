@@ -15,7 +15,6 @@ from .tree import (
     ModelError,
     NonFiniteFeature,
     NonFiniteTarget,
-    RegressionTree,
     WidthMismatch,
     fit_tree,
 )
@@ -32,7 +31,7 @@ class ModelKind(NamedTuple):
 
 
 # Lockstep boosters and SVR solves gain up to 200 problems at a time, and
-# their models are small. A forest holds about 70 kB of trees on an
+# their models are small. A forest holds about 42 kB of trees on an
 # evaluate split of additives24.csv, and each forest in a growth adds
 # about 0.4 MB of peak memory while fit_rf_many gains little past three:
 # rf repeats fit three at a time.
@@ -121,7 +120,6 @@ __all__ = [
     "NonFiniteFeature",
     "NonFiniteTarget",
     "RFModel",
-    "RegressionTree",
     "SVRModel",
     "TrainConfig",
     "WidthMismatch",

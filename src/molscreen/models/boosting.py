@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,12 +23,13 @@ from .batch import fit_many
 from .tree import (
     _CHUNK_BYTES,
     ModelError,
-    RegressionTree,
     TreeTable,
     _Growth,
+    _tables,
     check_prediction_data,
     check_training_data,
     fit_tree,
+    join_tables,
     read_field,
     read_trees,
     sort_columns,
@@ -40,7 +40,7 @@ from .tree import (
 class GBModel:
     init_value: float
     learning_rate: float
-    trees: tuple[RegressionTree, ...]
+    trees: TreeTable
     n_features: int
     config: dict
 
@@ -62,14 +62,10 @@ class GBModel:
             losses.append(float(np.mean((y - pred) ** 2)))
         return losses
 
-    @cached_property
-    def _table(self) -> TreeTable:
-        return TreeTable(self.trees)
-
     def _steps(self, X: np.ndarray) -> np.ndarray:
         """``learning_rate`` times each tree's prediction for each row of a
         checked ``X``: trees x rows."""
-        return self.learning_rate * self._table.leaf_values(X)
+        return self.learning_rate * self.trees.leaf_values(X)
 
     def to_dict(self) -> dict:
         return {
@@ -77,7 +73,7 @@ class GBModel:
             "init_value": self.init_value,
             "learning_rate": self.learning_rate,
             "n_features": self.n_features,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees.to_list(),
             "config": self.config,
         }
 
@@ -137,7 +133,7 @@ def _model(init, learning_rate, trees, n_features, n_estimators, max_depth, seed
     return GBModel(
         init_value=init,
         learning_rate=learning_rate,
-        trees=tuple(trees),
+        trees=trees,
         n_features=n_features,
         config=config,
     )
@@ -166,6 +162,7 @@ def fit_gb(
         tree = fit_tree(X, residual, max_depth=max_depth, order=order, fitted=fitted)
         pred += learning_rate * fitted
         trees.append(tree)
+    trees = join_tables(trees, max_depth, X.shape[1])
     return _model(init, learning_rate, trees, X.shape[1], n_estimators, max_depth, seed)
 
 
@@ -191,9 +188,7 @@ def fit_gb_many(
         seeds,
         fit=lambda X, y, seed: fit_gb(X, y, n_estimators, max_depth, learning_rate, seed),
         check=lambda: _check_hyperparameters(n_estimators, max_depth, learning_rate),
-        # fit_tree fails on a matrix without columns: such a problem goes
-        # through fit_gb, to fail there, as does a large one.
-        joins=lambda n, p: p > 0 and n <= _LOCKSTEP_ROWS,
+        joins=lambda n, p: n <= _LOCKSTEP_ROWS,
         cost=lambda n, p: n * (24 * p + 176),
         budget=_CHUNK_BYTES,
         together=lambda data, seeds: _fit_lockstep(
@@ -205,8 +200,8 @@ def fit_gb_many(
 
 def _fit_lockstep(data, seeds, n_estimators, max_depth, learning_rate) -> list[GBModel]:
     """``fit_gb`` of each ``(X, y)`` in ``data``, all with the same row
-    count and at least one column, with round ``r`` growing tree ``r`` of
-    every booster in one ``_Growth``.
+    count, with round ``r`` growing tree ``r`` of every booster in one
+    ``_Growth``.
 
     A narrower ``X`` is padded with zero columns after its own: a constant
     column has no valid cut, so the trees never split on one. Each booster
@@ -227,10 +222,8 @@ def _fit_lockstep(data, seeds, n_estimators, max_depth, learning_rate) -> list[G
     for _ in range(n_estimators):
         rounds.append(growth.grow(y - pred, fitted))
         pred += learning_rate * fitted
-    models = []
-    for b, (width, seed) in enumerate(zip(widths, seeds)):
-        trees = [
-            RegressionTree(*nodes[b], max_depth=max_depth, n_features=width) for nodes in rounds
-        ]
-        models.append(_model(init[b], learning_rate, trees, width, n_estimators, max_depth, seed))
-    return models
+    tables = _tables(rounds, n_estimators, max_depth, widths)
+    return [
+        _model(mean, learning_rate, trees, width, n_estimators, max_depth, seed)
+        for mean, trees, width, seed in zip(init, tables, widths, seeds)
+    ]

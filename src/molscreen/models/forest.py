@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +25,13 @@ from .batch import fit_many
 from .tree import (
     _CHUNK_BYTES,
     ModelError,
-    RegressionTree,
     TreeTable,
+    _tables,
     check_prediction_data,
     check_training_data,
     fit_tree,
     grow_depth_first,
-    grow_trees,
+    join_tables,
     read_field,
     read_trees,
 )
@@ -66,7 +65,7 @@ _FORESTS_BYTES = 1 << 21
 
 @dataclass(frozen=True)
 class RFModel:
-    trees: tuple[RegressionTree, ...]
+    trees: TreeTable
     tree_seeds: tuple[int, ...]
     n_features: int
     config: dict
@@ -74,20 +73,16 @@ class RFModel:
     def predict(self, X) -> np.ndarray:
         X = check_prediction_data(X, self.n_features)
         total = np.zeros(X.shape[0], dtype=np.float64)
-        for values in self._table.leaf_values(X):  # tree by tree, in order
+        for values in self.trees.leaf_values(X):  # tree by tree, in order
             total += values
         return total / len(self.trees)
-
-    @cached_property
-    def _table(self) -> TreeTable:
-        return TreeTable(self.trees)
 
     def to_dict(self) -> dict:
         return {
             "kind": "rf",
             "n_features": self.n_features,
             "tree_seeds": list(self.tree_seeds),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees.to_list(),
             "config": self.config,
         }
 
@@ -146,7 +141,7 @@ def _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, s
         "max_features": per_node,
         "seed": seed,
     }
-    return RFModel(trees=tuple(trees), tree_seeds=tree_seeds, n_features=p, config=config)
+    return RFModel(trees=trees, tree_seeds=tree_seeds, n_features=p, config=config)
 
 
 def fit_rf(
@@ -186,13 +181,16 @@ def fit_rf(
             ]
             continue
         # Tree t trains on X[rows[t]]: values[t] holds its columns as rows.
-        trees += grow_trees(
+        nodes = grow_depth_first(
             np.ascontiguousarray(X[rows].transpose(0, 2, 1)),
             y[rows],
             max_depth,
-            features_per_node,
             seeds,
+            p,
+            features_per_node,
         )
+        trees += _tables([nodes], len(seeds), max_depth, [p])
+    trees = join_tables(trees, max_depth, p)
     return _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed)
 
 
@@ -217,9 +215,7 @@ def fit_rf_many(problems, seeds, n_estimators: int = 55, max_depth: int = 10) ->
         fit=lambda X, y, seed: fit_rf(X, y, n_estimators, max_depth, seed=seed),
         check=lambda: _check_hyperparameters(n_estimators, max_depth),
         joins=lambda n, p: (
-            p > 0
-            and n <= _LOCKSTEP_ROWS_PER_TREE * n_estimators
-            and per_forest(n, p) <= _CHUNK_BYTES
+            n <= _LOCKSTEP_ROWS_PER_TREE * n_estimators and per_forest(n, p) <= _CHUNK_BYTES
         ),
         cost=per_forest,
         budget=_FORESTS_BYTES,
@@ -230,8 +226,8 @@ def fit_rf_many(problems, seeds, n_estimators: int = 55, max_depth: int = 10) ->
 
 def _grow_forests(data, seeds, n_estimators, max_depth) -> list[RFModel]:
     """``fit_rf`` of each ``(X, y)`` in ``data``, all with the same row
-    count and at least one column, with every tree of every forest grown
-    in one ``grow_depth_first``.
+    count, with every tree of every forest grown in one
+    ``grow_depth_first``.
 
     A narrower ``X`` is padded with zero columns after its own, as
     ``boosting._fit_lockstep`` pads: a constant column has no valid cut.
@@ -258,13 +254,8 @@ def _grow_forests(data, seeds, n_estimators, max_depth) -> list[RFModel]:
         values, targets, max_depth, node_seeds,
         np.repeat(widths, n_estimators), np.repeat(draws, n_estimators),
     )
-    models = []
-    for f, (p, seed) in enumerate(zip(widths, seeds)):
-        trees = [
-            RegressionTree(*tree, max_depth=max_depth, n_features=p)
-            for tree in nodes[f * n_estimators : (f + 1) * n_estimators]
-        ]
-        models.append(
-            _model(trees, tree_seeds[f], p, n_estimators, max_depth, True, draws[f], seed)
-        )
-    return models
+    tables = _tables([nodes], n_estimators, max_depth, widths)
+    return [
+        _model(trees, forest_seeds, p, n_estimators, max_depth, True, per_node, seed)
+        for trees, forest_seeds, p, per_node, seed in zip(tables, tree_seeds, widths, draws, seeds)
+    ]

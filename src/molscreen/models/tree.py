@@ -7,15 +7,15 @@ index and then the smallest threshold. Each column is sorted once per fit,
 not per node. Randomness enters only through optional per-node feature
 subsampling (used by the forest), driven by a seeded generator.
 
-``fit_tree`` grows one tree node by node; ``grow_trees`` grows a forest's
-trees in lockstep, searching one node of every tree per step in one set of
-array calls, and yields the same trees. ``_Growth.grow`` steps trees that
-draw no features (gradient boosting's) level by level instead: one step
-searches every pending node of every tree.
+``fit_tree`` grows one tree node by node; ``grow_depth_first`` grows a
+forest's trees in lockstep, searching one node of every tree per step in
+one set of array calls, and yields the same trees. ``_Growth.grow`` steps
+trees that draw no features (gradient boosting's) level by level instead:
+one step searches every pending node of every tree.
 
-A tree is stored as flat node arrays (``RegressionTree``), which every
-grower fills directly. ``TreeTable`` stacks an ensemble's trees so that
-prediction moves every (tree, row) pair down one level per step.
+An ensemble's trees, or one tree, are one ``TreeTable``: flat node arrays
+over all of their nodes, built once when the model is fitted or read.
+Prediction moves every (tree, row) pair down one level per step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -55,28 +54,56 @@ class WidthMismatch(ModelError):
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class RegressionTree:
-    """A tree as flat node arrays. Node 0 is the root. A split node ``i``
-    sends a row whose value of feature ``feature[i]`` is ``<=
-    threshold[i]`` to node ``left[i]`` and any other row to ``left[i] +
-    1``; a leaf has ``left[i] == -1`` and predicts ``value[i]``. A child's
-    id is above its parent's. ``feature`` and ``threshold`` are 0 at a
-    leaf, ``value`` is 0 at a split node."""
+class TreeTable:
+    """The trees of an ensemble, or the one tree ``fit_tree`` grows, as
+    flat node arrays over all of their nodes. Tree ``t``'s nodes run from
+    ``roots[t]`` up to the next tree's root, its root first, and a child's
+    id is above its parent's. A split node ``i`` sends a row whose value
+    of feature ``feature[i]`` is ``<= threshold[i]`` to node ``left[i]``
+    and any other row to ``left[i] + 1``; a leaf has ``left[i] == -1`` and
+    predicts ``value[i]``. ``feature`` and ``threshold`` are 0 at a leaf,
+    ``value`` is 0 at a split node. No tree is deeper than ``max_depth``:
+    no fitter grows one and :func:`read_trees` rejects one."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     value: np.ndarray
+    roots: np.ndarray
     max_depth: int
     n_features: int
-    # Model files record it; every tree grown here may have one-row leaves.
-    min_samples_leaf: int = 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = check_prediction_data(X, self.n_features)
-        return TreeTable((self,)).leaf_values(X)[0]
+    def __len__(self) -> int:
+        return self.roots.size
 
-    def to_dict(self) -> dict:
+    def predict(self, X) -> np.ndarray:
+        """A one-tree table's prediction for each row of ``X``."""
+        (values,) = self.leaf_values(check_prediction_data(X, self.n_features))
+        return values
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Tree ``t``'s prediction for row ``r`` of ``X`` at ``[t, r]``.
+        ``X`` is as ``check_prediction_data`` returns it: row-major, so
+        feature ``f`` of row ``r`` is ``X.ravel()[r * p + f]``. Every
+        (tree, row) pair moves down one level per step until all of them
+        are at leaves; ``X`` is finite, so ``x > threshold`` is exactly
+        ``not x <= threshold``, the fit's test."""
+        rows, p = X.shape
+        cells = X.ravel()
+        at = np.arange(rows) * p
+        node = np.repeat(self.roots[:, None], rows, axis=1)
+        for _ in range(self.max_depth):
+            left = self.left[node]
+            split = left >= 0
+            if not split.any():
+                break
+            right = cells[at + self.feature[node]] > self.threshold[node]
+            node = np.where(split, left + right, node)
+        return self.value[node]
+
+    def to_list(self) -> list[dict]:
+        """Each tree as a model file holds it: nested nodes under
+        ``root``, with the table's ``max_depth`` and ``n_features``."""
         feature, threshold, left, value = (
             a.tolist() for a in (self.feature, self.threshold, self.left, self.value)
         )
@@ -93,36 +120,40 @@ class RegressionTree:
                     "left": nodes[child],
                     "right": nodes[child + 1],
                 }
-        return {
-            "root": nodes[0],
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "n_features": self.n_features,
-        }
+        return [
+            {
+                "root": nodes[root],
+                "max_depth": self.max_depth,
+                # Every tree grown here may have one-row leaves.
+                "min_samples_leaf": 1,
+                "n_features": self.n_features,
+            }
+            for root in self.roots.tolist()
+        ]
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegressionTree":
-        """Read what :meth:`to_dict` writes; a node that splits on a
-        feature outside ``[0, n_features)``, or a tree deeper than its
-        ``max_depth``, raises :class:`ModelError`."""
-        feature, threshold, left, value, height = read_field(data, "root", _read_nodes)
-        max_depth = read_field(data, "max_depth", integer)
-        min_samples_leaf = read_field(data, "min_samples_leaf", integer)
-        n_features = read_field(data, "n_features", integer)
-        for f, child in zip(feature, left):
-            if child >= 0 and not 0 <= f < n_features:
-                raise ModelError(f"a node splits on feature {f}, outside [0, {n_features})")
-        if height > max_depth:
-            raise ModelError(f"a tree {height} levels deep has max_depth {max_depth}")
-        return cls(
-            feature=np.array(feature, dtype=np.intp),
-            threshold=np.array(threshold, dtype=np.float64),
-            left=np.array(left, dtype=np.intp),
-            value=np.array(value, dtype=np.float64),
-            max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
-            n_features=n_features,
+
+def _one_tree(feature, threshold, left, value, max_depth, n_features) -> TreeTable:
+    """The table of one tree's node lists."""
+    feature, left = (np.array(a, dtype=np.intp) for a in (feature, left))
+    threshold, value = (np.array(a, dtype=np.float64) for a in (threshold, value))
+    return TreeTable(feature, threshold, left, value, np.zeros(1, np.intp), max_depth, n_features)
+
+
+def join_tables(tables, max_depth: int, n_features: int) -> TreeTable:
+    """One table of the trees of ``tables``, in order."""
+    sizes = np.array([table.left.size for table in tables], dtype=np.intp)
+    counts = np.array([len(table) for table in tables], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    feature, threshold, left, value, roots = (
+        np.concatenate([np.empty(0, dtype)] + [getattr(table, name) for table in tables])
+        for name, dtype in (
+            ("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
+            ("value", np.float64), ("roots", np.intp),
         )
+    )
+    left = np.where(left >= 0, left + np.repeat(offsets, sizes), -1)
+    roots += np.repeat(offsets, counts)
+    return TreeTable(feature, threshold, left, value, roots, max_depth, n_features)
 
 
 def _read_nodes(root) -> tuple[list, list, list, list, int]:
@@ -165,62 +196,43 @@ def _node(data):
     return data
 
 
-class TreeTable:
-    """The nodes of several trees stacked into one set of arrays, so that
-    one pass routes every (tree, row) pair.
-
-    Node ``i`` of the table steps a row to ``step[i] - (x[feature[i]] <=
-    threshold[i])``: its left child or the one after it. A leaf steps
-    every row to itself (``step`` is its own id plus one and its threshold
-    infinite). No tree is deeper than its ``max_depth`` (no fitter grows
-    one and ``from_dict`` rejects one), so routing takes at most the
-    largest ``max_depth`` in steps."""
-
-    __slots__ = ("feature", "threshold", "step", "value", "roots", "depth")
-
-    def __init__(self, trees):
-        sizes = [tree.left.size for tree in trees]
-        self.roots = np.array([0, *accumulate(sizes)][:-1], dtype=np.intp)
-        self.feature, threshold, left, self.value = (
-            np.concatenate([np.empty(0, dtype)] + [getattr(tree, name) for tree in trees])
-            for name, dtype in (
-                ("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
-                ("value", np.float64),
-            )
-        )
-        split = left >= 0
-        self.step = np.where(split, left + np.repeat(self.roots, sizes), np.arange(left.size)) + 1
-        self.threshold = np.where(split, threshold, np.inf)
-        self.depth = max((tree.max_depth for tree in trees), default=0)
-
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Tree ``t``'s prediction for row ``r`` of ``X`` at ``[t, r]``.
-        ``X`` is as ``check_prediction_data`` returns it: row-major, so
-        feature ``f`` of row ``r`` is ``X.ravel()[r * p + f]``. Every pair
-        moves down one level per step until all of them are at leaves."""
-        rows, p = X.shape
-        cells = X.ravel()
-        at = np.arange(rows) * p
-        node = np.repeat(self.roots[:, None], rows, axis=1)
-        for _ in range(self.depth):
-            threshold = self.threshold[node]
-            if not (threshold < np.inf).any():
-                break
-            node = self.step[node] - (cells[at + self.feature[node]] <= threshold)
-        return self.value[node]
+def _read_tree(data: dict, t: int) -> TreeTable:
+    """Tree ``t`` of a model file, as :meth:`TreeTable.to_list` writes it;
+    a node that splits on a feature outside ``[0, n_features)``, a tree
+    deeper than its ``max_depth`` or a ``min_samples_leaf`` other than 1
+    raises :class:`ModelError`."""
+    feature, threshold, left, value, height = read_field(data, "root", _read_nodes)
+    max_depth = read_field(data, "max_depth", integer)
+    min_samples_leaf = read_field(data, "min_samples_leaf", integer)
+    n_features = read_field(data, "n_features", integer)
+    for f, child in zip(feature, left):
+        if child >= 0 and not 0 <= f < n_features:
+            raise ModelError(f"a node splits on feature {f}, outside [0, {n_features})")
+    if height > max_depth:
+        raise ModelError(f"a tree {height} levels deep has max_depth {max_depth}")
+    if min_samples_leaf != 1:
+        raise ModelError(f"tree {t} has min_samples_leaf {min_samples_leaf}, not 1")
+    return _one_tree(feature, threshold, left, value, max_depth, n_features)
 
 
-def read_trees(data: dict, n_features: int) -> tuple[RegressionTree, ...]:
-    """The ``trees`` field of an ensemble's file; a tree that reads other
-    than the ensemble's ``n_features`` columns raises :class:`ModelError`."""
-    trees = read_field(data, "trees", lambda ts: tuple(map(RegressionTree.from_dict, ts)))
-    for tree in trees:
+def read_trees(data: dict, n_features: int) -> TreeTable:
+    """The ``trees`` field of an ensemble's file as one table; a tree that
+    reads other than the ensemble's ``n_features`` columns, or whose
+    ``max_depth`` differs from the first tree's, raises
+    :class:`ModelError`."""
+    trees = read_field(data, "trees", lambda ts: [_read_tree(tr, t) for t, tr in enumerate(ts)])
+    for t, tree in enumerate(trees):
         if tree.n_features != n_features:
             raise ModelError(
                 f"field 'trees': a tree reads {tree.n_features} features, "
                 f"the model {n_features}"
             )
-    return trees
+        if tree.max_depth != trees[0].max_depth:
+            raise ModelError(
+                f"field 'trees': tree {t} has max_depth {tree.max_depth}, "
+                f"tree 0 has {trees[0].max_depth}"
+            )
+    return join_tables(trees, trees[0].max_depth if trees else 0, n_features)
 
 
 def sort_columns(X: np.ndarray) -> np.ndarray:
@@ -243,7 +255,8 @@ def check_features(X: np.ndarray) -> None:
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     """``X`` and ``y`` as float64 arrays, after the checks every fitter
     makes, in this order: ``X`` is 2-D, ``y`` is 1-D, their row counts
-    agree, there is a row, ``y`` is finite, ``X`` is finite."""
+    agree, there is a row, there is a column, ``y`` is finite, ``X`` is
+    finite."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -254,6 +267,8 @@ def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ModelError("X and y row counts differ")
     if X.shape[0] == 0:
         raise EmptyTrainingSet("no training rows")
+    if X.shape[1] == 0:
+        raise ModelError("X has 0 columns")
     if not np.all(np.isfinite(y)):
         raise NonFiniteTarget("target contains non-finite values")
     check_features(X)
@@ -281,10 +296,10 @@ def fit_tree(
     *,
     order: np.ndarray | None = None,
     fitted: np.ndarray | None = None,
-) -> RegressionTree:
-    """Fit a CART regression tree. A node is a leaf when it is at
-    ``max_depth``, holds fewer than two rows, has a constant target or
-    has no valid cut (one between two distinct values).
+) -> TreeTable:
+    """Fit a CART regression tree, as a one-tree table. A node is a leaf
+    when it is at ``max_depth``, holds fewer than two rows, has a constant
+    target or has no valid cut (one between two distinct values).
 
     ``features_per_node`` limits the split search at every node to a seeded
     random draw of that many features (the regression-forest convention);
@@ -368,58 +383,23 @@ def fit_tree(
     # build refers to itself; dropping the name breaks that cycle, so its
     # arrays are freed now rather than at the next garbage collection.
     del build, leaf
-    return RegressionTree(
-        feature=np.array(node_feature, dtype=np.intp),
-        threshold=np.array(node_threshold, dtype=np.float64),
-        left=np.array(node_left, dtype=np.intp),
-        value=np.array(node_value, dtype=np.float64),
-        max_depth=max_depth,
-        n_features=n_features,
-    )
+    return _one_tree(node_feature, node_threshold, node_left, node_value, max_depth, n_features)
 
 
-def grow_trees(
-    values: np.ndarray,
-    y: np.ndarray,
-    max_depth: int,
-    features_per_node: int | None,
-    seeds,
-) -> list[RegressionTree]:
-    """Grow one tree per leading index, all of them in lockstep: the
-    forest's learner for trees with few rows.
+def grow_depth_first(values, y, max_depth, seeds, widths, draws) -> tuple:
+    """Grow one tree per leading index in lockstep, the forest's learner
+    for trees with few rows, and return their :meth:`_Growth.nodes`.
 
-    Tree ``t`` trains on ``values[t]`` (p x n: row ``f`` is feature ``f``
-    of its n rows) and targets ``y[t]``; every row of ``values`` is
-    sorted once, by one stable ``argsort``. A tree that draws a
-    feature subset per node (``features_per_node`` below p) draws it from
-    ``SplitMix64(seeds[t])`` at each searched node in depth-first order,
-    so each step takes the next depth-first node of every unfinished
-    tree. One step searches all the nodes it takes in one set of array
-    calls and partitions the chosen ones into children in another.
-
-    Every tree is bitwise the one ``fit_tree`` grows from the same data,
-    order and seed: a node's arithmetic does not depend on the nodes it is
-    batched with.
-    """
-    p = values.shape[1]
-    draws = features_per_node if features_per_node is not None and features_per_node < p else None
-    return [
-        RegressionTree(*nodes, max_depth=max_depth, n_features=p)
-        for nodes in grow_depth_first(values, y, max_depth, seeds, p, draws)
-    ]
-
-
-def grow_depth_first(values, y, max_depth, seeds, widths, draws) -> list[tuple]:
-    """:func:`grow_trees`'s growth, for trees of several widths: each
-    tree's node arrays, the fields ``RegressionTree`` starts with.
-
-    Tree ``t``'s features are the first ``widths[t]`` rows of
-    ``values[t]``, the rest zero padding; each searched node draws
-    ``draws[t]`` of them from ``SplitMix64(seeds[t])``, or searches every
-    feature when ``draws`` is None. ``widths`` and ``draws`` are each an
+    Tree ``t`` trains on targets ``y[t]`` and the first ``widths[t]`` rows
+    of ``values[t]`` (p x n: row ``f`` is feature ``f`` of its n rows),
+    the rest zero padding. Each searched node draws ``draws[t]`` features
+    from ``SplitMix64(seeds[t])``, in depth-first order, or searches every
+    feature when ``draws`` is None; ``widths`` and ``draws`` are each an
     int or one per tree. A tree that draws fewer than the most must be
     narrower than ``values``: its draws are padded with its first padding
-    row, which has no valid cut.
+    row, which has no valid cut. Each step takes the next depth-first node
+    of every unfinished tree, and every tree is bitwise the one
+    ``fit_tree`` grows from the same data and seed.
     """
     growth = _Growth(values, max_depth)
     if draws is not None:
@@ -539,9 +519,9 @@ class _Growth:
 
     def grow(self, y, fitted: np.ndarray) -> list[tuple]:
         """Plant trees on targets ``y`` and grow them level by level: each
-        step searches every pending node of every tree. Returns each tree's
-        :meth:`nodes`; ``fitted`` (trees x n) receives each training row's
-        leaf value.
+        step searches every pending node of every tree. Returns the
+        trees' :meth:`nodes`; ``fitted`` (trees x n) receives each training
+        row's leaf value.
 
         Only for trees that draw no features per node: then no generator
         ties a node to a depth-first order, and each tree is bitwise the
@@ -719,12 +699,12 @@ class _Growth:
             chosen[several] = np.flatnonzero(cuts)[best]
         return feature[chosen], cut[chosen], threshold[chosen], above[chosen]
 
-    def nodes(self, fitted: np.ndarray | None = None) -> list[tuple]:
-        """Every tree's node arrays, the fields ``RegressionTree`` starts
-        with (feature, threshold, left, value), after setting each leaf to
-        the mean of its targets in index order. ``fitted``, a C-ordered
-        float64 array of trees x n, receives each training row's leaf
-        value."""
+    def nodes(self, fitted: np.ndarray | None = None) -> tuple:
+        """The trees' nodes as arrays of feature, threshold, left child,
+        value, each tree's nodes together, and each tree's node count,
+        after setting each leaf to the mean of its targets in index order.
+        ``fitted``, a C-ordered float64 array of trees x n, receives each
+        training row's leaf value."""
         count = self.count
         in_order = self.lists[:-1].reshape(self.n_trees, self.p + 1, self.n)[:, self.p].ravel()
         leaves = np.flatnonzero(self.left[:count] < 0)
@@ -743,25 +723,54 @@ class _Growth:
             value[group] = self.y[rows].sum(axis=1) / m
             if fitted is not None:
                 fitted.reshape(-1)[rows] = value[group, None]
-
-        # Each tree's nodes in id order, renumbered from 0: the root (node
-        # t) comes first, and two children, numbered together, stay
-        # together.
+        # Each tree's nodes together, in id order: the root (node t) comes
+        # first, and two children, numbered together, stay together.
         tree = self.tree[:count]
         order = np.argsort(tree, kind="stable")
-        sizes = np.bincount(tree, minlength=self.n_trees)
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        local = np.empty(count, dtype=np.intp)
-        local[order] = self.cells[:count] - np.repeat(starts, sizes)
+        at = np.empty_like(order)
+        at[order] = self.cells[:count]
         left = self.left[:count][order]
-        left = np.where(left >= 0, local[left], -1)
-        feature, threshold = self.feature[:count][order], self.threshold[:count][order]
-        value = value[order]
-        return [
-            (feature[a:b], threshold[a:b], left[a:b], value[a:b])
-            for a, b in zip(starts.tolist(), ends.tolist())
-        ]
+        return (
+            self.feature[:count][order], self.threshold[:count][order],
+            np.where(left >= 0, at[left], -1), value[order],
+            np.bincount(tree, minlength=self.n_trees),
+        )
+
+
+def _tables(parts, per_table: int, max_depth: int, widths) -> list[TreeTable]:
+    """One table per run of ``per_table`` trees, table ``k`` ``widths[k]``
+    features wide, from the nodes of one or more growths of equally many
+    trees, each as :meth:`_Growth.nodes` hands them out. Tree ``t`` of
+    growth ``g`` is tree ``t * len(parts) + g`` of the run, so that the
+    growths of a boosting run are its rounds. Each tree's nodes move as
+    one block, to where the run places it; the tables are views of one
+    set of arrays.
+    """
+    if not parts:  # boosters of no trees
+        return [join_tables([], max_depth, width) for width in widths]
+    run = np.array([part[4] for part in parts]).T.ravel()  # each tree's node count
+    roots = np.cumsum(run) - run
+    firsts = roots[::per_table]
+    feature, left = np.empty((2, run.sum()), dtype=np.intp)
+    threshold, value = np.empty((2, run.sum()))
+    for g, (f, th, lf, v, counts) in enumerate(parts):
+        # The growth's trees in the run; each moves its nodes by one shift,
+        # and its table numbers them from the table's first node.
+        trees = np.arange(counts.size) * len(parts) + g
+        shift = np.repeat(roots[trees] - (np.cumsum(counts) - counts), counts)
+        at = shift + np.arange(shift.size)
+        feature[at], threshold[at], value[at] = f, th, v
+        first = np.repeat(firsts[trees // per_table], counts)
+        left[at] = np.where(lf >= 0, lf + shift - first, -1)
+    ends = [*firsts[1:].tolist(), run.sum()]
+    roots = roots - np.repeat(firsts, per_table)
+    return [
+        TreeTable(
+            feature[a:b], threshold[a:b], left[a:b], value[a:b],
+            roots[k * per_table : (k + 1) * per_table], max_depth, width,
+        )
+        for k, (a, b, width) in enumerate(zip(firsts.tolist(), ends, widths))
+    ]
 
 
 def _mean(a: np.ndarray) -> float:

@@ -605,9 +605,14 @@ class TestMalformedArtifacts:
          "field 'trees': a tree 150 levels deep has max_depth 4"),
         ("rf", lambda d: d["trees"][-1].update(root=chain(11)),
          "field 'trees': a tree 11 levels deep has max_depth 10"),
+        ("gb", lambda d: d["trees"][3].update(max_depth=5),
+         "field 'trees': tree 3 has max_depth 5, tree 0 has 4"),
+        ("rf", lambda d: d["trees"][2].update(min_samples_leaf=2),
+         "field 'trees': tree 2 has min_samples_leaf 2, not 1"),
     ], ids=["svr-coefficients", "svr-kernel", "gb-feature-high", "gb-feature-negative",
             "gb-tree-width", "rf-no-trees", "gb-tree-300-levels", "gb-tree-150-levels",
-            "rf-tree-one-level-too-deep"])
+            "rf-tree-one-level-too-deep", "gb-tree-max-depth-differs",
+            "rf-tree-min-samples-leaf"])
     def test_model_fields_disagree(self, screen_dir, capsys, kind, edit, message):
         # Each file reads field by field; its fields must also fit together.
         assert run("train", "--dataset", DATASET, "--model", kind, "--seed", "3",
@@ -712,9 +717,12 @@ class TestMalformedArtifacts:
 
     def test_a_deep_tree_within_its_max_depth_reads(self, screen_dir):
         # The tree reader walks nodes with a stack of its own, so a tree
-        # as deep as its max_depth says reads at any depth json reads.
+        # as deep as its max_depth says reads at any depth json reads. The
+        # trees of a model share one max_depth.
         data = json.loads((screen_dir / "model.json").read_text())
-        data["trees"][0].update(root=chain(300), max_depth=300)
+        for tree in data["trees"]:
+            tree.update(max_depth=300)
+        data["trees"][0].update(root=chain(300))
         (screen_dir / "model.json").write_text(json.dumps(data))
         assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
                    "--out-json", str(screen_dir / "r.json"),

@@ -29,8 +29,8 @@ from molscreen.models import (
     model_to_dict,
 )
 from molscreen.models import forest, svr
-from molscreen.models.tree import check_training_data, grow_trees
-from test_tree import msc_training_splits
+from molscreen.models.tree import check_training_data
+from test_tree import msc_training_splits, node_graph, node_predict
 
 # The function each kind's batch fitter fits a batch together with.
 TOGETHER = {"gb": (boosting, "_fit_lockstep"), "rf": (forest, "_grow_forests"),
@@ -179,7 +179,9 @@ class TestRF:
         X = rng.normal(size=(20, 3))
         y = rng.normal(size=20)
         model = fit_rf(X, y, n_estimators=7)
-        stacked = np.stack([t.predict(X) for t in model.trees])
+        stacked = np.stack(
+            [node_predict(node_graph(model.trees, root), X) for root in model.trees.roots]
+        )
         assert np.allclose(model.predict(X), stacked.mean(axis=0))
 
     def test_table_defaults(self):
@@ -262,6 +264,16 @@ class TestSerialization:
             b = json.dumps(model_to_dict(fit_model(X, y, config)), sort_keys=True)
             assert a == b
 
+    def test_a_booster_without_trees_round_trips(self):
+        X, y = np.arange(8.0).reshape(4, 2), np.array([1.0, 2.0, 4.0, 9.0])
+        model = fit_gb(X, y, n_estimators=0)
+        assert len(model.trees) == 0
+        data = json.loads(json.dumps(model_to_dict(model)))
+        assert data["trees"] == []
+        loaded = model_from_dict(data)
+        assert model_to_dict(loaded) == model_to_dict(model)
+        assert loaded.predict(X).tolist() == [4.0] * 4
+
     def test_version_check(self):
         with pytest.raises(Exception):
             model_from_dict({"format_version": 99, "kind": "gb"})
@@ -277,8 +289,12 @@ class TestSerialization:
         ("svr", lambda d: d.update(support_vectors=[[1.0]]), "field 'support_vectors': "),
         ("gb", lambda d: d.update(n_features=float("inf")),
          "field 'n_features': expected an integer, got inf"),
+        ("gb", lambda d: d["trees"][1].update(max_depth=7),
+         "field 'trees': tree 1 has max_depth 7, tree 0 has 4"),
+        ("rf", lambda d: d["trees"][1].update(min_samples_leaf=3),
+         "field 'trees': tree 1 has min_samples_leaf 3, not 1"),
     ], ids=["missing", "not-a-list", "nested", "seed", "tree-field", "scalar", "shape",
-            "infinite-int"])
+            "infinite-int", "max-depth-differs", "min-samples-leaf"])
     def test_malformed_field_named(self, kind, edit, message):
         X = np.arange(12.0).reshape(6, 2)
         model = fit_model(X, X[:, 0], TrainConfig(kind=kind, seed=1, n_estimators=2))
@@ -379,6 +395,17 @@ class TestTrainingDataContract:
             with pytest.raises(ModelError, match=message):
                 check_training_data(X, y)
 
+    @pytest.mark.parametrize("fit", [
+        functools.partial(fit_tree, max_depth=2), fit_gb, fit_rf, fit_svr,
+        *(lambda X, y, kind=kind: fit_models([(X, y)], TrainConfig(kind=kind, seed=0), [0])
+          for kind in MODEL_KINDS),
+    ], ids=["fit_tree", "fit_gb", "fit_rf", "fit_svr", *(f"fit_models-{k}" for k in MODEL_KINDS)])
+    def test_a_matrix_without_columns_is_rejected(self, fit):
+        with pytest.raises(ModelError) as caught:
+            fit(np.zeros((5, 0)), np.arange(5.0))
+        assert type(caught.value) is ModelError
+        assert str(caught.value) == "X has 0 columns"
+
     def test_returns_float64_arrays(self):
         X, y = check_training_data([[1, 2], [3, 4]], [5, 6])
         assert X.dtype == y.dtype == np.float64
@@ -390,8 +417,6 @@ REQUIRED = inspect.Parameter.empty
 FITTER_PARAMETERS = {
     fit_tree: [("X", REQUIRED), ("y", REQUIRED), ("max_depth", REQUIRED),
                ("features_per_node", None), ("seed", 0), ("order", None), ("fitted", None)],
-    grow_trees: [("values", REQUIRED), ("y", REQUIRED), ("max_depth", REQUIRED),
-                 ("features_per_node", REQUIRED), ("seeds", REQUIRED)],
     fit_gb: [("X", REQUIRED), ("y", REQUIRED), ("n_estimators", 35), ("max_depth", 4),
              ("learning_rate", 0.1), ("seed", 0)],
     fit_gb_many: [("problems", REQUIRED), ("seeds", REQUIRED), ("n_estimators", 35),
@@ -414,7 +439,7 @@ class TestFitterSignatures:
 
     def test_settable_count(self):
         settable = [name for table in FITTER_PARAMETERS.values() for name, _ in table[2:]]
-        assert len(settable) == 25
+        assert len(settable) == 22
 
 
 class TestFitModels:
@@ -539,9 +564,8 @@ class TestFitModels:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_a_failing_fit_raises_before_a_later_problems_check(self, kind):
-        # A problem without columns fails in its fitter, not in the checks:
-        # it fails before the non-finite target of a later problem, as in a
-        # loop of fit_model.
+        # A problem without columns fails the checks before the non-finite
+        # target of a later problem, as in a loop of fit_model.
         problems = self.problems()
         problems[2] = (problems[2][0][:, :0], problems[2][1])
         problems[4] = (problems[4][0], np.full(9, np.nan))

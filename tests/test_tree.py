@@ -32,7 +32,7 @@ from molscreen.models import (
 from molscreen.models.tree import (
     EmptyTrainingSet,
     NonFiniteTarget,
-    RegressionTree,
+    TreeTable,
     check_prediction_data,
     check_training_data,
     sort_columns,
@@ -60,27 +60,30 @@ class Node:
         return self.value is not None
 
 
-def flat_tree(root: Node, max_depth: int, n_features: int) -> RegressionTree:
-    """The ``RegressionTree`` of a ``Node`` graph, numbered breadth first."""
-    feature, threshold, left, value = [], [], [], []
-    nodes = [root]
-    for node in nodes:  # grows as it goes
-        split = not node.is_leaf
-        feature.append(node.feature if split else 0)
-        threshold.append(node.threshold if split else 0.0)
-        left.append(len(nodes) if split else -1)
-        value.append(0.0 if split else node.value)
-        if split:
-            nodes += (node.left, node.right)
-    return RegressionTree(
-        feature=np.array(feature, dtype=np.intp), threshold=np.array(threshold),
-        left=np.array(left, dtype=np.intp), value=np.array(value),
-        max_depth=max_depth, n_features=n_features,
+def flat_tree(roots: list[Node], max_depth: int, n_features: int) -> TreeTable:
+    """The ``TreeTable`` of ``Node`` graphs, one tree per root, each tree
+    numbered breadth first after the trees before it."""
+    feature, threshold, left, value, firsts = [], [], [], [], []
+    for root in roots:
+        firsts.append(len(left))
+        nodes = [root]
+        for node in nodes:  # grows as it goes
+            split = not node.is_leaf
+            feature.append(node.feature if split else 0)
+            threshold.append(node.threshold if split else 0.0)
+            left.append(firsts[-1] + len(nodes) if split else -1)
+            value.append(0.0 if split else node.value)
+            if split:
+                nodes += (node.left, node.right)
+    return TreeTable(
+        feature=np.array(feature, dtype=np.intp), threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.intp), value=np.array(value, dtype=float),
+        roots=np.array(firsts, dtype=np.intp), max_depth=max_depth, n_features=n_features,
     )
 
 
-def node_graph(tree: RegressionTree, i: int = 0) -> Node:
-    """Node ``i`` of a flat tree and everything below it as ``Node``s."""
+def node_graph(tree: TreeTable, i: int = 0) -> Node:
+    """Node ``i`` of a table and everything below it as ``Node``s."""
     child = int(tree.left[i])
     if child < 0:
         return Node(value=float(tree.value[i]))
@@ -109,16 +112,16 @@ def oracle_predict(model, X) -> np.ndarray:
     """``model.predict(X)`` for a tree, a booster or a forest, each tree
     routed node by node and the trees summed one by one in order."""
     X = check_prediction_data(X, model.n_features)
-    if isinstance(model, RegressionTree):
+    if isinstance(model, TreeTable):
         return node_predict(node_graph(model), X)
     if isinstance(model, GBModel):
         out = np.full(X.shape[0], model.init_value, dtype=np.float64)
-        for tree in model.trees:
-            out += model.learning_rate * node_predict(node_graph(tree), X)
+        for root in model.trees.roots.tolist():
+            out += model.learning_rate * node_predict(node_graph(model.trees, root), X)
         return out
     total = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in model.trees:
-        total += node_predict(node_graph(tree), X)
+    for root in model.trees.roots.tolist():
+        total += node_predict(node_graph(model.trees, root), X)
     return total / len(model.trees)
 
 
@@ -129,7 +132,7 @@ def threshold_rows(model, base: np.ndarray) -> np.ndarray:
     yet is set to take the path: the threshold toward a left child, the
     next float above it toward a right one."""
     rows = []
-    for tree in getattr(model, "trees", (model,)):
+    for tree in (getattr(model, "trees", model),):  # one table holds all trees
         left = tree.left.tolist()
         parent = {}
         for i, child in enumerate(left):
@@ -209,7 +212,7 @@ def oracle_fit_tree(X, y, max_depth, features_per_node=None, seed=0, order=None,
     root = build(np.arange(X.shape[0]), 0)
     if fitted is not None:
         fitted[:] = node_predict(root, X)
-    return flat_tree(root, max_depth, n_features)
+    return flat_tree([root], max_depth, n_features)
 
 
 def oracle_best_split(X, y):
@@ -305,7 +308,7 @@ LARGE = {"bench_like_a": bench_like(1), "bench_like_b": bench_like(2)}
 
 
 def dumps(model) -> str:
-    return json.dumps(model.to_dict())
+    return json.dumps(model.to_list() if isinstance(model, TreeTable) else model.to_dict())
 
 
 def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1, seed=0):
@@ -343,7 +346,7 @@ def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1, seed=0)
     return GBModel(
         init_value=init,
         learning_rate=learning_rate,
-        trees=tuple(trees),
+        trees=flat_tree([node_graph(tree) for tree in trees], max_depth, X.shape[1]),
         n_features=X.shape[1],
         config=config,
     )
@@ -387,7 +390,7 @@ def oracle_fit_rf(X, y, n_estimators=55, max_depth=10, bootstrap=True,
         "seed": seed,
     }
     return RFModel(
-        trees=tuple(trees),
+        trees=flat_tree([node_graph(tree) for tree in trees], max_depth, p),
         tree_seeds=tree_seeds,
         n_features=p,
         config=config,
@@ -663,6 +666,21 @@ def test_forest_grown_in_chunks_matches_oracle(chunk_bytes, learner, monkeypatch
         model = fit_rf(X, y, **kwargs)
         assert dumps(model) == dumps(oracle_fit_rf(X, y, **kwargs))
         assert_predicts_like_oracle(model, X)
+
+
+def test_forest_mixing_lockstep_chunks_and_single_trees_matches_oracle(monkeypatch):
+    # 8,640 bytes a tree here: chunks of two trees, and of one for the
+    # seventh. 40 rows per tree grow in lockstep in a chunk of two (up to
+    # 2 x 30 rows) and through fit_tree alone (above 1 x 30 rows).
+    monkeypatch.setattr(forest, "_CHUNK_BYTES", 20000)
+    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", 30)
+    single = []
+    monkeypatch.setattr(forest, "fit_tree", lambda *args: single.append(1) or fit_tree(*args))
+    X, y = SMALL["integer_ties"]
+    model = fit_rf(X, y, n_estimators=7, seed=2)
+    assert len(single) == 1 and len(model.trees) == 7
+    assert dumps(model) == dumps(oracle_fit_rf(X, y, n_estimators=7, seed=2))
+    assert_predicts_like_oracle(model, X)
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
