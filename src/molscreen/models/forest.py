@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataio import integer, json_object
-from ..rng import SplitMix64, derive_seed
+from ..rng import SplitMix64, below_many, derive_seed
 from .batch import fit_many
 from .tree import (
     _CHUNK_BYTES,
@@ -55,11 +55,12 @@ _LOCKSTEP_ROWS_PER_TREE = 50
 # chunks of at most this many bytes of lockstep state (at least two
 # forests; a chunk of one goes through fit_rf). Each forest in a growth
 # adds its state and widens the steps: on msc training splits of
-# additives24.csv (18 rows, 55 trees), time per forest was 16.3 ms grown
-# alone, 13.3 ms two to a growth, 12.5 at three, 11.7 at four and 11.5 at
-# twelve (fastest of seven), and a growth's tracemalloc peak 0.9 MB alone,
-# 1.3 MB at two, 1.7 at three, 2.1 at four and 6.0 at twelve. evaluate
-# fits its rf repeats three at a time (models.KINDS).
+# additives24.csv (18 rows, 55 trees), time per forest was 11.1 ms grown
+# alone, 8.8 ms two to a growth, 8.0 at three, 7.6 at four and 7.4 at
+# twelve (fastest of five), and a growth's tracemalloc peak 1.0 MB alone,
+# 1.4 MB at two, 1.8 at three, 2.3 at four and 6.0 at twelve. evaluate
+# fits its rf repeats three at a time (models.KINDS): four at a time
+# raised a 200-repeat rf evaluate's peak RSS by 1.0 MB.
 _FORESTS_BYTES = 1 << 21
 
 
@@ -127,8 +128,9 @@ def _per_node(p: int, max_features: int | None = None) -> int:
 
 
 def _bootstrap(tree_seeds, n: int) -> np.ndarray:
-    """Each tree's n bootstrap rows, one row of the result per tree."""
-    return np.array([SplitMix64(derive_seed(seed, 0)).below_many(n, n) for seed in tree_seeds])
+    """Each tree's n bootstrap rows, one row of the result per tree, all
+    drawn in one pass."""
+    return below_many([SplitMix64(derive_seed(seed, 0)) for seed in tree_seeds], n, n)
 
 
 def _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed) -> RFModel:
@@ -226,8 +228,8 @@ def fit_rf_many(problems, seeds, n_estimators: int = 55, max_depth: int = 10) ->
 
 def _grow_forests(data, seeds, n_estimators, max_depth) -> list[RFModel]:
     """``fit_rf`` of each ``(X, y)`` in ``data``, all with the same row
-    count, with every tree of every forest grown in one
-    ``grow_depth_first``.
+    count, with the bootstrap rows of every tree of every forest drawn in
+    one pass and all the trees grown in one ``grow_depth_first``.
 
     A narrower ``X`` is padded with zero columns after its own, as
     ``boosting._fit_lockstep`` pads: a constant column has no valid cut.
@@ -240,16 +242,15 @@ def _grow_forests(data, seeds, n_estimators, max_depth) -> list[RFModel]:
     widths = [X.shape[1] for X, _ in data]
     values = np.zeros((len(data) * n_estimators, max(widths), n))
     targets = np.empty((len(data) * n_estimators, n))
-    tree_seeds, node_seeds, draws = [], [], []
-    for f, ((X, y), seed) in enumerate(zip(data, seeds)):
-        forest_seeds = tuple(derive_seed(seed, t) for t in range(n_estimators))
-        rows = _bootstrap(forest_seeds, n)
+    tree_seeds = [tuple(derive_seed(seed, t) for t in range(n_estimators)) for seed in seeds]
+    every_tree = [tree_seed for forest_seeds in tree_seeds for tree_seed in forest_seeds]
+    rows = _bootstrap(every_tree, n)
+    for f, (X, y) in enumerate(data):
         block = slice(f * n_estimators, (f + 1) * n_estimators)
-        values[block, : widths[f]] = X[rows].transpose(0, 2, 1)
-        targets[block] = y[rows]
-        tree_seeds.append(forest_seeds)
-        node_seeds += [derive_seed(tree_seed, 1) for tree_seed in forest_seeds]
-        draws.append(_per_node(widths[f]))
+        values[block, : widths[f]] = X[rows[block]].transpose(0, 2, 1)
+        targets[block] = y[rows[block]]
+    node_seeds = [derive_seed(tree_seed, 1) for tree_seed in every_tree]
+    draws = [_per_node(width) for width in widths]
     nodes = grow_depth_first(
         values, targets, max_depth, node_seeds,
         np.repeat(widths, n_estimators), np.repeat(draws, n_estimators),

@@ -670,11 +670,12 @@ class _Growth:
         (feature, position) order per node).
 
         Different features can induce the *same* partition (e.g. both
-        split off one extreme row); their prefix-sum costs then differ only
-        by rounding. A node whose near cuts all induce one partition keeps
-        its first, as ``_rescore`` would; the others re-score their near
-        cuts exactly (``_rescore_many``), over their rows in index order
-        (``in_order``).
+        split off one extreme row), or its mirror (two features ordering
+        the rows in opposite directions); their prefix-sum costs then
+        differ only by rounding. A node whose near cuts all induce one
+        unordered partition keeps its first, as ``_rescore`` would; the
+        others are re-scored one node at a time by ``_rescore``, over
+        their rows in index order (``in_order``).
         """
         which, flat = np.nonzero(near)
         feature, cut = np.divmod(flat, xs.shape[2] - 1)
@@ -683,20 +684,18 @@ class _Growth:
         threshold = (xs[b, feature, cut] + above) / 2.0
         rows = in_order[b]
         # Each near cut's left rows among its node's rows in index order.
-        # Padded cells repeat the last row, so they agree wherever the real
-        # cells do.
+        # Padded cells repeat the last row, so a mask that equals the first
+        # cut's, or its complement, on the real cells does on them too.
         goes_left = self.values[shift[b, feature][:, None] + rows] <= threshold[:, None]
         counts = near.sum(axis=1)
         chosen = np.cumsum(counts) - counts
-        same = (goes_left == np.repeat(goes_left[chosen], counts, axis=0)).all(axis=1)
-        several = ~np.logical_and.reduceat(same, chosen)
-        if several.any():
-            cuts = np.repeat(several, counts)
-            node = which[cuts]
-            best = _rescore_many(
-                goes_left[cuts], self.y[rows[cuts]], size[node], node, feature[cuts], threshold[cuts]
+        differs = goes_left ^ np.repeat(goes_left[chosen], counts, axis=0)
+        same = ~differs.any(axis=1) | differs.all(axis=1)
+        for i in np.flatnonzero(~np.logical_and.reduceat(same, chosen)).tolist():
+            cuts, m = slice(chosen[i], chosen[i] + counts[i]), size[i]
+            chosen[i] += _rescore(
+                goes_left[cuts, :m], feature[cuts], threshold[cuts], self.y[rows[chosen[i], :m]]
             )
-            chosen[several] = np.flatnonzero(cuts)[best]
         return feature[chosen], cut[chosen], threshold[chosen], above[chosen]
 
     def nodes(self, fitted: np.ndarray | None = None) -> tuple:
@@ -825,46 +824,6 @@ def _best_split(values, starts, rows, idx, y, target):
     return int(features[k]), float(thresholds[k]), goes_left[k]
 
 
-def _rescore_many(goes_left, target, size, node, features, thresholds) -> np.ndarray:
-    """For each node, which of its near-minimal cuts is best by its exact
-    children SSE; ties go to the smallest feature, then the smallest
-    threshold, then the first cut. One cut index per node, in node order.
-
-    Row ``j`` of ``goes_left`` marks cut ``j``'s left rows among its
-    node's rows in index order, whose targets are row ``j`` of ``target``;
-    only its first ``size[j]`` cells are the node's, and ``node`` is
-    nondecreasing. Each side of a cut is scored as ``_rescore`` scores it:
-    the sum of ``(v - mean) ** 2`` over its rows in index order, with the
-    mean a sum over its length. Pairwise sums depend on length, so a side
-    is summed together only with sides of the same length.
-
-    This pays off over the many small tied nodes of a lockstep step; for
-    one node at a time ``_rescore`` is faster (11 trees of 2,000 rows grown
-    through ``fit_tree`` took 1.37 s with this function, 0.98 s without).
-    """
-    cuts, width = goes_left.shape
-    cells = np.arange(width)
-    real = cells < size[:, None]
-    n_left = (goes_left & real).sum(axis=1)
-    # Each cut's targets: its left rows, then its right rows, each in
-    # index order.
-    order = np.argsort(np.where(real, ~goes_left, 2), axis=1, kind="stable")
-    sides = np.take_along_axis(target, order, axis=1).ravel()
-    # Side s < cuts is cut s's left side, side cuts + s its right one.
-    start = np.concatenate((np.arange(cuts) * width, np.arange(cuts) * width + n_left))
-    length = np.concatenate((n_left, size - n_left))
-    by_length = np.argsort(length, kind="stable")
-    length = length[by_length]
-    bounds = [0] + (np.flatnonzero(np.diff(length)) + 1).tolist() + [length.size]
-    sse = np.empty(2 * cuts)
-    for a, z in zip(bounds[:-1], bounds[1:]):
-        pick, m = by_length[a:z], int(length[a])
-        v = sides[start[pick][:, None] + cells[:m]]
-        sse[pick] = ((v - (v.sum(axis=1) / m)[:, None]) ** 2).sum(axis=1)
-    best = np.lexsort((thresholds, features, sse[:cuts] + sse[cuts:], node))
-    return best[np.flatnonzero(np.diff(node[best], prepend=-1))]
-
-
 def _rescore(goes_left, features, thresholds, target) -> int:
     """Which of one node's near-minimal cuts is best by its exact children
     SSE; ties go to the smallest feature, then the smallest threshold.
@@ -872,10 +831,14 @@ def _rescore(goes_left, features, thresholds, target) -> int:
     Row ``k`` of ``goes_left`` marks cut ``k``'s left rows among the
     node's rows in index order, whose targets are ``target``. The direct
     formula over rows in index order is bitwise identical for identical
-    partitions, so each distinct partition is scored once, and none when
-    all cuts induce one partition (the first then wins).
+    partitions, and for a partition and its mirror (left and right
+    swapped: the same two sums, added the other way round), so each
+    distinct unordered partition is scored once, and none when all cuts
+    induce one (the first then wins).
     """
-    keys = [go_left.tobytes() for go_left in goes_left]
+    # Each mask as its unordered partition: flipped so that it sends the
+    # node's first row left.
+    keys = [key.tobytes() for key in goes_left ^ ~goes_left[:, :1]]
     if keys.count(keys[0]) == len(keys):
         return 0
     scored: dict[bytes, float] = {}

@@ -51,23 +51,6 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
-    def below_many(self, n: int, count: int) -> np.ndarray:
-        """``[self.below(n) for _ in range(count)]`` as an array, leaving
-        the generator in the same state. The stream is computed in numpy's
-        wrapping uint64 arithmetic; a block that holds a draw ``below``
-        would reject falls back to the loop."""
-        if not 0 < n <= 1 << 63:
-            raise ValueError("below_many() requires 1 <= n <= 2**63")
-        state = self._state
-        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        if _SPAN % n and (z >= np.uint64(_SPAN - _SPAN % n)).any():
-            return np.array([self.below(n) for _ in range(count)], dtype=np.intp)
-        self._state = (state + _GAMMA * count) & _MASK
-        return (z % np.uint64(n)).astype(np.intp)
-
     def sample(self, items: list, k: int) -> list:
         """k items drawn without replacement, by partial Fisher-Yates.
 
@@ -94,6 +77,42 @@ class SplitMix64:
             pool[i], pool[j] = pool[j], pool[i]
         self._state = state
         return pool[:k] if k > 0 else []
+
+
+def _streams(generators: list, count: int) -> np.ndarray:
+    """The next ``count`` values of every generator's ``next_u64``, one
+    row per generator, computed in numpy's wrapping uint64 arithmetic
+    without advancing any generator."""
+    states = np.array([g._state for g in generators], dtype=np.uint64)
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + states[:, None]
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def below_many(generators: list, n: int, count: int) -> np.ndarray:
+    """``[[g.below(n) for _ in range(count)] for g in generators]`` as a
+    ``(len(generators), count)`` array, leaving every generator in the
+    same state. The draws of all generators are computed at once; a
+    generator whose block holds a draw ``below`` would reject falls back
+    to its loop."""
+    if not 0 < n <= 1 << 63:
+        raise ValueError("below_many() requires 1 <= n <= 2**63")
+    z = _streams(generators, count)
+    out = (z % np.uint64(n)).astype(np.intp)
+    if _SPAN % n:
+        rejected = (z >= np.uint64(_SPAN - _SPAN % n)).any(axis=1).tolist()
+    else:
+        rejected = [False] * len(generators)
+    for g, row, redraw in zip(generators, out, rejected):
+        if redraw:
+            row[:] = [g.below(n) for _ in range(count)]
+        else:
+            g._state = (g._state + _GAMMA * count) & _MASK
+    return out
 
 
 # Measured with 14 items and k = 5: the array draws cost about 80 us per
@@ -124,11 +143,7 @@ def sample_many(generators: list, n, k) -> np.ndarray:
         for t, (g, n_t, k_t) in enumerate(zip(generators, n.tolist(), k.tolist())):
             out[t, :k_t] = g.sample(list(range(n_t)), k_t)
         return out
-    states = np.array([g._state for g in generators], dtype=np.uint64)
-    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GAMMA) + states[:, None]
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z = _streams(generators, width)
     position = np.arange(width)
     live = position < k[:, None]
     # The population left at each draw; 1 past a generator's last draw,

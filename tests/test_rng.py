@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from molscreen import rng
-from molscreen.rng import SplitMix64, derive_seed, sample_many
+from molscreen.rng import SplitMix64, below_many, derive_seed, sample_many
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -76,28 +76,42 @@ def test_sample_larger_than_population_rejected():
 
 
 def test_below_many_equals_the_loop_over_below():
+    # Up to six generators a call, among them none; bounds near 2**63
+    # reject about a quarter of all values ((1 << 62) + 5), or almost none.
+    bounds = (1, 2, 3, 7, 21, 2000, (1 << 62) + 5, (1 << 63) - 1, 1 << 63)
     for index in range(500):
-        seed = derive_seed(11, index)
-        n = (1, 2, 3, 7, 21, 2000, (1 << 62) + 5, 1 << 63)[index % 8]
-        new, old = SplitMix64(seed), SplitMix64(seed)
+        n = bounds[index % len(bounds)]
         count = index % 50
-        assert new.below_many(n, count).tolist() == [old.below(n) for _ in range(count)]
-        assert new.next_u64() == old.next_u64()
+        seeds = [derive_seed(11, 8 * index + t) for t in range(index % 7)]
+        new = [SplitMix64(seed) for seed in seeds]
+        old = [SplitMix64(seed) for seed in seeds]
+        drawn = below_many(new, n, count)
+        assert drawn.shape == (len(seeds), count)
+        assert drawn.tolist() == [[g.below(n) for _ in range(count)] for g in old]
+        assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
 
 
-def test_below_many_redraws_a_rejected_value():
-    # 2**64 - 1 is the one value below(3) rejects: put it third in the block.
-    state = (unmix(MASK) - 3 * GAMMA) & MASK
-    new, old = SplitMix64(0), SplitMix64(0)
-    new._state = old._state = state
-    assert new.below_many(3, 6).tolist() == [old.below(3) for _ in range(6)]
-    assert new.next_u64() == old.next_u64()
+def test_below_many_redraws_a_rejected_value(monkeypatch):
+    # 2**64 - 1 is the one value below(3) rejects: put it third in the
+    # block of the second of three generators.
+    new = [SplitMix64(derive_seed(4, t)) for t in range(3)]
+    old = [SplitMix64(derive_seed(4, t)) for t in range(3)]
+    new[1]._state = old[1]._state = (unmix(MASK) - 3 * GAMMA) & MASK
+    expected = [[g.below(3) for _ in range(6)] for g in old]
+    # Only the second generator falls back to its loop; its neighbours
+    # take the array path.
+    looped = []
+    below = SplitMix64.below
+    monkeypatch.setattr(SplitMix64, "below", lambda g, n: looped.append(g) or below(g, n))
+    assert below_many(new, 3, 6).tolist() == expected
+    assert looped == [new[1]] * 6
+    assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
 
 
 @pytest.mark.parametrize("n", [0, -1, (1 << 63) + 1])
 def test_below_many_rejects_an_out_of_range_bound(n):
     with pytest.raises(ValueError):
-        SplitMix64(1).below_many(n, 3)
+        below_many([SplitMix64(1)], n, 3)
 
 
 @pytest.mark.parametrize("below", [0, 10**9])

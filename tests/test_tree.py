@@ -25,9 +25,11 @@ from molscreen.models import (
     fit_gb_many,
     fit_model,
     fit_rf,
+    fit_rf_many,
     fit_tree,
     forest,
     load_model,
+    tree,
 )
 from molscreen.models.tree import (
     EmptyTrainingSet,
@@ -300,6 +302,19 @@ def small_problems():
         X = rng.integers(0, int(rng.integers(2, 6)), size=(n, p)).astype(float)
         y = rng.integers(0, 3, size=n).astype(float)
         cases[f"random_ties_{i}"] = (X, y)
+    # Cuts and their mirrors: a 0/1 key beside its complement, and a count
+    # beside a column decreasing in it, order the rows in opposite
+    # directions.
+    key = rng.integers(0, 2, size=18).astype(float)
+    count = rng.integers(0, 6, size=18).astype(float)
+    other = rng.integers(0, 3, size=18).astype(float)
+    cases["mirrored_keys"] = (np.column_stack([key, 1.0 - key, count, 12.0 - 2.0 * count, other]),
+                              rng.integers(0, 4, size=18).astype(float))
+    # Targets symmetric about 1: cutting off the 0s and cutting off the 2s
+    # are two partitions of equal exact SSE, and the reversed second column
+    # induces the mirror of each.
+    sym = rng.permutation(np.repeat([0.0, 1.0, 2.0], 4))
+    cases["mirrored_equal_partitions"] = (np.column_stack([sym, 2.0 - sym]), sym)
     return cases
 
 
@@ -441,6 +456,47 @@ def test_gb_and_rf_match_oracle_on_small_problems(name, oracle):
         model = fit_rf(X, y, **kwargs)
         assert dumps(model) == dumps(oracle(fit_rf, X, y, **kwargs))
         assert_predicts_like_oracle(model, X)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_lockstep_gb_and_rf_match_oracle_on_small_problems(name, oracle, monkeypatch):
+    # Three problems of one row count grow together: the boosters in one
+    # lockstep growth, the forests in one _grow_forests.
+    monkeypatch.setattr(boosting, "_LOCKSTEP_BOOSTERS", 3)
+    X, y = SMALL[name]
+    problems = [(X, y), (X[::-1], y[::-1]), (X, 3.0 - y)]
+    seeds = [0, 1, 2]
+    for kwargs in ({}, {"max_depth": 3}):
+        models = fit_gb_many(problems, seeds, **kwargs)
+        for model, (X, y), seed in zip(models, problems, seeds):
+            assert dumps(model) == dumps(oracle(fit_gb, X, y, seed=seed, **kwargs))
+    models = fit_rf_many(problems, seeds, n_estimators=9)
+    for model, (X, y), seed in zip(models, problems, seeds):
+        assert dumps(model) == dumps(oracle(fit_rf, X, y, n_estimators=9, seed=seed))
+        assert_predicts_like_oracle(model, X)
+
+
+def test_distinct_tied_partitions_are_rescored_on_both_paths(oracle, monkeypatch):
+    # Case (b)'s tied nodes reach _rescore with two distinct partitions
+    # from fit_tree (_best_split) and from lockstep boosters
+    # (_Growth._settle), counting a mirror as the same partition.
+    X, y = SMALL["mirrored_equal_partitions"]
+    partitions = []
+    rescore = tree._rescore
+
+    def counted(goes_left, *args):
+        partitions.append(len({(g if g[0] else ~g).tobytes() for g in goes_left}))
+        return rescore(goes_left, *args)
+
+    monkeypatch.setattr(tree, "_rescore", counted)
+    assert dumps(fit_tree(X, y, max_depth=8)) == dumps(oracle_fit_tree(X, y, max_depth=8))
+    assert 2 in partitions
+    partitions.clear()
+    monkeypatch.setattr(boosting, "_LOCKSTEP_BOOSTERS", 3)
+    for model, seed in zip(fit_gb_many([(X, y)] * 3, [0, 1, 2]), [0, 1, 2]):
+        assert dumps(model) == dumps(oracle(fit_gb, X, y, seed=seed))
+    # _settle keeps the first cut of a node with one partition itself.
+    assert partitions and min(partitions) >= 2
 
 
 @pytest.mark.parametrize("name", sorted(LARGE))
