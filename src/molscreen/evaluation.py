@@ -325,9 +325,10 @@ def _run_together(features, targets, splits, model_config, seeds) -> list[Repeat
             except SelectionError as error:
                 failure = error
                 break
-        fitted = fit_models(
-            [part[:2] for part in parts], model_config, seeds[first : first + len(parts)]
-        )
+        if parts:  # an empty batch would still check the hyperparameters
+            fitted = fit_models(
+                [part[:2] for part in parts], model_config, seeds[first : first + len(parts)]
+            )
         if failure is not None:
             raise failure
         pairs += [

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .tree import check_training_data
+from .tree import ModelError, check_training_data
 
 
 def fit_many(
@@ -24,18 +24,24 @@ def fit_many(
     """``fit(X, y, seed)`` for each ``(X, y)`` of ``problems`` and its
     seed, in order, with the problems that may be fitted together fitted
     by ``together(data, seeds)`` instead, which returns the same models.
+    ``problems`` and ``seeds`` must be equally long.
 
     Each problem's data is checked in order, and ``check()`` (the
     hyperparameter checks) runs after the first problem's, as every fitter
-    checks its data and then its hyperparameters. A problem of ``n`` rows
-    and ``p`` columns for which ``joins(n, p)`` is false is fitted by
-    ``fit`` then and there, so a failure raises the error that a loop of
-    ``fit`` raises first.
+    checks its data and then its hyperparameters, or at once when there
+    are no problems. A problem of ``n`` rows and ``p`` columns for which
+    ``joins(n, p)`` is false is fitted by ``fit`` then and there, so a
+    failure raises the error that a loop of ``fit`` raises first.
 
     The other problems form one group per row count, cut into equal chunks
     of at most ``budget`` bytes, ``cost(n, p)`` a problem with the group's
     widest ``p``; a chunk of fewer than ``smallest`` goes through ``fit``.
     """
+    problems, seeds = list(problems), list(seeds)
+    if len(problems) != len(seeds):
+        raise ModelError(f"{len(problems)} problems but {len(seeds)} seeds")
+    if not problems:
+        check()
     models: list = []
     groups: dict[int, list[tuple]] = {}
     for i, ((X, y), seed) in enumerate(zip(problems, seeds)):

@@ -9,7 +9,10 @@ seeds are pre-derived from the master seed, so fitting trees in any order
 
 ``fit_rf`` fits one forest; ``fit_rf_many`` fits many on unrelated data,
 such as the repeats of an evaluation, and grows the trees of several
-forests with one training-row count in one lockstep growth.
+forests with one training-row count in one lockstep growth. One rule,
+:func:`_lockstep`, picks each forest's learner once: all its trees grow
+in lockstep through :func:`_grow_forests`, alone or with other forests,
+or tree by tree through ``fit_tree``.
 """
 
 from __future__ import annotations
@@ -39,28 +42,28 @@ from .tree import (
 
 # Trees grown in lockstep hold, per tree and training row, p feature
 # values, p + 1 row lists and room for two nodes in eight node arrays:
-# about 16 p + 136 bytes. fit_rf grows a forest in equal chunks of trees
-# of at most _CHUNK_BYTES (at least one tree per chunk).
+# about 16 p + 136 bytes (_state_bytes). A forest whose trees would hold
+# more than _CHUNK_BYTES grows tree by tree.
 #
-# Lockstep growth shares each step's per-call overhead among the chunk's
+# Lockstep growth shares each step's per-call overhead among the forest's
 # trees, but costs more per row than fit_tree (padded cells, a scatter
-# partition). So a chunk's trees grow in lockstep only while they have at
-# most this many training rows per tree in the chunk, and one by one
-# through fit_tree above it. Measured on bench-like 24-column problems,
-# lockstep time over fit_tree time: 0.90 at 300 rows x 11 trees, 1.03 at
-# 600 x 11, 1.06 at 1,000 x 11, 0.88 at 2,000 x 22, 0.68 at 2,000 x 55.
+# partition). So a forest grows in lockstep only while it has at most
+# this many training rows per tree, and tree by tree through fit_tree
+# above it. Measured on bench-like 24-column problems, lockstep time over
+# fit_tree time: 0.90 at 300 rows x 11 trees, 1.03 at 600 x 11, 1.06 at
+# 1,000 x 11, 0.88 at 2,000 x 22, 0.68 at 2,000 x 55.
 _LOCKSTEP_ROWS_PER_TREE = 50
 
-# fit_rf_many grows the forests of one training-row count together, in
-# chunks of at most this many bytes of lockstep state (at least two
-# forests; a chunk of one goes through fit_rf). Each forest in a growth
-# adds its state and widens the steps: on msc training splits of
-# additives24.csv (18 rows, 55 trees), time per forest was 11.1 ms grown
-# alone, 8.8 ms two to a growth, 8.0 at three, 7.6 at four and 7.4 at
-# twelve (fastest of five), and a growth's tracemalloc peak 1.0 MB alone,
-# 1.4 MB at two, 1.8 at three, 2.3 at four and 6.0 at twelve. evaluate
-# fits its rf repeats three at a time (models.KINDS): four at a time
-# raised a 200-repeat rf evaluate's peak RSS by 1.0 MB.
+# fit_rf_many grows the lockstep forests of one training-row count
+# together, in chunks of at most this many bytes of lockstep state (at
+# least one forest). Each forest in a growth adds its state and widens
+# the steps: on msc training splits of additives24.csv (18 rows, 55
+# trees), time per forest was 11.1 ms grown alone, 8.8 ms two to a
+# growth, 8.0 at three, 7.6 at four and 7.4 at twelve (fastest of five),
+# and a growth's tracemalloc peak 1.0 MB alone, 1.4 MB at two, 1.8 at
+# three, 2.3 at four and 6.0 at twelve. evaluate fits its rf repeats
+# three at a time (models.KINDS): four at a time raised a 200-repeat rf
+# evaluate's peak RSS by 1.0 MB.
 _FORESTS_BYTES = 1 << 21
 
 
@@ -127,10 +130,25 @@ def _per_node(p: int, max_features: int | None = None) -> int:
     return min(max_features if max_features is not None else max(1, math.ceil(p / 3)), p)
 
 
-def _bootstrap(tree_seeds, n: int) -> np.ndarray:
-    """Each tree's n bootstrap rows, one row of the result per tree, all
-    drawn in one pass."""
+def _rows(tree_seeds, n: int, bootstrap: bool) -> np.ndarray:
+    """Each tree's n training rows, one row of the result per tree: its
+    bootstrap draws, all drawn in one pass, or every row in order."""
+    if not bootstrap:
+        return np.broadcast_to(np.arange(n), (len(tree_seeds), n))
     return below_many([SplitMix64(derive_seed(seed, 0)) for seed in tree_seeds], n, n)
+
+
+def _state_bytes(n: int, p: int, n_estimators: int) -> int:
+    """The lockstep state of a forest of n rows and p columns."""
+    return n_estimators * n * (16 * p + 136)
+
+
+def _lockstep(n: int, p: int, n_estimators: int) -> bool:
+    """Whether a forest of n rows and p columns grows in lockstep."""
+    return (
+        n <= _LOCKSTEP_ROWS_PER_TREE * n_estimators
+        and _state_bytes(n, p, n_estimators) <= _CHUNK_BYTES
+    )
 
 
 def _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed) -> RFModel:
@@ -157,41 +175,22 @@ def fit_rf(
 ) -> RFModel:
     """``max_features`` of None means the ceil(p / 3) regression default.
     ``bootstrap=False, max_features=p`` grows ``fit_tree``'s tree on every
-    row, which is how the forest is checked against a single tree."""
+    row, which is how the forest is checked against a single tree.
+
+    A forest that :func:`_lockstep` admits is :func:`_grow_forests` of
+    this one problem; any other grows tree by tree through ``fit_tree``."""
     X, y = check_training_data(X, y)
     _check_hyperparameters(n_estimators, max_depth, max_features)
 
     n, p = X.shape
+    if _lockstep(n, p, n_estimators):
+        return _grow_forests([(X, y)], [seed], n_estimators, max_depth, bootstrap, max_features)[0]
     per_node = _per_node(p, max_features)
-    features_per_node = per_node if per_node < p else None
-
     tree_seeds = tuple(derive_seed(seed, t) for t in range(n_estimators))
-    chunks = max(1, -(-n_estimators * n * (16 * p + 136) // _CHUNK_BYTES))
-    per_chunk = max(1, -(-n_estimators // chunks))
-    trees = []
-    for first in range(0, n_estimators, per_chunk):
-        chunk_seeds = tree_seeds[first : first + per_chunk]
-        if bootstrap:
-            rows = _bootstrap(chunk_seeds, n)
-        else:
-            rows = np.broadcast_to(np.arange(n), (len(chunk_seeds), n))
-        seeds = [derive_seed(tree_seed, 1) for tree_seed in chunk_seeds]
-        if n > _LOCKSTEP_ROWS_PER_TREE * len(chunk_seeds):
-            trees += [
-                fit_tree(X[r], y[r], max_depth, features_per_node, seed)
-                for r, seed in zip(rows, seeds)
-            ]
-            continue
-        # Tree t trains on X[rows[t]]: values[t] holds its columns as rows.
-        nodes = grow_depth_first(
-            np.ascontiguousarray(X[rows].transpose(0, 2, 1)),
-            y[rows],
-            max_depth,
-            seeds,
-            p,
-            features_per_node,
-        )
-        trees += _tables([nodes], len(seeds), max_depth, [p])
+    trees = [
+        fit_tree(X[rows], y[rows], max_depth, per_node, derive_seed(tree_seed, 1))
+        for rows, tree_seed in zip(_rows(tree_seeds, n, bootstrap), tree_seeds)
+    ]
     trees = join_tables(trees, max_depth, p)
     return _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed)
 
@@ -202,31 +201,27 @@ def fit_rf_many(problems, seeds, n_estimators: int = 55, max_depth: int = 10) ->
     ``to_dict()``-equal to that one, and a failure raises the error
     ``fit_rf`` raises on the first problem it fails on.
 
-    A forest that ``fit_rf`` would grow in lockstep in one piece joins the
-    others of its training-row count; together they grow in chunks of at
-    most ``_FORESTS_BYTES`` of lockstep state, each chunk in one
-    :func:`_grow_forests`. Any other forest, and a chunk of one, goes
-    through ``fit_rf``.
+    The forests that :func:`_lockstep` admits join the others of their
+    training-row count; together they grow in chunks of at most
+    ``_FORESTS_BYTES`` of lockstep state (at least one forest), each chunk
+    in one :func:`_grow_forests`. Any other forest goes through ``fit_rf``.
     """
-    def per_forest(n: int, p: int) -> int:
-        return n_estimators * n * (16 * p + 136)
-
     return fit_many(
         problems,
         seeds,
         fit=lambda X, y, seed: fit_rf(X, y, n_estimators, max_depth, seed=seed),
         check=lambda: _check_hyperparameters(n_estimators, max_depth),
-        joins=lambda n, p: (
-            n <= _LOCKSTEP_ROWS_PER_TREE * n_estimators and per_forest(n, p) <= _CHUNK_BYTES
-        ),
-        cost=per_forest,
+        joins=lambda n, p: _lockstep(n, p, n_estimators),
+        cost=lambda n, p: _state_bytes(n, p, n_estimators),
         budget=_FORESTS_BYTES,
         together=lambda data, seeds: _grow_forests(data, seeds, n_estimators, max_depth),
-        smallest=2,
+        smallest=1,
     )
 
 
-def _grow_forests(data, seeds, n_estimators, max_depth) -> list[RFModel]:
+def _grow_forests(
+    data, seeds, n_estimators, max_depth, bootstrap=True, max_features=None
+) -> list[RFModel]:
     """``fit_rf`` of each ``(X, y)`` in ``data``, all with the same row
     count, with the bootstrap rows of every tree of every forest drawn in
     one pass and all the trees grown in one ``grow_depth_first``.
@@ -244,19 +239,19 @@ def _grow_forests(data, seeds, n_estimators, max_depth) -> list[RFModel]:
     targets = np.empty((len(data) * n_estimators, n))
     tree_seeds = [tuple(derive_seed(seed, t) for t in range(n_estimators)) for seed in seeds]
     every_tree = [tree_seed for forest_seeds in tree_seeds for tree_seed in forest_seeds]
-    rows = _bootstrap(every_tree, n)
+    rows = _rows(every_tree, n, bootstrap)
     for f, (X, y) in enumerate(data):
         block = slice(f * n_estimators, (f + 1) * n_estimators)
         values[block, : widths[f]] = X[rows[block]].transpose(0, 2, 1)
         targets[block] = y[rows[block]]
     node_seeds = [derive_seed(tree_seed, 1) for tree_seed in every_tree]
-    draws = [_per_node(width) for width in widths]
+    draws = [_per_node(width, max_features) for width in widths]
     nodes = grow_depth_first(
         values, targets, max_depth, node_seeds,
         np.repeat(widths, n_estimators), np.repeat(draws, n_estimators),
     )
     tables = _tables([nodes], n_estimators, max_depth, widths)
     return [
-        _model(trees, forest_seeds, p, n_estimators, max_depth, True, per_node, seed)
+        _model(trees, forest_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed)
         for trees, forest_seeds, p, per_node, seed in zip(tables, tree_seeds, widths, draws, seeds)
     ]

@@ -78,6 +78,8 @@ class TreeTable:
 
     def predict(self, X) -> np.ndarray:
         """A one-tree table's prediction for each row of ``X``."""
+        if len(self) != 1:
+            raise ModelError(f"predict needs a table of one tree, this one holds {len(self)}")
         (values,) = self.leaf_values(check_prediction_data(X, self.n_features))
         return values
 
@@ -393,30 +395,25 @@ def grow_depth_first(values, y, max_depth, seeds, widths, draws) -> tuple:
     Tree ``t`` trains on targets ``y[t]`` and the first ``widths[t]`` rows
     of ``values[t]`` (p x n: row ``f`` is feature ``f`` of its n rows),
     the rest zero padding. Each searched node draws ``draws[t]`` features
-    from ``SplitMix64(seeds[t])``, in depth-first order, or searches every
-    feature when ``draws`` is None; ``widths`` and ``draws`` are each an
-    int or one per tree. A tree that draws fewer than the most must be
-    narrower than ``values``: its draws are padded with its first padding
-    row, which has no valid cut. Each step takes the next depth-first node
-    of every unfinished tree, and every tree is bitwise the one
-    ``fit_tree`` grows from the same data and seed.
+    from ``SplitMix64(seeds[t])``, in depth-first order; ``widths`` and
+    ``draws`` are integer arrays of one entry per tree. A tree that draws
+    all of its features searches them as ``fit_tree`` searches every
+    feature. A tree that draws fewer than the most must be narrower than
+    ``values``: its draws are padded with its first padding row, which has
+    no valid cut. Each step takes the next depth-first node of every
+    unfinished tree, and every tree is bitwise the one ``fit_tree`` grows
+    from the same data and seed.
     """
     growth = _Growth(values, max_depth)
-    if draws is not None:
-        rngs = [SplitMix64(seed) for seed in seeds]
-        widths = np.broadcast_to(np.asarray(widths, dtype=np.intp), len(rngs))
-        draws = np.broadcast_to(np.asarray(draws, dtype=np.intp), len(rngs))
+    rngs = [SplitMix64(seed) for seed in seeds]
     # Per tree, the nodes still to search: a stack in depth-first order.
     pending = {t: [t] for t in np.flatnonzero(growth.plant(y)).tolist()}
     while pending:
         ids = [stack.pop() for stack in pending.values()]
-        feats = None
-        if draws is not None:
-            trees = list(pending)
-            drawn = sample_many([rngs[t] for t in trees], widths[trees], draws[trees])
-            feats = np.sort(drawn, axis=1)
+        trees = list(pending)
+        drawn = sample_many([rngs[t] for t in trees], widths[trees], draws[trees])
         pending = {t: stack for t, stack in pending.items() if stack}
-        split = growth.step(np.array(ids), feats)
+        split = growth.step(np.array(ids), np.sort(drawn, axis=1))
         for tree, left, search_left, search_right in zip(*(a.tolist() for a in split)):
             # Right first, so that the left child is searched next.
             if search_right:

@@ -470,11 +470,11 @@ class TestFitModels:
     @staticmethod
     def assert_loop_of_fit_model(config, monkeypatch) -> list[int]:
         """Check ``fit_models`` against ``fit_model`` on :meth:`problems`;
-        returns the size of each batch fitted together."""
-        batches = TestFitModels.spy_on_batches(config.kind, monkeypatch)
+        returns the size of each batch ``fit_models`` fits together."""
         problems, seeds = TestFitModels.problems(), [3 * i + 1 for i in range(8)]
-        fitted = fit_models(problems, config, seeds)
         expected = [fit_model(X, y, config.with_seed(seed)) for (X, y), seed in zip(problems, seeds)]
+        batches = TestFitModels.spy_on_batches(config.kind, monkeypatch)
+        fitted = fit_models(problems, config, seeds)
         assert [json.dumps(model_to_dict(m)) for m in fitted] == [
             json.dumps(model_to_dict(m)) for m in expected
         ]
@@ -483,24 +483,25 @@ class TestFitModels:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("fields", [{}, {"n_estimators": 3, "max_depth": 2}], ids=["unset", "set"])
     def test_a_loop_of_fit_model(self, kind, fields, monkeypatch):
-        # Forests grow together two or more at a time, and SVR problems,
-        # here, too: the 15-row group and the two of 12; gb boosters grow in
-        # lockstep three or more at a time.
+        # SVR problems are solved together two or more at a time here: the
+        # 15-row group and the two of 12; gb boosters grow in lockstep three
+        # or more at a time. Forests grow together one or more at a time, so
+        # the 9-row forest grows alone in its own growth.
         monkeypatch.setattr(svr, "_SOLVE_TOGETHER", 2)
         batches = self.assert_loop_of_fit_model(TrainConfig(kind=kind, seed=0, **fields), monkeypatch)
-        assert batches == ([5] if kind == "gb" else [5, 2])
+        assert batches == {"gb": [5], "rf": [5, 2, 1], "svr": [5, 2]}[kind]
 
     @pytest.mark.parametrize("kind", ["rf", "svr"])
     def test_every_msc_split_of_the_bundled_set(self, kind, msc_splits, monkeypatch):
         # All 200 repeats of evaluate --splitter msc at once: forests fit
         # in chunks of bounded memory, SVR problems all together.
-        batches = self.spy_on_batches(kind, monkeypatch)
         problems, seeds = [(X, y) for X, y, _ in msc_splits], [seed for *_, seed in msc_splits]
         config = TrainConfig(kind=kind, seed=0)
-        fitted = fit_models(problems, config, seeds)
         expected = [
             fit_model(X, y, config.with_seed(seed)) for (X, y), seed in zip(problems, seeds)
         ]
+        batches = self.spy_on_batches(kind, monkeypatch)
+        fitted = fit_models(problems, config, seeds)
         for model, single in zip(fitted, expected):
             assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(single))
             if kind == "svr":
@@ -512,10 +513,10 @@ class TestFitModels:
         # The 15-row group is 5 forests of up to 4 columns, 3 trees each,
         # about 3 x 15 x (16 x 4 + 136) bytes a forest: a cap of three
         # forests' worth cuts it into chunks of 3 and 2; the two forests of
-        # 12 rows grow together.
+        # 12 rows grow together, and the one of 9 rows alone.
         monkeypatch.setattr(forest, "_FORESTS_BYTES", 3 * 3 * 15 * (16 * 4 + 136))
         config = TrainConfig(kind="rf", seed=0, n_estimators=3)
-        assert self.assert_loop_of_fit_model(config, monkeypatch) == [3, 2, 2]
+        assert self.assert_loop_of_fit_model(config, monkeypatch) == [3, 2, 2, 1]
 
     def test_svr_problems_solve_in_chunks_of_bounded_memory(self, monkeypatch):
         # A 15-row problem of up to 4 columns holds about 8 x 15 x (15 + 4
@@ -539,6 +540,34 @@ class TestFitModels:
         monkeypatch.setattr(boosting, "_LOCKSTEP_ROWS", 14)
         config = TrainConfig(kind="gb", seed=0, n_estimators=3)
         assert self.assert_loop_of_fit_model(config, monkeypatch) == []
+
+    def test_forests_above_the_row_limit_grow_tree_by_tree(self, monkeypatch):
+        monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", 2)
+        config = TrainConfig(kind="rf", seed=0, n_estimators=3)
+        assert self.assert_loop_of_fit_model(config, monkeypatch) == []
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_problems_and_seeds_must_be_equally_many(self, kind):
+        # zip would drop the problems or seeds past the shorter list.
+        problems = self.problems()[:3]
+        with pytest.raises(ModelError, match="^3 problems but 1 seeds$"):
+            fit_models(problems, TrainConfig(kind=kind, seed=0), [0])
+        with pytest.raises(ModelError, match="^2 problems but 1 seeds$"):
+            KINDS[kind].fit_many(problems[:2], [0])
+        with pytest.raises(ModelError, match="^0 problems but 2 seeds$"):
+            KINDS[kind].fit_many([], [0, 1])
+
+    @pytest.mark.parametrize("kind, broken", [
+        ("gb", {"n_estimators": -1}), ("rf", {"n_estimators": 0}), ("svr", {"C": -1.0}),
+    ], ids=["gb", "rf", "svr"])
+    def test_no_problems_still_check_the_hyperparameters(self, kind, broken):
+        assert KINDS[kind].fit_many([], []) == []
+        X, y = self.problems()[0]
+        with pytest.raises(ModelError) as alone:
+            KINDS[kind].fit(X, y, **broken)
+        with pytest.raises(ModelError) as batched:
+            KINDS[kind].fit_many([], [], **broken)
+        assert str(batched.value) == str(alone.value)
 
     def test_the_first_failing_problem_raises(self):
         good, (X, y) = self.problems()[:2]

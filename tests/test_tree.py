@@ -695,8 +695,8 @@ def test_demo_model_predicts_like_the_oracle(tmp_path, monkeypatch):
     assert_predicts_like_oracle(model, fits[0])
 
 
-# fit_rf grows a chunk's trees in lockstep up to this many rows per tree
-# in the chunk, and one by one through fit_tree above it.
+# fit_rf grows a forest in lockstep up to this many rows per tree, and
+# tree by tree through fit_tree above it.
 LEARNERS = {"lockstep": 10**9, "per_node": 0}
 
 
@@ -710,33 +710,48 @@ def test_forest_matches_oracle_on_a_train_2k_shaped_problem(learner, monkeypatch
     assert_predicts_like_oracle(model, X)
 
 
-@pytest.mark.parametrize("learner", LEARNERS)
-@pytest.mark.parametrize("chunk_bytes", [1, 20000])
-def test_forest_grown_in_chunks_matches_oracle(chunk_bytes, learner, monkeypatch):
-    # A chunk holds at most this many bytes (at least one tree), 8,640 a
-    # tree here: 1 grows one tree per chunk, 20,000 two trees per chunk.
-    monkeypatch.setattr(forest, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
-    X, y = SMALL["integer_ties"]
-    for kwargs in ({"n_estimators": 7, "seed": 2}, {"n_estimators": 3, "bootstrap": False}):
-        model = fit_rf(X, y, **kwargs)
-        assert dumps(model) == dumps(oracle_fit_rf(X, y, **kwargs))
+@pytest.fixture
+def routes(monkeypatch):
+    """The routes fit_rf takes, in order: "lockstep" for each
+    _grow_forests call, "tree" for each tree grown through fit_tree."""
+    taken = []
+    grow, tree = forest._grow_forests, forest.fit_tree
+    monkeypatch.setattr(forest, "_grow_forests",
+                        lambda *args: taken.append("lockstep") or grow(*args))
+    monkeypatch.setattr(forest, "fit_tree", lambda *args: taken.append("tree") or tree(*args))
+    return taken
+
+
+FOREST_SETTINGS = [{"seed": 2}, {"bootstrap": False}, {"max_features": 2, "seed": 1}]
+
+
+def assert_forests_route(X, y, n_estimators, route, routes):
+    """fit_rf of ``X, y`` with each of FOREST_SETTINGS takes ``route`` and
+    matches the oracle."""
+    for settings in FOREST_SETTINGS:
+        routes.clear()
+        model = fit_rf(X, y, n_estimators=n_estimators, **settings)
+        assert routes == (["lockstep"] if route == "lockstep" else ["tree"] * n_estimators)
+        assert dumps(model) == dumps(oracle_fit_rf(X, y, n_estimators=n_estimators, **settings))
         assert_predicts_like_oracle(model, X)
 
 
-def test_forest_mixing_lockstep_chunks_and_single_trees_matches_oracle(monkeypatch):
-    # 8,640 bytes a tree here: chunks of two trees, and of one for the
-    # seventh. 40 rows per tree grow in lockstep in a chunk of two (up to
-    # 2 x 30 rows) and through fit_tree alone (above 1 x 30 rows).
-    monkeypatch.setattr(forest, "_CHUNK_BYTES", 20000)
-    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", 30)
-    single = []
-    monkeypatch.setattr(forest, "fit_tree", lambda *args: single.append(1) or fit_tree(*args))
+@pytest.mark.parametrize("extra, route", [(0, "lockstep"), (1, "tree")])
+def test_forest_route_at_the_rows_per_tree_limit_matches_oracle(extra, route, routes):
+    # Three trees grow in lockstep up to 3 x 50 training rows, and tree by
+    # tree from one row more.
+    X, y = bench_like(5, n=3 * 50 + extra, p=6)
+    assert_forests_route(X, y, 3, route, routes)
+
+
+@pytest.mark.parametrize("over, route", [(0, "lockstep"), (1, "tree")])
+def test_forest_route_at_the_state_limit_matches_oracle(over, route, routes, monkeypatch):
+    # Seven trees of 40 rows and 5 columns hold 7 x 40 x (16 x 5 + 136)
+    # bytes of lockstep state: they grow in lockstep while that is at most
+    # _CHUNK_BYTES, and tree by tree when it is one byte over.
+    monkeypatch.setattr(forest, "_CHUNK_BYTES", 7 * 40 * (16 * 5 + 136) - over)
     X, y = SMALL["integer_ties"]
-    model = fit_rf(X, y, n_estimators=7, seed=2)
-    assert len(single) == 1 and len(model.trees) == 7
-    assert dumps(model) == dumps(oracle_fit_rf(X, y, n_estimators=7, seed=2))
-    assert_predicts_like_oracle(model, X)
+    assert_forests_route(X, y, 7, route, routes)
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
@@ -819,6 +834,13 @@ class TestTreePrediction:
         for model in (fit_gb(train, [0.0, 1.0], n_estimators=2),
                       fit_rf(train, [0.0, 1.0], n_estimators=2)):
             assert model.predict(X).shape == (0,)
+
+    @pytest.mark.parametrize("n_estimators", [0, 2, 35])
+    def test_a_table_of_other_than_one_tree_is_refused(self, n_estimators):
+        X = np.array([[0.0], [1.0], [2.0]])
+        trees = fit_gb(X, [0.0, 1.0, 3.0], n_estimators=n_estimators).trees
+        with pytest.raises(ModelError, match=f"one tree, this one holds {n_estimators}$"):
+            trees.predict(X)
 
     def test_a_leaf_alone(self):
         tree = fit_tree(np.array([[0.0], [1.0]]), np.array([2.0, 2.0]), max_depth=3)
