@@ -38,11 +38,16 @@ only atoms of tied cells compute a neighbour signature (singleton cells
 keep their place); one label-and-bond check per leaf after the first;
 and one emission for the first leaf and for each leaf that fails its
 check (that leaf is checked once more if its string repeats an earlier
-leaf's other than the first). Tokens, neighbour lists and components
-are built once per molecule.
+leaf's other than the first). Signature terms and tokens are built once
+per molecule from its bonds; an emission orders every atom's neighbours
+by rank in one pass over the ranking and walks without recursion, so a
+long chain or a deep branch nest costs stack entries, not interpreter
+frames.
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection, Iterable
 
 from .model import (
     AROMATIC,
@@ -65,19 +70,11 @@ def canonical_smiles(graph: MolecularGraph) -> str:
 
 
 def initial_invariants(graph: MolecularGraph) -> list[tuple]:
-    inv = []
-    for idx, atom in enumerate(graph.atoms):
-        inv.append(
-            (
-                atom.element,
-                atom.aromatic,
-                atom.formal_charge,
-                atom.hydrogens,
-                len(graph.adjacency[idx]),
-                graph.rings.ring_membership[idx],
-            )
-        )
-    return inv
+    membership = graph.rings.ring_membership
+    return [
+        (atom.element, atom.aromatic, atom.formal_charge, atom.hydrogens, len(row), ring)
+        for atom, row, ring in zip(graph.atoms, graph.neighbours, membership)
+    ]
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -99,22 +96,22 @@ class _Search:
         n = self.n = len(graph.atoms)
         # Neighbour signature terms are (bond rank, neighbour rank) pairs,
         # packed as bond_rank * n + rank: ranks are below n, so the packed
-        # integers sort exactly as the pairs do. The emitter walks the same
-        # lists.
-        self.nbrs = [
-            [(_BOND_RANK[bond.order] * n, j) for j, bond in graph.adjacency[i]]
-            for i in range(n)
-        ]
-        self.labels = [
-            (a.element, a.aromatic, a.formal_charge, a.hydrogens) for a in graph.atoms
-        ]
-        self.emitter = _Emitter(graph, self.nbrs)
+        # integers sort exactly as the pairs do.
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for a, b, order in graph.bonds:
+            packed = _BOND_RANK[order] * n
+            nbrs[a].append((packed, b))
+            nbrs[b].append((packed, a))
+        self.nbrs = nbrs
+        self.emitter = _Emitter(graph)
         # Emitted string -> (atom of each rank, path) of the first leaf that
         # emitted it; ``first`` is the entry of the first leaf of all.
         self.leaves: dict[str, tuple[list[int], tuple[int, ...]]] = {}
         self.first: tuple[list[int], tuple[int, ...]] | None = None
-        # Bond order keyed u * n + v, both ways round; built on first use.
-        self.orders: dict[int, str] | None = None
+        # Atom labels, and bond order keyed u * n + v both ways round, for
+        # the automorphism check; built on first use.
+        self.labels: list[tuple] | None = None
+        self.orders: dict[int, str] = {}
         # Each automorphism found, with the (atom, image) pairs it moves.
         self.generators: list[tuple[list[int], list[tuple[int, int]]]] = []
 
@@ -122,32 +119,69 @@ class _Search:
         classes: dict[tuple, list[int]] = {}
         for atom, key in enumerate(initial_invariants(self.graph)):
             classes.setdefault(key, []).append(atom)
-        self.visit(*self.refine([classes[key] for key in sorted(classes)]), ())
+        self.visit(*self.refine([classes[key] for key in sorted(classes)], None), ())
         return min(self.leaves)
 
-    def refine(self, cells: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    def refine(
+        self, cells: list[list[int]], moved: Iterable[int] | None
+    ) -> tuple[list[int], list[list[int]]]:
         """Split tied cells by neighbour signature until none splits.
 
         Each round ranks the atoms of every tied cell by their sorted
-        (bond rank, neighbour rank) terms under the previous round's ranks,
-        visiting cells in rank order; that gives the dense ranks of
-        (rank, signature) over all atoms, and a singleton cell needs no
-        signature. Returns the ranks and the cells.
+        (bond rank, neighbour rank) terms under the previous round's ranks
+        and splits the cell into groups of equal terms in increasing order,
+        each group in increasing atom order. A rank here is the position of
+        the first atom of the atom's cell in the cell order, not the cell's
+        index: the two grow together, so the terms of two atoms compare
+        alike under either, and a split renumbers only the cell it splits.
+
+        Only cells next to a moved atom are signed. ``moved`` holds the
+        atoms that changed part since the members of each input cell last
+        had equal terms: below the root, the atom just individualised,
+        split off from a partition that no round splits; None at the root,
+        where every tied cell is signed in full. A member with no moved
+        neighbour sees each part as it saw the part that held it before,
+        so all such members of a cell keep equal terms, and one of them is
+        signed for all. After each round, the members of every new group
+        but the largest of its cell have moved. Returns the ranks and the
+        cells.
         """
         n, nbrs = self.n, self.nbrs
         ranks = [0] * n
-        for r, members in enumerate(cells):
+        cell_at: list[list[int]] = [[]] * n  # each cell at its first position
+        hits: dict[int, Collection[int]] = {}  # tied cell -> members to sign
+        start = 0
+        for members in cells:
+            cell_at[start] = members
             for i in members:
-                ranks[i] = r
-        while len(cells) < n:
-            split: list[list[int]] = []
-            renumber = -1
-            for members in cells:
-                if len(members) == 1:
-                    split.append(members)
+                ranks[i] = start
+            if moved is None and len(members) > 1:
+                hits[start] = members
+            start += len(members)
+        count = len(cells)
+        while count < n:
+            if moved is not None:
+                hits = {}
+                for m in moved:
+                    for _, j in nbrs[m]:
+                        hit = hits.get(ranks[j])
+                        if hit is None:
+                            hits[ranks[j]] = {j}
+                        else:
+                            hit.add(j)
+            splits: list[tuple[int, list[list[int]]]] = []
+            for start, hit in hits.items():
+                members = cell_at[start]
+                size = len(members)
+                if size == 1:
                     continue
                 groups: dict[tuple[int, ...], list[int]] = {}
-                for i in members:
+                partial = len(hit) < size
+                if partial:
+                    rest = [i for i in members if i not in hit]
+                    groups[tuple(sorted([b + ranks[j] for b, j in nbrs[rest[0]]]))] = rest
+                    hit = sorted(hit)
+                for i in hit:
                     key = tuple(sorted([b + ranks[j] for b, j in nbrs[i]]))
                     group = groups.get(key)
                     if group is None:
@@ -155,18 +189,32 @@ class _Search:
                     else:
                         group.append(i)
                 if len(groups) == 1:
-                    split.append(members)
                     continue
-                if renumber < 0:
-                    renumber = len(split)
-                split.extend([groups[key] for key in sorted(groups)])
-            if renumber < 0:
+                if partial and len(rest) + len(hit) > size:
+                    rest.sort()  # signed members joined the unsigned ones
+                splits.append((start, [groups[key] for key in sorted(groups)]))
+            if not splits:
                 break
-            cells = split
-            # Cells before the first split keep their ranks.
-            for r in range(renumber, len(cells)):
-                for i in cells[r]:
-                    ranks[i] = r
+            moved = []
+            for start, groups in splits:
+                largest = max(groups, key=len)
+                position = start
+                for group in groups:
+                    cell_at[position] = group
+                    if position != start:
+                        for i in group:
+                            ranks[i] = position
+                    if group is not largest:
+                        moved += group
+                    position += len(group)
+                count += len(groups) - 1
+        if count == len(cells):
+            return ranks, cells
+        cells = []
+        start = 0
+        while start < n:
+            cells.append(cell_at[start])
+            start += len(cell_at[start])
         return ranks, cells
 
     def visit(
@@ -195,7 +243,7 @@ class _Search:
             explored.append(chosen)
             # The chosen atom keeps the cell's rank; the rest follow it.
             rest = [i for i in tied if i != chosen]
-            child = self.refine(before + [[chosen], rest] + after)
+            child = self.refine(before + [[chosen], rest] + after, (chosen,))
             resume = self.visit(*child, path + (chosen,))
             if resume is not None and resume < depth:
                 return resume
@@ -259,16 +307,20 @@ class _Search:
         return depth
 
     def is_automorphism(self, perm: list[int]) -> bool:
-        labels = self.labels
+        labels, orders = self.labels, self.orders
+        if labels is None:
+            labels = self.labels = [
+                (a.element, a.aromatic, a.formal_charge, a.hydrogens)
+                for a in self.graph.atoms
+            ]
         if [labels[b] for b in perm] != labels:
             return False
-        n, bonds, orders = self.n, self.graph.bonds, self.orders
-        if orders is None:
-            orders = self.orders = {}
-            for bond in bonds:
-                orders[bond.a * n + bond.b] = orders[bond.b * n + bond.a] = bond.order
-        for bond in bonds:
-            if orders.get(perm[bond.a] * n + perm[bond.b]) != bond.order:
+        n, bonds = self.n, self.graph.bonds
+        if not orders:
+            for a, b, order in bonds:
+                orders[a * n + b] = orders[b * n + a] = order
+        for a, b, order in bonds:
+            if orders.get(perm[a] * n + perm[b]) != order:
                 return False
         return True
 
@@ -276,79 +328,102 @@ class _Search:
 class _Emitter:
     """SMILES writer for a fixed graph under any discrete ranking.
 
-    Atom and bond tokens and the components do not depend on the ranking
-    and are built once; ``nbrs`` are the search's neighbour lists.
+    Atom and bond tokens do not depend on the ranking and are built once.
+    Writing walks each component depth first from its lowest-ranked atom,
+    visiting neighbours in rank order, with explicit stacks, so the depth
+    of a molecule costs no interpreter recursion.
     """
 
-    def __init__(self, graph: MolecularGraph, nbrs: list[list[tuple[int, int]]]):
+    def __init__(self, graph: MolecularGraph):
         n = self.n = len(graph.atoms)
-        self.nbrs = nbrs
-        self.components = graph.components()
+        self.neighbours = graph.neighbours
         self.atom_tokens = [_atom_token(graph, i) for i in range(n)]
         # Bond tokens keyed u * n + v, both ways round; most bonds write none.
+        atoms = graph.atoms
         tokens: dict[int, str] = {}
-        for bond in graph.bonds:
-            token = _bond_token_between(graph, bond)
+        for a, b, order in graph.bonds:
+            if order == SINGLE:
+                token = "-" if atoms[a].aromatic and atoms[b].aromatic else ""
+            else:
+                token = _BOND_TOKEN[order]
             if token:
-                tokens[bond.a * n + bond.b] = tokens[bond.b * n + bond.a] = token
+                tokens[a * n + b] = tokens[b * n + a] = token
         self.bond_tokens = tokens
 
     def emit(self, ranks: list[int]) -> str:
-        n, nbrs, atom_tokens = self.n, self.nbrs, self.atom_tokens
+        n, neighbours, atom_tokens = self.n, self.neighbours, self.atom_tokens
         bond_token = self.bond_tokens.get
-        # 0 not reached, 1 on the depth-first path, 2 finished.
-        state = [0] * n
-        tree_children: list[list[int]] = [[] for _ in range(n)]
-        closures: list[list[int]] = [[] for _ in range(n)]  # ring-closure partners
+        atom_at = [0] * n
+        for atom, r in enumerate(ranks):
+            atom_at[r] = atom
+        # Every atom's neighbours in rank order, from one pass over the
+        # atoms in rank order.
+        ordered: list[list[int]] = [[] for _ in range(n)]
+        for u in atom_at:
+            for v in neighbours[u]:
+                ordered[v].append(u)
 
-        # First pass: classify edges into spanning-tree and ring-closure edges
-        # with a depth-first walk in canonical-rank order, mirroring emission.
-        # A ring-closure edge is met first from its deeper end, while the
-        # other end is still on the path.
-        def explore(u: int, parent: int) -> None:
-            state[u] = 1
-            children = tree_children[u]
-            for _, v in sorted([(ranks[j], j) for _, j in nbrs[u]]):
-                if not state[v]:
-                    children.append(v)
-                    explore(v, u)
-                elif state[v] == 1 and v != parent:
-                    closures[u].append(v)
-                    closures[v].append(u)
-            state[u] = 2
-
-        def walk(u: int) -> None:
-            nonlocal opened
-            out.append(atom_tokens[u])
-            for v in closures[u]:
-                digit = digit_of.pop(u * n + v, None)
-                if digit is None:
-                    opened += 1
-                    digit = digit_of[v * n + u] = _digit(opened)
-                    out.append(bond_token(u * n + v, ""))
-                out.append(digit)
-            children = tree_children[u]
-            for child in children[:-1]:
-                out.append("(")
-                out.append(bond_token(u * n + child, ""))
-                walk(child)
-                out.append(")")
-            if children:
-                child = children[-1]
-                out.append(bond_token(u * n + child, ""))
-                walk(child)
-
+        # The depth-first tree: ``parent`` is -2 for an atom not reached
+        # and -1 for a component's root. Every other bond closes a ring; its
+        # two atoms are an ancestor and a descendant, so the ancestor writes
+        # the ring-closure digit first.
+        parent = [-2] * n
         pieces = []
-        for comp in self.components:
-            root = min(comp, key=ranks.__getitem__)
-            explore(root, -1)
-            for u in comp:
-                if len(closures[u]) > 1:
-                    closures[u].sort(key=ranks.__getitem__)
+        for root in atom_at:  # a component's first atom in rank order
+            if parent[root] != -2:
+                continue
+            parent[root] = -1
+            path = [(root, iter(ordered[root]))]
+            while path:
+                u, rest = path[-1]
+                for v in rest:
+                    if parent[v] == -2:
+                        parent[v] = u
+                        path.append((v, iter(ordered[v])))
+                        break
+                else:
+                    path.pop()
+
+            # Write atom by atom; the stack holds atoms still to write and
+            # the branch and bond tokens between them, last first.
             digit_of: dict[int, str] = {}
             opened = 0
             out: list[str] = []
-            walk(root)
+            stack: list = [root]
+            while stack:
+                u = stack.pop()
+                if u.__class__ is str:
+                    out.append(u)
+                    continue
+                while True:
+                    out.append(atom_tokens[u])
+                    up = parent[u]
+                    children = []
+                    for v in ordered[u]:
+                        if parent[v] == u:
+                            children.append(v)
+                        elif v != up:
+                            digit = digit_of.pop(u * n + v, None)
+                            if digit is None:
+                                opened += 1
+                                digit = digit_of[v * n + u] = _digit(opened)
+                                out.append(bond_token(u * n + v, ""))
+                            out.append(digit)
+                    if not children:
+                        break
+                    last = children.pop()
+                    if children:
+                        # Branches first, in rank order, then the last child.
+                        stack.append(last)
+                        stack.append(bond_token(u * n + last, ""))
+                        for child in reversed(children):
+                            stack.append(")")
+                            stack.append(child)
+                            stack.append(bond_token(u * n + child, ""))
+                            stack.append("(")
+                        break
+                    out.append(bond_token(u * n + last, ""))
+                    u = last
             pieces.append("".join(out))
         pieces.sort()
         return ".".join(pieces)
@@ -356,15 +431,6 @@ class _Emitter:
 
 def _digit(number: int) -> str:
     return str(number) if number <= 9 else f"%{number:02d}"
-
-
-def _bond_token_between(graph: MolecularGraph, bond) -> str:
-    if bond.order == SINGLE:
-        both_aromatic = (
-            graph.atoms[bond.a].aromatic and graph.atoms[bond.b].aromatic
-        )
-        return "-" if both_aromatic else ""
-    return _BOND_TOKEN[bond.order]
 
 
 def _atom_token(graph: MolecularGraph, idx: int) -> str:
@@ -375,7 +441,9 @@ def _atom_token(graph: MolecularGraph, idx: int) -> str:
         if atom.explicit_h is None:
             # A bare atom's hydrogens are the default count by construction.
             return symbol
-        order_sum = sum(ORDER_VALUE[bond.order] for _, bond in graph.adjacency[idx])
+        order_sum = sum(
+            ORDER_VALUE[order] for a, b, order in graph.bonds if idx in (a, b)
+        )
         try:
             default_h = _bare_hydrogens(atom.element, atom.aromatic, order_sum, -1)
         except ValueError:

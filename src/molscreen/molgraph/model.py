@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import rings as _rings
 from .rings import RingInfo
@@ -96,8 +97,7 @@ class SmilesSyntaxError(SmilesParseError):
     pass
 
 
-@dataclass(frozen=True)
-class AtomSpec:
+class AtomSpec(NamedTuple):
     """Raw atom attributes as read from input, before derivation."""
 
     element: str
@@ -107,8 +107,7 @@ class AtomSpec:
     offset: int = -1
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     element: str
     aromatic: bool
     formal_charge: int
@@ -118,8 +117,7 @@ class Atom:
     offset: int = -1
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     a: int
     b: int
     order: str
@@ -133,15 +131,22 @@ class MolecularGraph:
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
     rings: RingInfo
+    #: Each atom's neighbours in increasing atom order, built once by the
+    #: assembly pass and shared by ring perception, ``adjacency``,
+    #: ``components``, the canonicalizer and scaffold extraction.
+    neighbours: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     source: str = ""
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, Bond], ...], ...]:
+        """Each atom's ``(neighbour, bond)`` pairs in increasing neighbour
+        order."""
         nbrs: list[list[tuple[int, Bond]]] = [[] for _ in self.atoms]
         for bond in self.bonds:
             nbrs[bond.a].append((bond.b, bond))
             nbrs[bond.b].append((bond.a, bond))
-        return tuple(tuple(sorted(n, key=lambda t: t[0])) for n in nbrs)
+        # A neighbour occurs once per atom, so the pairs sort by it alone.
+        return tuple(tuple(sorted(n)) for n in nbrs)
 
     @cached_property
     def canonical(self) -> str:
@@ -155,9 +160,10 @@ class MolecularGraph:
         return sum(1 for a in self.atoms if a.element != "H")
 
     def components(self) -> list[list[int]]:
-        seen = [False] * len(self.atoms)
+        neighbours = self.neighbours
+        seen = [False] * len(neighbours)
         comps = []
-        for start in range(len(self.atoms)):
+        for start in range(len(neighbours)):
             if seen[start]:
                 continue
             comp, stack = [], [start]
@@ -165,7 +171,7 @@ class MolecularGraph:
             while stack:
                 u = stack.pop()
                 comp.append(u)
-                for v, _ in self.adjacency[u]:
+                for v in neighbours[u]:
                     if not seen[v]:
                         seen[v] = True
                         stack.append(v)
@@ -193,7 +199,8 @@ class MolecularGraph:
         if not atom_specs:
             raise EmptyInput("molecule has no atoms")
         n = len(atom_specs)
-        seen_pairs: set[frozenset[int]] = set()
+        neighbours: list[list[int]] = [[] for _ in range(n)]
+        checked: list[Bond] = []
         for a, b, order in bonds:
             if a == b:
                 raise SmilesSyntaxError(f"self-bond on atom {a}")
@@ -201,10 +208,11 @@ class MolecularGraph:
                 raise SmilesSyntaxError(f"bond endpoint out of range: {a}-{b}")
             if order not in BOND_ORDERS:
                 raise SmilesSyntaxError(f"unknown bond order {order!r}")
-            pair = frozenset((a, b))
-            if pair in seen_pairs:
+            if b in neighbours[a]:
                 raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {b}")
-            seen_pairs.add(pair)
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+            checked.append(Bond(a, b, order))
 
         for spec in atom_specs:
             if spec.element not in VALENCES:
@@ -215,80 +223,85 @@ class MolecularGraph:
                 raise AromaticityViolation(
                     f"element {spec.element!r} cannot be aromatic", spec.offset
                 )
+        return assemble(atom_specs, checked, neighbours, source, rings)
 
-        ring_data = rings
-        if ring_data is None:
-            ring_data = _rings.find_sssr(n, [(a, b) for a, b, _ in bonds])
-        membership = ring_data.ring_membership
 
-        # Implicit bonds between two aromatic atoms are read as aromatic;
-        # if such a bond lands outside any ring (e.g. a biaryl linker) it is
-        # really a single bond and is demoted here.
-        fixed_bonds: list[Bond] = []
-        for a, b, order in bonds:
-            if order == AROMATIC and frozenset((a, b)) not in ring_data.ring_edges:
-                order = SINGLE
-            fixed_bonds.append(Bond(a, b, order))
+def assemble(
+    specs: list[AtomSpec],
+    bonds: list[Bond],
+    neighbours: list[list[int]],
+    source: str,
+    rings: RingInfo | None = None,
+) -> MolecularGraph:
+    """The one assembly pass behind :func:`parse_smiles` and
+    :meth:`MolecularGraph.from_spec`: ring perception, aromatic bond
+    demotion and checks, hydrogen resolution and valence checks.
 
-        for bond in fixed_bonds:
-            if bond.order == AROMATIC:
-                if not (atom_specs[bond.a].aromatic and atom_specs[bond.b].aromatic):
-                    raise AromaticityViolation(
-                        "aromatic bond joins a non-aromatic atom",
-                        atom_specs[bond.a].offset,
-                    )
-        for idx, spec in enumerate(atom_specs):
-            if spec.aromatic and not membership[idx]:
+    The caller has checked what its input can get wrong about bonds and
+    elements: every bond joins two distinct atoms once with a known order,
+    every element is supported, and only elements that may be aromatic
+    are. ``neighbours`` holds each atom's bonded atoms in any order and is
+    sorted here; ``bonds`` is rewritten in place where an aromatic bond is
+    demoted.
+    """
+    n = len(specs)
+    for row in neighbours:
+        row.sort()
+    shared = tuple(map(tuple, neighbours))
+    ring_data = rings
+    if ring_data is None:
+        ring_data = _rings.find_sssr(shared)
+
+    # Implicit bonds between two aromatic atoms are read as aromatic;
+    # if such a bond lands outside any ring (e.g. a biaryl linker) it is
+    # really a single bond and is demoted here.
+    extra = [0] * n  # bond order sum beyond one per neighbour
+    ring_edges = ring_data.ring_edges
+    for idx, (a, b, order) in enumerate(bonds):
+        if order == AROMATIC:
+            if frozenset((a, b)) not in ring_edges:
+                bonds[idx] = Bond(a, b, SINGLE)
+            elif not (specs[a].aromatic and specs[b].aromatic):
                 raise AromaticityViolation(
-                    f"aromatic atom {spec.element!r} outside any ring", spec.offset
+                    "aromatic bond joins a non-aromatic atom", specs[a].offset
                 )
+        elif order != SINGLE:
+            extra[a] += ORDER_VALUE[order] - 1
+            extra[b] += ORDER_VALUE[order] - 1
 
-        order_sums = [0] * n  # aromatic bonds count 1, as single ones
-        heavy_deg = [0] * n
-        for bond in fixed_bonds:
-            val = ORDER_VALUE[bond.order]
-            order_sums[bond.a] += val
-            order_sums[bond.b] += val
-            for here, there in ((bond.a, bond.b), (bond.b, bond.a)):
-                if atom_specs[there].element != "H":
-                    heavy_deg[here] += 1
-
-        atoms: list[Atom] = []
-        for idx, spec in enumerate(atom_specs):
-            valences = VALENCES[spec.element]
-            if spec.explicit_h is not None:
-                # Bracket atom: hydrogens are exactly as written; sanity-check
-                # against the largest valence, widened by the charge.
-                total = order_sums[idx] + spec.explicit_h
-                if total > max(valences) + abs(spec.formal_charge):
-                    raise ValenceViolation(
-                        f"{spec.element} with {spec.explicit_h}H and "
-                        f"{order_sums[idx]} bonds exceeds valence",
-                        spec.offset,
-                    )
-                hydrogens = spec.explicit_h
-            else:
-                hydrogens = _bare_hydrogens(
-                    spec.element, spec.aromatic, order_sums[idx], spec.offset
-                )
-            atoms.append(
-                Atom(
-                    element=spec.element,
-                    aromatic=spec.aromatic,
-                    formal_charge=spec.formal_charge,
-                    explicit_h=spec.explicit_h,
-                    hydrogens=hydrogens,
-                    degree=heavy_deg[idx],
-                    offset=spec.offset,
-                )
+    membership = ring_data.ring_membership
+    for idx, spec in enumerate(specs):
+        if spec.aromatic and not membership[idx]:
+            raise AromaticityViolation(
+                f"aromatic atom {spec.element!r} outside any ring", spec.offset
             )
 
-        return cls(
-            atoms=tuple(atoms),
-            bonds=tuple(fixed_bonds),
-            rings=ring_data,
-            source=source,
+    hydrogen_atoms = any(spec.element == "H" for spec in specs)
+    atoms: list[Atom] = []
+    for idx, spec in enumerate(specs):
+        element, aromatic, charge, explicit_h, offset = spec
+        row = shared[idx]
+        order_sum = len(row) + extra[idx]  # aromatic bonds count 1
+        if explicit_h is not None:
+            # Bracket atom: hydrogens are exactly as written; sanity-check
+            # against the largest valence, widened by the charge.
+            if order_sum + explicit_h > max(VALENCES[element]) + abs(charge):
+                raise ValenceViolation(
+                    f"{element} with {explicit_h}H and "
+                    f"{order_sum} bonds exceeds valence",
+                    offset,
+                )
+            hydrogens = explicit_h
+        else:
+            hydrogens = _bare_hydrogens(element, aromatic, order_sum, offset)
+        degree = len(row)
+        if hydrogen_atoms:
+            degree = sum(1 for j in row if specs[j].element != "H")
+        atoms.append(
+            Atom(element, aromatic, charge, explicit_h, hydrogens, degree, offset)
         )
+
+    return MolecularGraph(tuple(atoms), tuple(bonds), ring_data, shared, source)
 
 
 def _bare_hydrogens(element: str, aromatic: bool, order_sum: int, offset: int) -> int:

@@ -18,12 +18,14 @@ from .model import (
     TRIPLE,
     VALENCES,
     AtomSpec,
+    Bond,
     EmptyInput,
     MolecularGraph,
     SmilesSyntaxError,
     UnbalancedParenthesis,
     UnclosedRingBond,
     UnknownElement,
+    assemble,
 )
 
 _BOND_CHARS = {
@@ -44,7 +46,8 @@ _BRACKET_RE = re.compile(
     r"(?P<chiral>@@|@)?"
     r"(?P<hcount>H\d*)?"
     r"(?P<charge>\+\+|--|[+-]\d*)?"
-    r"(?::(?P<cls>\d+))?$"
+    r"(?::(?P<cls>\d+))?$",
+    re.ASCII,
 )
 
 
@@ -54,54 +57,60 @@ def parse_smiles(text: str) -> MolecularGraph:
     The returned graph has rings perceived, aromatic flags validated and
     hydrogen counts resolved. Raises :class:`EmptyInput`,
     :class:`UnknownElement`, :class:`UnbalancedParenthesis`,
-    :class:`UnclosedRingBond`, :class:`ValenceViolation` or
-    :class:`SmilesSyntaxError`, each carrying the byte offset.
+    :class:`UnclosedRingBond`, :class:`ValenceViolation`,
+    :class:`AromaticityViolation` or :class:`SmilesSyntaxError`, each
+    carrying the byte offset. Ring-bond digits are ASCII ``0``-``9``.
     """
     if not text or not text.strip():
         raise EmptyInput("empty SMILES input", 0)
     if text != text.strip():
         raise SmilesSyntaxError("leading or trailing whitespace", 0)
 
+    # Each atom is bonded as it is read, so only a ring closure can repeat
+    # a bond or close onto its own atom; ``neighbours`` answers both.
     atoms: list[AtomSpec] = []
-    bonds: list[tuple[int, int, str]] = []
-    bond_pairs: set[frozenset[int]] = set()
-    prev: int | None = None
+    bonds: list[Bond] = []
+    neighbours: list[list[int]] = []
+    prev = -1  # the atom the next one bonds to, -1 for none
     pending: str | None = None  # explicit bond symbol awaiting its atom
     pending_offset = -1
-    branch_stack: list[tuple[int | None, int]] = []
+    branch_stack: list[tuple[int, int]] = []
     open_rings: dict[int, tuple[int, str | None, int]] = {}
-
-    def add_bond(a: int, b: int, order: str | None, offset: int) -> None:
-        if order is None:
-            order = (
-                AROMATIC
-                if atoms[a].aromatic and atoms[b].aromatic
-                else SINGLE
-            )
-        if a == b:
-            raise SmilesSyntaxError("ring bond closes onto its own atom", offset)
-        pair = frozenset((a, b))
-        if pair in bond_pairs:
-            raise SmilesSyntaxError("duplicate bond between the same atoms", offset)
-        bond_pairs.add(pair)
-        bonds.append((a, b, order))
-
-    def attach(idx: int, offset: int) -> None:
-        nonlocal prev, pending
-        if prev is not None:
-            add_bond(prev, idx, pending, offset)
-        elif pending is not None:
-            raise SmilesSyntaxError("bond symbol without a preceding atom", pending_offset)
-        pending = None
-        prev = idx
 
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
 
-        if ch == "(":
-            if prev is None:
+        if ch.isalpha() or ch == "[":
+            if ch == "[":
+                end = text.find("]", i)
+                if end < 0:
+                    raise SmilesSyntaxError("unclosed bracket atom", i)
+                spec = _parse_bracket(text[i + 1 : end], i)
+                width = end + 1 - i
+            else:
+                spec, width = _parse_bare(text, i)
+            idx = len(atoms)
+            atoms.append(spec)
+            if prev >= 0:
+                order = pending
+                if order is None:
+                    order = AROMATIC if spec.aromatic and atoms[prev].aromatic else SINGLE
+                bonds.append(Bond(prev, idx, order))
+                neighbours[prev].append(idx)
+                neighbours.append([prev])
+            else:
+                if pending is not None:
+                    raise SmilesSyntaxError(
+                        "bond symbol without a preceding atom", pending_offset
+                    )
+                neighbours.append([])
+            pending = None
+            prev = idx
+            i += width
+        elif ch == "(":
+            if prev < 0:
                 raise SmilesSyntaxError("branch opens before any atom", i)
             if pending is not None:
                 raise SmilesSyntaxError("bond symbol before a branch opening", i)
@@ -123,43 +132,45 @@ def parse_smiles(text: str) -> MolecularGraph:
         elif ch == ".":
             if pending is not None:
                 raise SmilesSyntaxError("bond symbol before '.'", pending_offset)
-            prev = None
+            prev = -1
             i += 1
-        elif ch.isdigit() or ch == "%":
+        elif "0" <= ch <= "9" or ch == "%":
             if ch == "%":
-                if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
+                digits = text[i + 1 : i + 3]
+                if len(digits) < 2 or not (digits.isascii() and digits.isdigit()):
                     raise SmilesSyntaxError("'%' needs two digits", i)
-                number = int(text[i + 1 : i + 3])
+                number = int(digits)
                 width = 3
             else:
-                number = int(ch)
+                number = ord(ch) - 48
                 width = 1
-            if prev is None:
+            if prev < 0:
                 raise SmilesSyntaxError("ring closure before any atom", i)
             if number in open_rings:
                 other, other_sym, _ = open_rings.pop(number)
-                sym = pending
-                if sym is not None and other_sym is not None and sym != other_sym:
+                order = pending
+                if order is not None and other_sym is not None and order != other_sym:
                     raise SmilesSyntaxError(
                         f"conflicting bond symbols on ring closure {number}", i
                     )
-                add_bond(other, prev, sym if sym is not None else other_sym, i)
-                pending = None
+                if order is None:
+                    order = other_sym
+                if order is None:
+                    order = (
+                        AROMATIC
+                        if atoms[other].aromatic and atoms[prev].aromatic
+                        else SINGLE
+                    )
+                if other == prev:
+                    raise SmilesSyntaxError("ring bond closes onto its own atom", i)
+                if prev in neighbours[other]:
+                    raise SmilesSyntaxError("duplicate bond between the same atoms", i)
+                bonds.append(Bond(other, prev, order))
+                neighbours[other].append(prev)
+                neighbours[prev].append(other)
             else:
                 open_rings[number] = (prev, pending, i)
-                pending = None
-            i += width
-        elif ch == "[":
-            end = text.find("]", i)
-            if end < 0:
-                raise SmilesSyntaxError("unclosed bracket atom", i)
-            atoms.append(_parse_bracket(text[i + 1 : end], i))
-            attach(len(atoms) - 1, i)
-            i = end + 1
-        elif ch.isalpha():
-            spec, width = _parse_bare(text, i)
-            atoms.append(spec)
-            attach(len(atoms) - 1, i)
+            pending = None
             i += width
         else:
             raise SmilesSyntaxError(f"unexpected character {ch!r}", i)
@@ -174,18 +185,18 @@ def parse_smiles(text: str) -> MolecularGraph:
     if not atoms:
         raise EmptyInput("no atoms in SMILES input", 0)
 
-    return MolecularGraph.from_spec(atoms, bonds, source=text)
+    return assemble(atoms, bonds, neighbours, text)
 
 
 def _parse_bare(text: str, i: int) -> tuple[AtomSpec, int]:
-    two = text[i : i + 2]
-    if two in ("Cl", "Br"):
-        return AtomSpec(element=two, offset=i), 2
     ch = text[i]
     if ch in _AROMATIC_BARE:
-        return AtomSpec(element=_AROMATIC_BARE[ch], aromatic=True, offset=i), 1
+        return AtomSpec(_AROMATIC_BARE[ch], True, 0, None, i), 1
+    two = text[i : i + 2]
+    if two == "Cl" or two == "Br":
+        return AtomSpec(two, False, 0, None, i), 2
     if ch in ("B", "C", "N", "O", "P", "S", "F", "I"):
-        return AtomSpec(element=ch, offset=i), 1
+        return AtomSpec(ch, False, 0, None, i), 1
     raise UnknownElement(f"unknown element symbol {ch!r}", i)
 
 
@@ -224,10 +235,4 @@ def _parse_bracket(body: str, bracket_offset: int) -> AtomSpec:
 
     # Isotope and atom class are parsed and ignored; no downstream feature
     # consumes them.
-    return AtomSpec(
-        element=element,
-        aromatic=aromatic,
-        formal_charge=charge,
-        explicit_h=explicit_h,
-        offset=bracket_offset,
-    )
+    return AtomSpec(element, aromatic, charge, explicit_h, bracket_offset)

@@ -7,22 +7,31 @@ atoms, so the core holds every candidate ring the whole graph holds; a
 cycle rooted at a stripped atom would pass twice through the atom that
 attaches it to the core, and the search rejects such cycles anyway.
 
-Each connected component of the core is one ring system. A component whose
-atoms all have exactly two core neighbours is a single simple cycle and is
-taken as its ring directly. Fused, bridged, spiro and linked systems go
-through Horton-style candidate enumeration (roots and edges from the
-component only) followed by a greedy GF(2) independence pass. Candidates
-are ordered by (size, normalized atom tuple), which makes the selected basis
-deterministic for a fixed atom ordering and minimal in total ring size. The
-number of selected rings always equals the cyclomatic number
-``bonds - atoms + components``. Ring systems share no edge, so choosing per
-component selects what one pass over all candidates would.
+Each connected component of the core is split at its bridges, the bonds
+on no cycle, into ring systems: the 2-edge-connected components, each a
+ring or a set of rings sharing atoms. A system whose atoms all have exactly
+two neighbours in it is a single simple cycle and is taken as its ring
+directly, so rings joined by a linker are traced one by one. Fused, bridged
+and spiro systems go through Horton-style candidate enumeration (roots and
+edges from the system only) followed by a greedy GF(2) independence pass.
+Candidates are ordered by (size, normalized atom tuple), which makes the
+selected basis deterministic for a fixed atom ordering and minimal in total
+ring size. The number of selected rings always equals the cyclomatic number
+``bonds - atoms + components``. Every cycle lies in one ring system, and
+ring systems share no edge, so choosing per system selects what one pass
+over all candidates would.
+
+A shortest path between two atoms of one ring system never leaves it:
+leaving crosses a bridge, and coming back would cross it again. So the
+breadth-first trees rooted in a system, and with them its candidates, are
+the same whether the search runs on the system or on its whole core
+component, and a root outside a system closes no candidate in it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from collections import deque
 
 
 @dataclass(frozen=True)
@@ -32,15 +41,16 @@ class RingInfo:
     ring_edges: frozenset[frozenset[int]]
 
 
-def find_sssr(n_atoms: int, edges: list[tuple[int, int]]) -> RingInfo:
-    adj: list[list[int]] = [[] for _ in range(n_atoms)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    in_core = two_core(adj)
+def find_sssr(neighbours: Sequence[Sequence[int]]) -> RingInfo:
+    """SSSR of the graph whose atom ``i`` is bonded to ``neighbours[i]``,
+    each listed in increasing atom order."""
+    n_atoms = len(neighbours)
+    in_core = two_core(neighbours)
+    if not any(in_core):
+        return RingInfo(rings=(), ring_membership=(False,) * n_atoms, ring_edges=frozenset())
     core_adj = [
-        sorted(v for v in nbrs if in_core[v]) if in_core[u] else []
-        for u, nbrs in enumerate(adj)
+        [v for v in nbrs if in_core[v]] if in_core[u] else []
+        for u, nbrs in enumerate(neighbours)
     ]
 
     chosen: list[tuple[int, ...]] = []
@@ -49,18 +59,25 @@ def find_sssr(n_atoms: int, edges: list[tuple[int, int]]) -> RingInfo:
         if not in_core[start] or seen[start]:
             continue
         component = _component(core_adj, start, seen)
-        if all(len(core_adj[u]) == 2 for u in component):
-            chosen.append(_trace_cycle(core_adj, start))
-        else:
-            chosen.extend(_ring_system_sssr(n_atoms, core_adj, component))
+        systems = [component]
+        if any(len(core_adj[u]) != 2 for u in component):
+            _split_at_bridges(core_adj, component)
+            systems = _ring_systems(core_adj, component)
+        for system in systems:
+            if all(len(core_adj[u]) == 2 for u in system):
+                chosen.append(_trace_cycle(core_adj, system[0]))
+            else:
+                chosen.extend(_ring_system_sssr(n_atoms, core_adj, system))
 
     chosen.sort(key=lambda cyc: (len(cyc), cyc))
     membership = [False] * n_atoms
     ring_edges: set[frozenset[int]] = set()
     for cyc in chosen:
-        for i in range(len(cyc)):
-            membership[cyc[i]] = True
-            ring_edges.add(frozenset((cyc[i - 1], cyc[i])))
+        prev = cyc[-1]
+        for atom in cyc:
+            membership[atom] = True
+            ring_edges.add(frozenset((prev, atom)))
+            prev = atom
     return RingInfo(
         rings=tuple(chosen),
         ring_membership=tuple(membership),
@@ -96,6 +113,46 @@ def _component(adj: list[list[int]], start: int, seen: list[bool]) -> list[int]:
                 comp.append(v)
                 stack.append(v)
     return comp
+
+
+def _split_at_bridges(adj: list[list[int]], component: list[int]) -> None:
+    """Remove from ``adj`` every bridge of one connected component: the
+    bonds whose removal disconnects it (Tarjan's low-link test on an
+    iterative depth-first walk)."""
+    order: dict[int, int] = {component[0]: 0}
+    low = {component[0]: 0}
+    bridges: list[tuple[int, int]] = []
+    stack = [(component[0], -1, iter(adj[component[0]]))]
+    while stack:
+        u, parent, pending = stack[-1]
+        for v in pending:
+            if v not in order:
+                order[v] = low[v] = len(order)
+                stack.append((v, u, iter(adj[v])))
+                break
+            if v != parent and order[v] < low[u]:
+                low[u] = order[v]
+        else:
+            stack.pop()
+            if parent >= 0:
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] > order[parent]:
+                    bridges.append((parent, u))
+    for a, b in bridges:
+        adj[a].remove(b)
+        adj[b].remove(a)
+
+
+def _ring_systems(adj: list[list[int]], component: list[int]) -> list[list[int]]:
+    """The connected parts of ``component`` under ``adj`` that hold a
+    cycle; an atom that only linked ring systems is left alone."""
+    systems = []
+    seen = {u: False for u in component}
+    for start in component:
+        if not seen[start] and adj[start]:
+            systems.append(_component(adj, start, seen))
+    return systems
 
 
 def _trace_cycle(adj: list[list[int]], start: int) -> tuple[int, ...]:
@@ -140,28 +197,6 @@ def _ring_system_sssr(
     )
 
 
-def _bfs_parents(n_atoms: int, adj: list[list[int]], root: int) -> list[int]:
-    seen = [False] * n_atoms
-    parent = [-1] * n_atoms
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                queue.append(v)
-    return parent
-
-
-def _path_to_root(parent: list[int], node: int) -> list[int]:
-    path = [node]
-    while parent[path[-1]] >= 0:
-        path.append(parent[path[-1]])
-    return path
-
-
 def _horton_candidates(
     n_atoms: int,
     adj: list[list[int]],
@@ -169,18 +204,39 @@ def _horton_candidates(
     edges: list[tuple[int, int]],
 ) -> set[tuple[int, ...]]:
     """All cycles of the form path(v,x) + edge(x,y) + path(y,v), rooted at
-    every atom of one ring system and closed by each of its edges."""
+    every atom of one ring system and closed by each of its edges.
+
+    The two tree paths from the root meet only at the root exactly when
+    ``x`` and ``y`` hang below different children of the root, so each
+    atom is labelled with its first hop from the root and an edge closes
+    a candidate when its two labels differ. An edge at the root closes
+    none: the root's neighbours are its children, and the pair would make
+    a two-atom cycle.
+    """
     out: set[tuple[int, ...]] = set()
     for root in component:
-        parent = _bfs_parents(n_atoms, adj, root)
+        parent = [-1] * n_atoms
+        hop = [-1] * n_atoms
+        hop[root] = root
+        queue = [root]
+        for u in queue:  # breadth first: the list grows while it is read
+            for v in adj[u]:
+                if hop[v] < 0:
+                    parent[v] = u
+                    hop[v] = v if u == root else hop[u]
+                    queue.append(v)
         for x, y in edges:
-            px = _path_to_root(parent, x)
-            py = _path_to_root(parent, y)
-            if set(px) & set(py) != {root}:
+            if hop[x] == hop[y] or x == root or y == root:
                 continue
-            cycle = px[::-1] + py[:-1]  # root..x, then y..(just before root)
-            if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-                continue
+            cycle = []
+            while x != root:
+                cycle.append(x)
+                x = parent[x]
+            cycle.append(root)
+            cycle.reverse()  # root..x, then y..(just before root)
+            while y != root:
+                cycle.append(y)
+                y = parent[y]
             out.add(_normalize_cycle(cycle))
     return out
 
@@ -188,8 +244,9 @@ def _horton_candidates(
 def _normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
     """Rotate/reflect so the tuple starts at the smallest atom and is
     lexicographically minimal; purely cosmetic but fixes determinism."""
-    k = len(cycle)
     start = cycle.index(min(cycle))
-    fwd = tuple(cycle[(start + i) % k] for i in range(k))
-    rev = tuple(cycle[(start - i) % k] for i in range(k))
-    return min(fwd, rev)
+    turned = cycle[start:] + cycle[:start]
+    # Both directions start at the smallest atom; the atoms after it differ.
+    if turned[1] < turned[-1]:
+        return tuple(turned)
+    return (turned[0],) + tuple(reversed(turned[1:]))

@@ -96,7 +96,7 @@ def extract_scaffold(graph: MolecularGraph, *, memo: dict | None = None) -> Scaf
 
 def _kept_atoms(graph: MolecularGraph) -> list[int]:
     """Indices of the framework's atoms, ascending."""
-    in_core = two_core([[j for j, _ in nbrs] for nbrs in graph.adjacency])
+    in_core = two_core(graph.neighbours)
     kept = {i for i, alive in enumerate(in_core) if alive}
 
     # Re-attach atoms multiply bonded straight onto the framework.

@@ -26,6 +26,16 @@ def registry9():
     return load_registry(DATA_DIR / "scaffold_groups.csv")
 
 
+def neighbour_lists(n_atoms: int, edges) -> list[list[int]]:
+    """Each atom's neighbours in increasing order, as ``find_sssr`` reads
+    them, built from the edges alone."""
+    neighbours: list[list[int]] = [[] for _ in range(n_atoms)]
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    return [sorted(row) for row in neighbours]
+
+
 def permute_graph(graph: MolecularGraph, order: list[int]) -> MolecularGraph:
     """Rebuild a graph with atoms relabelled by ``order`` (old -> position)."""
     inverse = {old: new for new, old in enumerate(order)}

@@ -726,3 +726,19 @@ def test_one_emission_per_distinct_leaf_string_on_pool_sample(pool_graphs, monke
         emitted, distinct = emissions(monkeypatch, graph)
         assert emitted == distinct, graph.source
 
+
+
+# --- depth costs no recursion ------------------------------------------------
+
+
+@pytest.mark.parametrize("smiles, atoms", [
+    ("C" * 5000, 5000),  # a 5,000-atom chain
+    ("C(" * 2000 + "C" + ")" * 2000, 2001),  # branches nested 2,000 deep
+    ("OC(" * 1000 + "C" + ")" * 1000, 2001),  # a 1,000-deep nest of branch points
+], ids=["chain-5000", "nest-2000", "branch-points-1000"])
+def test_deep_molecules_canonicalize(smiles, atoms):
+    graph = parse_smiles(smiles)
+    assert len(graph.atoms) == atoms
+    canon = canonical_smiles(graph)
+    again = parse_smiles(canon)
+    assert len(again.atoms) == atoms and again.canonical == canon

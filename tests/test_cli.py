@@ -831,6 +831,49 @@ class TestScreen:
         assert (screen_dir / "report.json").read_bytes() == first
 
 
+class TestNonAsciiDigitRow:
+    """A SMILES whose ring-bond digit is not ASCII ('C²') is a parse failure
+    of its row: every command that reads a dataset exits 1 naming the row,
+    and screen sets the row aside."""
+
+    REASON = "unexpected character '\u00b2' (offset 1)"
+
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        text = Path(DATASET).read_text(encoding="utf-8")
+        path.write_text(text + "C\u00b2,20,\n", encoding="utf-8")
+        return path  # the bad row is row 26
+
+    @pytest.mark.parametrize("command", [
+        ["featurize", "--blocks", "K,D", "--out", "f.csv"],
+        ["train", "--model", "gb", "--out", "m.json", "--pipeline-out", "p.json"],
+        ["evaluate", "--model", "svr", "--repeats", "2", "--registry", REGISTRY,
+         "--out-json", "e.json", "--out-text", "e.txt"],
+        ["scaffold", "--registry", REGISTRY, "--out", "s.csv"],
+    ], ids=lambda command: command[0])
+    def test_command_exits_1_naming_the_row(
+        self, dataset, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)  # outputs, if any were written, land here
+        assert run(command[0], "--dataset", str(dataset), *command[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: row 26")
+        assert err.endswith(f"{self.REASON}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    def test_screen_sets_the_row_aside(self, screen_dir, capsys):
+        pool = screen_dir / "pool.csv"
+        pool.write_text(pool.read_text() + "C\u00b2\n", encoding="utf-8")
+        assert run("screen", "--funnel", str(screen_dir / "funnel.json"),
+                   "--out-json", str(screen_dir / "report.json"),
+                   "--out-text", str(screen_dir / "report.txt")) == 0
+        assert capsys.readouterr().err == f"warning: row 12 ('C\u00b2'): {self.REASON}\n"
+        payload = json.loads((screen_dir / "report.json").read_text())
+        assert payload["parse_failures"] == 1
+        assert payload["failed_rows"] == [{"row": 12, "smiles": "C\u00b2", "reason": self.REASON}]
+
+
 class TestScaffoldCommand:
     def test_dump(self, tmp_path):
         out = tmp_path / "scaffolds.csv"

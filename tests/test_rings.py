@@ -6,7 +6,7 @@ import pytest
 from molscreen.molgraph import MolGraphError, RingInfo, parse_smiles
 from molscreen.molgraph.rings import find_sssr as package_sssr
 
-from conftest import permute_graph, random_molecule, synthetic_pool_rows
+from conftest import neighbour_lists, permute_graph, random_molecule, synthetic_pool_rows
 
 # --- all-atom reference ---------------------------------------------------
 #
@@ -158,7 +158,8 @@ def reference_rings(graph) -> RingInfo:
 
 
 def assert_matches_reference(graph) -> None:
-    got = package_sssr(len(graph.atoms), [(b.a, b.b) for b in graph.bonds])
+    edges = [(b.a, b.b) for b in graph.bonds]
+    got = package_sssr(neighbour_lists(len(graph.atoms), edges))
     want = reference_rings(graph)
     assert got.rings == want.rings
     assert got.ring_membership == want.ring_membership
@@ -167,8 +168,8 @@ def assert_matches_reference(graph) -> None:
 
 
 # Cages, bridged, spiro, fused and linked ring systems, and a salt with one
-# ring in each part. Linked systems keep their linker in the 2-core, so they
-# go through the Horton search rather than the simple-cycle shortcut.
+# ring in each part. Linked systems keep their linker in the 2-core; the
+# search splits that core at its bridges into ring systems.
 HARD_RINGS = [
     "C12C3C4C1C5C2C3C45",  # cubane
     "C1C2CC3CC1CC(C2)C3",  # adamantane
@@ -179,6 +180,22 @@ HARD_RINGS = [
     "C1CC1C1CC1",  # bicyclopropyl
     "c1ccc(Cc2ccc3ccccc3c2)cc1",  # benzene-CH2-naphthalene
     "[NH3+]C1CCCCC1.[O-]C(=O)c1ccccc1",
+] + [
+    "c1ccc(cc1)P(c1ccccc1)c1ccccc1",  # triphenylphosphine
+    "C1CC1CCCC1CCCC1",  # ring-chain-ring
+    "C1CCC2(CC1)CCC(C2)Cc1ccccc1",  # spiro system linked to a ring
+    "C1CC2CCC1CC2CC1CCCCC1",  # bridged system linked to a ring
+    "c1ccc2ccccc2c1Oc1ccccc1C1CC1",  # fused system, linked ring, linked ring
+]
+
+# Rings joined only by linkers: after the split every ring system is one
+# simple cycle.
+LINKED_RINGS = [
+    "c1ccc(-c2ccccc2)cc1",  # biphenyl
+    "c1ccc(Oc2ccccc2)cc1",  # diphenyl ether
+    "c1ccc(Cc2ccccc2)cc1",  # diphenylmethane
+    "c1ccc(cc1)P(c1ccccc1)c1ccccc1",  # triphenylphosphine
+    "C1CC1CCCC1CCCC1",  # ring-chain-ring
 ]
 
 
@@ -207,3 +224,28 @@ def test_matches_reference_on_hard_ring_systems(smiles):
         order = list(range(len(graph.atoms)))
         rng.shuffle(order)
         assert_matches_reference(permute_graph(graph, order))
+
+
+@pytest.mark.parametrize("smiles", LINKED_RINGS)
+def test_linked_rings_are_traced_one_by_one(smiles, monkeypatch):
+    from molscreen.molgraph import rings
+
+    def horton(*args):
+        raise AssertionError("a linked ring went through the Horton search")
+
+    monkeypatch.setattr(rings, "_ring_system_sssr", horton)
+    graph = parse_smiles(smiles)
+    assert len(graph.rings.rings) >= 2
+    assert_matches_reference(graph)
+
+
+def test_fused_system_still_goes_through_horton(monkeypatch):
+    from molscreen.molgraph import rings
+
+    calls = []
+    search = rings._ring_system_sssr
+    monkeypatch.setattr(rings, "_ring_system_sssr",
+                        lambda *args: calls.append(args[2]) or search(*args))
+    graph = parse_smiles("c1ccc2ccccc2c1Oc1ccccc1")
+    assert [sorted(system) for system in calls] == [list(range(10))]  # the naphthalene
+    assert_matches_reference(graph)

@@ -26,7 +26,7 @@ from molscreen.scaffold import (
 from molscreen import scaffold as scaffold_module
 from molscreen.scaffold import _framework, _framework_key, _kept_atoms
 
-from conftest import permute_graph, random_molecule, synthetic_pool_rows
+from conftest import neighbour_lists, permute_graph, random_molecule, synthetic_pool_rows
 from test_canon import SYMMETRIC
 
 
@@ -309,7 +309,8 @@ class TestFramework:
             assert framework.bonds == rebuilt.bonds
             assert framework.rings == rebuilt.rings
             edges = [(b.a, b.b) for b in framework.bonds]
-            assert find_sssr(len(framework.atoms), edges) == framework.rings
+            neighbours = neighbour_lists(len(framework.atoms), edges)
+            assert find_sssr(neighbours) == framework.rings
 
     def test_no_ring_perception(self, dataset24, registry9, monkeypatch):
         from molscreen.molgraph import rings
