@@ -154,7 +154,7 @@ def load_dataset(path: str | Path, require_pce: bool = True) -> Dataset:
         for row_no, row, graph in rows:
             smiles = row["smiles"]
             if isinstance(graph, str):
-                raise DataError(f"row {row_no}: {smiles!r}: {graph}")
+                raise DataError(f"row {row_no} ({smiles!r}): {graph}")
             check_unique(seen, graph, row_no, smiles)
             pce = 0.0
             text = (row.get("pce") or "").strip()

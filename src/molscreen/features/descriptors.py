@@ -76,13 +76,17 @@ def descriptors(graph: MolecularGraph) -> np.ndarray:
     hba = sum(1 for a in heavy if a.element in ("N", "O"))
     hbd = sum(1 for a in heavy if a.element in ("N", "O") and a.hydrogens >= 1)
 
+    # A ring edge joins two ring atoms, so only a bond between two ring
+    # atoms is looked up among the ring edges.
+    in_ring = graph.rings.ring_membership
+    ring_edges = graph.rings.ring_edges
     rotatable = 0
-    for bond in graph.bonds:
-        if bond.order != SINGLE:
+    for a, b, order in graph.bonds:
+        if order != SINGLE:
             continue
-        if bond.key() in graph.rings.ring_edges:
+        if in_ring[a] and in_ring[b] and frozenset((a, b)) in ring_edges:
             continue
-        if atoms[bond.a].degree >= 2 and atoms[bond.b].degree >= 2:
+        if atoms[a].degree >= 2 and atoms[b].degree >= 2:
             rotatable += 1
 
     element_counts = {el: 0 for el in ("C", "N", "O", "S", "P", "F", "Cl", "Br", "I")}

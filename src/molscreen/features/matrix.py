@@ -106,7 +106,7 @@ def load_latents(path: str | Path) -> LatentTable:
                     f"row {row_no}: expected {len(names)} values, got {len(values)}"
                 )
             if isinstance(graph, str):
-                raise UnparseableSMILES(f"row {row_no}: {row['smiles']!r}: {graph}")
+                raise UnparseableSMILES(f"row {row_no} ({row['smiles']!r}): {graph}")
             if graph.canonical in vectors:
                 raise DuplicateKey(f"row {row_no}: duplicate molecule {row['smiles']!r}")
             vectors[graph.canonical] = np.array(

@@ -58,12 +58,38 @@ _GRAM_BYTES = 1 << 24
 # of 30, 0.42 of 120 and 0.38 of 200.
 _SOLVE_TOGETHER = 16
 
+# rbf_kernel forms a2 + b2 this many bytes of rows at a time.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(m: int) -> int:
+    """Rows of an n x m ``rbf_kernel`` block: at least one, else as many
+    as ``_BLOCK_BYTES`` holds."""
+    return max(1, _BLOCK_BYTES // (8 * max(m, 1)))
+
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """``exp(-gamma * max(a2 + b2 - 2.0 * (A @ B.T), 0.0))``, with ``a2``
+    and ``b2`` the rows' squared norms, bitwise.
+
+    The product is the call's only n x m array: the kernel is finished in
+    it, with the same operations on the same operands in the same order.
+    ``a2 + b2`` and its difference with the doubled product go one block
+    of rows at a time, which cannot change a correctly rounded result;
+    ``exp``, whose vectorized loop need not round alike on every path,
+    takes the whole matrix in one call.
+    """
     a2 = np.sum(A * A, axis=1)[:, None]
     b2 = np.sum(B * B, axis=1)[None, :]
-    sq = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
-    return np.exp(-gamma * sq)
+    K = A @ B.T
+    K *= 2.0
+    step = _block_rows(K.shape[1])
+    for start in range(0, K.shape[0], step):
+        rows = K[start : start + step]
+        np.subtract(a2[start : start + step] + b2, rows, out=rows)
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def linear_kernel(A: np.ndarray, B: np.ndarray, gamma: float = 0.0) -> np.ndarray:

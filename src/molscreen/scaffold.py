@@ -203,7 +203,7 @@ def load_registry(path: str | Path) -> ScaffoldRegistry:
             if raw == "":
                 canon = ""
             elif isinstance(graph, str):
-                raise UnparseableScaffold(f"row {row_no}: {raw!r}: {graph}")
+                raise UnparseableScaffold(f"row {row_no} ({raw!r}): {graph}")
             else:
                 canon = graph.canonical
                 fixed = extract_scaffold(graph).canonical

@@ -289,7 +289,7 @@ def load_property_table(path: str | Path, parsed: dict | None = None) -> dict[st
     with read_molecules(path, columns, ScreeningError, parsed=parsed) as (_, rows):
         for row_no, row, graph in rows:
             if isinstance(graph, str):
-                raise ScreeningError(f"property row {row_no}: {row['smiles']!r}: {graph}")
+                raise ScreeningError(f"property row {row_no} ({row['smiles']!r}): {graph}")
             entry = {}
             for key, cast in (("donor_number", float), ("dipole_moment", float), ("hba", int)):
                 text = (row.get(key) or "").strip()
@@ -312,7 +312,7 @@ def load_cas_table(path: str | Path, parsed: dict | None = None) -> dict[str, st
             if not cas:
                 continue
             if isinstance(graph, str):
-                raise ScreeningError(f"CAS row {row_no}: {row['smiles']!r}: {graph}")
+                raise ScreeningError(f"CAS row {row_no} ({row['smiles']!r}): {graph}")
             if graph.canonical not in table or cas < table[graph.canonical]:
                 table[graph.canonical] = cas
     return table

@@ -857,10 +857,25 @@ class TestNonAsciiDigitRow:
     ):
         monkeypatch.chdir(tmp_path)  # outputs, if any were written, land here
         assert run(command[0], "--dataset", str(dataset), *command[1:]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: row 26")
-        assert err.endswith(f"{self.REASON}\n")
+        # One wording for every command, as featurize's row reporter and
+        # screen's warnings word it.
+        assert capsys.readouterr().err == f"error: row 26 ('C\u00b2'): {self.REASON}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    @pytest.mark.parametrize("command", [
+        ["scaffold", "--dataset", DATASET, "--out", "s.csv"],
+        ["evaluate", "--dataset", DATASET, "--model", "gb", "--repeats", "2",
+         "--out-json", "e.json", "--out-text", "e.txt"],
+    ], ids=lambda command: command[0])
+    def test_registry_row_worded_alike(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        registry = tmp_path / "registry.csv"
+        registry.write_text(Path(REGISTRY).read_text() + "C1CC,2,x\n")  # row 40
+        assert run(*command, "--registry", str(registry)) == 1
+        assert capsys.readouterr().err == (
+            "error: row 40 ('C1CC'): unclosed ring-bond digit (offset 1)\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.csv"]
 
     def test_screen_sets_the_row_aside(self, screen_dir, capsys):
         pool = screen_dir / "pool.csv"

@@ -1,4 +1,6 @@
+import csv
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from molscreen.features.patterns import (
     PatternKey,
     keyset_from_entries,
 )
-from molscreen.molgraph import parse_smiles
+from molscreen.molgraph import SINGLE, parse_smiles
 
 from conftest import random_molecule, synthetic_pool_rows
 from test_canon import SYMMETRIC
@@ -162,6 +164,40 @@ class TestDescriptors:
         assert d["component_count"] == 3
         assert d["net_formal_charge"] == 0
 
+    def test_rotatable_bonds_against_a_key_per_bond(self, dataset24, registry9):
+        def rotatable(graph):
+            # Each single bond's ring test through its own frozenset key.
+            count = 0
+            for bond in graph.bonds:
+                if bond.order != SINGLE or bond.key() in graph.rings.ring_edges:
+                    continue
+                if graph.atoms[bond.a].degree >= 2 and graph.atoms[bond.b].degree >= 2:
+                    count += 1
+            return count
+
+        demo_pool = Path(__file__).resolve().parents[1] / "demo" / "pool.csv"
+        rows = synthetic_pool_rows()
+        rows += [row["smiles"] for row in csv.DictReader(demo_pool.open())]
+        rows += [scaffold for scaffold in registry9.entries if scaffold]
+        graphs = [record.graph for record in dataset24.records]
+        for smiles in rows:
+            try:
+                graphs.append(parse_smiles(smiles))
+            except ValueError:
+                pass
+        column = DESCRIPTOR_NAMES.index("rotatable_bonds")
+        ring_single = linker = 0
+        for graph in graphs:
+            assert descriptors(graph)[column] == rotatable(graph)
+            for a, b, order in graph.bonds:
+                both = graph.rings.ring_membership[a] and graph.rings.ring_membership[b]
+                if order == SINGLE and both:
+                    if frozenset((a, b)) in graph.rings.ring_edges:
+                        ring_single += 1
+                    else:
+                        linker += 1
+        assert len(graphs) > 12_000 and ring_single and linker
+
     def test_representation_invariance(self, dataset24):
         for record in dataset24.records:
             a = descriptors(record.graph)
@@ -200,7 +236,7 @@ class TestLatents:
 
     def test_unparseable(self, tmp_path):
         rows = ["C1CC," + ",".join("0" for _ in range(56))]
-        with pytest.raises(UnparseableSMILES):
+        with pytest.raises(UnparseableSMILES, match=r"row 2 \('C1CC'\): unclosed"):
             load_latents(self.write(tmp_path, rows))
 
     def test_empty_file(self, tmp_path):

@@ -168,7 +168,7 @@ class TestRegistry:
     def test_unparseable_rejected(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text("scaffold_smiles,group_id,group_name\nC1CC,1,a\n")
-        with pytest.raises(UnparseableScaffold):
+        with pytest.raises(UnparseableScaffold, match=r"^row 2 \('C1CC'\): unclosed"):
             load_registry(path)
 
     def test_gapped_group_ids_rejected(self, tmp_path):

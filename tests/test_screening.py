@@ -195,7 +195,7 @@ class TestTables:
     def test_property_table_unparseable_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("smiles,donor_number,dipole_moment\nCCO,20,1.5\nC1CC,20,1.5\n")
-        with pytest.raises(ScreeningError, match="property row 3: 'C1CC'"):
+        with pytest.raises(ScreeningError, match=r"^property row 3 \('C1CC'\): unclosed"):
             load_property_table(path)
 
     def test_property_table_last_row_wins(self, tmp_path):
@@ -224,7 +224,7 @@ class TestTables:
         path = tmp_path / "c.csv"
         path.write_text("smiles,cas\nC1CC,\nCCO,64-17-5\nC(C,1-1-1\n")
         # a row without a code is skipped before its SMILES matters
-        with pytest.raises(ScreeningError, match="CAS row 4: 'C\\(C'"):
+        with pytest.raises(ScreeningError, match=r"^CAS row 4 \('C\(C'\): unclosed"):
             load_cas_table(path)
 
 

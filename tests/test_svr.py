@@ -1,7 +1,9 @@
-"""The SVR solver against the masked-interval solver it replaced, kernel
-symmetry, and hyperparameter validation."""
+"""The SVR solver against the masked-interval solver it replaced, the RBF
+kernel against its one-expression form, kernel symmetry, and
+hyperparameter validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +234,84 @@ class TestKernelSymmetry:
         X[:, : shape[1] // 2] = np.floor(X[:, : shape[1] // 2] * 4.0)
         K = svr._KERNELS[kernel](X, X, svr.default_gamma(X))
         assert np.array_equal(K, K.T)
+
+
+def oracle_rbf_kernel(A, B, gamma):
+    """The RBF kernel as one expression, each step a new n x m array."""
+    a2 = np.sum(A * A, axis=1)[:, None]
+    b2 = np.sum(B * B, axis=1)[None, :]
+    sq = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
+    return np.exp(-gamma * sq)
+
+
+GAMMAS = [1e-9, 1e-4, 0.05, 1.0, 10.0]
+
+
+class TestRbfKernel:
+    """``rbf_kernel`` finishes the kernel inside ``A @ B.T``, a block of rows
+    at a time, and must give bitwise the one-expression form's values."""
+
+    def check(self, A, B, gamma):
+        got = svr.rbf_kernel(A, B, gamma)
+        want = oracle_rbf_kernel(A, B, gamma)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (24, 20), (2000, 24)])
+    def test_gram_matrix(self, shape, gamma):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        X = rng.normal(size=shape)
+        X[:, : shape[1] // 2] = np.floor(X[:, : shape[1] // 2] * 4.0)
+        self.check(X, X, gamma)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("m", [1, 20, 2000])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_one_block(self, m, extra, gamma):
+        rows = svr._block_rows(m) + extra
+        if rows == 0:
+            pytest.skip("a block of one row has no fewer")
+        rng = np.random.default_rng(m * 10 + extra)
+        self.check(rng.normal(size=(rows, 24)), rng.normal(size=(m, 24)), gamma)
+
+    def test_rows_of_several_blocks(self):
+        rng = np.random.default_rng(5)
+        B = rng.normal(size=(2000, 24))
+        for blocks in (2, 3):
+            self.check(rng.normal(size=(blocks * svr._block_rows(2000) + 1, 24)), B, 0.05)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_predictions_against_support_vectors(self, gamma):
+        X, _ = bench_like_regression(2500, seed=9)
+        self.check(X[2000:], X[:2000], gamma)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_duplicated_rows_clamp_at_zero(self, gamma):
+        rng = np.random.default_rng(11)
+        X = np.repeat(rng.normal(size=(40, 24)) * 3.0, 3, axis=0)
+        a2 = np.sum(X * X, axis=1)
+        assert (a2[:, None] + a2[None, :] - 2.0 * (X @ X.T) < 0.0).any()
+        self.check(X, X, gamma)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_large_offset_cancels(self, gamma):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(150, 24)) + 1e6
+        Y = rng.normal(size=(90, 24)) + 1e6
+        self.check(X, X, gamma)
+        self.check(X, Y, gamma)
+
+    def test_holds_one_gram_matrix_and_one_block(self):
+        X, _ = bench_like_regression(1500)
+        tracemalloc.start()
+        try:
+            K = svr.rbf_kernel(X, X, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = svr._block_rows(1500) * 1500 * 8
+        assert peak < K.nbytes + block + (1 << 20)
 
 
 class TestHyperparameterValidation:
