@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..molgraph import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolecularGraph
+from ..molgraph import DOUBLE, SINGLE, TRIPLE, MolecularGraph
 
 HALOGENS = ("F", "Cl", "Br", "I")
 
@@ -54,74 +54,62 @@ def atomic_masses() -> dict[str, float]:
 
 
 def descriptors(graph: MolecularGraph) -> np.ndarray:
-    """Descriptor vector aligned to :data:`DESCRIPTOR_NAMES`."""
+    """Descriptor vector aligned to :data:`DESCRIPTOR_NAMES`, from one walk
+    over the atoms and one over the bonds."""
     masses = atomic_masses()
     atoms = graph.atoms
-    heavy = [a for a in atoms if a.element != "H"]
-    heavy_count = len(heavy)
-
-    # Tally integer element counts first so the weight is a fixed-order sum,
-    # byte-identical for any atom ordering of the same molecule.
-    tally: dict[str, int] = {}
-    for a in atoms:
-        tally[a.element] = tally.get(a.element, 0) + 1
-    tally["H"] = tally.get("H", 0) + sum(a.hydrogens for a in atoms)
+    tally: dict[str, int] = {}  # atoms per element, explicit H atoms too
+    hydrogens = hbd = aromatic_atoms = charge = 0
+    for atom in atoms:
+        element = atom.element
+        tally[element] = tally.get(element, 0) + 1
+        hydrogens += atom.hydrogens
+        charge += atom.formal_charge
+        aromatic_atoms += atom.aromatic  # hydrogen is never aromatic
+        if atom.hydrogens and element in ("N", "O"):
+            hbd += 1
+    heavy_count = len(atoms) - tally.get("H", 0)
+    element_counts = [tally.get(el, 0) for el in ("C", "N", "O", "S", "P", "F", "Cl", "Br", "I")]
+    # Add the hydrogens to the integer tally first so the weight is a
+    # fixed-order sum, byte-identical for any atom ordering of the molecule.
+    tally["H"] = tally.get("H", 0) + hydrogens
     weight = sum(count * masses[el] for el, count in sorted(tally.items()))
-
-    rings = graph.rings.rings
-    aromatic_rings = sum(
-        1 for ring in rings if all(atoms[i].aromatic for i in ring)
-    )
-
-    hba = sum(1 for a in heavy if a.element in ("N", "O"))
-    hbd = sum(1 for a in heavy if a.element in ("N", "O") and a.hydrogens >= 1)
 
     # A ring edge joins two ring atoms, so only a bond between two ring
     # atoms is looked up among the ring edges.
     in_ring = graph.rings.ring_membership
     ring_edges = graph.rings.ring_edges
-    rotatable = 0
+    rotatable = double = triple = 0
     for a, b, order in graph.bonds:
-        if order != SINGLE:
-            continue
-        if in_ring[a] and in_ring[b] and frozenset((a, b)) in ring_edges:
-            continue
-        if atoms[a].degree >= 2 and atoms[b].degree >= 2:
-            rotatable += 1
+        if order == DOUBLE:
+            double += 1
+        elif order == TRIPLE:
+            triple += 1
+        elif order == SINGLE and atoms[a].degree >= 2 and atoms[b].degree >= 2:
+            if not (in_ring[a] and in_ring[b] and frozenset((a, b)) in ring_edges):
+                rotatable += 1
 
-    element_counts = {el: 0 for el in ("C", "N", "O", "S", "P", "F", "Cl", "Br", "I")}
-    for a in heavy:
-        if a.element in element_counts:
-            element_counts[a.element] += 1
-
-    aromatic_atoms = sum(1 for a in heavy if a.aromatic)
-
-    values = {
-        "heavy_atom_count": float(heavy_count),
-        "molecular_weight": weight,
-        "ring_count": float(len(rings)),
-        "aromatic_ring_count": float(aromatic_rings),
-        "hba_count": float(hba),
-        "hbd_count": float(hbd),
-        "rotatable_bonds": float(rotatable),
-        "halogen_count": float(sum(element_counts[h] for h in HALOGENS)),
-        "heteroatom_count": float(
-            sum(1 for a in heavy if a.element != "C")
-        ),
-        "net_formal_charge": float(sum(a.formal_charge for a in atoms)),
-        "fraction_aromatic_atoms": (
-            aromatic_atoms / heavy_count if heavy_count else 0.0
-        ),
-        "max_ring_size": float(max((len(r) for r in rings), default=0)),
-        "double_bond_count": float(
-            sum(1 for b in graph.bonds if b.order == DOUBLE)
-        ),
-        "triple_bond_count": float(
-            sum(1 for b in graph.bonds if b.order == TRIPLE)
-        ),
-        "component_count": float(len(graph.components())),
-    }
-    for el, count in element_counts.items():
-        values[f"n_{el}"] = float(count)
-
-    return np.array([values[name] for name in DESCRIPTOR_NAMES], dtype=np.float64)
+    rings = graph.rings.rings
+    return np.array(
+        [
+            heavy_count,
+            weight,
+            len(rings),
+            sum(1 for ring in rings if all(atoms[i].aromatic for i in ring)),
+            tally.get("N", 0) + tally.get("O", 0),  # hba_count
+            hbd,
+            rotatable,
+            sum(tally.get(el, 0) for el in HALOGENS),
+            heavy_count - tally.get("C", 0),  # heteroatom_count
+            charge,
+            aromatic_atoms / heavy_count if heavy_count else 0.0,
+            max((len(ring) for ring in rings), default=0),
+            double,
+            triple,
+            *element_counts,
+            # The SSSR holds as many rings as the cyclomatic number
+            # bonds - atoms + components (see molgraph.rings).
+            len(atoms) - len(graph.bonds) + len(rings),
+        ],
+        dtype=np.float64,
+    )

@@ -7,11 +7,14 @@ embedded images, i.e. embeddings identified up to automorphism of the
 pattern, with substructure semantics: pattern edges must be present in the
 molecule, extra molecule bonds between matched atoms are irrelevant.
 
-Keys are counted by shape. A key of one atom and no bonds has one image per
-molecule atom whose (element, aromatic) label fits it; a key of two atoms
-and one bond has one image per molecule bond whose end labels and order
-fit it in either orientation. Both are read from label counts built once
-per molecule. Every other key runs a backtracking search, skipped when the
+Keys are counted by shape, through tables a key set compiles once. A key of
+one atom and no bonds has one image per molecule atom whose (element,
+aromatic) label fits it; a key of two atoms and one bond has one image per
+molecule bond whose end labels and order fit it in either orientation. A
+molecule is read in one pass over its atoms, counting atoms per label, and
+one over its bonds, counting bonds per (label, label, order); the key set
+maps each label and each such bond, on first sight, to the keys it counts
+towards. Every other key runs a backtracking search, skipped when the
 molecule has fewer atoms fitting some atom spec than the pattern uses. Its
 first atom is drawn from the atoms fitting the first pattern atom, and a
 pattern atom whose shortest pattern cycle has length k may land only on a
@@ -24,7 +27,6 @@ no other cycle, and no system holds one longer than its atom count.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -96,17 +98,6 @@ class PatternKey:
             raise PatternError(f"key {self.label!r} is not connected")
 
     @cached_property
-    def _count(self):
-        """The counter of this key's images, by its shape: a key of one atom
-        and no bonds, a key of two atoms and one bond (which, the key being
-        connected, joins them), or any other key."""
-        if len(self.atoms) == 1 and not self.bonds:
-            return _atom_images
-        if len(self.atoms) == 2 and len(self.bonds) == 1:
-            return _bond_images
-        return _searched_images
-
-    @cached_property
     def _demand(self) -> tuple[tuple[Spec, int], ...]:
         """Each distinct atom spec (element, aromatic) with the number of
         pattern atoms carrying it: an image needs that many distinct
@@ -166,13 +157,76 @@ class KeySet:
         return [key.label for key in self.keys]
 
     @cached_property
-    def _by_shape(self) -> tuple[tuple[Callable, tuple[tuple[int, PatternKey], ...]], ...]:
-        """The keys split by shape: per counter, the (bit position, key)
-        pairs it counts. Compiled on first use."""
-        return tuple(
-            (count, tuple((pos, key) for pos, key in enumerate(self.keys) if key._count is count))
-            for count in (_atom_images, _bond_images, _searched_images)
-        )
+    def _compiled(self) -> tuple[tuple, tuple, tuple, int]:
+        """The keys by shape: (count slot, spec) per one-atom key and per
+        distinct atom spec a searched key demands, (bit position, spec,
+        spec, order) per one-bond key, (bit position, key, (slot, need) per
+        demanded spec) per searched key, and the number of count slots. A
+        one-bond key joins its two atoms, the key being connected."""
+        atom_slots, bond_keys, searched = [], [], []
+        slot_of: dict[Spec, int] = {}
+        for pos, key in enumerate(self.keys):
+            specs = [(atom.element, atom.aromatic) for atom in key.atoms]
+            if len(specs) == 1 and not key.bonds:
+                atom_slots.append((pos, specs[0]))
+            elif len(specs) == 2 and len(key.bonds) == 1:
+                bond_keys.append((pos, *specs, key.bonds[0].order))
+            else:
+                demand = tuple(
+                    (slot_of.setdefault(spec, len(self.keys) + len(slot_of)), need)
+                    for spec, need in key._demand
+                )
+                searched.append((pos, key, demand))
+        atom_slots += [(slot, spec) for spec, slot in slot_of.items()]
+        return tuple(atom_slots), tuple(bond_keys), tuple(searched), len(self.keys) + len(slot_of)
+
+    @cached_property
+    def _atom_hits(self) -> dict[Label, tuple[int, ...]]:
+        """Per atom label met so far, the count slots an atom with it adds
+        one to."""
+        return {}
+
+    @cached_property
+    def _bond_hits(self) -> dict[tuple[Label, Label, str], tuple[int, ...]]:
+        """Per (label, label, order) of a bond met so far, smaller label
+        first, the one-bond keys it is an image of."""
+        return {}
+
+    def _counts(self, graph: MolecularGraph, limited: bool) -> list[int]:
+        """Per key, its images in ``graph`` (a searched key's stopping at its
+        ``min_count`` when ``limited``), then the demand slots."""
+        atom_slots, bond_keys, searched, width = self._compiled
+        mol = _Molecule(graph)
+        counts = [0] * width
+        atom_hits = self._atom_hits
+        for label, atoms in mol.atoms_by_label.items():
+            hits = atom_hits.get(label)
+            if hits is None:
+                hits = atom_hits[label] = tuple(
+                    slot for slot, spec in atom_slots if _fits(label, spec)
+                )
+            for slot in hits:
+                counts[slot] += len(atoms)
+        bond_hits = self._bond_hits
+        for bond, n in mol.bond_counts.items():
+            hits = bond_hits.get(bond)
+            if hits is None:
+                x, y, order = bond
+                hits = bond_hits[bond] = tuple(
+                    pos
+                    for pos, first, second, want in bond_keys
+                    if (want is None or want == order)
+                    and (_fits(x, first) and _fits(y, second) or _fits(y, first) and _fits(x, second))
+                )
+            for pos in hits:
+                counts[pos] += n
+        for pos, key, demand in searched:
+            for slot, need in demand:
+                if counts[slot] < need:
+                    break
+            else:
+                counts[pos] = _searched_images(mol, key, key.min_count if limited else None)
+        return counts
 
 
 def _connected(n: int, bonds: tuple[PatternBond, ...]) -> bool:
@@ -297,57 +351,29 @@ def _atom_from_entry(entry: dict, label: str) -> PatternAtom:
 
 
 class _Molecule:
-    """What the key counters read of one molecule; each part is built on
-    first use and kept for every later key."""
+    """What the key counts read of one molecule: its atoms per label and
+    its bonds per (label, label, order), each from one pass, and what the
+    key search reads, built on first use and kept for every later key."""
 
     def __init__(self, graph: MolecularGraph):
         self.graph = graph
-
-    @cached_property
-    def atoms_by_label(self) -> dict[Label, list[int]]:
-        by_label: dict[Label, list[int]] = {}
-        for idx, atom in enumerate(self.graph.atoms):
-            by_label.setdefault((atom.element, atom.aromatic), []).append(idx)
-        return by_label
-
-    @cached_property
-    def labels_fitting(self) -> dict[Spec, list[Label]]:
-        """Per atom spec (element, aromatic), None for a wildcard, the
-        molecule's labels that fit it."""
-        fitting: dict[Spec, list[Label]] = {}
-        for label in self.atoms_by_label:
-            for spec in _specs_fitting(label):
-                fitting.setdefault(spec, []).append(label)
-        return fitting
-
-    @cached_property
-    def atom_counts(self) -> dict[Spec, int]:
-        """Per atom spec, the number of atoms fitting it; absent if none."""
-        counts: dict[Spec, int] = {}
-        for label, idx in self.atoms_by_label.items():
-            for spec in _specs_fitting(label):
-                counts[spec] = counts.get(spec, 0) + len(idx)
-        return counts
-
-    @cached_property
-    def bond_counts(self) -> dict[tuple[Label, Label, str | None], int]:
-        """Count of bonds per (end label, end label, order), smaller end
-        label first; order None counts the bonds of every order."""
-        atoms = self.graph.atoms
-        counts: dict[tuple[Label, Label, str | None], int] = {}
-        for bond in self.graph.bonds:
-            x, y = atoms[bond.a], atoms[bond.b]
-            first, second = (x.element, x.aromatic), (y.element, y.aromatic)
-            if second < first:
-                first, second = second, first
-            for label in ((first, second, bond.order), (first, second, None)):
-                counts[label] = counts.get(label, 0) + 1
-        return counts
+        labels = [(atom.element, atom.aromatic) for atom in graph.atoms]
+        self.atoms_by_label: dict[Label, list[int]] = {}
+        for idx, label in enumerate(labels):
+            self.atoms_by_label.setdefault(label, []).append(idx)
+        self.bond_counts: dict[tuple[Label, Label, str], int] = {}
+        for a, b, order in graph.bonds:
+            x, y = labels[a], labels[b]
+            bond = (x, y, order) if x <= y else (y, x, order)
+            self.bond_counts[bond] = self.bond_counts.get(bond, 0) + 1
 
     @cached_property
     def bond_orders(self) -> list[dict[int, str]]:
         """Per atom, the order of the bond to each neighbour."""
-        return [{w: bond.order for w, bond in nbrs} for nbrs in self.graph.adjacency]
+        orders = [dict.fromkeys(nbrs) for nbrs in self.graph.neighbours]
+        for a, b, order in self.graph.bonds:
+            orders[a][b] = orders[b][a] = order
+        return orders
 
     @cached_property
     def cycle_room(self) -> list[tuple[int, int]]:
@@ -373,42 +399,14 @@ class _Molecule:
         return room
 
 
-def _specs_fitting(label: Label) -> tuple[Spec, ...]:
-    """The four atom specs an atom labelled ``label`` fits."""
-    element, aromatic = label
-    return ((element, aromatic), (element, None), (None, aromatic), (None, None))
+def _fits(label: Label, spec: Spec) -> bool:
+    """Whether an atom labelled ``label`` fits the atom spec ``spec``."""
+    return (spec[0] is None or spec[0] == label[0]) and (spec[1] is None or spec[1] == label[1])
 
 
-def _atom_images(mol: _Molecule, key: PatternKey, limit: int | None = None) -> int:
-    spec = key.atoms[0]
-    return mol.atom_counts.get((spec.element, spec.aromatic), 0)
-
-
-def _bond_images(mol: _Molecule, key: PatternKey, limit: int | None = None) -> int:
-    first, second = key.atoms
-    want = key.bonds[0].order
-    xs = mol.labels_fitting.get((first.element, first.aromatic), ())
-    ys = mol.labels_fitting.get((second.element, second.aromatic), ())
-    counts = mol.bond_counts
-    total = 0
-    for x in xs:
-        for y in ys:
-            if x <= y:
-                total += counts.get((x, y, want), 0)
-            elif y not in xs or x not in ys:
-                # Bonds labelled (y, x) unless the pair (y, x) is visited too:
-                # a bond that fits both ways is one image.
-                total += counts.get((y, x, want), 0)
-    return total
-
-
-def _searched_images(mol: _Molecule, pattern: PatternKey, limit: int | None = None) -> int:
+def _searched_images(mol: _Molecule, pattern: PatternKey, limit: int | None) -> int:
     """Distinct images of ``pattern`` in the molecule, counted up to
     ``limit``: the search returns as soon as it has seen ``limit`` of them."""
-    counts = mol.atom_counts
-    for spec, need in pattern._demand:
-        if counts.get(spec, 0) < need:
-            return 0
     n_pat = len(pattern.atoms)
     plan = pattern._plan
     atoms = mol.graph.atoms
@@ -430,11 +428,11 @@ def _searched_images(mol: _Molecule, pattern: PatternKey, limit: int | None = No
         p, spec, cycle, bonds_back = plan[depth]
         element, aromatic = spec.element, spec.aromatic
         if depth == 0:
-            by_label = mol.atoms_by_label
             candidates = [
                 g
-                for label in mol.labels_fitting.get((element, aromatic), ())
-                for g in by_label[label]
+                for label, idx in mol.atoms_by_label.items()
+                if _fits(label, (element, aromatic))
+                for g in idx
             ]
         else:
             candidates = bond_orders[image[bonds_back[0][0]]]
@@ -461,6 +459,10 @@ def _searched_images(mol: _Molecule, pattern: PatternKey, limit: int | None = No
         return False
 
     extend(0)
+    # extend refers to itself; dropping the name breaks that cycle, so the
+    # closure and the molecule it holds are freed now rather than at the
+    # next garbage collection.
+    del extend
     return len(images)
 
 
@@ -469,16 +471,13 @@ def match_pattern(graph: MolecularGraph, pattern: PatternKey) -> int:
 
     Exact; patterns are capped at :data:`MAX_PATTERN_ATOMS` atoms.
     """
-    return pattern._count(_Molecule(graph), pattern)
+    return KeySet(keys=(pattern,))._counts(graph, limited=False)[0]
 
 
 def fingerprint(graph: MolecularGraph, keyset: KeySet) -> np.ndarray:
     """Bit vector over the key set: bit i is set when the occurrence count
     of key i reaches its ``min_count``."""
-    bits = np.zeros(len(keyset.keys), dtype=np.uint8)
-    mol = _Molecule(graph)
-    for count, group in keyset._by_shape:
-        for pos, key in group:
-            if count(mol, key, key.min_count) >= key.min_count:
-                bits[pos] = 1
-    return bits
+    counts = keyset._counts(graph, limited=True)
+    return np.array(
+        [count >= key.min_count for count, key in zip(counts, keyset.keys)], dtype=np.uint8
+    )

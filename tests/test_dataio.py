@@ -1,9 +1,13 @@
+import csv
+import io
+
+import numpy as np
 import pytest
 
 from molscreen import dataio
 from molscreen.cli import main
 from molscreen.dataio import DataError, load_dataset, read_molecules
-from molscreen.features import FeatureError, load_latents
+from molscreen.features import FeatureError, FeatureMatrix, load_latents
 from molscreen.molgraph import MolecularGraph
 from molscreen.scaffold import load_registry
 from molscreen.screening import load_cas_table, load_pool, load_property_table
@@ -143,3 +147,24 @@ def test_json_field_names_the_path():
     with pytest.raises(DataError) as caught:
         dataio.json_field(data, "outer", read, DataError)
     assert str(caught.value) == "field 'outer': field 'inner': expected an integer, got '7'"
+
+
+def test_matrix_csv_text_equals_a_per_cell_repr_writer():
+    # The writer converts a row at a time with tolist; every cell must read
+    # as repr(float(v)) of the numpy cell, as a per-cell writer gives it.
+    values = np.array([
+        [-0.0, 5e-324, 1e300, 0.1],
+        [0.0, 1.0, -2.0, 17.0],
+        [1e-300, -1e300, 2.0 ** 53, 1 / 3],
+    ])
+    matrix = FeatureMatrix(ids=("C", "CC", "c1ccccc1"), blocks=("D", "D", "K", "K"),
+                           names=("a", "b,c", "d", "e"), values=values)
+    run_config = {"blocks": ["D", "K"], "seed": 1}
+    out = io.StringIO()
+    out.write(dataio.config_comment(run_config))
+    csv.writer(out, lineterminator="\n").writerow(["smiles"] + matrix.tagged_names)
+    for row_id, row in zip(matrix.ids, matrix.values):
+        out.write(",".join([row_id] + [repr(float(v)) for v in row]) + "\n")
+    text = dataio.matrix_csv_text(matrix, run_config)
+    assert text == out.getvalue()
+    assert "-0.0,5e-324,1e+300,0.1" in text and "1.0,-2.0,17.0" in text

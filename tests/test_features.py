@@ -15,6 +15,7 @@ from molscreen.features import (
     PatternTooLarge,
     UnparseableSMILES,
     assemble,
+    atomic_masses,
     default_keyset,
     descriptors,
     fingerprint,
@@ -30,7 +31,8 @@ from molscreen.features.patterns import (
     PatternKey,
     keyset_from_entries,
 )
-from molscreen.molgraph import SINGLE, parse_smiles
+from molscreen.features.descriptors import HALOGENS
+from molscreen.molgraph import DOUBLE, SINGLE, TRIPLE, parse_smiles
 
 from conftest import random_molecule, synthetic_pool_rows
 from test_canon import SYMMETRIC
@@ -600,3 +602,133 @@ class TestOracle:
         assert match_pattern(parse_smiles("C1CC2CCC1C2"), ring_pattern(6)) == 1
         assert match_pattern(parse_smiles("C1CC2CCCC2C1"), ring_pattern(8)) == 1
         assert match_pattern(parse_smiles("C12C3C4C1C5C2C3C45"), ring_pattern(6)) == 16
+
+
+# --- descriptor oracle ----------------------------------------------------
+#
+# ``descriptors`` as it was before it walked the atoms and the bonds once
+# each, kept verbatim as the reference for the one-walk version.
+
+
+def oracle_descriptors(graph):
+    """Descriptor vector aligned to :data:`DESCRIPTOR_NAMES`."""
+    masses = atomic_masses()
+    atoms = graph.atoms
+    heavy = [a for a in atoms if a.element != "H"]
+    heavy_count = len(heavy)
+
+    # Tally integer element counts first so the weight is a fixed-order sum,
+    # byte-identical for any atom ordering of the same molecule.
+    tally: dict[str, int] = {}
+    for a in atoms:
+        tally[a.element] = tally.get(a.element, 0) + 1
+    tally["H"] = tally.get("H", 0) + sum(a.hydrogens for a in atoms)
+    weight = sum(count * masses[el] for el, count in sorted(tally.items()))
+
+    rings = graph.rings.rings
+    aromatic_rings = sum(
+        1 for ring in rings if all(atoms[i].aromatic for i in ring)
+    )
+
+    hba = sum(1 for a in heavy if a.element in ("N", "O"))
+    hbd = sum(1 for a in heavy if a.element in ("N", "O") and a.hydrogens >= 1)
+
+    # A ring edge joins two ring atoms, so only a bond between two ring
+    # atoms is looked up among the ring edges.
+    in_ring = graph.rings.ring_membership
+    ring_edges = graph.rings.ring_edges
+    rotatable = 0
+    for a, b, order in graph.bonds:
+        if order != SINGLE:
+            continue
+        if in_ring[a] and in_ring[b] and frozenset((a, b)) in ring_edges:
+            continue
+        if atoms[a].degree >= 2 and atoms[b].degree >= 2:
+            rotatable += 1
+
+    element_counts = {el: 0 for el in ("C", "N", "O", "S", "P", "F", "Cl", "Br", "I")}
+    for a in heavy:
+        if a.element in element_counts:
+            element_counts[a.element] += 1
+
+    aromatic_atoms = sum(1 for a in heavy if a.aromatic)
+
+    values = {
+        "heavy_atom_count": float(heavy_count),
+        "molecular_weight": weight,
+        "ring_count": float(len(rings)),
+        "aromatic_ring_count": float(aromatic_rings),
+        "hba_count": float(hba),
+        "hbd_count": float(hbd),
+        "rotatable_bonds": float(rotatable),
+        "halogen_count": float(sum(element_counts[h] for h in HALOGENS)),
+        "heteroatom_count": float(
+            sum(1 for a in heavy if a.element != "C")
+        ),
+        "net_formal_charge": float(sum(a.formal_charge for a in atoms)),
+        "fraction_aromatic_atoms": (
+            aromatic_atoms / heavy_count if heavy_count else 0.0
+        ),
+        "max_ring_size": float(max((len(r) for r in rings), default=0)),
+        "double_bond_count": float(
+            sum(1 for b in graph.bonds if b.order == DOUBLE)
+        ),
+        "triple_bond_count": float(
+            sum(1 for b in graph.bonds if b.order == TRIPLE)
+        ),
+        "component_count": float(len(graph.components())),
+    }
+    for el, count in element_counts.items():
+        values[f"n_{el}"] = float(count)
+
+    return np.array([values[name] for name in DESCRIPTOR_NAMES], dtype=np.float64)
+
+
+EXPLICIT_H_AND_CHARGES = [
+    "[H]C([H])([H])[H]",
+    "[H]OC([H])=O",
+    "[H]N([H])C(=O)c1ccccc1",
+    "[H][H]",
+    "[H]Cl",
+    "[NH4+].[Cl-]",
+    "C[N+](C)(C)C.[Br-]",
+    "[O-][N+](=O)c1ccccc1",
+    "[O-]C(=O)C[NH3+]",
+    "[K+].[K+].[O-]S(=O)(=O)[O-]",
+    "[H]c1cc[nH+]cc1.[I-]",
+    "[NH2-].[K+]",
+]
+
+
+class TestDescriptorOracle:
+    def assert_matches(self, graphs):
+        assert graphs
+        for graph in graphs:
+            assert descriptors(graph).tobytes() == oracle_descriptors(graph).tobytes(), (
+                graph.source
+            )
+
+    def test_pool_sample(self):
+        self.assert_matches(pool_sample())
+
+    def test_additives24(self, dataset24):
+        self.assert_matches(dataset24.graphs())
+
+    def test_registry(self, registry9):
+        self.assert_matches([parse_smiles(s) for s in registry9.entries if s])
+
+    def test_symmetric_family(self):
+        self.assert_matches([parse_smiles(s) for s in SYMMETRIC])
+
+    def test_cages_spiro_and_salts(self):
+        self.assert_matches([parse_smiles(s) for s in CAGES_SPIRO_SALTS])
+
+    def test_explicit_hydrogens_and_charges(self):
+        graphs = [parse_smiles(s) for s in EXPLICIT_H_AND_CHARGES]
+        assert any(a.element == "H" for g in graphs for a in g.atoms)
+        assert any(a.formal_charge for g in graphs for a in g.atoms)
+        self.assert_matches(graphs)
+
+    def test_random_molecules(self):
+        rng = random.Random(26)
+        self.assert_matches([random_molecule(rng, 14) for _ in range(300)])
