@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import sys
 from pathlib import Path
@@ -81,7 +82,12 @@ def main(argv=None) -> int:
         return VALIDATION_EXIT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: argparse's
+    parsers and actions refer to each other, so a parser built per call
+    would leave reference cycles behind for the collector. Parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="molscreen",
         description="Scaffold-aware screening pipeline for molecular additives",

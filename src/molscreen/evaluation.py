@@ -7,9 +7,10 @@ per-repeat seeds derived from a master seed via a splitmix-style hash: a
 thread pool never beat the serial loop on these small fits, so
 ``--threads`` is accepted and has no effect. Repeats are fitted in
 batches instead, one ``models.fit_models`` call per batch of the kind's
-``batch`` size, which fits the repeats of one training-row count
-together (gb boosters and forests grown in lockstep, SVR problems solved
-side by side), with the same models and scores as one repeat at a time.
+``batch`` size, which fits the batch's repeats together (gb boosters and
+forests grown in lockstep whatever their training-row counts, SVR
+problems of one row count solved side by side), with the same models and
+scores as one repeat at a time.
 
 A repeat whose Spearman correlation is undefined (a one-molecule test set,
 or constant predictions or targets) is degenerate: it is recorded with

@@ -86,7 +86,8 @@ def fit_models(problems, config: TrainConfig, seeds) -> list:
     """``fit_model(X, y, config.with_seed(seed))`` for each ``(X, y)`` of
     ``problems`` and its seed, in order; a failure raises the first
     failing problem's error. The kind's batch fitter fits the problems
-    with one training-row count together."""
+    together: boosters and forests whatever their row counts, SVR
+    problems of one row count."""
     return KINDS[config.kind].fit_many(problems, seeds, **_settings(config))
 
 

@@ -1,6 +1,6 @@
 """Fitting one kind of model on many unrelated problems, such as the
-repeats of an evaluation, with the problems that share a training-row
-count fitted together."""
+repeats of an evaluation, with the problems fitted together in chunks of
+bounded memory."""
 
 from __future__ import annotations
 
@@ -13,48 +13,45 @@ def fit_many(
     problems,
     seeds,
     *,
-    fit: Callable,
     check: Callable,
-    joins: Callable,
     cost: Callable,
     budget: int,
     together: Callable,
-    smallest: int,
+    fit: Callable | None = None,
+    smallest: int = 1,
+    same_rows: bool = False,
 ) -> list:
-    """``fit(X, y, seed)`` for each ``(X, y)`` of ``problems`` and its
-    seed, in order, with the problems that may be fitted together fitted
-    by ``together(data, seeds)`` instead, which returns the same models.
+    """The model of each ``(X, y)`` of ``problems`` and its seed, in
+    order, as ``together(data, seeds)`` fits problems together, or
+    ``fit(X, y, seed)`` one alone; both return the same models.
     ``problems`` and ``seeds`` must be equally long.
 
     Each problem's data is checked in order, and ``check()`` (the
     hyperparameter checks) runs after the first problem's, as every fitter
     checks its data and then its hyperparameters, or at once when there
-    are no problems. A problem of ``n`` rows and ``p`` columns for which
-    ``joins(n, p)`` is false is fitted by ``fit`` then and there, so a
-    failure raises the error that a loop of ``fit`` raises first.
+    are no problems.
 
-    The other problems form one group per row count, cut into equal chunks
-    of at most ``budget`` bytes, ``cost(n, p)`` a problem with the group's
-    widest ``p``; a chunk of fewer than ``smallest`` goes through ``fit``.
+    The problems form one group in order of row count, or one group per
+    row count with ``same_rows``. A group is cut into equal chunks of at
+    most ``budget`` bytes, ``cost(n, p)`` a problem with the group's most
+    rows and widest ``p``; a chunk of fewer than ``smallest`` goes through
+    ``fit``.
     """
     problems, seeds = list(problems), list(seeds)
     if len(problems) != len(seeds):
         raise ModelError(f"{len(problems)} problems but {len(seeds)} seeds")
     if not problems:
         check()
-    models: list = []
+    models: list = [None] * len(problems)
     groups: dict[int, list[tuple]] = {}
     for i, ((X, y), seed) in enumerate(zip(problems, seeds)):
         X, y = check_training_data(X, y)
         if i == 0:
             check()
-        models.append(None)
-        if joins(*X.shape):
-            groups.setdefault(X.shape[0], []).append((i, X, y, seed))
-        else:
-            models[i] = fit(X, y, seed)
+        groups.setdefault(X.shape[0] if same_rows else 0, []).append((i, X, y, seed))
     for group in groups.values():  # in order of their first problem
-        size = cost(group[0][1].shape[0], max(X.shape[1] for _, X, _, _ in group))
+        group.sort(key=lambda problem: problem[1].shape[0])
+        size = cost(group[-1][1].shape[0], max(X.shape[1] for _, X, _, _ in group))
         chunks = max(1, -(-len(group) * size // budget))
         per_chunk = -(-len(group) // chunks)
         for first in range(0, len(group), per_chunk):

@@ -5,10 +5,10 @@ the training-target mean plus ``learning_rate`` times the sum of tree
 outputs. No stochastic subsampling, so fits are exact functions of the
 data and hyperparameters.
 
-``fit_gb`` grows one booster node by node. ``fit_gb_many`` fits many
-boosters on unrelated data, such as the repeats of an evaluation, and
-grows the boosters that share a training-row count in lockstep: round
-``r`` grows tree ``r`` of every one of them, one tree level per step.
+Every booster grows through one ``tree._Growth``, one tree level per
+step. ``fit_gb`` grows one booster; ``fit_gb_many`` fits many boosters on
+unrelated data, such as the repeats of an evaluation, and grows them in
+lockstep: round ``r`` grows tree ``r`` of every one of them.
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ from .tree import (
     _tables,
     check_prediction_data,
     check_training_data,
-    fit_tree,
-    join_tables,
     read_field,
     read_trees,
-    sort_columns,
 )
 
 
@@ -89,27 +86,11 @@ class GBModel:
         )
 
 
-# Boosters with one training-row count grow in lockstep when there are at
-# least this many of them, else one by one through fit_gb: a lockstep step
-# costs several times a fit_tree node, which pays off only when a step
-# holds enough nodes. Measured on msc training splits of additives24.csv
-# (18 rows, 12-17 columns, 35 depth-4 trees), median lockstep time over
-# fit_gb time: 2.1 for one booster, 1.26 at 2, 0.91 at 3, 0.76 at 4, 0.51
-# at 16 and 0.35 at 200.
-_LOCKSTEP_BOOSTERS = 3
-
-# Lockstep growth also costs more per row than fit_gb (padded cells, a
-# scatter partition), so only boosters of at most this many training rows
-# grow in lockstep. Lockstep time over fit_gb time for 16 boosters of 16
-# columns: 0.39-0.61 at 18-60 rows, 0.68-0.89 at 200, 1.05 at 320, and
-# 1.75 at 2,000 rows of 24 integer columns.
-_LOCKSTEP_ROWS = 200
-
 # A lockstep group holds, per booster and training row, p padded feature
 # values, two copies of p + 1 row lists (the sorted one kept for every
 # round), room for two nodes in eight node arrays and four target-sized
-# arrays: about 24 p + 176 bytes. A group grows in equal chunks of at most
-# _CHUNK_BYTES; a chunk of fewer than _LOCKSTEP_BOOSTERS goes through fit_gb.
+# arrays: about 24 p + 176 bytes. Boosters grow in equal chunks of at most
+# _CHUNK_BYTES.
 
 
 def _check_hyperparameters(n_estimators, max_depth, learning_rate) -> None:
@@ -149,21 +130,7 @@ def fit_gb(
 ) -> GBModel:
     X, y = check_training_data(X, y)
     _check_hyperparameters(n_estimators, max_depth, learning_rate)
-
-    init = float(y.mean())
-    pred = np.full(X.shape[0], init, dtype=np.float64)
-    # Every tree sees the same X; only the residual target changes.
-    order = sort_columns(X)
-    # Each fit writes its training rows' predictions here.
-    fitted = np.empty(X.shape[0], dtype=np.float64)
-    trees = []
-    for _ in range(n_estimators):
-        residual = y - pred
-        tree = fit_tree(X, residual, max_depth=max_depth, order=order, fitted=fitted)
-        pred += learning_rate * fitted
-        trees.append(tree)
-    trees = join_tables(trees, max_depth, X.shape[1])
-    return _model(init, learning_rate, trees, X.shape[1], n_estimators, max_depth, seed)
+    return _fit_lockstep([(X, y)], [seed], n_estimators, max_depth, learning_rate)[0]
 
 
 def fit_gb_many(
@@ -178,46 +145,42 @@ def fit_gb_many(
     ``to_dict()``-equal to that one, and a failure raises the error
     ``fit_gb`` raises on the first problem it fails on.
 
-    Problems with equal row counts, at most ``_LOCKSTEP_ROWS``, form a
-    group, grown in chunks of bounded memory; a chunk of at least
-    ``_LOCKSTEP_BOOSTERS`` grows in lockstep (:func:`_fit_lockstep`), a
-    smaller one through ``fit_gb``.
+    The boosters grow in lockstep (:func:`_fit_lockstep`), in order of
+    row count, in chunks of bounded memory.
     """
     return fit_many(
         problems,
         seeds,
-        fit=lambda X, y, seed: fit_gb(X, y, n_estimators, max_depth, learning_rate, seed),
         check=lambda: _check_hyperparameters(n_estimators, max_depth, learning_rate),
-        joins=lambda n, p: n <= _LOCKSTEP_ROWS,
         cost=lambda n, p: n * (24 * p + 176),
         budget=_CHUNK_BYTES,
         together=lambda data, seeds: _fit_lockstep(
             data, seeds, n_estimators, max_depth, learning_rate
         ),
-        smallest=_LOCKSTEP_BOOSTERS,
     )
 
 
 def _fit_lockstep(data, seeds, n_estimators, max_depth, learning_rate) -> list[GBModel]:
-    """``fit_gb`` of each ``(X, y)`` in ``data``, all with the same row
-    count, with round ``r`` growing tree ``r`` of every booster in one
-    ``_Growth``.
+    """The boosters of each ``(X, y)`` in ``data``, with round ``r``
+    growing tree ``r`` of every booster in one ``_Growth``, level by level.
 
     A narrower ``X`` is padded with zero columns after its own: a constant
-    column has no valid cut, so the trees never split on one. Each booster
-    keeps its own mean, residuals and predictions, each computed as
-    ``fit_gb`` computes them, element for element.
+    column has no valid cut, so the trees never split on one. A shorter
+    one is padded with rows that belong to no node. Each booster keeps its
+    own mean, residuals and predictions, each computed as it would be
+    alone, element for element.
     """
-    n = data[0][0].shape[0]
+    n_rows = [X.shape[0] for X, _ in data]
     widths = [X.shape[1] for X, _ in data]
-    values = np.zeros((len(data), max(widths), n))
-    for b, (X, _) in enumerate(data):
-        values[b, : widths[b]] = X.T
-    y = np.array([target for _, target in data])
+    values = np.zeros((len(data), max(widths), max(n_rows)))
+    y = np.zeros((len(data), max(n_rows)))
+    for b, (X, target) in enumerate(data):
+        values[b, : widths[b], : n_rows[b]] = X.T
+        y[b, : n_rows[b]] = target
     init = [float(target.mean()) for _, target in data]
-    pred = np.repeat(np.array(init)[:, None], n, axis=1)
-    growth = _Growth(values, max_depth, replant=True)
-    fitted = np.empty_like(y)
+    pred = np.repeat(np.array(init)[:, None], max(n_rows), axis=1)
+    growth = _Growth(values, max_depth, replant=True, n_rows=n_rows)
+    fitted = np.zeros_like(y)
     rounds = []
     for _ in range(n_estimators):
         rounds.append(growth.grow(y - pred, fitted))

@@ -7,12 +7,11 @@ when it holds one row, has a constant target or has no valid cut. Per-tree
 seeds are pre-derived from the master seed, so fitting trees in any order
 (or in parallel) yields the identical model.
 
-``fit_rf`` fits one forest; ``fit_rf_many`` fits many on unrelated data,
-such as the repeats of an evaluation, and grows the trees of several
-forests with one training-row count in one lockstep growth. One rule,
-:func:`_lockstep`, picks each forest's learner once: all its trees grow
-in lockstep through :func:`_grow_forests`, alone or with other forests,
-or tree by tree through ``fit_tree``.
+Every forest grows through :func:`_grow_forests`: its trees grow in
+lockstep, depth first, in one ``tree._Growth``, or in chunks of its trees
+when they would hold more than ``_CHUNK_BYTES``. ``fit_rf`` fits one
+forest; ``fit_rf_many`` fits many on unrelated data, such as the repeats
+of an evaluation, and grows the trees of several forests together.
 """
 
 from __future__ import annotations
@@ -29,12 +28,11 @@ from .tree import (
     _CHUNK_BYTES,
     ModelError,
     TreeTable,
+    _join_nodes,
     _tables,
     check_prediction_data,
     check_training_data,
-    fit_tree,
     grow_depth_first,
-    join_tables,
     read_field,
     read_trees,
 )
@@ -42,21 +40,11 @@ from .tree import (
 
 # Trees grown in lockstep hold, per tree and training row, p feature
 # values, p + 1 row lists and room for two nodes in eight node arrays:
-# about 16 p + 136 bytes (_state_bytes). A forest whose trees would hold
-# more than _CHUNK_BYTES grows tree by tree.
-#
-# Lockstep growth shares each step's per-call overhead among the forest's
-# trees, but costs more per row than fit_tree (padded cells, a scatter
-# partition). So a forest grows in lockstep only while it has at most
-# this many training rows per tree, and tree by tree through fit_tree
-# above it. Measured on bench-like 24-column problems, lockstep time over
-# fit_tree time: 0.90 at 300 rows x 11 trees, 1.03 at 600 x 11, 1.06 at
-# 1,000 x 11, 0.88 at 2,000 x 22, 0.68 at 2,000 x 55.
-_LOCKSTEP_ROWS_PER_TREE = 50
+# about 16 p + 136 bytes (_state_bytes). A growth holds at most
+# _CHUNK_BYTES of them, so a larger forest grows in chunks of its trees.
 
-# fit_rf_many grows the lockstep forests of one training-row count
-# together, in chunks of at most this many bytes of lockstep state (at
-# least one forest). Each forest in a growth adds its state and widens
+# fit_rf_many grows forests together, in chunks of at most this many bytes
+# of lockstep state (at least one forest). Each forest in a growth adds its state and widens
 # the steps: on msc training splits of additives24.csv (18 rows, 55
 # trees), time per forest was 11.1 ms grown alone, 8.8 ms two to a
 # growth, 8.0 at three, 7.6 at four and 7.4 at twelve (fastest of five),
@@ -143,14 +131,6 @@ def _state_bytes(n: int, p: int, n_estimators: int) -> int:
     return n_estimators * n * (16 * p + 136)
 
 
-def _lockstep(n: int, p: int, n_estimators: int) -> bool:
-    """Whether a forest of n rows and p columns grows in lockstep."""
-    return (
-        n <= _LOCKSTEP_ROWS_PER_TREE * n_estimators
-        and _state_bytes(n, p, n_estimators) <= _CHUNK_BYTES
-    )
-
-
 def _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed) -> RFModel:
     config = {
         "kind": "rf",
@@ -175,24 +155,10 @@ def fit_rf(
 ) -> RFModel:
     """``max_features`` of None means the ceil(p / 3) regression default.
     ``bootstrap=False, max_features=p`` grows ``fit_tree``'s tree on every
-    row, which is how the forest is checked against a single tree.
-
-    A forest that :func:`_lockstep` admits is :func:`_grow_forests` of
-    this one problem; any other grows tree by tree through ``fit_tree``."""
+    row, which is how the forest is checked against a single tree."""
     X, y = check_training_data(X, y)
     _check_hyperparameters(n_estimators, max_depth, max_features)
-
-    n, p = X.shape
-    if _lockstep(n, p, n_estimators):
-        return _grow_forests([(X, y)], [seed], n_estimators, max_depth, bootstrap, max_features)[0]
-    per_node = _per_node(p, max_features)
-    tree_seeds = tuple(derive_seed(seed, t) for t in range(n_estimators))
-    trees = [
-        fit_tree(X[rows], y[rows], max_depth, per_node, derive_seed(tree_seed, 1))
-        for rows, tree_seed in zip(_rows(tree_seeds, n, bootstrap), tree_seeds)
-    ]
-    trees = join_tables(trees, max_depth, p)
-    return _model(trees, tree_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed)
+    return _grow_forests([(X, y)], [seed], n_estimators, max_depth, bootstrap, max_features)[0]
 
 
 def fit_rf_many(problems, seeds, n_estimators: int = 55, max_depth: int = 10) -> list[RFModel]:
@@ -201,56 +167,65 @@ def fit_rf_many(problems, seeds, n_estimators: int = 55, max_depth: int = 10) ->
     ``to_dict()``-equal to that one, and a failure raises the error
     ``fit_rf`` raises on the first problem it fails on.
 
-    The forests that :func:`_lockstep` admits join the others of their
-    training-row count; together they grow in chunks of at most
-    ``_FORESTS_BYTES`` of lockstep state (at least one forest), each chunk
-    in one :func:`_grow_forests`. Any other forest goes through ``fit_rf``.
+    The forests grow together, in order of row count, in chunks of at
+    most ``_FORESTS_BYTES`` of lockstep state (at least one forest), each
+    chunk in one :func:`_grow_forests`.
     """
     return fit_many(
         problems,
         seeds,
-        fit=lambda X, y, seed: fit_rf(X, y, n_estimators, max_depth, seed=seed),
         check=lambda: _check_hyperparameters(n_estimators, max_depth),
-        joins=lambda n, p: _lockstep(n, p, n_estimators),
         cost=lambda n, p: _state_bytes(n, p, n_estimators),
         budget=_FORESTS_BYTES,
         together=lambda data, seeds: _grow_forests(data, seeds, n_estimators, max_depth),
-        smallest=1,
     )
 
 
 def _grow_forests(
     data, seeds, n_estimators, max_depth, bootstrap=True, max_features=None
 ) -> list[RFModel]:
-    """``fit_rf`` of each ``(X, y)`` in ``data``, all with the same row
-    count, with the bootstrap rows of every tree of every forest drawn in
-    one pass and all the trees grown in one ``grow_depth_first``.
+    """``fit_rf`` of each ``(X, y)`` in ``data``, with the trees grown by
+    ``grow_depth_first``: all in one growth, or in chunks of consecutive
+    trees of at most ``_CHUNK_BYTES`` of lockstep state (at least one
+    tree). Trees grow independently of the others in their growth, so
+    chunks change no tree.
 
     A narrower ``X`` is padded with zero columns after its own, as
     ``boosting._fit_lockstep`` pads: a constant column has no valid cut.
-    A forest that searches every feature at each node draws all of them
-    instead, which searches the same features in the same order; draws
-    grow with the width, so a forest drawing fewer than the most is
-    narrower than the padded width.
+    A shorter one is padded with rows that belong to no node. A forest
+    that searches every feature at each node draws all of them instead,
+    which searches the same features in the same order; draws grow with
+    the width, so a forest drawing fewer than the most is narrower than
+    the padded width.
     """
-    n = data[0][0].shape[0]
+    n_rows = [X.shape[0] for X, _ in data]
     widths = [X.shape[1] for X, _ in data]
-    values = np.zeros((len(data) * n_estimators, max(widths), n))
-    targets = np.empty((len(data) * n_estimators, n))
-    tree_seeds = [tuple(derive_seed(seed, t) for t in range(n_estimators)) for seed in seeds]
-    every_tree = [tree_seed for forest_seeds in tree_seeds for tree_seed in forest_seeds]
-    rows = _rows(every_tree, n, bootstrap)
-    for f, (X, y) in enumerate(data):
-        block = slice(f * n_estimators, (f + 1) * n_estimators)
-        values[block, : widths[f]] = X[rows[block]].transpose(0, 2, 1)
-        targets[block] = y[rows[block]]
-    node_seeds = [derive_seed(tree_seed, 1) for tree_seed in every_tree]
     draws = [_per_node(width, max_features) for width in widths]
-    nodes = grow_depth_first(
-        values, targets, max_depth, node_seeds,
-        np.repeat(widths, n_estimators), np.repeat(draws, n_estimators),
+    tree_seeds = [tuple(derive_seed(seed, t) for t in range(n_estimators)) for seed in seeds]
+    rows = [_rows(forest_seeds, n, bootstrap) for forest_seeds, n in zip(tree_seeds, n_rows)]
+    node_seeds = [derive_seed(seed, 1) for forest_seeds in tree_seeds for seed in forest_seeds]
+    n, n_trees = max(n_rows), len(node_seeds)
+    tree_rows, tree_widths, tree_draws = (
+        np.repeat(a, n_estimators) for a in (n_rows, widths, draws)
     )
-    tables = _tables([nodes], n_estimators, max_depth, widths)
+    chunks = max(1, -(-_state_bytes(n, max(widths), n_trees) // _CHUNK_BYTES))
+    per_chunk = -(-n_trees // chunks)
+    parts = []
+    for first in range(0, n_trees, per_chunk):
+        last = min(first + per_chunk, n_trees)
+        values = np.zeros((last - first, max(widths), n))
+        targets = np.zeros((last - first, n))
+        for f in range(first // n_estimators, -(-last // n_estimators)):
+            # Forest f's trees in this chunk.
+            lo, hi = max(first, f * n_estimators), min(last, (f + 1) * n_estimators)
+            (X, y), drawn = data[f], rows[f][lo - f * n_estimators : hi - f * n_estimators]
+            values[lo - first : hi - first, : widths[f], : n_rows[f]] = X[drawn].transpose(0, 2, 1)
+            targets[lo - first : hi - first, : n_rows[f]] = y[drawn]
+        parts.append(grow_depth_first(
+            values, targets, max_depth, node_seeds[first:last],
+            tree_widths[first:last], tree_draws[first:last], tree_rows[first:last],
+        ))
+    tables = _tables([_join_nodes(parts)], n_estimators, max_depth, widths)
     return [
         _model(trees, forest_seeds, p, n_estimators, max_depth, bootstrap, per_node, seed)
         for trees, forest_seeds, p, per_node, seed in zip(tables, tree_seeds, widths, draws, seeds)

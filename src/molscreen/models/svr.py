@@ -302,13 +302,13 @@ def fit_svr_many(
     return fit_many(
         problems,
         seeds,
-        fit=lambda X, y, seed: fit_svr(X, y, C, epsilon, kernel, gamma, seed),
         check=lambda: _check_hyperparameters(C, epsilon, kernel, gamma),
-        joins=lambda n, p: True,
         cost=lambda n, p: 8 * n * (n + p + 8),
         budget=_GRAM_BYTES,
         together=lambda data, seeds: _solve_together(data, seeds, C, epsilon, kernel, gamma),
+        fit=lambda X, y, seed: fit_svr(X, y, C, epsilon, kernel, gamma, seed),
         smallest=_SOLVE_TOGETHER,
+        same_rows=True,
     )
 
 

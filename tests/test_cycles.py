@@ -3,11 +3,15 @@
 An object in a reference cycle outlives its last outside reference until the
 cyclic garbage collector finds it, so a cycle built per molecule or per fit
 costs collections on every hot path: a recursive closure that refers to
-itself (``fit_tree``'s ``build``, the key search's ``extend``) holds
-everything it closes over. Each entry point is called once to fill its
-caches, then again with the collector off; a collection after that second
-call must find nothing. ``cli.main`` is left out: argparse builds cycles of
-its own.
+itself (the key search's ``extend`` once did) holds everything it closes
+over. Each entry point is called once to fill its caches, then again with
+the collector off; a collection after that second call must find nothing.
+
+``cli.main`` builds its argparse parser, whose parsers and actions refer to
+each other, once per process. ``featurize`` and ``scaffold`` run through it
+here; the commands that write JSON artifacts are left out, as
+``json.dumps(indent=2)`` runs the pure-Python encoder, whose closures form
+cycles of their own.
 """
 
 import gc
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molscreen import dataio
+from molscreen import cli, dataio
 from molscreen.evaluation import SplitterSpec, repeated_eval
 from molscreen.features import assemble, default_keyset, descriptors, fingerprint, match_pattern
 from molscreen.models import MODEL_KINDS, TrainConfig, fit_model, fit_models
@@ -92,6 +96,18 @@ MOLECULE_CALLS = {
 @pytest.mark.parametrize("name", sorted(MOLECULE_CALLS))
 def test_molecule_entry_points(name):
     assert unreachable_after(MOLECULE_CALLS[name]) == 0
+
+
+@pytest.mark.parametrize("command", ["featurize", "scaffold"])
+def test_cli_main(command, tmp_path):
+    argv = {
+        "featurize": ["featurize", "--dataset", str(DATA_DIR / "additives24.csv"),
+                      "--blocks", "K,D", "--out", str(tmp_path / "features.csv")],
+        "scaffold": ["scaffold", "--dataset", str(DATA_DIR / "additives24.csv"),
+                     "--registry", str(DATA_DIR / "scaffold_groups.csv"),
+                     "--out", str(tmp_path / "scaffolds.csv")],
+    }[command]
+    assert unreachable_after(lambda: cli.main(argv)) == 0
 
 
 def test_fit_tree():

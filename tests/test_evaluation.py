@@ -243,19 +243,20 @@ class TestRepeatedEval:
     # (model, case, TrainConfig fields, the row counts of each batch fitted
     # together). Every evaluate batch of 8 repeats (gb, svr) is fitted in
     # one fit_models call, rf in calls of 3. Leave-one-group-out holds out
-    # groups of 1, 1, 1, 3, 3, 3, 2 and 8 molecules: two batches of three
-    # (21 and 19 training rows, the first with a one-molecule test set
-    # each) and two repeats fitted alone, which for rf is a growth of one
-    # forest each.
+    # groups of 1, 1, 1, 3, 3, 3, 2 and 8 molecules, leaving 21, 21, 21, 19,
+    # 19, 19, 20 and 14 training rows (the first three with a one-molecule
+    # test set each). Boosters and forests of any row counts grow together;
+    # SVR problems of one row count are solved together, in two batches of
+    # three, and the other two alone.
     LOCKSTEP_CASES = {
         "msc": ("gb", "msc", {}, [[16] * 8]),
         "random": ("gb", "random", {}, [[17] * 8]),
-        "logo-row-counts": ("gb", "logo-row-counts", {}, [[19] * 3, [21] * 3]),
+        "logo-row-counts": ("gb", "logo-row-counts", {}, [[14, 19, 19, 19, 20, 21, 21, 21]]),
         "constant-targets": ("gb", "constant-targets", {}, [[17] * 8]),
         "rf-msc": ("rf", "msc", {"n_estimators": 7}, [[16] * 2, [16] * 3, [16] * 3]),
         "rf-random": ("rf", "random", {"n_estimators": 7}, [[17] * 2, [17] * 3, [17] * 3]),
         "rf-logo-row-counts": ("rf", "logo-row-counts", {"n_estimators": 7},
-                               [[19] * 3, [21] * 3, [20], [14]]),
+                               [[19] * 3, [21] * 3, [14, 20]]),
         "rf-constant-targets": ("rf", "constant-targets", {"n_estimators": 7},
                                 [[17] * 2, [17] * 3, [17] * 3]),
         "svr-msc": ("svr", "msc", {}, [[16] * 8]),
@@ -278,8 +279,9 @@ class TestRepeatedEval:
     @pytest.mark.parametrize("name", LOCKSTEP_CASES)
     def test_lockstep_pairs_are_a_loop_of_run_single(self, name, monkeypatch):
         # Each case records the batches fitted together, so it cannot pass
-        # by falling back to fit_gb, fit_rf or fit_svr. fit_rf grows each
-        # of run_single's forests alone through the same _grow_forests.
+        # by falling back to fit_svr. fit_gb and fit_rf grow each of
+        # run_single's models alone through the same _fit_lockstep and
+        # _grow_forests.
         model, case, fields, grown = self.LOCKSTEP_CASES[name]
         batches = []
         module, function = self.TOGETHER[model]
@@ -324,7 +326,7 @@ class TestRepeatedEval:
         report, splits = self.assert_loop_of_run_single(
             features, y, groups, kind, TrainConfig(kind=model, seed=0, **fields), repeats=8
         )
-        alone = [[len(split.train)] for split in splits] if model == "rf" else []
+        alone = [[len(split.train)] for split in splits] if model != "svr" else []
         assert sorted(batches) == sorted(grown + alone)
         if case == "logo-row-counts":
             assert 0 < report.degenerate_repeats < report.repeats

@@ -416,7 +416,7 @@ class TestTrainingDataContract:
 REQUIRED = inspect.Parameter.empty
 FITTER_PARAMETERS = {
     fit_tree: [("X", REQUIRED), ("y", REQUIRED), ("max_depth", REQUIRED),
-               ("features_per_node", None), ("seed", 0), ("order", None), ("fitted", None)],
+               ("features_per_node", None), ("seed", 0)],
     fit_gb: [("X", REQUIRED), ("y", REQUIRED), ("n_estimators", 35), ("max_depth", 4),
              ("learning_rate", 0.1), ("seed", 0)],
     fit_gb_many: [("problems", REQUIRED), ("seeds", REQUIRED), ("n_estimators", 35),
@@ -439,17 +439,18 @@ class TestFitterSignatures:
 
     def test_settable_count(self):
         settable = [name for table in FITTER_PARAMETERS.values() for name, _ in table[2:]]
-        assert len(settable) == 22
+        assert len(settable) == 20
 
 
 class TestFitModels:
-    """``fit_models`` is a loop of ``fit_model``; gb boosters with one row
-    count grow in lockstep when there are enough of them."""
+    """``fit_models`` is a loop of ``fit_model``; gb boosters and forests
+    grow together whatever their row counts, SVR problems of one row count
+    are solved together when there are enough of them."""
 
     @staticmethod
     def problems():
-        # Five problems of 15 rows (one lockstep group, widths 1 to 4, one
-        # with a constant target), two of 12 (fitted one by one) and one of 9.
+        # Five problems of 15 rows (widths 1 to 4, one with a constant
+        # target), two of 12 and one of 9.
         rng = np.random.default_rng(31)
         shapes = [(15, 3), (12, 2), (15, 1), (15, 4), (9, 3), (15, 2), (12, 3), (15, 3)]
         problems = [(rng.normal(size=shape), rng.normal(size=shape[0])) for shape in shapes]
@@ -484,12 +485,11 @@ class TestFitModels:
     @pytest.mark.parametrize("fields", [{}, {"n_estimators": 3, "max_depth": 2}], ids=["unset", "set"])
     def test_a_loop_of_fit_model(self, kind, fields, monkeypatch):
         # SVR problems are solved together two or more at a time here: the
-        # 15-row group and the two of 12; gb boosters grow in lockstep three
-        # or more at a time. Forests grow together one or more at a time, so
-        # the 9-row forest grows alone in its own growth.
+        # 15-row group and the two of 12, the one of 9 alone. The boosters,
+        # and the forests, all grow in one growth.
         monkeypatch.setattr(svr, "_SOLVE_TOGETHER", 2)
         batches = self.assert_loop_of_fit_model(TrainConfig(kind=kind, seed=0, **fields), monkeypatch)
-        assert batches == {"gb": [5], "rf": [5, 2, 1], "svr": [5, 2]}[kind]
+        assert batches == {"gb": [8], "rf": [8], "svr": [5, 2]}[kind]
 
     @pytest.mark.parametrize("kind", ["rf", "svr"])
     def test_every_msc_split_of_the_bundled_set(self, kind, msc_splits, monkeypatch):
@@ -510,13 +510,13 @@ class TestFitModels:
         assert sum(batches) == 200 and (len(batches) > 1) == (kind == "rf")
 
     def test_forests_grow_in_chunks_of_bounded_memory(self, monkeypatch):
-        # The 15-row group is 5 forests of up to 4 columns, 3 trees each,
-        # about 3 x 15 x (16 x 4 + 136) bytes a forest: a cap of three
-        # forests' worth cuts it into chunks of 3 and 2; the two forests of
-        # 12 rows grow together, and the one of 9 rows alone.
+        # The 8 forests, of up to 15 rows and 4 columns, 3 trees each, hold
+        # at most 3 x 15 x (16 x 4 + 136) bytes a forest: a cap of three
+        # forests' worth cuts them, in order of row count, into chunks of
+        # 3, 3 and 2.
         monkeypatch.setattr(forest, "_FORESTS_BYTES", 3 * 3 * 15 * (16 * 4 + 136))
         config = TrainConfig(kind="rf", seed=0, n_estimators=3)
-        assert self.assert_loop_of_fit_model(config, monkeypatch) == [3, 2, 2, 1]
+        assert self.assert_loop_of_fit_model(config, monkeypatch) == [3, 3, 2]
 
     def test_svr_problems_solve_in_chunks_of_bounded_memory(self, monkeypatch):
         # A 15-row problem of up to 4 columns holds about 8 x 15 x (15 + 4
@@ -529,22 +529,26 @@ class TestFitModels:
         assert self.assert_loop_of_fit_model(config, monkeypatch) == [2, 2, 2]
 
     def test_a_group_grows_in_chunks_of_bounded_memory(self, monkeypatch):
-        # The 15-row group is 5 boosters of up to 4 columns, about
+        # The 8 boosters, of up to 15 rows and 4 columns, take at most
         # 15 x (24 x 4 + 176) bytes each: a cap of three boosters' worth
-        # cuts it into chunks of 3 and 2, and the 2 fit one by one.
+        # cuts them, in order of row count, into chunks of 3, 3 and 2.
         monkeypatch.setattr(boosting, "_CHUNK_BYTES", 3 * 15 * (24 * 4 + 176))
         config = TrainConfig(kind="gb", seed=0, n_estimators=3)
-        assert self.assert_loop_of_fit_model(config, monkeypatch) == [3]
+        assert self.assert_loop_of_fit_model(config, monkeypatch) == [3, 3, 2]
 
-    def test_boosters_above_the_row_limit_fit_one_by_one(self, monkeypatch):
-        monkeypatch.setattr(boosting, "_LOCKSTEP_ROWS", 14)
-        config = TrainConfig(kind="gb", seed=0, n_estimators=3)
-        assert self.assert_loop_of_fit_model(config, monkeypatch) == []
-
-    def test_forests_above_the_row_limit_grow_tree_by_tree(self, monkeypatch):
-        monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", 2)
-        config = TrainConfig(kind="rf", seed=0, n_estimators=3)
-        assert self.assert_loop_of_fit_model(config, monkeypatch) == []
+    @pytest.mark.parametrize("kind", ["gb", "rf"])
+    def test_problems_of_every_row_count_grow_together(self, kind, monkeypatch):
+        # Boosters and forests of 9, 12 and 15 rows and of 1 to 4 columns,
+        # in any order, grow in one growth: a shorter problem's padding
+        # rows and a narrower one's padding columns change no model.
+        config = TrainConfig(kind=kind, seed=0, n_estimators=3)
+        problems, seeds = self.problems()[::-1], [2 * i + 5 for i in range(8)]
+        batches = self.spy_on_batches(kind, monkeypatch)
+        fitted = fit_models(problems, config, seeds)
+        assert batches == [8]
+        for model, (X, y), seed in zip(fitted, problems, seeds):
+            alone = fit_model(X, y, config.with_seed(seed))
+            assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(alone))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_problems_and_seeds_must_be_equally_many(self, kind):

@@ -1,7 +1,7 @@
-"""The presorted tree learner and the lockstep forest against the
-per-node-sorting learner they replaced, one-pass prediction against the
-recursive per-node predictor it replaced, and feature validation in every
-model."""
+"""The tree learner (one engine, ``tree._Growth``, behind ``fit_tree``,
+``fit_gb`` and ``fit_rf``) against the per-node-sorting recursive learner
+it replaced, one-pass prediction against the recursive per-node predictor
+it replaced, and feature validation in every model."""
 
 import json
 import math
@@ -37,7 +37,6 @@ from molscreen.models.tree import (
     TreeTable,
     check_prediction_data,
     check_training_data,
-    sort_columns,
 )
 from molscreen.rng import SplitMix64, derive_seed
 
@@ -164,13 +163,11 @@ def assert_predicts_like_oracle(model, X) -> None:
         assert model.predict(rows).tobytes() == oracle_predict(model, rows).tobytes()
 
 
-def oracle_fit_tree(X, y, max_depth, features_per_node=None, seed=0, order=None,
-                    fitted=None):
-    """``fit_tree`` as it stood before presorting: every node copies its
-    rows out of ``X`` and sorts every candidate column. ``order`` is
-    accepted and ignored, and ``fitted`` is filled by routing ``X`` through
-    the finished tree, as ``fit_gb`` did before, so the model wrappers can
-    call it unchanged."""
+def oracle_fit_tree(X, y, max_depth, features_per_node=None, seed=0, fitted=None):
+    """``fit_tree`` as it stood before presorting: a recursion in which
+    every node copies its rows out of ``X`` and sorts every candidate
+    column. ``fitted`` is filled by routing ``X`` through the finished
+    tree, as ``fit_gb`` did before."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -333,20 +330,12 @@ def oracle_fit_gb(X, y, n_estimators=35, max_depth=4, learning_rate=0.1, seed=0)
 
     init = float(y.mean())
     pred = np.full(X.shape[0], init, dtype=np.float64)
-    # Every tree sees the same X; only the residual target changes.
-    order = sort_columns(X)
     # Each fit writes its training rows' predictions here.
     fitted = np.empty(X.shape[0], dtype=np.float64)
     trees = []
     for _ in range(n_estimators):
         residual = y - pred
-        tree = oracle_fit_tree(
-            X,
-            residual,
-            max_depth=max_depth,
-            order=order,
-            fitted=fitted,
-        )
+        tree = oracle_fit_tree(X, residual, max_depth=max_depth, fitted=fitted)
         pred += learning_rate * fitted
         trees.append(tree)
 
@@ -413,6 +402,16 @@ def oracle_fit_rf(X, y, n_estimators=55, max_depth=10, bootstrap=True,
 
 
 ORACLES = {fit_gb: oracle_fit_gb, fit_rf: oracle_fit_rf}
+_ORACLE_BOOSTERS: dict = {}
+
+
+def oracle_booster(X, y, seed) -> str:
+    """``dumps(oracle_fit_gb(X, y, seed=seed))``, computed once per problem
+    in a session: the evaluate splits recur across tests."""
+    key = (X.shape, X.tobytes(), y.tobytes(), seed)
+    if key not in _ORACLE_BOOSTERS:
+        _ORACLE_BOOSTERS[key] = dumps(oracle_fit_gb(X, y, seed=seed))
+    return _ORACLE_BOOSTERS[key]
 
 
 @pytest.fixture
@@ -459,10 +458,9 @@ def test_gb_and_rf_match_oracle_on_small_problems(name, oracle):
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
-def test_lockstep_gb_and_rf_match_oracle_on_small_problems(name, oracle, monkeypatch):
+def test_lockstep_gb_and_rf_match_oracle_on_small_problems(name, oracle):
     # Three problems of one row count grow together: the boosters in one
     # lockstep growth, the forests in one _grow_forests.
-    monkeypatch.setattr(boosting, "_LOCKSTEP_BOOSTERS", 3)
     X, y = SMALL[name]
     problems = [(X, y), (X[::-1], y[::-1]), (X, 3.0 - y)]
     seeds = [0, 1, 2]
@@ -478,25 +476,37 @@ def test_lockstep_gb_and_rf_match_oracle_on_small_problems(name, oracle, monkeyp
 
 def test_distinct_tied_partitions_are_rescored_on_both_paths(oracle, monkeypatch):
     # Case (b)'s tied nodes reach _rescore with two distinct partitions
-    # from fit_tree (_best_split) and from lockstep boosters
-    # (_Growth._settle), counting a mirror as the same partition.
+    # from a node searched alone (_Growth._split_one) and from nodes
+    # searched together (_Growth._settle), counting a mirror as the same
+    # partition.
     X, y = SMALL["mirrored_equal_partitions"]
     partitions = []
-    rescore = tree._rescore
+    rescore, settle = tree._rescore, tree._Growth._settle
+    settling = []
 
     def counted(goes_left, *args):
-        partitions.append(len({(g if g[0] else ~g).tobytes() for g in goes_left}))
+        partitions.append((bool(settling), len({(g if g[0] else ~g).tobytes() for g in goes_left})))
         return rescore(goes_left, *args)
 
+    def settled(*args):
+        settling.append(True)
+        try:
+            return settle(*args)
+        finally:
+            settling.pop()
+
     monkeypatch.setattr(tree, "_rescore", counted)
+    monkeypatch.setattr(tree._Growth, "_settle", settled)
     assert dumps(fit_tree(X, y, max_depth=8)) == dumps(oracle_fit_tree(X, y, max_depth=8))
-    assert 2 in partitions
+    assert (False, 2) in partitions
     partitions.clear()
-    monkeypatch.setattr(boosting, "_LOCKSTEP_BOOSTERS", 3)
-    for model, seed in zip(fit_gb_many([(X, y)] * 3, [0, 1, 2]), [0, 1, 2]):
+    # Four boosters grow together, so their roots are searched as a group.
+    seeds = [0, 1, 2, 3]
+    for model, seed in zip(fit_gb_many([(X, y)] * 4, seeds), seeds):
         assert dumps(model) == dumps(oracle(fit_gb, X, y, seed=seed))
     # _settle keeps the first cut of a node with one partition itself.
-    assert partitions and min(partitions) >= 2
+    from_settle = [count for in_settle, count in partitions if in_settle]
+    assert from_settle and min(from_settle) >= 2
 
 
 @pytest.mark.parametrize("name", sorted(LARGE))
@@ -512,35 +522,32 @@ def test_models_match_oracle_on_benchmark_shaped_problems(name, oracle):
 
 
 def test_shared_order_is_the_trees_own_sort():
+    # A growth that replants (a booster's) keeps every column's stable
+    # sort, and the rows in index order, for each round to start from.
     X, y = SMALL["integer_ties"]
-    order = sort_columns(X)
-    assert order.shape == (X.shape[1], X.shape[0])
+    growth = tree._Growth(X.T[None], 5, replant=True)
+    lists = growth.sorted_lists[:-1].reshape(X.shape[1] + 1, X.shape[0])
     for f in range(X.shape[1]):
-        assert np.array_equal(order[f], np.argsort(X[:, f], kind="stable"))
-    assert dumps(fit_tree(X, y, max_depth=5, order=order)) == dumps(fit_tree(X, y, max_depth=5))
+        assert np.array_equal(lists[f], np.argsort(X[:, f], kind="stable"))
+    assert np.array_equal(lists[-1], np.arange(len(y)))
+    growth.grow(y[None])
+    second = growth.grow(3.0 - y[None])
+    fresh = tree._Growth(X.T[None], 5).grow(3.0 - y[None])
+    assert all(np.array_equal(a, b) for a, b in zip(second, fresh))
 
 
 @pytest.mark.parametrize("name", sorted(SMALL) + sorted(LARGE))
 def test_fitted_is_the_trees_prediction_on_its_training_rows(name):
+    # A growth's fitted values, which boosting adds up round by round, are
+    # bit for bit the grown tree's prediction on its training rows.
     X, y = {**SMALL, **LARGE}[name]
-    for settings in TREE_SETTINGS + [{"max_depth": 0}, {"max_depth": 1}]:
-        fitted = np.full(len(y), np.nan)
-        tree = fit_tree(X, y, fitted=fitted, **settings)
-        assert fitted.tobytes() == tree.predict(X).tobytes()
-        assert_predicts_like_oracle(tree, X)
-        assert dumps(tree) == dumps(fit_tree(X, y, **settings))
-
-
-def test_fitted_of_the_wrong_shape_is_rejected():
-    X, y = SMALL["integer_ties"]
-    with pytest.raises(ModelError, match="fitted"):
-        fit_tree(X, y, max_depth=2, fitted=np.empty(len(y) - 1))
-
-
-def test_order_of_the_wrong_shape_is_rejected():
-    X, y = SMALL["integer_ties"]
-    with pytest.raises(ModelError):
-        fit_tree(X, y, max_depth=2, order=sort_columns(X[:-1]))
+    for max_depth in (8, 6, 0, 1):
+        fitted = np.full((1, len(y)), np.nan)
+        nodes = tree._Growth(X.T[None], max_depth).grow(y[None], fitted)
+        (grown,) = tree._tables([nodes], 1, max_depth, [X.shape[1]])
+        assert dumps(grown) == dumps(fit_tree(X, y, max_depth))
+        assert fitted[0].tobytes() == grown.predict(X).tobytes()
+        assert_predicts_like_oracle(grown, X)
 
 
 class TestNonFiniteFeatures:
@@ -618,7 +625,10 @@ def msc_splits():
 def test_models_match_oracle_on_every_msc_training_split(function, msc_splits):
     for X, y, seed in msc_splits:
         model = function(X, y, seed=seed)
-        assert dumps(model) == dumps(ORACLES[function](X, y, seed=seed))
+        if function is fit_gb:
+            assert dumps(model) == oracle_booster(X, y, seed)
+        else:
+            assert dumps(model) == dumps(oracle_fit_rf(X, y, seed=seed))
         assert_predicts_like_oracle(model, X)
 
 
@@ -634,15 +644,15 @@ EVALUATE_OPTIONS = {
 def test_lockstep_boosters_match_fit_gb_on_every_evaluate_split(options, monkeypatch):
     fits = evaluate_training_splits(*EVALUATE_OPTIONS[options])
     problems, seeds = [(X, y) for X, y, _ in fits], [seed for _, _, seed in fits]
-    # Leave-one-group-out splits differ in row count, so most of their
-    # groups are too small to grow in lockstep; a threshold of 1 grows each
-    # in lockstep too.
-    thresholds = [boosting._LOCKSTEP_BOOSTERS] + [1] * (options == "logo")
-    expected = [dumps(fit_gb(X, y, seed=seed)) for X, y, seed in fits]
-    for threshold in thresholds:
-        monkeypatch.setattr(boosting, "_LOCKSTEP_BOOSTERS", threshold)
-        models = fit_gb_many(problems, seeds)
-        assert [dumps(model) for model in models] == expected
+    expected = [oracle_booster(X, y, seed) for X, y, seed in fits]
+    # All of the repeats grow together, then in chunks of three boosters,
+    # then each alone: leave-one-group-out splits differ in row count.
+    assert [dumps(model) for model in fit_gb_many(problems, seeds)] == expected
+    rows, width = max(X.shape[0] for X, _ in problems), max(X.shape[1] for X, _ in problems)
+    monkeypatch.setattr(boosting, "_CHUNK_BYTES", 3 * rows * (24 * width + 176))
+    models = fit_gb_many(problems, seeds)
+    assert [dumps(model) for model in models] == expected
+    assert [dumps(fit_gb(X, y, seed=seed)) for X, y, seed in fits[::10]] == expected[::10]
     for model, (X, _) in zip(models, problems):
         assert_predicts_like_oracle(model, X)
 
@@ -695,14 +705,15 @@ def test_demo_model_predicts_like_the_oracle(tmp_path, monkeypatch):
     assert_predicts_like_oracle(model, fits[0])
 
 
-# fit_rf grows a forest in lockstep up to this many rows per tree, and
-# tree by tree through fit_tree above it.
-LEARNERS = {"lockstep": 10**9, "per_node": 0}
+# fit_rf grows all of a forest's trees in one growth ("lockstep"), or, at a
+# _CHUNK_BYTES of one byte, each tree in a growth of its own, so that each
+# step searches one node ("per_node").
+LEARNERS = {"lockstep": tree._CHUNK_BYTES, "per_node": 1}
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
 def test_forest_matches_oracle_on_a_train_2k_shaped_problem(learner, monkeypatch):
-    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
+    monkeypatch.setattr(forest, "_CHUNK_BYTES", LEARNERS[learner])
     X, y = bench_like(3)
     kwargs = {"n_estimators": 11, "seed": 4}
     model = fit_rf(X, y, **kwargs)
@@ -711,52 +722,63 @@ def test_forest_matches_oracle_on_a_train_2k_shaped_problem(learner, monkeypatch
 
 
 @pytest.fixture
-def routes(monkeypatch):
-    """The routes fit_rf takes, in order: "lockstep" for each
-    _grow_forests call, "tree" for each tree grown through fit_tree."""
+def growths(monkeypatch):
+    """The number of trees of each growth fit_rf grows, in order."""
     taken = []
-    grow, tree = forest._grow_forests, forest.fit_tree
-    monkeypatch.setattr(forest, "_grow_forests",
-                        lambda *args: taken.append("lockstep") or grow(*args))
-    monkeypatch.setattr(forest, "fit_tree", lambda *args: taken.append("tree") or tree(*args))
+    grow = forest.grow_depth_first
+    monkeypatch.setattr(forest, "grow_depth_first",
+                        lambda values, *args: taken.append(len(values)) or grow(values, *args))
     return taken
 
 
 FOREST_SETTINGS = [{"seed": 2}, {"bootstrap": False}, {"max_features": 2, "seed": 1}]
 
 
-def assert_forests_route(X, y, n_estimators, route, routes):
-    """fit_rf of ``X, y`` with each of FOREST_SETTINGS takes ``route`` and
-    matches the oracle."""
+def assert_forests_grow(X, y, n_estimators, sizes, growths):
+    """fit_rf of ``X, y`` with each of FOREST_SETTINGS grows growths of
+    ``sizes`` trees and matches the oracle."""
     for settings in FOREST_SETTINGS:
-        routes.clear()
+        growths.clear()
         model = fit_rf(X, y, n_estimators=n_estimators, **settings)
-        assert routes == (["lockstep"] if route == "lockstep" else ["tree"] * n_estimators)
+        assert growths == sizes
         assert dumps(model) == dumps(oracle_fit_rf(X, y, n_estimators=n_estimators, **settings))
         assert_predicts_like_oracle(model, X)
 
 
-@pytest.mark.parametrize("extra, route", [(0, "lockstep"), (1, "tree")])
-def test_forest_route_at_the_rows_per_tree_limit_matches_oracle(extra, route, routes):
-    # Three trees grow in lockstep up to 3 x 50 training rows, and tree by
-    # tree from one row more.
+@pytest.mark.parametrize("extra", [0, 1])
+def test_forests_of_150_and_151_rows_match_oracle(extra, growths):
+    # Three trees of 150 and 151 training rows, which once grew in
+    # lockstep and tree by tree, grow in one growth.
     X, y = bench_like(5, n=3 * 50 + extra, p=6)
-    assert_forests_route(X, y, 3, route, routes)
+    assert_forests_grow(X, y, 3, [3], growths)
 
 
-@pytest.mark.parametrize("over, route", [(0, "lockstep"), (1, "tree")])
-def test_forest_route_at_the_state_limit_matches_oracle(over, route, routes, monkeypatch):
+@pytest.mark.parametrize("over, route", [(0, "lockstep"), (1, "chunks")])
+def test_forest_route_at_the_state_limit_matches_oracle(over, route, growths, monkeypatch):
     # Seven trees of 40 rows and 5 columns hold 7 x 40 x (16 x 5 + 136)
-    # bytes of lockstep state: they grow in lockstep while that is at most
-    # _CHUNK_BYTES, and tree by tree when it is one byte over.
+    # bytes of lockstep state: they grow in one growth while that is at
+    # most _CHUNK_BYTES, and in two chunks, of four trees and three, when
+    # it is one byte over.
     monkeypatch.setattr(forest, "_CHUNK_BYTES", 7 * 40 * (16 * 5 + 136) - over)
     X, y = SMALL["integer_ties"]
-    assert_forests_route(X, y, 7, route, routes)
+    assert_forests_grow(X, y, 7, [7] if route == "lockstep" else [4, 3], growths)
+
+
+def test_forests_in_chunks_match_oracle(growths, monkeypatch):
+    # Three forests of three trees grown together, two trees to a chunk:
+    # a chunk holds trees of two forests.
+    monkeypatch.setattr(forest, "_CHUNK_BYTES", 2 * 40 * (16 * 5 + 136))
+    X, y = SMALL["integer_ties"]
+    problems = [(X, y), (X[::-1], 3.0 - y), (X[:, :3], y)]
+    models = fit_rf_many(problems, [5, 6, 7], n_estimators=3)
+    assert growths == [2, 2, 2, 2, 1]
+    for model, (X, y), seed in zip(models, problems, [5, 6, 7]):
+        assert dumps(model) == dumps(oracle_fit_rf(X, y, n_estimators=3, seed=seed))
 
 
 @pytest.mark.parametrize("learner", LEARNERS)
 def test_forest_rejects_a_negative_depth(learner, monkeypatch):
-    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
+    monkeypatch.setattr(forest, "_CHUNK_BYTES", LEARNERS[learner])
     X, y = SMALL["integer_ties"]
     for fit in (fit_rf, oracle_fit_rf):
         with pytest.raises(ModelError, match="max_depth must be >= 0"):
@@ -766,7 +788,7 @@ def test_forest_rejects_a_negative_depth(learner, monkeypatch):
 @pytest.mark.parametrize("learner", LEARNERS)
 @pytest.mark.parametrize("max_features", [0, -2])
 def test_forest_rejects_fewer_than_one_feature_per_node(max_features, learner, monkeypatch):
-    monkeypatch.setattr(forest, "_LOCKSTEP_ROWS_PER_TREE", LEARNERS[learner])
+    monkeypatch.setattr(forest, "_CHUNK_BYTES", LEARNERS[learner])
     X, y = SMALL["integer_ties"]
     with pytest.raises(ModelError, match=f"max_features must be >= 1, got {max_features}"):
         fit_rf(X, y, n_estimators=3, max_features=max_features)
