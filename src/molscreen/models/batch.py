@@ -17,14 +17,12 @@ def fit_many(
     cost: Callable,
     budget: int,
     together: Callable,
-    fit: Callable | None = None,
-    smallest: int = 1,
     same_rows: bool = False,
 ) -> list:
     """The model of each ``(X, y)`` of ``problems`` and its seed, in
-    order, as ``together(data, seeds)`` fits problems together, or
-    ``fit(X, y, seed)`` one alone; both return the same models.
-    ``problems`` and ``seeds`` must be equally long.
+    order, as ``together(data, seeds)`` fits a chunk of them, each model
+    the one a single fit returns. ``problems`` and ``seeds`` must be
+    equally long.
 
     Each problem's data is checked in order, and ``check()`` (the
     hyperparameter checks) runs after the first problem's, as every fitter
@@ -34,8 +32,7 @@ def fit_many(
     The problems form one group in order of row count, or one group per
     row count with ``same_rows``. A group is cut into equal chunks of at
     most ``budget`` bytes, ``cost(n, p)`` a problem with the group's most
-    rows and widest ``p``; a chunk of fewer than ``smallest`` goes through
-    ``fit``.
+    rows and widest ``p``.
     """
     problems, seeds = list(problems), list(seeds)
     if len(problems) != len(seeds):
@@ -56,10 +53,7 @@ def fit_many(
         per_chunk = -(-len(group) // chunks)
         for first in range(0, len(group), per_chunk):
             chunk = group[first : first + per_chunk]
-            if len(chunk) < smallest:
-                fitted = [fit(X, y, seed) for _, X, y, seed in chunk]
-            else:
-                fitted = together([(X, y) for _, X, y, _ in chunk], [seed for *_, seed in chunk])
+            fitted = together([(X, y) for _, X, y, _ in chunk], [seed for *_, seed in chunk])
             for (i, *_), model in zip(chunk, fitted):
                 models[i] = model
     return models

@@ -305,9 +305,12 @@ def fit_svr_many(
         check=lambda: _check_hyperparameters(C, epsilon, kernel, gamma),
         cost=lambda n, p: 8 * n * (n + p + 8),
         budget=_GRAM_BYTES,
-        together=lambda data, seeds: _solve_together(data, seeds, C, epsilon, kernel, gamma),
-        fit=lambda X, y, seed: fit_svr(X, y, C, epsilon, kernel, gamma, seed),
-        smallest=_SOLVE_TOGETHER,
+        together=lambda data, seeds: (
+            _solve_together(data, seeds, C, epsilon, kernel, gamma)
+            if len(data) >= _SOLVE_TOGETHER
+            else [fit_svr(*problem, C, epsilon, kernel, gamma, seed)
+                  for problem, seed in zip(data, seeds)]
+        ),
         same_rows=True,
     )
 

@@ -417,10 +417,6 @@ def _costs(xs, ys, last, k, rest) -> np.ndarray:
     return cost
 
 
-# What _Growth._split returns for nodes that do not split.
-_NO_SPLIT = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=bool),) * 2
-
-
 class _Growth:
     """The nodes of a batch of trees over one shared layout.
 
@@ -528,16 +524,37 @@ class _Growth:
         valid cut. Returns, as arrays over the split nodes: the tree, the
         left child's id, whether the left child needs a search and whether
         the right one does."""
-        size = self.size[ids]
-        n_feats = self.p if feats is None else feats.shape[1]
-        widest, total = int(size.max()), int(size.sum())
-        if ids.size == 1 or (
-            ids.size >= _FEW
-            and widest < _WIDE
-            and (widest * ids.size - total) * n_feats <= _PAD_CELLS
-            and widest * ids.size * (self.p + 1) <= _GROUP_CELLS
-        ):
-            return self._split(ids, feats)  # one group
+        one_group = self.cells[: ids.size]
+        if ids.size < _FEW:
+            groups = [one_group]
+        else:
+            size = self.size[ids]
+            n_feats = self.p if feats is None else feats.shape[1]
+            widest, total = int(size.max()), int(size.sum())
+            if (
+                widest < _WIDE
+                and (widest * ids.size - total) * n_feats <= _PAD_CELLS
+                and widest * ids.size * (self.p + 1) <= _GROUP_CELLS
+            ):
+                groups = [one_group]
+            else:
+                groups = self._groups(size, n_feats)
+        split, alone = [], []
+        for g in groups:
+            if g.size >= _FEW:
+                split.append(self._split(ids[g], None if feats is None else feats[g]))
+            else:  # a group of few nodes splits them one at a time
+                for i in g.tolist():
+                    alone += self._split_one(int(ids[i]), None if feats is None else feats[i])
+        if alone or not split:
+            columns = zip(*alone) if alone else ((),) * 4
+            dtypes = (np.intp, np.intp, bool, bool)
+            split.append(tuple(np.array(c, dtype=d) for c, d in zip(columns, dtypes)))
+        return split[0] if len(split) == 1 else tuple(map(np.concatenate, zip(*split)))
+
+    def _groups(self, size, n_feats) -> list:
+        """Positions in ``size`` (the sizes of a step's nodes) grouped by
+        size, largest first, under the padding and memory bounds."""
         by_size = np.argsort(-size, kind="stable")
         sizes = size[by_size].tolist()
         groups, first, waste = [], 0, 0
@@ -551,16 +568,11 @@ class _Growth:
                 groups.append(by_size[first:i])
                 first, waste = i, 0
         groups.append(by_size[first:])
-        # A group of few nodes splits them one at a time.
-        groups = [part for g in groups for part in (np.split(g, g.size) if g.size < _FEW else [g])]
-        split = [self._split(ids[g], None if feats is None else feats[g]) for g in groups]
-        return split[0] if len(split) == 1 else tuple(map(np.concatenate, zip(*split)))
+        return groups
 
     def _split(self, ids, feats):
-        """:meth:`step` on one group of nodes, laid out padded to the
-        largest; a node alone goes to :meth:`_split_one`."""
-        if ids.size == 1:
-            return self._split_one(int(ids[0]), None if feats is None else feats[0])
+        """:meth:`step` on a group of at least ``_FEW`` nodes, laid out
+        padded to the largest."""
         p = self.p
         tree, start, size = self.tree[ids], self.start[ids], self.size[ids]
         nodes = self.cells[: ids.size]
@@ -658,10 +670,11 @@ class _Growth:
         self.size[first + 1 : self.count : 2] = size - n_left
         return tree, left, search_left, search_right
 
-    def _split_one(self, i, feats):
+    def _split_one(self, i, feats) -> list:
         """:meth:`_split` of node ``i`` alone (candidate features ``feats``,
         or every feature if None): the same search on its slice of its
-        tree's lists, read in place, with no padding."""
+        tree's lists, read in place, with no padding. Returns a list of
+        one (tree, left child, search left, search right) if it splits."""
         p = self.p
         t, a, m = int(self.tree[i]), int(self.start[i]), int(self.size[i])
         segment = self.by_tree[t, :, a : a + m]
@@ -675,8 +688,8 @@ class _Growth:
         best = int(cost.argmin())
         lowest = float(cost[best])
         if lowest == np.inf:
-            return _NO_SPLIT
-        near = np.flatnonzero(cost <= lowest + 1e-9 * (1.0 + abs(lowest)))
+            return []
+        near = (cost <= lowest + 1e-9 * (1.0 + abs(lowest))).nonzero()[0]
         if near.size > 1:
             # Rivals, re-scored as _settle re-scores a group's.
             features, cuts = np.divmod(near, m)
@@ -691,7 +704,7 @@ class _Growth:
         if not below <= threshold < above:
             n_left = min(int(np.count_nonzero(xs[local] <= threshold)), m)
             if not 0 < n_left < m:
-                return _NO_SPLIT
+                return []
         self.feature[i] = local if feats is None else feats[local]
         self.threshold[i] = threshold
         sorted_rows = rows[local].copy()
@@ -710,7 +723,7 @@ class _Growth:
         self.depth[left : left + 2] = depth
         self.start[left : left + 2] = a, a + n_left
         self.size[left : left + 2] = n_left, m - n_left
-        return (np.array([t]), np.array([left]), np.array([search_left]), np.array([search_right]))
+        return [(t, left, search_left, search_right)]
 
     def _partition(self, segment, n_left):
         """Partition a node's segment of each list (a lists x rows view) in
