@@ -363,16 +363,17 @@ _PAD_CELLS = 2048
 _GROUP_CELLS = 1 << 13
 
 # A node of at least _WIDE rows is searched alone, and so is each node of a
-# group of fewer than _FEW: for those, a node's own slice of the lists,
-# read and partitioned in place, costs less than the padded gather and
-# scatter of a group. With 32 and 4, a 2,000 x 24 booster (35 depth-4
+# step or group of fewer than _FEW: for those, a node's own slice of the
+# lists, read and partitioned in place, costs less than the padded gather
+# and scatter of a group. With 32 and 5, a 2,000 x 24 booster (35 depth-4
 # trees), an 11-tree forest of 2,000 x 24 and a 24-row booster fitted in
-# 1.00, 1.05 and 1.47 times the time of the recursive learner they
-# replaced, and evaluate's lockstep boosters and forests in 0.97-1.03
-# times that of the lockstep growth before (CPU time, best of 6-14
-# alternating runs in one process).
+# 0.99, 1.06 and 1.23 times the time of the recursive learner they
+# replaced, and a 16-repeat gb and a 12-repeat rf evaluate of
+# additives24.csv in 1.02 and 0.99 times that of the lockstep growth before
+# (CPU time, best of 6-20 runs alternating with the parent's in one
+# process, 2-vCPU host).
 _WIDE = 32
-_FEW = 4
+_FEW = 5
 
 # The most bytes one _Growth may hold; a forest or a set of boosters
 # larger than this grows in chunks.

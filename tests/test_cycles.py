@@ -3,8 +3,7 @@
 An object in a reference cycle outlives its last outside reference until the
 cyclic garbage collector finds it, so a cycle built per molecule or per fit
 costs collections on every hot path: a recursive closure that refers to
-itself (the key search's ``extend`` once did) holds everything it closes
-over. Each entry point is called once to fill its caches, then again with
+itself holds everything it closes over. Each entry point is called once to fill its caches, then again with
 the collector off; a collection after that second call must find nothing.
 
 ``cli.main`` builds its argparse parser, whose parsers and actions refer to

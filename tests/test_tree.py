@@ -500,9 +500,10 @@ def test_distinct_tied_partitions_are_rescored_on_both_paths(oracle, monkeypatch
     assert dumps(fit_tree(X, y, max_depth=8)) == dumps(oracle_fit_tree(X, y, max_depth=8))
     assert (False, 2) in partitions
     partitions.clear()
-    # Four boosters grow together, so their roots are searched as a group.
-    seeds = [0, 1, 2, 3]
-    for model, seed in zip(fit_gb_many([(X, y)] * 4, seeds), seeds):
+    # Enough boosters grow together that their roots are searched as a
+    # group.
+    seeds = list(range(tree._FEW))
+    for model, seed in zip(fit_gb_many([(X, y)] * len(seeds), seeds), seeds):
         assert dumps(model) == dumps(oracle(fit_gb, X, y, seed=seed))
     # _settle keeps the first cut of a node with one partition itself.
     from_settle = [count for in_settle, count in partitions if in_settle]
@@ -513,9 +514,12 @@ def test_distinct_tied_partitions_are_rescored_on_both_paths(oracle, monkeypatch
 def test_models_match_oracle_on_benchmark_shaped_problems(name, oracle):
     X, y = LARGE[name]
     kwargs = {"n_estimators": 4, "seed": 7}
-    models = [fit_tree(X, y, max_depth=10), fit_gb(X, y), fit_rf(X, y, **kwargs)]
-    oracles = [oracle_fit_tree(X, y, max_depth=10), oracle(fit_gb, X, y),
-               oracle(fit_rf, X, y, **kwargs)]
+    drawn = {"max_depth": 10, "features_per_node": 8, "seed": 3}
+    # max_depth=1 is the benchmark's split_search call.
+    models = [fit_tree(X, y, max_depth=10), fit_tree(X, y, max_depth=1), fit_tree(X, y, **drawn),
+              fit_gb(X, y), fit_rf(X, y, **kwargs)]
+    oracles = [oracle_fit_tree(X, y, max_depth=10), oracle_fit_tree(X, y, max_depth=1),
+               oracle_fit_tree(X, y, **drawn), oracle(fit_gb, X, y), oracle(fit_rf, X, y, **kwargs)]
     for model, expected in zip(models, oracles):
         assert dumps(model) == dumps(expected)
         assert_predicts_like_oracle(model, X)
@@ -747,8 +751,8 @@ def assert_forests_grow(X, y, n_estimators, sizes, growths):
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_forests_of_150_and_151_rows_match_oracle(extra, growths):
-    # Three trees of 150 and 151 training rows, which once grew in
-    # lockstep and tree by tree, grow in one growth.
+    # Forests of three trees of 150 and 151 training rows grow in one
+    # growth.
     X, y = bench_like(5, n=3 * 50 + extra, p=6)
     assert_forests_grow(X, y, 3, [3], growths)
 
