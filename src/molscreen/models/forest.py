@@ -44,14 +44,14 @@ from .tree import (
 # _CHUNK_BYTES of them, so a larger forest grows in chunks of its trees.
 
 # fit_rf_many grows forests together, in chunks of at most this many bytes
-# of lockstep state (at least one forest). Each forest in a growth adds its state and widens
-# the steps: on msc training splits of additives24.csv (18 rows, 55
-# trees), time per forest was 11.1 ms grown alone, 8.8 ms two to a
-# growth, 8.0 at three, 7.6 at four and 7.4 at twelve (fastest of five),
-# and a growth's tracemalloc peak 1.0 MB alone, 1.4 MB at two, 1.8 at
-# three, 2.3 at four and 6.0 at twelve. evaluate fits its rf repeats
-# three at a time (models.KINDS): four at a time raised a 200-repeat rf
-# evaluate's peak RSS by 1.0 MB.
+# of lockstep state (at least one forest). Each forest in a growth adds
+# its state and widens the steps: on msc training splits of
+# additives24.csv (18 rows, 55 trees), time per forest was 11.1 ms grown
+# alone, 8.8 ms two to a growth, 8.0 at three, 7.6 at four and 7.4 at
+# twelve (fastest of five), and a growth's tracemalloc peak 1.0 MB alone,
+# 1.4 MB at two, 1.8 at three, 2.3 at four and 6.0 at twelve. evaluate
+# fits its rf repeats three at a time (models.KINDS): four at a time
+# raised a 200-repeat rf evaluate's peak RSS by 1.0 MB.
 _FORESTS_BYTES = 1 << 21
 
 

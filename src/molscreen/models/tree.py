@@ -325,10 +325,11 @@ def grow_depth_first(values, y, max_depth, seeds, widths, draws, n_rows=None) ->
     ``SplitMix64(seeds[t])``, in depth-first order; ``widths`` and
     ``draws`` are integer arrays of one entry per tree. A tree that draws
     all of its features searches them as :meth:`_Growth.grow` searches
-    every feature. A tree that draws fewer than the most must be narrower than
-    ``values``: its draws are padded with its first padding row, which has
-    no valid cut. Each step takes the next depth-first node of every
-    unfinished tree, and every tree is the one it would be grown alone.
+    every feature. A tree that draws fewer than the most must be narrower
+    than ``values``: its draws are padded with its first padding row,
+    which has no valid cut. Each step takes the next depth-first node of
+    every unfinished tree, and every tree is the one it would be grown
+    alone.
     """
     growth = _Growth(values, max_depth, n_rows=n_rows)
     rngs = [SplitMix64(seed) for seed in seeds]
