@@ -26,6 +26,7 @@ from .tree import (
     TreeTable,
     _Growth,
     _tables,
+    check_integer,
     check_prediction_data,
     check_training_data,
     read_field,
@@ -94,10 +95,8 @@ class GBModel:
 
 
 def _check_hyperparameters(n_estimators, max_depth, learning_rate) -> None:
-    if n_estimators < 0:
-        raise ModelError(f"n_estimators must be >= 0, got {n_estimators!r}")
-    if max_depth < 0:
-        raise ModelError("max_depth must be >= 0")
+    check_integer("n_estimators", n_estimators, 0)
+    check_integer("max_depth", max_depth, 0)
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ModelError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
 

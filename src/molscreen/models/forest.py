@@ -30,6 +30,7 @@ from .tree import (
     TreeTable,
     _join_nodes,
     _tables,
+    check_integer,
     check_prediction_data,
     check_training_data,
     grow_depth_first,
@@ -104,12 +105,10 @@ def _tree_seeds(values, n_trees: int) -> tuple[int, ...]:
 
 
 def _check_hyperparameters(n_estimators, max_depth, max_features=None) -> None:
-    if n_estimators < 1:
-        raise ModelError(f"n_estimators must be >= 1, got {n_estimators!r}")
-    if max_depth < 0:
-        raise ModelError("max_depth must be >= 0")
-    if max_features is not None and max_features < 1:
-        raise ModelError(f"max_features must be >= 1, got {max_features!r}")
+    check_integer("n_estimators", n_estimators, 1)
+    check_integer("max_depth", max_depth, 0)
+    if max_features is not None:
+        check_integer("max_features", max_features, 1)
 
 
 def _per_node(p: int, max_features: int | None = None) -> int:

@@ -13,8 +13,12 @@ searching a set of nodes in one set of array calls. ``_Growth.grow`` steps
 trees that draw no features (gradient boosting's) level by level: one
 step searches every pending node of every tree. ``grow_depth_first``
 steps trees that draw features (a forest's) depth first: one step
-searches the next node of every tree. A tree is the same whichever trees
-grow with it.
+searches the next node of every tree, whose feature draws are made ahead
+in blocks. A tree is the same whichever trees grow with it.
+
+A step searches small nodes together, padded to a common width, and each
+large node alone, in buffers its growth allocates once, so that no search
+allocates and frees arrays the size of its node.
 
 An ensemble's trees, or one tree, are one ``TreeTable``: flat node arrays
 over all of their nodes, built once when the model is fitted or read.
@@ -284,6 +288,15 @@ def check_prediction_data(X, n_features: int) -> np.ndarray:
     return X
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """Raise :class:`ModelError` unless hyperparameter ``name`` is an
+    integer, which a bool is not, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ModelError(f"{name} must be >= {least}, got {value!r}")
+
+
 def fit_tree(
     X, y, max_depth: int, features_per_node: int | None = None, seed: int = 0
 ) -> TreeTable:
@@ -299,10 +312,9 @@ def fit_tree(
     depth-first order of its nodes.
     """
     X, y = check_training_data(X, y)
-    if max_depth < 0:
-        raise ModelError("max_depth must be >= 0")
-    if features_per_node is not None and features_per_node < 1:
-        raise ModelError(f"features_per_node must be >= 1, got {features_per_node!r}")
+    check_integer("max_depth", max_depth, 0)
+    if features_per_node is not None:
+        check_integer("features_per_node", features_per_node, 1)
 
     p = X.shape[1]
     values = X.T[None]
@@ -330,17 +342,33 @@ def grow_depth_first(values, y, max_depth, seeds, widths, draws, n_rows=None) ->
     which has no valid cut. Each step takes the next depth-first node of
     every unfinished tree, and every tree is the one it would be grown
     alone.
+
+    The draws are made ahead, a block of them per tree at a time
+    (:func:`~molscreen.rng.sample_many`): a tree's generator serves
+    nothing but its draws, so those it never uses change nothing.
     """
     growth = _Growth(values, max_depth, n_rows=n_rows)
     rngs = [SplitMix64(seed) for seed in seeds]
     # Per tree, the nodes still to search: a stack in depth-first order.
     pending = {t: [t] for t in np.flatnonzero(growth.plant(y)).tolist()}
+    # Every pending tree searches one node a step, so all of them have used
+    # equally many draws: ``used`` of the ``block`` drawn for them last.
+    # Tree t's draws, each sorted, are ``queue[row[t]]``.
+    row = np.empty(len(rngs), dtype=np.intp)
+    used = block = 0
     while pending:
         ids = [stack.pop() for stack in pending.values()]
-        trees = list(pending)
-        drawn = sample_many([rngs[t] for t in trees], widths[trees], draws[trees])
+        trees = np.array(list(pending))
+        if used == block:
+            block = max(1, _DRAW_ROWS // trees.size)
+            queue = sample_many([rngs[t] for t in trees.tolist()], widths[trees], draws[trees], block)
+            queue.sort(axis=2)
+            row[trees] = np.arange(trees.size)
+            used = 0
+        feats = queue[row[trees], used]
+        used += 1
         pending = {t: stack for t, stack in pending.items() if stack}
-        split = growth.step(np.array(ids), np.sort(drawn, axis=1))
+        split = growth.step(np.array(ids), feats)
         for tree, left, search_left, search_right in zip(*(a.tolist() for a in split)):
             # Right first, so that the left child is searched next.
             if search_right:
@@ -348,6 +376,12 @@ def grow_depth_first(values, y, max_depth, seeds, widths, draws, n_rows=None) ->
             if search_left:
                 pending.setdefault(tree, []).append(left)
     return growth.nodes()
+
+
+# grow_depth_first draws features for its pending trees' next
+# _DRAW_ROWS // trees searched nodes at a time (at least one), which bounds
+# a block's temporaries: they take about 300-500 bytes a draw.
+_DRAW_ROWS = 512
 
 
 # A node joins a step's group of larger nodes while padding the group's
@@ -381,41 +415,51 @@ _FEW = 5
 _CHUNK_BYTES = 1 << 26
 
 
-def _costs(xs, ys, last, k, rest) -> np.ndarray:
+def _costs(xs, ys, last, k, rest, out=(None,) * 3) -> np.ndarray:
     """The cost of every cut of every node, by the weighted sum of squared
     errors of its two children, as nodes x features x cells: the cut at
     cell ``j`` puts the first ``j + 1`` cells left, and is inf where it is
     invalid. ``xs`` and ``ys`` hold each node's feature values and targets
     in each feature's order, padded by repeating its last row; ``last`` is
-    each node's last real cell, or None when no node is padded; ``k`` and
+    each node's last real cell, or None when no node is padded, and then
+    the arrays may also be one node's features x cells; ``k`` and
     ``rest`` are the left and right sizes of each node's cuts, at least 1.
-    ``ys`` is overwritten."""
+    ``ys`` is overwritten.
+
+    ``out`` holds the arrays it writes, or None for each one numpy is to
+    allocate: two float64 arrays of ``ys``'s shape, the prefix sums of the
+    targets, which end up holding the costs, and those of their squares,
+    and a bool array of ``xs``'s shape less its last cell."""
+    s1, s2, ties = out
     # cumsum adds in sequence, so each node's prefix sums are its own, bit
     # for bit, up to its last row; its totals are read there.
-    s1 = ys.cumsum(axis=2)
+    s1 = ys.cumsum(axis=-1, out=s1)
     ys *= ys
-    s2 = ys.cumsum(axis=2)
+    s2 = ys.cumsum(axis=-1, out=s2)
     if last is None:
-        total1, total2 = s1[:, :, -1:], s2[:, :, -1:]
+        # total2 is copied, as s2 is written while it is read: a ufunc
+        # would copy all of s2 to read it as it was.
+        total1, total2 = s1[..., -1:], s2[..., -1:].copy()
     else:
         nodes = np.arange(xs.shape[0])
         total1, total2 = s1[nodes, :, last][:, :, None], s2[nodes, :, last][:, :, None]
     # cost = (s2 - s1**2 / k) + ((total2 - s2) - (total1 - s1)**2 / rest),
-    # evaluated in that order, in as few buffers as it needs.
-    cost = s1 * s1
-    cost /= k
-    np.subtract(s2, cost, cost)
-    right = total1 - s1
+    # each term evaluated in that order, in ys's, s1's and s2's buffers.
+    right = np.subtract(total1, s1, out=ys)
     right *= right
     right /= rest
-    np.subtract(total2, s2, s1)
-    s1 -= right
-    cost += s1
+    cost = np.multiply(s1, s1, out=s1)
+    cost /= k
+    np.subtract(s2, cost, cost)
+    np.subtract(total2, s2, s2)
+    s2 -= right
+    cost += s2
     # Lists are sorted, so a cut between unequal values is valid. Padded
     # cells repeat their node's last row, so no padded cut is, and no cut
     # follows the last cell.
-    cost[:, :, -1] = np.inf
-    cost[:, :, :-1][xs[:, :, :-1] == xs[:, :, 1:]] = np.inf
+    cost[..., -1] = np.inf
+    ties = np.equal(xs[..., :-1], xs[..., 1:], out=ties)
+    np.copyto(cost[..., :-1], np.inf, where=ties)
     return cost
 
 
@@ -448,6 +492,14 @@ class _Growth:
         self.n_trees, self.p, self.n = n_trees, p, n
         self.max_depth = max_depth
         self.n_rows = np.full(n_trees, n) if n_rows is None else np.asarray(n_rows)
+        # The one-node search's and partition's buffers (_split_one): a
+        # node of m rows and k candidate features uses the first k * m
+        # cells of each (xs, ys and _costs' s1 and s2), its partition
+        # (p + 1) * m. Held for the growth, so that no search allocates,
+        # and frees, arrays of its node's size.
+        self.floats = np.empty((4, p * n))
+        self.indices = np.empty((2, (p + 1) * n), dtype=np.intp)
+        self.masks = np.empty((p + 1) * n, dtype=bool)
         # Feature f of row t * n + r is values[t * (p - 1) * n + f * n + (t * n + r)].
         self.values = np.ascontiguousarray(values, dtype=np.float64).ravel()
         lists = np.empty(n_trees * (p + 1) * n + 1, dtype=np.intp)
@@ -675,18 +727,39 @@ class _Growth:
     def _split_one(self, i, feats) -> list:
         """:meth:`_split` of node ``i`` alone (candidate features ``feats``,
         or every feature if None): the same search on its slice of its
-        tree's lists, read in place, with no padding. Returns a list of
-        one (tree, left child, search left, search right) if it splits."""
+        tree's lists, with no padding, in the growth's buffers. Returns a
+        list of one (tree, left child, search left, search right) if it
+        splits.
+
+        Its takes into the buffers use mode="clip", in which numpy writes
+        straight into ``out`` (in raise mode it copies the result first),
+        and which clamps an index instead of raising. So the node's rows
+        are checked to lie in its tree's lists; the candidate features are
+        checked by indexing ``shift_at``, and each ``out`` must have its
+        indices' shape."""
         p = self.p
         t, a, m = int(self.tree[i]), int(self.start[i]), int(self.size[i])
+        if a + m > self.n:
+            raise IndexError(f"node {i} holds rows [{a}, {a + m}) of {self.n}")
         segment = self.by_tree[t, :, a : a + m]
+        k = p if feats is None else feats.size
+        xs, ys, s1, s2 = self.floats[:, : k * m].reshape(4, k, m)
+        at = self.indices[0, : k * m].reshape(k, m)
+        # Each candidate's row list, their targets, and their feature values:
+        # feature f of row g is at g + shift[f].
         if feats is None:
-            rows, shift = segment[:p], self.shift_at[t]
+            rows, shift = segment[:p], self.shift_at[t, :, None]
         else:
-            rows, shift = segment[feats], self.shift_at[t, feats]
-        xs = self.values[rows + shift[:, None]]
+            rows = self.indices[1, : k * m].reshape(k, m)
+            np.add(self.list_at[t, feats, None], self.cells[a : a + m], out=at)
+            self.lists.take(at, out=rows, mode="clip")
+            shift = self.shift_at[t, feats, None]
+        self.y.take(rows, out=ys, mode="clip")
+        np.add(rows, shift, out=at)
+        self.values.take(at, out=xs, mode="clip")
+        ties = self.masks[: k * (m - 1)].reshape(k, m - 1)
         rest = self.right_sizes[self.n - m :]
-        cost = _costs(xs[None], self.y[rows][None], None, self.left_sizes[:m], rest).ravel()
+        cost = _costs(xs, ys, None, self.left_sizes[:m], rest, (s1, s2, ties)).ravel()
         best = int(cost.argmin())
         lowest = float(cost[best])
         if lowest == np.inf:
@@ -697,7 +770,7 @@ class _Growth:
             features, cuts = np.divmod(near, m)
             thresholds = (xs[features, cuts] + xs[features, cuts + 1]) / 2.0
             in_order = segment[p]
-            goes_left = self.values[shift[features][:, None] + in_order] <= thresholds[:, None]
+            goes_left = self.values[shift[features] + in_order] <= thresholds[:, None]
             best = near[_rescore(goes_left, features, thresholds, self.y[in_order])]
         local, cut = divmod(int(best), m)
         below, above = float(xs[local, cut]), float(xs[local, cut + 1])
@@ -709,7 +782,7 @@ class _Growth:
                 return []
         self.feature[i] = local if feats is None else feats[local]
         self.threshold[i] = threshold
-        sorted_rows = rows[local].copy()
+        sorted_rows = rows[local]
         self.goes_left[sorted_rows] = self.cells[:m] < n_left
         depth = int(self.depth[i]) + 1
         search_left = search_right = depth < self.max_depth
@@ -721,19 +794,28 @@ class _Growth:
         left = self.count
         self.count += 2
         self.left[i] = left
-        self.tree[left : left + 2] = t
-        self.depth[left : left + 2] = depth
-        self.start[left : left + 2] = a, a + n_left
-        self.size[left : left + 2] = n_left, m - n_left
+        self.tree[left] = self.tree[left + 1] = t
+        self.depth[left] = self.depth[left + 1] = depth
+        self.start[left], self.start[left + 1] = a, a + n_left
+        self.size[left], self.size[left + 1] = n_left, m - n_left
         return [(t, left, search_left, search_right)]
 
     def _partition(self, segment, n_left):
         """Partition a node's segment of each list (a lists x rows view) in
-        place: its left rows, then its right rows, each in their order."""
-        moves_left = self.goes_left[segment]
-        left_rows, right_rows = segment[moves_left], segment[~moves_left]
-        segment[:, :n_left] = left_rows.reshape(-1, n_left)
-        segment[:, n_left:] = right_rows.reshape(segment.shape[0], -1)
+        place: its left rows, then its right rows, each in their order. The
+        rows are copied into the growth's buffers and compressed back."""
+        lists, m = segment.shape
+        size, at = lists * m, lists * n_left
+        rows, parted = self.indices[0, :size], self.indices[1, :size]
+        np.copyto(rows.reshape(lists, m), segment)
+        moves_left = self.goes_left.take(rows, out=self.masks[:size], mode="clip")
+        # rows.compress(moves_left), without compress's copy of its output;
+        # the outputs' sizes check n_left.
+        rows.take(moves_left.nonzero()[0], out=parted[:at], mode="clip")
+        moves_right = np.logical_not(moves_left, out=moves_left)
+        rows.take(moves_right.nonzero()[0], out=parted[at:], mode="clip")
+        segment[:, :n_left] = parted[:at].reshape(lists, n_left)
+        segment[:, n_left:] = parted[at:].reshape(lists, m - n_left)
 
     def _settle(self, nodes, near, xs, in_order, shift, size):
         """(local feature, cut, threshold, values below and above the cut)

@@ -6,7 +6,6 @@ import warnings
 
 import pytest
 
-from molscreen import rng
 from molscreen.rng import SplitMix64, below_many, derive_seed, sample_many
 
 MASK = (1 << 64) - 1
@@ -114,91 +113,101 @@ def test_below_many_rejects_an_out_of_range_bound(n):
         below_many([SplitMix64(1)], n, 3)
 
 
-@pytest.mark.parametrize("below", [0, 10**9])
-def test_sample_many_equals_a_sample_per_generator(below, monkeypatch):
-    # Fewer generators than _SAMPLE_MANY draw through one sample each.
-    monkeypatch.setattr(rng, "_SAMPLE_MANY", below)
-    for n, k, count in [(14, 5, 55), (24, 8, 11), (3, 1, 7), (8, 8, 5), (5, 0, 3), (1, 1, 2)]:
-        seeds = [derive_seed(n * 100 + k, t) for t in range(count)]
+def per_generator_loop(generators, n, k, count) -> list:
+    """What ``sample_many`` returns, generator by generator: ``count``
+    successive ``sample`` calls, each padded with the generator's ``n``
+    to the largest ``k``."""
+    width = max(k, default=0)
+    return [[g.sample(list(range(n_t)), k_t) + [n_t] * (width - k_t) for _ in range(count)]
+            for g, n_t, k_t in zip(generators, n, k)]
+
+
+# Each oracle runs on two families of streams, from master seeds 0 and 10**9.
+MASTERS = [0, 10**9]
+
+
+@pytest.mark.parametrize("master", MASTERS)
+def test_sample_many_equals_a_sample_per_generator(master):
+    # Blocks of several sizes, one after another, so that each block
+    # starts where the one before left every stream; a block of none
+    # leaves them where they are.
+    for n, k, size in [(14, 5, 55), (24, 8, 11), (3, 1, 7), (8, 8, 5), (5, 0, 3), (1, 1, 2)]:
+        seeds = [derive_seed(master + n * 100 + k, t) for t in range(size)]
         new = [SplitMix64(seed) for seed in seeds]
         old = [SplitMix64(seed) for seed in seeds]
-        for _ in range(20):
+        for count in (1, 3, 0, 8, 1, 16):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                drawn = sample_many(new, n, k)
-            assert drawn.shape == (count, k)
-            assert drawn.tolist() == [g.sample(list(range(n)), k) for g in old]
+                drawn = sample_many(new, n, k, count)
+            assert drawn.shape == (size, count, k)
+            assert drawn.tolist() == per_generator_loop(old, [n] * size, [k] * size, count)
         assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
 
 
 def test_sample_many_redraws_a_rejected_value(monkeypatch):
-    monkeypatch.setattr(rng, "_SAMPLE_MANY", 0)
     # 2**64 - 1 is the one value a draw below 3 rejects: make it the first
-    # draw of the second generator.
+    # value of the third draw of the second generator, in a block of four
+    # draws of two.
     new = [SplitMix64(derive_seed(5, t)) for t in range(3)]
     old = [SplitMix64(derive_seed(5, t)) for t in range(3)]
-    new[1]._state = old[1]._state = (unmix(MASK) - GAMMA) & MASK
-    assert sample_many(new, 3, 2).tolist() == [g.sample([0, 1, 2], 2) for g in old]
-    assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
+    new[1]._state = old[1]._state = (unmix(MASK) - 5 * GAMMA) & MASK
+    expected = per_generator_loop(old, [3] * 3, [2] * 3, 4)
+    # Only the second generator falls back to sample, once per draw.
+    looped = []
+    sample = SplitMix64.sample
+    monkeypatch.setattr(SplitMix64, "sample", lambda g, *a: looped.append(g) or sample(g, *a))
+    assert sample_many(new, 3, 2, 4).tolist() == expected
+    assert looped == [new[1]] * 4
+    monkeypatch.undo()
+    assert [g._state for g in new] == [g._state for g in old]
 
 
 def test_sample_many_larger_than_population_rejected():
     with pytest.raises(ValueError):
-        sample_many([SplitMix64(1)], 2, 3)
+        sample_many([SplitMix64(1)], 2, 3, 1)
 
 
-def per_generator_loop(generators, n, k) -> list:
-    """What ``sample_many`` with one ``n`` and ``k`` per generator returns,
-    row by row: each generator's ``sample``, padded with its ``n``."""
-    width = max(k, default=0)
-    return [g.sample(list(range(n_t)), k_t) + [n_t] * (width - k_t)
-            for g, n_t, k_t in zip(generators, n, k)]
-
-
-@pytest.mark.parametrize("below", [0, 10**9])
-def test_sample_many_takes_a_population_and_size_per_generator(below, monkeypatch):
+@pytest.mark.parametrize("master", MASTERS)
+def test_sample_many_takes_a_population_and_size_per_generator(master):
     # Mixed sizes, k equal to n (a full shuffle), k of 0 and a population
-    # of one, on the array path (below = 0) and the loop path.
-    monkeypatch.setattr(rng, "_SAMPLE_MANY", below)
+    # of one, in blocks of several sizes.
     shapes = [(14, 5), (13, 5), (12, 4), (17, 6), (4, 4), (6, 0), (1, 1), (24, 8)] * 3
     n, k = [s[0] for s in shapes], [s[1] for s in shapes]
-    seeds = [derive_seed(77, t) for t in range(len(shapes))]
+    seeds = [derive_seed(master + 77, t) for t in range(len(shapes))]
     new = [SplitMix64(seed) for seed in seeds]
     old = [SplitMix64(seed) for seed in seeds]
-    for _ in range(20):
+    for count in (1, 2, 5, 1, 11):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            drawn = sample_many(new, n, k)
-        assert drawn.shape == (len(shapes), max(k))
-        assert drawn.tolist() == per_generator_loop(old, n, k)
+            drawn = sample_many(new, n, k, count)
+        assert drawn.shape == (len(shapes), count, max(k))
+        assert drawn.tolist() == per_generator_loop(old, n, k, count)
     assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
 
 
-@pytest.mark.parametrize("below", [0, 10**9])
-def test_sample_many_mixes_ints_and_arrays(below, monkeypatch):
-    monkeypatch.setattr(rng, "_SAMPLE_MANY", below)
-    seeds = [derive_seed(78, t) for t in range(13)]
+@pytest.mark.parametrize("master", MASTERS)
+def test_sample_many_mixes_ints_and_arrays(master):
+    seeds = [derive_seed(master + 78, t) for t in range(13)]
     k = [t % 4 for t in range(13)]
-    drawn = sample_many([SplitMix64(seed) for seed in seeds], 9, k)
-    assert drawn.tolist() == per_generator_loop([SplitMix64(seed) for seed in seeds], [9] * 13, k)
+    drawn = sample_many([SplitMix64(seed) for seed in seeds], 9, k, 3)
+    assert drawn.tolist() == per_generator_loop([SplitMix64(seed) for seed in seeds], [9] * 13, k, 3)
     n = [3 + t for t in range(13)]
-    drawn = sample_many([SplitMix64(seed) for seed in seeds], n, 3)
-    assert drawn.tolist() == per_generator_loop([SplitMix64(seed) for seed in seeds], n, [3] * 13)
+    drawn = sample_many([SplitMix64(seed) for seed in seeds], n, 3, 3)
+    assert drawn.tolist() == per_generator_loop([SplitMix64(seed) for seed in seeds], n, [3] * 13, 3)
 
 
-def test_sample_many_per_generator_redraws_a_rejected_value(monkeypatch):
-    monkeypatch.setattr(rng, "_SAMPLE_MANY", 0)
-    # 2**64 - 1 is the one value a draw below 3 rejects: the first draw of
-    # the second generator, whose population is 3, among generators of
-    # other populations and sizes.
+def test_sample_many_per_generator_redraws_a_rejected_value():
+    # 2**64 - 1 is the one value a draw below 3 rejects: the first value of
+    # the second draw of the second generator, whose population is 3,
+    # among generators of other populations and sizes.
     n, k = [5, 3, 7, 3], [2, 2, 4, 1]
     new = [SplitMix64(derive_seed(6, t)) for t in range(4)]
     old = [SplitMix64(derive_seed(6, t)) for t in range(4)]
-    new[1]._state = old[1]._state = (unmix(MASK) - GAMMA) & MASK
-    assert sample_many(new, n, k).tolist() == per_generator_loop(old, n, k)
-    assert [g.next_u64() for g in new] == [g.next_u64() for g in old]
+    new[1]._state = old[1]._state = (unmix(MASK) - 3 * GAMMA) & MASK
+    assert sample_many(new, n, k, 3).tolist() == per_generator_loop(old, n, k, 3)
+    assert [g._state for g in new] == [g._state for g in old]
 
 
 def test_sample_many_per_generator_larger_than_population_rejected():
     with pytest.raises(ValueError):
-        sample_many([SplitMix64(1), SplitMix64(2)], [4, 2], [3, 3])
+        sample_many([SplitMix64(1), SplitMix64(2)], [4, 2], [3, 3], 1)

@@ -5,6 +5,8 @@ it replaced, and feature validation in every model."""
 
 import json
 import math
+import re
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -540,6 +542,41 @@ def test_shared_order_is_the_trees_own_sort():
     assert all(np.array_equal(a, b) for a, b in zip(second, fresh))
 
 
+@pytest.mark.parametrize("feats", [None, np.arange(0, 24, 3)])
+def test_a_large_node_is_searched_and_partitioned_in_the_growths_buffers(feats):
+    # Once a growth exists, searching and splitting a 2,000-row node of 24
+    # features allocates less than one 24 x 2,000 float64 array: the
+    # search and the partition write into buffers the growth owns.
+    X, y = LARGE["bench_like_a"]
+    growth = tree._Growth(X.T[None], 4)
+    growth.plant(y[None])
+    tracemalloc.start()
+    try:
+        (split,) = growth._split_one(0, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split[0] == 0
+    assert peak < X.size * 8
+
+
+@pytest.mark.parametrize("feats", [None, np.array([0, 2, 3])])
+def test_the_buffered_search_and_partition_raise_on_bad_indices(feats):
+    # The one-node search and the partition take with mode="clip", which
+    # clamps an index instead of raising, so that a take into a buffer
+    # copies nothing. A node whose rows run past its tree's lists, and a
+    # partition told a left size its rows do not have, still raise.
+    X, y = SMALL["integer_ties"]
+    growth = tree._Growth(X.T[None], 4)
+    growth.plant(y[None])
+    growth.start[0] = 1
+    with pytest.raises(IndexError, match=r"node 0 holds rows \[1, 41\) of 40"):
+        growth._split_one(0, feats)
+    growth.goes_left[:] = np.arange(growth.n) < 10
+    with pytest.raises(ValueError):
+        growth._partition(growth.by_tree[0], 11)
+
+
 @pytest.mark.parametrize("name", sorted(SMALL) + sorted(LARGE))
 def test_fitted_is_the_trees_prediction_on_its_training_rows(name):
     # A growth's fitted values, which boosting adds up round by round, are
@@ -804,6 +841,26 @@ def test_tree_rejects_fewer_than_one_feature_per_node(features_per_node):
     message = f"features_per_node must be >= 1, got {features_per_node}"
     with pytest.raises(ModelError, match=message):
         fit_tree(X, y, max_depth=3, features_per_node=features_per_node)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, "3"])
+@pytest.mark.parametrize("fit, name", [
+    (fit_tree, "max_depth"), (fit_tree, "features_per_node"),
+    (fit_gb, "n_estimators"), (fit_gb, "max_depth"),
+    (fit_rf, "n_estimators"), (fit_rf, "max_depth"), (fit_rf, "max_features"),
+    (fit_gb_many, "n_estimators"), (fit_gb_many, "max_depth"),
+    (fit_rf_many, "n_estimators"), (fit_rf_many, "max_depth"),
+])
+def test_integer_hyperparameters_must_be_integers(fit, name, value):
+    # A float, even a whole one, a bool or any other type is refused
+    # before fitting, as a ModelError naming the hyperparameter.
+    X, y = SMALL["integer_ties"]
+    settings = {"max_depth": 3, name: value} if fit is fit_tree else {name: value}
+    with pytest.raises(ModelError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        if fit in (fit_gb_many, fit_rf_many):
+            fit([(X, y), (X[:-1], y[:-1])], [0, 1], **settings)
+        else:
+            fit(X, y, **settings)
 
 
 @pytest.mark.parametrize("name", ["n1", "n2", "n2_equal_rows", "tied_targets",
