@@ -21,10 +21,9 @@ from .tree import (
 
 
 class ModelKind(NamedTuple):
-    fit: Callable
-    fit_many: Callable  # ``fit`` of many problems and their seeds, in order
+    fit_many: Callable  # the batch fitter: many problems and their seeds, in order
     model: type
-    fields: tuple[str, ...]  # the TrainConfig hyperparameters ``fit`` reads
+    fields: tuple[str, ...]  # the TrainConfig hyperparameters ``fit_many`` reads
     # The problems an evaluation fits in one ``fit_many`` call and holds
     # the models of until it scores them.
     batch: int
@@ -36,11 +35,9 @@ class ModelKind(NamedTuple):
 # about 0.4 MB of peak memory while fit_rf_many gains little past three:
 # rf repeats fit three at a time.
 KINDS = {
-    "gb": ModelKind(
-        fit_gb, fit_gb_many, GBModel, ("n_estimators", "max_depth", "learning_rate"), 200
-    ),
-    "rf": ModelKind(fit_rf, fit_rf_many, RFModel, ("n_estimators", "max_depth"), 3),
-    "svr": ModelKind(fit_svr, fit_svr_many, SVRModel, ("C", "epsilon", "kernel", "gamma"), 200),
+    "gb": ModelKind(fit_gb_many, GBModel, ("n_estimators", "max_depth", "learning_rate"), 200),
+    "rf": ModelKind(fit_rf_many, RFModel, ("n_estimators", "max_depth"), 3),
+    "svr": ModelKind(fit_svr_many, SVRModel, ("C", "epsilon", "kernel", "gamma"), 200),
 }
 MODEL_KINDS = tuple(KINDS)
 
@@ -50,7 +47,7 @@ class TrainConfig:
     """Model kind, seed and hyperparameter overrides.
 
     A hyperparameter left None takes the default in the signature of its
-    kind's fitter; one the kind does not read is ignored.
+    kind's batch fitter; one the kind does not read is ignored.
     """
 
     kind: str
@@ -78,16 +75,17 @@ def _settings(config: TrainConfig) -> dict:
 
 
 def fit_model(X, y, config: TrainConfig):
-    """Fit ``config.kind`` with the seed and each field it reads that is set."""
-    return KINDS[config.kind].fit(X, y, seed=config.seed, **_settings(config))
+    """Fit ``config.kind`` with the seed and each field it reads that is
+    set: :func:`fit_models` of one problem."""
+    return fit_models([(X, y)], config, [config.seed])[0]
 
 
 def fit_models(problems, config: TrainConfig, seeds) -> list:
-    """``fit_model(X, y, config.with_seed(seed))`` for each ``(X, y)`` of
-    ``problems`` and its seed, in order; a failure raises the first
-    failing problem's error. The kind's batch fitter fits the problems
-    together: boosters and forests whatever their row counts, SVR
-    problems of one row count."""
+    """The model of each ``(X, y)`` of ``problems`` and its seed, in order,
+    each the one ``fit_gb``, ``fit_rf`` or ``fit_svr`` fits alone; a
+    failure raises the first failing problem's error. The kind's batch
+    fitter fits the problems together: boosters and forests whatever
+    their row counts, SVR problems of one row count."""
     return KINDS[config.kind].fit_many(problems, seeds, **_settings(config))
 
 

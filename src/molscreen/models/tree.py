@@ -10,11 +10,11 @@ subsampling (used by the forest), driven by a seeded generator.
 Every tree grows in a ``_Growth``, the one learner behind ``fit_tree``,
 boosting and the forest: a batch of trees grown in lockstep, each step
 searching a set of nodes in one set of array calls. ``_Growth.grow`` steps
-trees that draw no features (gradient boosting's) level by level: one
-step searches every pending node of every tree. ``grow_depth_first``
-steps trees that draw features (a forest's) depth first: one step
-searches the next node of every tree, whose feature draws are made ahead
-in blocks. A tree is the same whichever trees grow with it.
+trees that draw no features (``fit_tree``'s and gradient boosting's) level
+by level: one step searches every pending node of every tree.
+``grow_depth_first`` steps trees that draw features (a forest's) depth
+first: one step searches the next node of every tree, whose feature draws
+are made ahead in blocks. A tree is the same whichever trees grow with it.
 
 A step searches small nodes together, padded to a common width, and each
 large node alone, in buffers its growth allocates once, so that no search
@@ -140,30 +140,6 @@ class TreeTable:
         ]
 
 
-def _one_tree(feature, threshold, left, value, max_depth, n_features) -> TreeTable:
-    """The table of one tree's node lists."""
-    feature, left = (np.array(a, dtype=np.intp) for a in (feature, left))
-    threshold, value = (np.array(a, dtype=np.float64) for a in (threshold, value))
-    return TreeTable(feature, threshold, left, value, np.zeros(1, np.intp), max_depth, n_features)
-
-
-def join_tables(tables, max_depth: int, n_features: int) -> TreeTable:
-    """One table of the trees of ``tables``, in order."""
-    sizes = np.array([table.left.size for table in tables], dtype=np.intp)
-    counts = np.array([len(table) for table in tables], dtype=np.intp)
-    offsets = np.cumsum(sizes) - sizes
-    feature, threshold, left, value, roots = (
-        np.concatenate([np.empty(0, dtype)] + [getattr(table, name) for table in tables])
-        for name, dtype in (
-            ("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
-            ("value", np.float64), ("roots", np.intp),
-        )
-    )
-    left = np.where(left >= 0, left + np.repeat(offsets, sizes), -1)
-    roots += np.repeat(offsets, counts)
-    return TreeTable(feature, threshold, left, value, roots, max_depth, n_features)
-
-
 def _read_nodes(root) -> tuple[list, list, list, list, int]:
     """The node lists (feature, threshold, left, value) of the nested
     nodes under ``root`` and the tree's height, read without recursion, so
@@ -204,11 +180,13 @@ def _node(data):
     return data
 
 
-def _read_tree(data: dict, t: int) -> TreeTable:
-    """Tree ``t`` of a model file, as :meth:`TreeTable.to_list` writes it;
-    a node that splits on a feature outside ``[0, n_features)``, a tree
-    deeper than its ``max_depth`` or a ``min_samples_leaf`` other than 1
-    raises :class:`ModelError`."""
+def _read_tree(data: dict, t: int) -> tuple:
+    """Tree ``t`` of a model file, as :meth:`TreeTable.to_list` writes it:
+    its ``max_depth``, its ``n_features`` and its nodes as
+    :meth:`_Growth.nodes` hands out a growth of one tree. A node that
+    splits on a feature outside ``[0, n_features)``, a tree deeper than
+    its ``max_depth`` or a ``min_samples_leaf`` other than 1 raises
+    :class:`ModelError`."""
     feature, threshold, left, value, height = read_field(data, "root", _read_nodes)
     max_depth = read_field(data, "max_depth", integer)
     min_samples_leaf = read_field(data, "min_samples_leaf", integer)
@@ -220,27 +198,30 @@ def _read_tree(data: dict, t: int) -> TreeTable:
         raise ModelError(f"a tree {height} levels deep has max_depth {max_depth}")
     if min_samples_leaf != 1:
         raise ModelError(f"tree {t} has min_samples_leaf {min_samples_leaf}, not 1")
-    return _one_tree(feature, threshold, left, value, max_depth, n_features)
+    nodes = (*map(np.array, (feature, threshold, left, value)), np.array([len(left)]))
+    return max_depth, n_features, nodes
 
 
 def read_trees(data: dict, n_features: int) -> TreeTable:
-    """The ``trees`` field of an ensemble's file as one table; a tree that
-    reads other than the ensemble's ``n_features`` columns, or whose
+    """The ``trees`` field of an ensemble's file as one table, built from
+    the trees' nodes as a fit builds its table from a growth's, each
+    tree's nodes numbered in the order they are read; a tree that reads
+    other than the ensemble's ``n_features`` columns, or whose
     ``max_depth`` differs from the first tree's, raises
     :class:`ModelError`."""
     trees = read_field(data, "trees", lambda ts: [_read_tree(tr, t) for t, tr in enumerate(ts)])
-    for t, tree in enumerate(trees):
-        if tree.n_features != n_features:
+    max_depth = trees[0][0] if trees else 0
+    for t, (depth, width, _) in enumerate(trees):
+        if width != n_features:
             raise ModelError(
-                f"field 'trees': a tree reads {tree.n_features} features, "
-                f"the model {n_features}"
+                f"field 'trees': a tree reads {width} features, the model {n_features}"
             )
-        if tree.max_depth != trees[0].max_depth:
+        if depth != max_depth:
             raise ModelError(
-                f"field 'trees': tree {t} has max_depth {tree.max_depth}, "
-                f"tree 0 has {trees[0].max_depth}"
+                f"field 'trees': tree {t} has max_depth {depth}, tree 0 has {max_depth}"
             )
-    return join_tables(trees, trees[0].max_depth if trees else 0, n_features)
+    parts = [nodes for *_, nodes in trees]
+    return _tables([_join_nodes(parts)] if parts else [], len(parts), max_depth, [n_features])[0]
 
 
 def check_features(X: np.ndarray) -> None:
@@ -297,42 +278,24 @@ def check_integer(name: str, value, least: int) -> None:
         raise ModelError(f"{name} must be >= {least}, got {value!r}")
 
 
-def fit_tree(
-    X, y, max_depth: int, features_per_node: int | None = None, seed: int = 0
-) -> TreeTable:
-    """Fit a CART regression tree, as a one-tree table. A node is a leaf
+def fit_tree(X, y, max_depth: int) -> TreeTable:
+    """Fit a CART regression tree over every feature, as a one-tree table:
+    a :class:`_Growth` of one tree, grown level by level. A node is a leaf
     when it is at ``max_depth``, holds fewer than two rows, has a constant
-    target or has no valid cut (one between two distinct values).
-
-    ``features_per_node`` limits the split search at every node to a seeded
-    random draw of that many features (the regression-forest convention);
-    ``None``, or at least every feature, searches every feature. The tree
-    is one :class:`_Growth`: grown level by level when it searches every
-    feature, or depth first when it draws, so that the draws follow the
-    depth-first order of its nodes.
-    """
+    target or has no valid cut (one between two distinct values)."""
     X, y = check_training_data(X, y)
     check_integer("max_depth", max_depth, 0)
-    if features_per_node is not None:
-        check_integer("features_per_node", features_per_node, 1)
-
-    p = X.shape[1]
-    values = X.T[None]
-    if features_per_node is None or features_per_node >= p:
-        nodes = _Growth(values, max_depth).grow(y[None])
-    else:
-        widths, draws = np.array([p]), np.array([features_per_node])
-        nodes = grow_depth_first(values, y[None], max_depth, [seed], widths, draws)
-    return _tables([nodes], 1, max_depth, [p])[0]
+    nodes = _Growth(X.T[None], max_depth).grow(y[None])
+    return _tables([nodes], 1, max_depth, [X.shape[1]])[0]
 
 
-def grow_depth_first(values, y, max_depth, seeds, widths, draws, n_rows=None) -> tuple:
+def grow_depth_first(values, y, max_depth, seeds, widths, draws, n_rows) -> tuple:
     """Grow one tree per leading index in lockstep and return their
     :meth:`_Growth.nodes`.
 
-    Tree ``t`` trains on targets ``y[t]`` and the first ``widths[t]`` rows
-    of ``values[t]`` (p x n: row ``f`` is feature ``f`` of its n rows),
-    the rest zero padding; ``n_rows`` is as :class:`_Growth` takes it.
+    Tree ``t`` trains on targets ``y[t]``, on the first ``widths[t]`` rows
+    of ``values[t]`` (p x n: row ``f`` is feature ``f`` of its n rows) and
+    on the first ``n_rows[t]`` of its n columns, the rest zero padding.
     Each searched node draws ``draws[t]`` features from
     ``SplitMix64(seeds[t])``, in depth-first order; ``widths`` and
     ``draws`` are integer arrays of one entry per tree. A tree that draws
@@ -889,8 +852,9 @@ class _Growth:
 
 
 def _join_nodes(parts) -> tuple:
-    """The :meth:`_Growth.nodes` of several growths, their trees one after
-    another, as one growth of all of them hands them out."""
+    """The :meth:`_Growth.nodes` of several growths, or of trees read from
+    a file, their trees one after another, as one growth of all of them
+    hands them out."""
     if len(parts) == 1:
         return parts[0]
     feature, threshold, left, value, counts = map(np.concatenate, zip(*parts))
@@ -901,15 +865,19 @@ def _join_nodes(parts) -> tuple:
 
 def _tables(parts, per_table: int, max_depth: int, widths) -> list[TreeTable]:
     """One table per run of ``per_table`` trees, table ``k`` ``widths[k]``
-    features wide, from the nodes of one or more growths of equally many
-    trees, each as :meth:`_Growth.nodes` hands them out. Tree ``t`` of
-    growth ``g`` is tree ``t * len(parts) + g`` of the run, so that the
-    growths of a boosting run are its rounds. Each tree's nodes move as
+    features wide, from the nodes of growths of equally many trees, each
+    as :meth:`_Growth.nodes` hands them out; no growths give tables of no
+    trees. Tree ``t`` of growth ``g`` is tree ``t * len(parts) + g`` of
+    the run, so that the growths of a boosting run are its rounds. Each tree's nodes move as
     one block, to where the run places it; the tables are views of one
     set of arrays.
     """
-    if not parts:  # boosters of no trees
-        return [join_tables([], max_depth, width) for width in widths]
+    if not parts:
+        empty = np.empty(0, dtype=np.intp)
+        return [
+            TreeTable(empty, np.empty(0), empty, np.empty(0), empty, max_depth, width)
+            for width in widths
+        ]
     run = np.array([part[4] for part in parts]).T.ravel()  # each tree's node count
     roots = np.cumsum(run) - run
     firsts = roots[::per_table]

@@ -58,30 +58,14 @@ class SplitMix64:
                 return v % n
 
     def sample(self, items: list, k: int) -> list:
-        """k items drawn without replacement, by partial Fisher-Yates.
-
-        Each swap index is ``below(len(items) - i)``, with the generator
-        step and the mixing inlined: the forest draws every node's feature
-        subset here.
-        """
+        """k items drawn without replacement, by partial Fisher-Yates."""
         n = len(items)
         if k > n:
             raise ValueError("sample size exceeds population")
         pool = list(items)
-        state = self._state
         for i in range(k):
-            m = n - i
-            limit = _SPAN - _SPAN % m
-            while True:
-                state = (state + _GAMMA) & _MASK
-                z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-                z ^= z >> 31
-                if z < limit:
-                    break
-            j = i + z % m
+            j = i + self.below(n - i)
             pool[i], pool[j] = pool[j], pool[i]
-        self._state = state
         return pool[:k] if k > 0 else []
 
 

@@ -100,7 +100,9 @@ def _band(threshold: float) -> float:
     """Half-width of the near-tie band around ``threshold``.
 
     A vectorized statistic inside the band is recomputed the exact per-column
-    way; ``models.tree._best_split`` uses the same tolerance for near-tied cuts.
+    way; the tree's split search (``models.tree._Growth._split`` and
+    ``_split_one``) takes cuts within ``1e-9 * (1 + |lowest|)`` of the
+    lowest cost as near ties, the same band.
     """
     return 1e-9 * (1.0 + abs(threshold))
 

@@ -111,7 +111,7 @@ def test_cli_main(command, tmp_path):
 
 def test_fit_tree():
     X, y = training_problem()
-    assert unreachable_after(lambda: fit_tree(X, y, max_depth=4, seed=3)) == 0
+    assert unreachable_after(lambda: fit_tree(X, y, max_depth=4)) == 0
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

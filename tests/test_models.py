@@ -22,6 +22,7 @@ from molscreen.models import (
     fit_model,
     fit_models,
     fit_rf,
+    fit_rf_many,
     fit_svr,
     fit_tree,
     load_model,
@@ -239,6 +240,19 @@ class TestSVR:
             model.predict(np.zeros((2, 4)))
 
 
+def node_pairs(a, b) -> np.ndarray:
+    """Each node of table ``a`` (row 0) and the node at the same place in
+    the same tree of table ``b`` (row 1), walking both from their roots."""
+    pairs = []
+    stack = list(zip(a.roots.tolist(), b.roots.tolist()))
+    while stack:
+        i, j = stack.pop()
+        pairs.append((i, j))
+        if a.left[i] >= 0 and b.left[j] >= 0:
+            stack += [(a.left[i] + side, b.left[j] + side) for side in (0, 1)]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["gb", "rf", "svr"])
     def test_round_trip(self, kind, tmp_path):
@@ -273,6 +287,61 @@ class TestSerialization:
         loaded = model_from_dict(data)
         assert model_to_dict(loaded) == model_to_dict(model)
         assert loaded.predict(X).tolist() == [4.0] * 4
+
+    @pytest.mark.parametrize("case", ["gb-no-trees", "gb", "rf-two-widths"])
+    def test_a_model_file_builds_the_fitted_table(self, case, tmp_path):
+        # A model file's trees read into the fit's table: the same node
+        # values, dtypes and roots. The reader numbers each tree's nodes
+        # depth first, as a forest grows them, so a forest's table reads
+        # back array for array; a booster grows level by level, so its
+        # nodes read back renumbered, node for node.
+        rng = np.random.default_rng(27)
+        X, y = rng.normal(size=(18, 5)), rng.normal(size=18)
+        fitted = {
+            "gb-no-trees": lambda: [fit_gb(X, y, n_estimators=0)],
+            "gb": lambda: [fit_gb(X, y)],
+            "rf-two-widths": lambda: fit_rf_many([(X, y), (X[:12, :3], y[:12])], [3, 4]),
+        }[case]()
+        for i, model in enumerate(fitted):
+            path = tmp_path / f"{i}.json"
+            path.write_text(dataio.dump_json(model_to_dict(model)))
+            expected, loaded = model.trees, load_model(path).trees
+            assert len(loaded) == len(expected) == {"gb-no-trees": 0, "gb": 35}.get(case, 55)
+            fit_ids, read_ids = node_pairs(expected, loaded)
+            every = np.arange(loaded.left.size)
+            assert np.array_equal(np.sort(read_ids), every)
+            assert np.array_equal(np.sort(fit_ids), every)
+            assert np.array_equal(fit_ids, read_ids) == (case != "gb")
+            for name in ("feature", "threshold", "left", "value", "roots"):
+                a, b = getattr(loaded, name), getattr(expected, name)
+                dtype = np.float64 if name in ("threshold", "value") else np.intp
+                assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                if case == "gb" and name != "roots":  # node for node
+                    a, b = a[read_ids], b[fit_ids]
+                    if name == "left":  # node_pairs matched the children
+                        a, b = a >= 0, b >= 0
+                assert a.tobytes() == b.tobytes()
+            assert loaded.n_features == expected.n_features
+            # A file of no trees holds no max_depth; its table reads 0.
+            assert loaded.max_depth == (expected.max_depth if len(expected) else 0)
+        if case != "gb-no-trees":
+            # Each tree is checked against the ensemble and the first tree.
+            data = json.loads(json.dumps(model_to_dict(fitted[-1])))
+            width = data["n_features"]
+            data["trees"][2]["n_features"] = width + 1
+            with pytest.raises(ModelError) as caught:
+                model_from_dict(data)
+            assert str(caught.value) == (
+                f"field 'trees': a tree reads {width + 1} features, the model {width}"
+            )
+            data["trees"][2]["n_features"] = width
+            depth = data["trees"][0]["max_depth"]
+            data["trees"][2]["max_depth"] = depth + 1
+            with pytest.raises(ModelError) as caught:
+                model_from_dict(data)
+            assert str(caught.value) == (
+                f"field 'trees': tree 2 has max_depth {depth + 1}, tree 0 has {depth}"
+            )
 
     def test_version_check(self):
         with pytest.raises(Exception):
@@ -415,8 +484,7 @@ class TestTrainingDataContract:
 # of inspect.Parameter.empty marks a required parameter.
 REQUIRED = inspect.Parameter.empty
 FITTER_PARAMETERS = {
-    fit_tree: [("X", REQUIRED), ("y", REQUIRED), ("max_depth", REQUIRED),
-               ("features_per_node", None), ("seed", 0)],
+    fit_tree: [("X", REQUIRED), ("y", REQUIRED), ("max_depth", REQUIRED)],
     fit_gb: [("X", REQUIRED), ("y", REQUIRED), ("n_estimators", 35), ("max_depth", 4),
              ("learning_rate", 0.1), ("seed", 0)],
     fit_gb_many: [("problems", REQUIRED), ("seeds", REQUIRED), ("n_estimators", 35),
@@ -426,6 +494,10 @@ FITTER_PARAMETERS = {
     fit_svr: [("X", REQUIRED), ("y", REQUIRED), ("C", 500.0), ("epsilon", 0.75),
               ("kernel", "rbf"), ("gamma", None), ("seed", 0)],
 }
+
+
+# Each kind's one-problem fitter.
+FIT_ONE = {"gb": fit_gb, "rf": fit_rf, "svr": fit_svr}
 
 
 class TestFitterSignatures:
@@ -439,7 +511,7 @@ class TestFitterSignatures:
 
     def test_settable_count(self):
         settable = [name for table in FITTER_PARAMETERS.values() for name, _ in table[2:]]
-        assert len(settable) == 20
+        assert len(settable) == 18
 
 
 class TestFitModels:
@@ -568,7 +640,7 @@ class TestFitModels:
         assert KINDS[kind].fit_many([], []) == []
         X, y = self.problems()[0]
         with pytest.raises(ModelError) as alone:
-            KINDS[kind].fit(X, y, **broken)
+            FIT_ONE[kind](X, y, **broken)
         with pytest.raises(ModelError) as batched:
             KINDS[kind].fit_many([], [], **broken)
         assert str(batched.value) == str(alone.value)
@@ -619,8 +691,8 @@ class TestKindTable:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_a_batch_fitter_takes_its_kinds_fields(self, kind):
         # fit_many takes the problems and their seeds, then each field the
-        # kind reads with fit's default.
-        fit = inspect.signature(KINDS[kind].fit).parameters
+        # kind reads with the one-problem fitter's default.
+        fit = inspect.signature(FIT_ONE[kind]).parameters
         many = inspect.signature(KINDS[kind].fit_many).parameters
         assert list(many)[:2] == ["problems", "seeds"]
         assert {name: p.default for name, p in list(many.items())[2:]} == {
@@ -630,8 +702,8 @@ class TestKindTable:
     def test_every_field_a_kind_reads_is_a_parameter_of_its_fitter(self):
         config_fields = set(TrainConfig.__dataclass_fields__) - {"kind", "seed"}
         read = set()
-        for kind in KINDS.values():
-            parameters = inspect.signature(kind.fit).parameters
+        for name, kind in KINDS.items():
+            parameters = inspect.signature(FIT_ONE[name]).parameters
             assert set(kind.fields) <= set(parameters)
             assert "seed" in parameters
             read |= set(kind.fields)
@@ -643,7 +715,7 @@ class TestKindTable:
         X = rng.normal(size=(15, 3))
         y = rng.normal(size=15)
         via_config = fit_model(X, y, TrainConfig(kind=kind, seed=4))
-        direct = KINDS[kind].fit(X, y, seed=4)
+        direct = FIT_ONE[kind](X, y, seed=4)
         assert json.dumps(model_to_dict(via_config)) == json.dumps(model_to_dict(direct))
 
     @pytest.mark.parametrize("kind, reads", [

@@ -1,4 +1,4 @@
-"""The inlined ``SplitMix64.sample`` and the array ``below_many`` and
+"""``SplitMix64.sample`` and the array ``below_many`` and
 ``sample_many`` against the loops they replaced: the same draws in the
 same order, and the same stream after."""
 

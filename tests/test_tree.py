@@ -427,6 +427,18 @@ def oracle():
     return fit
 
 
+def fit_drawn_tree(X, y, max_depth, features_per_node, seed):
+    """A tree grown alone, as a forest grows each of its trees: every node
+    searches a draw of ``features_per_node`` features (all of them when
+    that is at least their number) from ``SplitMix64(seed)``, in
+    depth-first order."""
+    X, y = check_training_data(X, y)
+    n, p = X.shape
+    draws = np.array([min(features_per_node, p)])
+    nodes = tree.grow_depth_first(X.T[None], y[None], max_depth, [seed], np.array([p]), draws, [n])
+    return tree._tables([nodes], 1, max_depth, [p])[0]
+
+
 TREE_SETTINGS = [
     {"max_depth": 8},
     {"max_depth": 6},
@@ -439,7 +451,8 @@ TREE_SETTINGS = [
 def test_tree_matches_oracle_on_small_problems(name):
     X, y = SMALL[name]
     for settings in TREE_SETTINGS:
-        tree = fit_tree(X, y, **settings)
+        fit = fit_drawn_tree if "features_per_node" in settings else fit_tree
+        tree = fit(X, y, **settings)
         assert dumps(tree) == dumps(oracle_fit_tree(X, y, **settings))
         assert_predicts_like_oracle(tree, X)
 
@@ -518,8 +531,8 @@ def test_models_match_oracle_on_benchmark_shaped_problems(name, oracle):
     kwargs = {"n_estimators": 4, "seed": 7}
     drawn = {"max_depth": 10, "features_per_node": 8, "seed": 3}
     # max_depth=1 is the benchmark's split_search call.
-    models = [fit_tree(X, y, max_depth=10), fit_tree(X, y, max_depth=1), fit_tree(X, y, **drawn),
-              fit_gb(X, y), fit_rf(X, y, **kwargs)]
+    models = [fit_tree(X, y, max_depth=10), fit_tree(X, y, max_depth=1),
+              fit_drawn_tree(X, y, **drawn), fit_gb(X, y), fit_rf(X, y, **kwargs)]
     oracles = [oracle_fit_tree(X, y, max_depth=10), oracle_fit_tree(X, y, max_depth=1),
                oracle_fit_tree(X, y, **drawn), oracle(fit_gb, X, y), oracle(fit_rf, X, y, **kwargs)]
     for model, expected in zip(models, oracles):
@@ -835,17 +848,9 @@ def test_forest_rejects_fewer_than_one_feature_per_node(max_features, learner, m
         fit_rf(X, y, n_estimators=3, max_features=max_features)
 
 
-@pytest.mark.parametrize("features_per_node", [0, -2])
-def test_tree_rejects_fewer_than_one_feature_per_node(features_per_node):
-    X, y = SMALL["integer_ties"]
-    message = f"features_per_node must be >= 1, got {features_per_node}"
-    with pytest.raises(ModelError, match=message):
-        fit_tree(X, y, max_depth=3, features_per_node=features_per_node)
-
-
 @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, "3"])
 @pytest.mark.parametrize("fit, name", [
-    (fit_tree, "max_depth"), (fit_tree, "features_per_node"),
+    (fit_tree, "max_depth"),
     (fit_gb, "n_estimators"), (fit_gb, "max_depth"),
     (fit_rf, "n_estimators"), (fit_rf, "max_depth"), (fit_rf, "max_features"),
     (fit_gb_many, "n_estimators"), (fit_gb_many, "max_depth"),
@@ -872,7 +877,7 @@ def test_fits_raise_no_warnings(name):
         warnings.simplefilter("error")
         for target in (y, constant):
             fit_tree(X, target, max_depth=10)
-            fit_tree(X, target, max_depth=4, features_per_node=1)
+            fit_drawn_tree(X, target, max_depth=4, features_per_node=1, seed=0)
             fit_gb(X, target, n_estimators=3)
             fit_rf(X, target, n_estimators=3, seed=1)
             fit_rf(X, target, n_estimators=3, max_features=X.shape[1])
